@@ -270,6 +270,8 @@ def _run(options: argparse.Namespace) -> tuple[dict, dict, int]:
 
     # certify
     _reject(options, ["--h"], command)
+    if options.budget is not None and options.budget <= 0:
+        raise UsageError(f"--budget must be a positive trial count, got {options.budget}")
     strategy = ScanStrategy(
         seed=0 if options.seed is None else options.seed,
         trial_budget=64 if options.budget is None else options.budget,

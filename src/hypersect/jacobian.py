@@ -23,6 +23,11 @@ Three facts keep the decision cheap:
   quotient at c forever, certifying the singular case from small matrices
   instead of one large elimination at the cap.
 
+Every matrix holds the monomial multiples of the generators in one degree,
+less those the leading-term (Koszul/F5) criterion shows redundant: fewer
+rows, same span.  When the characteristic does not divide d, the scan
+drops f, which Euler's identity puts in the ideal of its partials.
+
 Over a small prime field, singular inputs are also screened by scanning
 projective rational points for a common zero of the generators.  Over Q,
 ranks of the (integer-scaled) span matrices are probed mod a fixed 31-bit
@@ -35,7 +40,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 from math import lcm
 
 from . import linalg
@@ -46,6 +50,7 @@ from .poly import (
     Monomial,
     Polynomial,
     dimension_of_degree,
+    grlex_key,
     monomial_basis,
     partial_derivative,
     require_homogeneous,
@@ -69,8 +74,10 @@ class GradedPiece:
     """Degree-t piece of a homogeneous ideal inside the space of t-forms.
 
     `basis` lists the degree-t monomials (grlex descending); they index the
-    columns of `span_matrix`, whose rows are the monomial multiples of the
-    generators that land in degree t.  `dimension` is the exact rank.
+    columns of `span_matrix`, whose rows are the degree-t monomial multiples
+    of the generators less those redundant by the leading-term criterion: a
+    subset with the same span, which alone fixes every `reduce` residual.
+    `dimension` is the exact rank.
     """
 
     degree: int
@@ -108,26 +115,41 @@ class GradedPiece:
         return not any(self.reduce(p))
 
 
-def _span_rows_scalar(
-    generators: list[Polynomial], degree: int, field: FieldSpec, nvars: int
-) -> tuple[list[Monomial], list[list[Scalar]]]:
+def _macaulay_rows(
+    generators: list[Polynomial], degree: int
+) -> tuple[list[Monomial], list[list[int]]]:
+    """Degree-t monomial basis and integer rows spanning the ideal's piece.
+
+    Row m*g_i holds m*g_i with g_i's denominators cleared.  Zero generators
+    are skipped, and so is m*g_i when LT(g_j) divides m for some j < i
+    (grlex leading terms; the Koszul/F5 criterion).  The span stays the
+    same over any field: with u = m/LT(g_j) and c = LC(g_j),
+    m*g_i = (u*g_i/c)*g_j + (m - u*g_j/c)*g_i, rows of g_j plus rows of g_i
+    at monomials below m; induct on (i, m).  Mod a prime where an LC
+    vanishes the rank can only drop, so it still bounds the rank over Q.
+    """
+    nvars = generators[0].nvars
     basis = monomial_basis(nvars, degree)
     index = {m: i for i, m in enumerate(basis)}
-    zero = field.zero()
     rows = []
+    leads: list[Monomial] = []
     for g in generators:
         if g.is_zero():
             continue
         e = g.degree()
         if not g.is_homogeneous(e):
             raise InhomogeneousGenerator(f"generator {g} is not homogeneous")
-        if e > degree:
-            continue
-        for m in monomial_basis(nvars, degree - e):
-            row = [zero] * len(basis)
-            for mono, c in g.terms.items():
-                row[index[tuple(a + b for a, b in zip(m, mono))]] = c
-            rows.append(row)
+        if e <= degree:
+            scale = lcm(*(c.value.denominator for c in g.terms.values()))  # 1 over F_p
+            coeffs = [(m, int(c.value * scale)) for m, c in g.terms.items()]
+            for m in monomial_basis(nvars, degree - e):
+                if any(all(a >= b for a, b in zip(m, lt)) for lt in leads):
+                    continue
+                row = [0] * len(basis)
+                for mono, c in coeffs:
+                    row[index[tuple(a + b for a, b in zip(m, mono))]] = c
+                rows.append(row)
+        leads.append(max(g.terms, key=grlex_key))
     return basis, rows
 
 
@@ -144,11 +166,10 @@ def ideal_graded_dim(
     """
     live = [g for g in generators if not g.is_zero()]
     if live:
-        field = live[0].field
-        nvars = live[0].nvars
+        field, nvars = live[0].field, live[0].nvars
     elif field is None or nvars is None:
         raise ValueError("empty generator list needs explicit field and nvars")
-    basis, rows = _span_rows_scalar(live, degree, field, nvars)
+    basis, rows = _macaulay_rows(live, degree) if live else (monomial_basis(nvars, degree), [])
     matrix = Matrix.from_rows(field, rows) if rows else Matrix.zero(field, 0, len(basis))
     reduced, pivots = linalg.rref(matrix)
     return GradedPiece(degree, basis, matrix, len(pivots), reduced, pivots)
@@ -157,41 +178,17 @@ def ideal_graded_dim(
 # -- fast fullness ------------------------------------------------------------
 
 
-def _integer_rows(generators: list[Polynomial], degree: int) -> tuple[int, list[list[int]]]:
-    """Span rows with integer entries (denominators cleared per generator)."""
-    nvars = generators[0].nvars
-    field = generators[0].field
-    basis = monomial_basis(nvars, degree)
-    index = {m: i for i, m in enumerate(basis)}
-    rows = []
-    for g in generators:
-        e = g.degree()
-        if e > degree:
-            continue
-        if field.is_prime_field:
-            coeffs = {m: c.value for m, c in g.terms.items()}
-        else:
-            scale = lcm(*(c.value.denominator for c in g.terms.values()))
-            coeffs = {m: int(c.value * scale) for m, c in g.terms.items()}
-        for m in monomial_basis(nvars, degree - e):
-            row = [0] * len(basis)
-            for mono, c in coeffs.items():
-                row[index[tuple(a + b for a, b in zip(m, mono))]] = c
-            rows.append(row)
-    return len(basis), rows
-
-
 def _piece_is_full_probe(generators: list[Polynomial], degree: int, field: FieldSpec) -> bool:
     """Sound fullness test for the degree-t piece; may under-report over Q.
 
     Over F_p this is exact.  Over Q the rank is only probed mod a fixed
     prime, so True is a certificate while False merely means "not proven".
     """
-    cols, rows = _integer_rows(generators, degree)
-    if len(rows) < cols:
+    basis, rows = _macaulay_rows(generators, degree)
+    if len(rows) < len(basis):
         return False
-    p = field.characteristic if field.is_prime_field else PROBE_PRIME
-    return linalg.rank_mod_p_int(rows, p, stop_at=cols) == cols
+    p = field.characteristic or PROBE_PRIME
+    return linalg.rank_mod_p_int(rows, p, stop_at=len(basis)) == len(basis)
 
 
 _POINT_SCAN_LIMIT = 600
@@ -232,7 +229,8 @@ def _rational_singular_point(generators: list[Polynomial], field: FieldSpec, nva
 
 def _graded_rank_exact(generators: list[Polynomial], degree: int, field: FieldSpec) -> int:
     """Exact rank of the degree-t span over the base field."""
-    cols, rows = _integer_rows(generators, degree)
+    basis, rows = _macaulay_rows(generators, degree)
+    cols = len(basis)
     if not rows:
         return 0
     if field.is_prime_field:
@@ -268,7 +266,10 @@ def is_smooth(f: Polynomial, t_max: int | None = None) -> bool:
     else:
         # the formula goes negative only for linear forms; degree 0 suffices there
         cap = max(default_degree_cap(f.nvars, d), 0)
-    gens = [g for g in jacobian_generators(f) if not g.is_zero()]
+    p = f.field.characteristic
+    # unless p | d, Euler's sum_i x_i*df/dx_i = d*f puts f in the ideal of its partials
+    skip_f = 1 if p == 0 or d % p else 0
+    gens = [g for g in jacobian_generators(f)[skip_f:] if not g.is_zero()]
     if not gens:
         return False
     expected_full = max((n + 1) * (d - 2) + 1, d - 1, 0)
@@ -285,12 +286,12 @@ def is_smooth(f: Polynomial, t_max: int | None = None) -> bool:
             exact_h[t] = got
         return got
 
-    probe = f.field.characteristic if f.field.is_prime_field else PROBE_PRIME
+    probe = p or PROBE_PRIME
     h_prev: int | None = None
     for t in range(max(d - 1, 0), cap + 1):
-        cols, rows = _integer_rows(gens, t)
+        basis, rows = _macaulay_rows(gens, t)
         # over F_p the probe rank is already exact; over Q it bounds h from above
-        h_probe = cols - linalg.rank_mod_p_int(rows, probe) if rows else cols
+        h_probe = len(basis) - (linalg.rank_mod_p_int(rows, probe) if rows else 0)
         if f.field.is_prime_field:
             exact_h[t] = h_probe
         if h_probe == 0:

@@ -30,10 +30,6 @@ from .fields import FieldSpec, Scalar
 Monomial = tuple[int, ...]
 
 
-def monomial_degree(m: Monomial) -> int:
-    return sum(m)
-
-
 def grlex_key(m: Monomial):
     """Sort key: ascending under Python's order; reverse for display order."""
     return (sum(m), m)

@@ -25,6 +25,7 @@ from math import comb
 
 from . import linalg
 from .errors import (
+    ArityMismatch,
     DegreeTooSmall,
     DimensionTooSmall,
     SingularInput,
@@ -102,7 +103,7 @@ def normalize_hyperplane(f: Polynomial, hyperplane: Hyperplane) -> Polynomial:
     x0 = 0 section.
     """
     if hyperplane.nvars != f.nvars:
-        raise ZeroHyperplane(
+        raise ArityMismatch(
             f"hyperplane on {hyperplane.nvars} variables, form has {f.nvars}"
         )
     field = f.field

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 
 from hypersect import FieldSpec, Matrix, Polynomial, Scalar, make_field
 from hypersect.poly import monomial_basis
@@ -87,3 +88,24 @@ def in_span(vectors: list[list[Scalar]], candidate: list[Scalar], field: FieldSp
     base = Matrix.from_rows(field, vectors)
     extended = Matrix.from_rows(field, vectors + [candidate])
     return rank(base) == rank(extended)
+
+
+def macaulay_rows_reference(generators: list[Polynomial], degree: int):
+    """Every degree-t monomial multiple of every nonzero generator.
+
+    Integer rows over the grlex-descending monomial basis, denominators
+    cleared per generator, nothing pruned.  Returns (basis, rows).
+    """
+    live = [g for g in generators if not g.is_zero()]
+    basis = monomial_basis(live[0].nvars, degree)
+    index = {m: i for i, m in enumerate(basis)}
+    rows = []
+    for g in live:
+        e = g.degree()
+        scale = lcm(*(c.value.denominator for c in g.terms.values()))
+        for m in monomial_basis(g.nvars, degree - e):
+            row = [0] * len(basis)
+            for mono, c in g.terms.items():
+                row[index[tuple(a + b for a, b in zip(m, mono))]] = int(c.value * scale)
+            rows.append(row)
+    return basis, rows

@@ -234,6 +234,8 @@ def test_timing_goes_to_stderr_not_stdout(capsys):
         (("fixture", "--f", "x0^2", "--char", "0"), "UsageError"),
         (("smooth", "--f", "x0 + x5", "--char", "0", "--nvars", "2"), "UsageError"),
         (("moduli-dim", "--d", "2", "--n", "3"), "DegreeTooSmall"),
+        (("certify", "--fixture", "cubic-threefold", "--char", "0", "--budget", "0"), "UsageError"),
+        (("certify", "--fixture", "cubic-threefold", "--char", "0", "--budget", "-5"), "UsageError"),
     ],
 )
 def test_error_paths_emit_json_and_exit_two(capsys, argv, code):

@@ -20,9 +20,17 @@ from hypersect import (
     substitute_linear,
 )
 from hypersect.fixtures import cubic_threefold_example, cyclic_fermat, fermat
-from hypersect.jacobian import dimension_of_degree
+from hypersect.jacobian import GradedPiece, _macaulay_rows, dimension_of_degree
+from hypersect.linalg import Matrix, rank_int_exact, rank_mod_p_int, rref
+from hypersect.poly import monomial_basis
 from gf_oracle import find_singular_point
-from helpers import rand_invertible, rand_nonzero_homogeneous
+from helpers import (
+    FIELDS,
+    macaulay_rows_reference,
+    rand_homogeneous,
+    rand_invertible,
+    rand_nonzero_homogeneous,
+)
 
 Q = make_field(0)
 
@@ -227,3 +235,106 @@ def test_agrees_with_point_enumeration_oracle():
             hit = find_singular_point(raw, nvars, p)
             if hit is not None:
                 assert not is_smooth(f), f"oracle found {hit} on {f.to_text()}"
+
+
+# --- the pruned row builder against the unpruned reference -------------------
+
+
+def _exact_rank(rows, field):
+    if not rows:
+        return 0
+    if field.is_prime_field:
+        return rank_mod_p_int(rows, field.characteristic)
+    return rank_int_exact(rows)
+
+
+def _random_form(rng, field, nvars, d, singular):
+    """A random form; singular ones vanish to order two at (1:0:...:0),
+    because no monomial has x0-degree d or d - 1."""
+    while True:
+        f = rand_nonzero_homogeneous(rng, field, nvars, d, max_terms=8)
+        if singular:
+            f = Polynomial.from_terms(
+                field, nvars, {m: c for m, c in f.terms.items() if m[0] < d - 1}
+            )
+        if not f.is_zero() and f.is_homogeneous(d):
+            return f
+
+
+def _form_grid(seed):
+    rng = random.Random(seed)
+    for field in FIELDS:
+        for nvars, d in ((3, 2), (3, 3), (3, 4), (4, 3)):
+            for singular in (False, True, False):
+                yield field, d, _random_form(rng, field, nvars, d, singular)
+
+
+def test_pruned_rows_without_f_keep_every_jacobian_rank():
+    """Pruned rows of the generators the smoothness scan uses (f dropped
+    unless char | d) have the rank of every Macaulay row of f and all its
+    partials, in every degree up to the CI degree, over Q and over F_p."""
+    char_divides = 0
+    for field, d, f in _form_grid(81):
+        p = field.characteristic
+        full = jacobian_generators(f)
+        used = full[1:] if p == 0 or d % p else full
+        char_divides += len(used) == len(full)
+        for t in range(d - 1, f.nvars * (d - 2) + 2):
+            basis, rows = _macaulay_rows(used, t)
+            ref_basis, ref_rows = macaulay_rows_reference(full, t)
+            assert basis == ref_basis
+            assert _exact_rank(rows, field) == _exact_rank(ref_rows, field), (f.to_text(), t)
+    assert char_divides > 0
+
+
+def test_pruning_keeps_span_for_any_generator_list():
+    """The leading-term criterion needs no regular sequence: random lists of
+    forms of mixed degrees keep their rank, and the kept rows are a subset
+    of the unpruned ones."""
+    rng = random.Random(82)
+    pruned_some = False
+    for field in FIELDS:
+        for _ in range(12):
+            nvars = rng.randint(2, 4)
+            gens = [
+                rand_homogeneous(rng, field, nvars, rng.randint(1, 3), max_terms=4)
+                for _ in range(rng.randint(1, 5))
+            ]
+            if all(g.is_zero() for g in gens):
+                continue
+            for t in range(1, 5):
+                _, rows = _macaulay_rows(gens, t)
+                _, ref_rows = macaulay_rows_reference(gens, t)
+                assert {tuple(r) for r in rows} <= {tuple(r) for r in ref_rows}
+                assert _exact_rank(rows, field) == _exact_rank(ref_rows, field)
+                pruned_some = pruned_some or len(rows) < len(ref_rows)
+    assert pruned_some
+
+
+def _reference_piece(generators, degree, field):
+    basis, rows = macaulay_rows_reference(generators, degree)
+    matrix = Matrix.from_rows(field, rows) if rows else Matrix.zero(field, 0, len(basis))
+    reduced, pivots = rref(matrix)
+    return GradedPiece(degree, basis, matrix, len(pivots), reduced, pivots)
+
+
+def test_graded_piece_residuals_match_unpruned_reference():
+    """ideal_graded_dim builds pruned rows; its dimension, pivots and the
+    residual of every tested form equal those of the unpruned piece."""
+    rng = random.Random(83)
+    verdicts = set()
+    for field, d, f in _form_grid(84):
+        verdicts.add(is_smooth(f))
+        gens = jacobian_generators(f)
+        for t in (d - 1, d, d + 1):
+            piece = ideal_graded_dim(gens, t)
+            ref = _reference_piece(gens, t, field)
+            assert piece.basis == ref.basis
+            assert piece.dimension == ref.dimension
+            assert piece._pivots == ref._pivots
+            assert piece.span_matrix.rows <= ref.span_matrix.rows
+            probes = [rand_homogeneous(rng, field, f.nvars, t) for _ in range(4)]
+            probes += [g * Polynomial.variable(field, f.nvars, 0) for g in gens[1:] if t == d]
+            for q in probes:
+                assert piece.reduce(q) == ref.reduce(q)
+    assert verdicts == {True, False}

@@ -5,7 +5,14 @@ import random
 import pytest
 
 from hypersect import Matrix, SingularMatrix, invert, kernel_basis, make_field, rank, rref
-from hypersect.linalg import mat_vec, rank_int_exact, rank_mod_p_int
+from hypersect import linalg
+from hypersect.linalg import (
+    _rank_mod_p_numpy,
+    _rank_mod_p_python,
+    mat_vec,
+    rank_int_exact,
+    rank_mod_p_int,
+)
 from helpers import FIELDS, in_span, rand_invertible, rand_matrix, rand_scalar
 
 Q = make_field(0)
@@ -177,3 +184,36 @@ def test_rational_rank_matches_large_prime_probe():
     for _ in range(120):
         rows = [[rng.randint(-9, 9) for _ in range(4)] for _ in range(4)]
         assert rank_int_exact(rows) == rank_mod_p_int(rows, big)
+
+
+def test_rank_mod_large_prime_uses_python_path(monkeypatch):
+    """Above 2^31 rank_mod_p_int leaves numpy for pure Python.  Just past
+    the limit (p - 1)^2 + p still fits int64, so the numpy kernel is an
+    independent check there, next to the Scalar rank over F_p."""
+    p = 2**31 + 11
+    fp = make_field(p)
+
+    def numpy_forbidden(*args, **kwargs):
+        raise AssertionError("rank_mod_p_int took the numpy path above 2^31")
+
+    monkeypatch.setattr(linalg, "_rank_mod_p_numpy", numpy_forbidden)
+    rng = random.Random(73)
+    for _ in range(40):
+        ncols = rng.randint(1, 6)
+        base = [[rng.randrange(-p, p) for _ in range(ncols)] for _ in range(rng.randint(1, 4))]
+        # planted dependencies: extra rows are small combinations of the base rows
+        extra = [
+            [sum(rng.randint(-3, 3) * row[c] for row in base) for c in range(ncols)]
+            for _ in range(rng.randint(0, 3))
+        ]
+        rows = base + extra
+        rng.shuffle(rows)
+        expected = rank(Matrix.from_rows(fp, rows))
+        assert _rank_mod_p_python(rows, p) == expected
+        assert _rank_mod_p_numpy(rows, p) == expected
+        assert rank_mod_p_int(rows, p) == expected
+        for stop_at in range(1, ncols + 1):
+            capped = min(expected, stop_at)
+            assert _rank_mod_p_python(rows, p, stop_at=stop_at) == capped
+            assert _rank_mod_p_numpy(rows, p, stop_at=stop_at) == capped
+            assert rank_mod_p_int(rows, p, stop_at=stop_at) == capped

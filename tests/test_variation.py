@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 
 from hypersect import (
+    ArityMismatch,
     CertifyVerdict,
     CriterionStatus,
     DegreeTooSmall,
@@ -54,6 +55,13 @@ def test_coordinate_hyperplane():
 def test_zero_hyperplane_rejected():
     with pytest.raises(ZeroHyperplane):
         Hyperplane.from_coefficients(Q, [0, 0, 0, 0])
+
+
+def test_normalize_rejects_hyperplane_of_other_arity():
+    f = fermat(3, 3, Q)
+    for nvars in (3, 5):
+        with pytest.raises(ArityMismatch):
+            normalize_hyperplane(f, Hyperplane.coordinate(Q, nvars, 0))
 
 
 # --- normalization and the criterion form ----------------------------------
