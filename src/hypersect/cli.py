@@ -243,6 +243,8 @@ def _run(options: argparse.Namespace) -> tuple[dict, dict, int]:
         return request, result, 0
 
     if options.t_max is not None:
+        if options.t_max < 0:
+            raise UsageError(f"--t-max must be a nonnegative degree, got {options.t_max}")
         request["t_max"] = options.t_max
 
     if command == "smooth":

@@ -32,8 +32,8 @@ Over a small prime field, singular inputs are also screened by scanning
 projective rational points for a common zero of the generators.  Over Q,
 ranks of the (integer-scaled) span matrices are probed mod a fixed 31-bit
 prime: full rank mod a prime certifies full rank over Q.  Negative answers
-are confirmed with fraction-free integer elimination, so every returned
-verdict is exact.
+are confirmed by fraction-free integer elimination of the rows already
+probed, so every returned verdict is exact.
 """
 
 from __future__ import annotations
@@ -227,19 +227,6 @@ def _rational_singular_point(generators: list[Polynomial], field: FieldSpec, nva
     return False
 
 
-def _graded_rank_exact(generators: list[Polynomial], degree: int, field: FieldSpec) -> int:
-    """Exact rank of the degree-t span over the base field."""
-    basis, rows = _macaulay_rows(generators, degree)
-    cols = len(basis)
-    if not rows:
-        return 0
-    if field.is_prime_field:
-        return linalg.rank_mod_p_int(rows, field.characteristic)
-    if linalg.rank_mod_p_int(rows, PROBE_PRIME, stop_at=cols) == cols:
-        return cols
-    return linalg.rank_int_exact(rows)
-
-
 def is_smooth(f: Polynomial, t_max: int | None = None) -> bool:
     """Whether the projective hypersurface f = 0 is smooth.
 
@@ -254,6 +241,8 @@ def is_smooth(f: Polynomial, t_max: int | None = None) -> bool:
     generator degrees) certify singularity: constant growth is Macaulay-
     maximal, so by Gotzmann persistence the quotient never dies.  Only if
     neither shortcut fires does the scan reach the cap and decide there.
+    Over F_p each h_t is exact; over Q it is probed mod PROBE_PRIME, and a
+    pair or the cap is confirmed by exact ranks of the walk's own rows.
     """
     d = require_homogeneous(f, 1, "hypersurface form")
     if f.nvars < 2:
@@ -277,38 +266,32 @@ def is_smooth(f: Polynomial, t_max: int | None = None) -> bool:
         return True
     if f.field.is_prime_field and _rational_singular_point(gens, f.field, f.nvars):
         return False
-    exact_h: dict[int, int] = {}
-
-    def quotient_dim(t: int) -> int:
-        got = exact_h.get(t)
-        if got is None:
-            got = dimension_of_degree(f.nvars, t) - _graded_rank_exact(gens, t, f.field)
-            exact_h[t] = got
-        return got
-
     probe = p or PROBE_PRIME
-    h_prev: int | None = None
+    h_prev = rows_prev = h_exact_prev = None
     for t in range(max(d - 1, 0), cap + 1):
         basis, rows = _macaulay_rows(gens, t)
-        # over F_p the probe rank is already exact; over Q it bounds h from above
-        h_probe = len(basis) - (linalg.rank_mod_p_int(rows, probe) if rows else 0)
-        if f.field.is_prime_field:
-            exact_h[t] = h_probe
-        if h_probe == 0:
+        # over F_p the probe rank is exact; over Q it bounds h from above
+        h = len(basis) - (linalg.rank_mod_p_int(rows, probe) if rows else 0)
+        if h == 0:
             return True
-        if (
-            h_prev is not None
-            and h_prev == h_probe
-            and h_probe <= t - 1
-            and t - 1 >= d
-        ):
-            h1, h2 = quotient_dim(t - 1), quotient_dim(t)
-            if h1 == 0 or h2 == 0:
-                return True
-            if h1 == h2 and h2 <= t - 1:
+        h_exact = None
+        if h_prev == h and h <= t - 1 and t - 1 >= d:
+            if p:
                 return False
-        h_prev = h_probe
-    return quotient_dim(cap) == 0
+            # confirm the pair on the rows already built; exact h never exceeds the probe's
+            if h_exact_prev is None:
+                cols_prev = dimension_of_degree(f.nvars, t - 1)
+                h_exact_prev = cols_prev - linalg.rank_int_exact(rows_prev)
+            h_exact = len(basis) - linalg.rank_int_exact(rows)
+            if h_exact_prev == 0 or h_exact == 0:
+                return True
+            if h_exact_prev == h_exact:
+                return False
+        h_prev, rows_prev, h_exact_prev = h, rows, h_exact
+    # the cap decides: no degree walked, an exact probe over F_p, or a known nonzero exact h
+    if p or rows_prev is None or h_exact_prev is not None:
+        return False
+    return linalg.rank_int_exact(rows_prev) == dimension_of_degree(f.nvars, cap)
 
 
 def euler_check(f: Polynomial) -> bool:

@@ -4,10 +4,10 @@ Row reduction is plain Gauss-Jordan with first-nonzero pivoting, so the
 reduced form, the pivot list, and the kernel basis are deterministic
 functions of the input.  No floating point anywhere.
 
-The underscore helpers at the bottom are performance kernels for large
-fullness/rank checks on integer data (vectorized elimination mod p,
-fraction-free integer elimination).  They serve the smoothness scan and
-never replace the exact Scalar paths above for small problems.
+The integer kernels at the bottom serve the smoothness scan's large rank
+checks: one vectorized elimination mod p (an int64 array for p < 2^31,
+Python ints above; the dtype follows from p alone) and one fraction-free
+elimination over Z.  They never replace the Scalar paths for small problems.
 """
 
 from __future__ import annotations
@@ -177,14 +177,25 @@ def mat_vec(m: Matrix, v: list[Scalar]) -> list[Scalar]:
 # prime certifies full rank over Q, never the other way around
 PROBE_PRIME = 2**31 - 1
 
-_NUMPY_PRIME_LIMIT = 2**31  # (p-1)^2 must stay inside int64
+_INT64_PRIME_LIMIT = 2**31  # below it (p-1)^2 + p stays inside int64
 
 
-def _rank_mod_p_numpy(rows: list[list[int]], p: int, stop_at: int | None = None) -> int:
-    """Rank mod p by vectorized forward elimination; entries any ints."""
+def rank_mod_p_int(rows: list[list[int]], p: int, stop_at: int | None = None) -> int:
+    """Rank mod p of an integer matrix by vectorized forward elimination.
+
+    Entries are any ints.  Below 2^31 the array is int64, and entries too
+    large for it are reduced mod p first; above, it holds Python ints
+    (dtype object).  Stops once the rank reaches stop_at.
+    """
     if not rows:
         return 0
-    a = np.array(rows, dtype=np.int64) % p
+    if p < _INT64_PRIME_LIMIT:
+        try:
+            a = np.array(rows, dtype=np.int64) % p
+        except OverflowError:
+            a = np.array([[x % p for x in row] for row in rows], dtype=np.int64)
+    else:
+        a = np.array(rows, dtype=object) % p
     nrows, ncols = a.shape
     r = 0
     for c in range(ncols):
@@ -210,38 +221,7 @@ def _rank_mod_p_numpy(rows: list[list[int]], p: int, stop_at: int | None = None)
     return r
 
 
-def _rank_mod_p_python(rows: list[list[int]], p: int, stop_at: int | None = None) -> int:
-    """Rank mod p in pure Python; used when p*p would overflow int64."""
-    a = [[x % p for x in row] for row in rows]
-    nrows = len(a)
-    ncols = len(a[0]) if a else 0
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pr = next((i for i in range(r, nrows) if a[i][c]), None)
-        if pr is None:
-            continue
-        a[r], a[pr] = a[pr], a[r]
-        inv = pow(a[r][c], -1, p)
-        a[r] = [x * inv % p for x in a[r]]
-        for i in range(r + 1, nrows):
-            f = a[i][c]
-            if f:
-                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
-        r += 1
-        if stop_at is not None and r >= stop_at:
-            break
-    return r
-
-
-def rank_mod_p_int(rows: list[list[int]], p: int, stop_at: int | None = None) -> int:
-    if p < _NUMPY_PRIME_LIMIT:
-        return _rank_mod_p_numpy(rows, p, stop_at)
-    return _rank_mod_p_python(rows, p, stop_at)
-
-
-def rank_int_exact(rows: list[list[int]], stop_at: int | None = None) -> int:
+def rank_int_exact(rows: list[list[int]]) -> int:
     """Exact rank over Q of an integer matrix, fraction-free elimination.
 
     Row contents are stripped by gcd after each update to keep entries small.
@@ -275,6 +255,4 @@ def rank_int_exact(rows: list[list[int]], stop_at: int | None = None) -> int:
                 row = [x // content for x in row]
             a[i] = row
         r += 1
-        if stop_at is not None and r >= stop_at:
-            break
     return r

@@ -24,6 +24,7 @@ from .errors import (
     FieldMismatch,
     IndexOutOfRange,
     NotHomogeneous,
+    SingularMatrix,
 )
 from .fields import FieldSpec, Scalar
 
@@ -320,35 +321,28 @@ def embed_shift(p: Polynomial, nvars: int, shift: int) -> Polynomial:
 class LinearChange:
     """An invertible linear substitution x_i -> sum_j M[i][j] x_j.
 
-    Invertibility is checked at construction; the inverse is kept so a
-    change can be undone exactly.
+    Invertibility is checked at construction by a rank check; the inverse
+    is computed on demand, so a change can still be undone exactly.
     """
 
-    __slots__ = ("field", "nvars", "matrix", "_inverse")
+    __slots__ = ("field", "nvars", "matrix")
 
-    def __init__(self, field: FieldSpec, rows, _inverse=None):
+    def __init__(self, field: FieldSpec, rows):
         m = linalg.Matrix.from_rows(field, rows)
         if m.rows != m.cols:
             raise ArityMismatch("linear change must be square")
+        if linalg.rank(m) != m.rows:
+            raise SingularMatrix("linear change is not invertible")
         self.field = field
         self.nvars = m.rows
         self.matrix = m
-        if _inverse is None:
-            _inverse = linalg.invert(m)  # raises SingularMatrix when not invertible
-        self._inverse = _inverse
 
     @classmethod
     def identity(cls, field: FieldSpec, nvars: int) -> "LinearChange":
-        ident = linalg.Matrix.identity(field, nvars)
-        return cls(field, ident.row_lists(), _inverse=ident)
+        return cls(field, linalg.Matrix.identity(field, nvars).row_lists())
 
     def inverse(self) -> "LinearChange":
-        inv = LinearChange.__new__(LinearChange)
-        inv.field = self.field
-        inv.nvars = self.nvars
-        inv.matrix = self._inverse
-        inv._inverse = self.matrix
-        return inv
+        return LinearChange(self.field, linalg.invert(self.matrix).row_lists())
 
     def image_of_variable(self, i: int) -> Polynomial:
         row = self.matrix.row(i)

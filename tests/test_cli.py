@@ -2,10 +2,15 @@
 
 import io
 import json
+from fractions import Fraction
 
 import pytest
 
+from hypersect import make_field
 from hypersect.cli import main
+from hypersect.fixtures import cubic_threefold_example
+
+Q = make_field(0)
 
 
 def run(capsys, *argv):
@@ -94,6 +99,32 @@ def test_criterion_tilted_hyperplane(capsys):
     assert code == 0
     assert payload["result"]["status"] == "computed"
     assert payload["request"]["h"] == "x0 + 2*x1"
+
+
+@pytest.mark.parametrize(
+    "text,smooth",
+    [
+        ("100000000000000000000*x0^3 + x1^3 + x2^3", True),
+        ("x0^3 + x1^3 + x2^3 + 1/100000000000000000000*x0*x1*x2", True),
+        ("100000000000000000000*x0^3 + x1^2*x2", False),  # cusp at (0:0:1)
+    ],
+)
+def test_smooth_coefficients_beyond_int64(capsys, text, smooth):
+    # scaled rows of these partials hold entries of 10^20, past int64
+    code, payload, _ = run_json(capsys, "smooth", "--char", "0", "--f", text)
+    assert payload["result"] == {"smooth": smooth}
+    assert code == (0 if smooth else 1)
+
+
+@pytest.mark.parametrize("scale", [10**20, Fraction(1, 10**20)])
+def test_certify_coefficients_beyond_int64(capsys, scale):
+    # a nonzero multiple of a form has the same sections and the same witness
+    f = cubic_threefold_example(Q)
+    text = f.scale(Q.scalar(scale)).to_text()
+    code, payload, _ = run_json(capsys, "certify", "--char", "0", "--f", text)
+    assert code == 0
+    assert payload["result"]["verdict"] == "certified"
+    assert payload["result"]["witness"] == "x0 + x1 + 2*x2 + 3*x3 + 4*x4"
 
 
 def test_certify_displayed_cubic(capsys):
@@ -236,6 +267,8 @@ def test_timing_goes_to_stderr_not_stdout(capsys):
         (("moduli-dim", "--d", "2", "--n", "3"), "DegreeTooSmall"),
         (("certify", "--fixture", "cubic-threefold", "--char", "0", "--budget", "0"), "UsageError"),
         (("certify", "--fixture", "cubic-threefold", "--char", "0", "--budget", "-5"), "UsageError"),
+        (("smooth", "--fixture", "fermat", "--n", "3", "--d", "3", "--char", "0", "--t-max", "-3"), "UsageError"),
+        (("certify", "--fixture", "cubic-threefold", "--char", "0", "--t-max", "-1"), "UsageError"),
     ],
 )
 def test_error_paths_emit_json_and_exit_two(capsys, argv, code):

@@ -1,6 +1,7 @@
 """Jacobian ideal, graded dimensions, and the smoothness decision."""
 
 import random
+from collections import Counter
 from itertools import combinations_with_replacement
 
 import pytest
@@ -19,9 +20,10 @@ from hypersect import (
     parse_poly,
     substitute_linear,
 )
+from hypersect import jacobian, linalg
 from hypersect.fixtures import cubic_threefold_example, cyclic_fermat, fermat
 from hypersect.jacobian import GradedPiece, _macaulay_rows, dimension_of_degree
-from hypersect.linalg import Matrix, rank_int_exact, rank_mod_p_int, rref
+from hypersect.linalg import PROBE_PRIME, Matrix, rank_int_exact, rank_mod_p_int, rref
 from hypersect.poly import monomial_basis
 from gf_oracle import find_singular_point
 from helpers import (
@@ -338,3 +340,80 @@ def test_graded_piece_residuals_match_unpruned_reference():
             for q in probes:
                 assert piece.reduce(q) == ref.reduce(q)
     assert verdicts == {True, False}
+
+
+# --- the h_t walk: exact confirmation on the walk's own rows -----------------
+
+
+def _walk_grid(seed, fields):
+    rng = random.Random(seed)
+    for field in fields:
+        yield fermat(2, 3, field)
+        yield cyclic_fermat(3, 4, field)
+        for nvars, d in ((3, 3), (3, 4), (4, 3)):
+            for singular in (False, True):
+                for _ in range(3):
+                    yield _random_form(rng, field, nvars, d, singular)
+
+
+def test_small_probe_prime_keeps_every_verdict(monkeypatch):
+    """A probe prime of 2, 3 or 5 drops many ranks (3 kills every partial of
+    the Fermat cubic), so over Q the walk meets Gotzmann pairs that only the
+    probe sees and runs on to the cap.  Exact ranks of the walk's own rows
+    must give back the verdict of the real probe, on both of those paths."""
+    forms = list(_walk_grid(91, [Q]))
+    wanted = [is_smooth(f) for f in forms]
+    assert set(wanted) == {True, False}
+    widths = []
+    real_exact = linalg.rank_int_exact
+
+    def exact_spy(rows):
+        widths.append(len(rows[0]))
+        return real_exact(rows)
+
+    monkeypatch.setattr(linalg, "rank_int_exact", exact_spy)
+    paths = set()
+    for f, want in zip(forms, wanted):
+        cap_width = dimension_of_degree(f.nvars, default_degree_cap(f.nvars, f.degree()))
+        for q in (2, 3, 5):
+            monkeypatch.setattr(jacobian, "PROBE_PRIME", q)
+            widths.clear()
+            assert is_smooth(f) == want, (f.to_text(), q)
+            paths.add((want, "cap" if cap_width in widths else "pair" if widths else "probe"))
+    assert {(True, "pair"), (False, "pair"), (True, "cap"), (False, "cap")} <= paths
+
+
+def test_walk_builds_and_ranks_each_degree_once(monkeypatch):
+    """Within one is_smooth call no degree's rows are built twice, and no
+    matrix is ranked mod p twice, save the CI-degree probe, which the walk
+    may build and rank again in full.  Also with a small probe prime, where
+    over Q the exact ranks at Gotzmann pairs and at the cap take over."""
+    builds, ranks, probes = Counter(), Counter(), []
+    real_rows, real_rank = jacobian._macaulay_rows, linalg.rank_mod_p_int
+
+    def rows_spy(gens, degree):
+        builds[degree] += 1
+        return real_rows(gens, degree)
+
+    def rank_spy(rows, p, stop_at=None):
+        if stop_at is None:
+            ranks[len(rows[0])] += 1
+        else:
+            probes.append(len(rows[0]))
+        return real_rank(rows, p, stop_at)
+
+    monkeypatch.setattr(jacobian, "_macaulay_rows", rows_spy)
+    monkeypatch.setattr(linalg, "rank_mod_p_int", rank_spy)
+    fields = [Q, make_field(7), make_field(101)]
+    for q in (PROBE_PRIME, 3):
+        monkeypatch.setattr(jacobian, "PROBE_PRIME", q)
+        for f in _walk_grid(92, fields):
+            builds.clear()
+            ranks.clear()
+            probes.clear()
+            is_smooth(f)
+            ci_degree = f.nvars * (f.degree() - 2) + 1
+            assert len(probes) <= 1
+            assert all(count == 1 or (t == ci_degree and count == 2) for t, count in builds.items()), (
+                f.to_text(), q, builds)
+            assert all(count == 1 for count in ranks.values()), (f.to_text(), q, ranks)

@@ -5,14 +5,7 @@ import random
 import pytest
 
 from hypersect import Matrix, SingularMatrix, invert, kernel_basis, make_field, rank, rref
-from hypersect import linalg
-from hypersect.linalg import (
-    _rank_mod_p_numpy,
-    _rank_mod_p_python,
-    mat_vec,
-    rank_int_exact,
-    rank_mod_p_int,
-)
+from hypersect.linalg import PROBE_PRIME, mat_vec, rank_int_exact, rank_mod_p_int
 from helpers import FIELDS, in_span, rand_invertible, rand_matrix, rand_scalar
 
 Q = make_field(0)
@@ -186,34 +179,46 @@ def test_rational_rank_matches_large_prime_probe():
         assert rank_int_exact(rows) == rank_mod_p_int(rows, big)
 
 
-def test_rank_mod_large_prime_uses_python_path(monkeypatch):
-    """Above 2^31 rank_mod_p_int leaves numpy for pure Python.  Just past
-    the limit (p - 1)^2 + p still fits int64, so the numpy kernel is an
-    independent check there, next to the Scalar rank over F_p."""
-    p = 2**31 + 11
-    fp = make_field(p)
+def _planted_rows(rng, ncols, draw):
+    """Random rows from draw() plus small integer combinations of them."""
+    base = [[draw() for _ in range(ncols)] for _ in range(rng.randint(1, 4))]
+    extra = [
+        [sum(rng.randint(-3, 3) * row[c] for row in base) for c in range(ncols)]
+        for _ in range(rng.randint(0, 3))
+    ]
+    rows = base + extra
+    rng.shuffle(rows)
+    return rows
 
-    def numpy_forbidden(*args, **kwargs):
-        raise AssertionError("rank_mod_p_int took the numpy path above 2^31")
 
-    monkeypatch.setattr(linalg, "_rank_mod_p_numpy", numpy_forbidden)
+def test_rank_mod_large_prime_uses_python_path():
+    """From 2^31 up rank_mod_p_int eliminates Python ints in an object
+    array; checked against the Scalar rank over F_p, with and without
+    stop_at, just past the int64 limit and at a 61-bit prime."""
     rng = random.Random(73)
-    for _ in range(40):
-        ncols = rng.randint(1, 6)
-        base = [[rng.randrange(-p, p) for _ in range(ncols)] for _ in range(rng.randint(1, 4))]
-        # planted dependencies: extra rows are small combinations of the base rows
-        extra = [
-            [sum(rng.randint(-3, 3) * row[c] for row in base) for c in range(ncols)]
-            for _ in range(rng.randint(0, 3))
-        ]
-        rows = base + extra
-        rng.shuffle(rows)
-        expected = rank(Matrix.from_rows(fp, rows))
-        assert _rank_mod_p_python(rows, p) == expected
-        assert _rank_mod_p_numpy(rows, p) == expected
-        assert rank_mod_p_int(rows, p) == expected
-        for stop_at in range(1, ncols + 1):
-            capped = min(expected, stop_at)
-            assert _rank_mod_p_python(rows, p, stop_at=stop_at) == capped
-            assert _rank_mod_p_numpy(rows, p, stop_at=stop_at) == capped
-            assert rank_mod_p_int(rows, p, stop_at=stop_at) == capped
+    for p in (2**31 + 11, 2**61 - 1):
+        fp = make_field(p)
+        for _ in range(30):
+            ncols = rng.randint(1, 6)
+            rows = _planted_rows(rng, ncols, lambda: rng.randrange(-p, p))
+            expected = rank(Matrix.from_rows(fp, rows))
+            assert rank_mod_p_int(rows, p) == expected
+            for stop_at in range(1, ncols + 1):
+                assert rank_mod_p_int(rows, p, stop_at=stop_at) == min(expected, stop_at)
+
+
+def test_rank_mod_p_entries_beyond_int64():
+    """Entries at and past +-2^63 do not fit the int64 array; they are
+    reduced mod p first and the rank matches the Scalar rank over F_p."""
+    rng = random.Random(74)
+    huge = (2**63, -(2**63) - 1, 10**20, -(10**40), 3 * PROBE_PRIME * 2**64)
+    for p in (3, 101, PROBE_PRIME):
+        fp = make_field(p)
+        for _ in range(30):
+            ncols = rng.randint(1, 5)
+            draw = lambda: rng.choice(huge) * rng.randint(-2, 2) + rng.randint(-9, 9)
+            rows = _planted_rows(rng, ncols, draw)
+            rows[0][0] = rng.choice(huge)
+            expected = rank(Matrix.from_rows(fp, rows))
+            assert rank_mod_p_int(rows, p) == expected
+            assert rank_mod_p_int(rows, p, stop_at=1) == min(expected, 1)
