@@ -32,8 +32,10 @@ Over a small prime field, singular inputs are also screened by scanning
 projective rational points for a common zero of the generators.  Over Q,
 ranks of the (integer-scaled) span matrices are probed mod a fixed 31-bit
 prime: full rank mod a prime certifies full rank over Q.  Negative answers
-are confirmed by fraction-free integer elimination of the rows already
-probed, so every returned verdict is exact.
+are confirmed by exact ranks over Q of the rows already probed
+(linalg.rank_q_certified): kernels mod p, lifted to Q and verified over Z,
+so a "not smooth" over Q rests on checked kernel vectors and every
+returned verdict is exact.
 """
 
 from __future__ import annotations
@@ -178,17 +180,21 @@ def ideal_graded_dim(
 # -- fast fullness ------------------------------------------------------------
 
 
-def _piece_is_full_probe(generators: list[Polynomial], degree: int, field: FieldSpec) -> bool:
-    """Sound fullness test for the degree-t piece; may under-report over Q.
+def _probe_piece(
+    generators: list[Polynomial], degree: int, p: int
+) -> tuple[list[Monomial], list[list[int]], int | None]:
+    """Basis, rows and rank mod p of the degree-t piece, probed for fullness.
 
-    Over F_p this is exact.  Over Q the rank is only probed mod a fixed
-    prime, so True is a certificate while False merely means "not proven".
+    The elimination may stop once the rank fills the columns, so a lower
+    rank is the whole rank mod p.  With fewer rows than columns the piece
+    cannot be full and the rank is not computed (None).  Over F_p the rank
+    is exact; over Q, p is the probe prime, and a full rank certifies
+    fullness while a lower one merely means "not proven".
     """
     basis, rows = _macaulay_rows(generators, degree)
     if len(rows) < len(basis):
-        return False
-    p = field.characteristic or PROBE_PRIME
-    return linalg.rank_mod_p_int(rows, p, stop_at=len(basis)) == len(basis)
+        return basis, rows, None
+    return basis, rows, linalg.rank_mod_p_int(rows, p, stop_at=len(basis))
 
 
 _POINT_SCAN_LIMIT = 600
@@ -227,6 +233,17 @@ def _rational_singular_point(generators: list[Polynomial], field: FieldSpec, nva
     return False
 
 
+def _rank_q(rows: list[list[int]], probe_rank: int) -> int:
+    """Exact rank over Q of rows whose rank mod the probe prime is known.
+
+    A rank mod p never exceeds the rank over Q, which never exceeds the
+    row count, so a probe rank at the row count is exact already.
+    """
+    if probe_rank == len(rows):
+        return probe_rank
+    return linalg.rank_q_certified(rows)
+
+
 def is_smooth(f: Polynomial, t_max: int | None = None) -> bool:
     """Whether the projective hypersurface f = 0 is smooth.
 
@@ -242,7 +259,9 @@ def is_smooth(f: Polynomial, t_max: int | None = None) -> bool:
     maximal, so by Gotzmann persistence the quotient never dies.  Only if
     neither shortcut fires does the scan reach the cap and decide there.
     Over F_p each h_t is exact; over Q it is probed mod PROBE_PRIME, and a
-    pair or the cap is confirmed by exact ranks of the walk's own rows.
+    pair or the cap is confirmed by exact ranks of the walk's own rows,
+    which rest on kernel vectors verified over Z.  Each degree is built and
+    ranked once: a failed probe hands its rows and rank to the walk.
     """
     d = require_homogeneous(f, 1, "hypersurface form")
     if f.nvars < 2:
@@ -261,17 +280,26 @@ def is_smooth(f: Polynomial, t_max: int | None = None) -> bool:
     gens = [g for g in jacobian_generators(f)[skip_f:] if not g.is_zero()]
     if not gens:
         return False
+    probe = p or PROBE_PRIME
     expected_full = max((n + 1) * (d - 2) + 1, d - 1, 0)
-    if expected_full <= cap and _piece_is_full_probe(gens, expected_full, f.field):
-        return True
+    probed = None
+    if expected_full <= cap:
+        probed = _probe_piece(gens, expected_full, probe)
+        basis, _, rank = probed
+        if rank == len(basis):
+            return True
     if f.field.is_prime_field and _rational_singular_point(gens, f.field, f.nvars):
         return False
-    probe = p or PROBE_PRIME
-    h_prev = rows_prev = h_exact_prev = None
+    h_prev = rows_prev = rank_prev = h_exact_prev = None
     for t in range(max(d - 1, 0), cap + 1):
-        basis, rows = _macaulay_rows(gens, t)
+        if t == expected_full and probed is not None:
+            basis, rows, rank = probed  # the failed probe's rank is already the whole rank
+        else:
+            (basis, rows), rank = _macaulay_rows(gens, t), None
+        if rank is None:
+            rank = linalg.rank_mod_p_int(rows, probe) if rows else 0
         # over F_p the probe rank is exact; over Q it bounds h from above
-        h = len(basis) - (linalg.rank_mod_p_int(rows, probe) if rows else 0)
+        h = len(basis) - rank
         if h == 0:
             return True
         h_exact = None
@@ -281,17 +309,17 @@ def is_smooth(f: Polynomial, t_max: int | None = None) -> bool:
             # confirm the pair on the rows already built; exact h never exceeds the probe's
             if h_exact_prev is None:
                 cols_prev = dimension_of_degree(f.nvars, t - 1)
-                h_exact_prev = cols_prev - linalg.rank_int_exact(rows_prev)
-            h_exact = len(basis) - linalg.rank_int_exact(rows)
+                h_exact_prev = cols_prev - _rank_q(rows_prev, rank_prev)
+            h_exact = len(basis) - _rank_q(rows, rank)
             if h_exact_prev == 0 or h_exact == 0:
                 return True
             if h_exact_prev == h_exact:
                 return False
-        h_prev, rows_prev, h_exact_prev = h, rows, h_exact
+        h_prev, rows_prev, rank_prev, h_exact_prev = h, rows, rank, h_exact
     # the cap decides: no degree walked, an exact probe over F_p, or a known nonzero exact h
     if p or rows_prev is None or h_exact_prev is not None:
         return False
-    return linalg.rank_int_exact(rows_prev) == dimension_of_degree(f.nvars, cap)
+    return _rank_q(rows_prev, rank_prev) == dimension_of_degree(f.nvars, cap)
 
 
 def euler_check(f: Polynomial) -> bool:

@@ -5,14 +5,19 @@ reduced form, the pivot list, and the kernel basis are deterministic
 functions of the input.  No floating point anywhere.
 
 The integer kernels at the bottom serve the smoothness scan's large rank
-checks: one vectorized elimination mod p (an int64 array for p < 2^31,
-Python ints above; the dtype follows from p alone) and one fraction-free
-elimination over Z.  They never replace the Scalar paths for small problems.
+checks.  They hold the only other elimination: one vectorized column loop
+mod p (an int64 array for p < 2^31, Python ints above; the dtype follows
+from p alone).  Run forward and stopping early, it is the rank probe; run
+to the reduced form, it gives kernels mod p, from which rank_q_certified
+lifts kernel vectors over Q and verifies them exactly over Z, so an exact
+rank over Q rests on checked vectors, not on a prime.  They never replace
+the Scalar paths for small problems.
 """
 
 from __future__ import annotations
 
-from math import gcd
+import itertools
+from math import isqrt, lcm
 
 import numpy as np
 
@@ -157,20 +162,6 @@ def invert(m: Matrix) -> Matrix:
     return Matrix.from_rows(m.field, inv_rows)
 
 
-def mat_vec(m: Matrix, v: list[Scalar]) -> list[Scalar]:
-    if len(v) != m.cols:
-        raise ValueError("length mismatch")
-    out = []
-    for i in range(m.rows):
-        acc = m.field.zero()
-        row = m.row(i)
-        for x, y in zip(row, v):
-            if x and y:
-                acc = acc + x * y
-        out.append(acc)
-    return out
-
-
 # -- fast integer kernels ----------------------------------------------------
 
 # probe prime for rank lower bounds on integer matrices: full rank mod a
@@ -180,29 +171,37 @@ PROBE_PRIME = 2**31 - 1
 _INT64_PRIME_LIMIT = 2**31  # below it (p-1)^2 + p stays inside int64
 
 
-def rank_mod_p_int(rows: list[list[int]], p: int, stop_at: int | None = None) -> int:
-    """Rank mod p of an integer matrix by vectorized forward elimination.
+def _int_array(rows: list[list[int]]) -> np.ndarray:
+    """The rows as an int64 array, or as Python ints (dtype object) when an entry overflows it."""
+    try:
+        return np.array(rows, dtype=np.int64)
+    except OverflowError:
+        return np.array(rows, dtype=object)
 
-    Entries are any ints.  Below 2^31 the array is int64, and entries too
-    large for it are reduced mod p first; above, it holds Python ints
-    (dtype object).  Stops once the rank reaches stop_at.
-    """
-    if not rows:
-        return 0
+
+def _residues(z: np.ndarray, p: int) -> np.ndarray:
+    """z mod p: an int64 array for p < 2^31, Python ints (dtype object) above."""
     if p < _INT64_PRIME_LIMIT:
-        try:
-            a = np.array(rows, dtype=np.int64) % p
-        except OverflowError:
-            a = np.array([[x % p for x in row] for row in rows], dtype=np.int64)
-    else:
-        a = np.array(rows, dtype=object) % p
+        return (z % p).astype(np.int64, copy=False)
+    return z.astype(object) % p
+
+
+def _eliminate(a: np.ndarray, p: int, stop_at: int | None = None, reduced: bool = False) -> list[int]:
+    """Row-reduce the residues a mod p in place; return the pivot columns.
+
+    Columns go left to right and the first nonzero entry at or below the
+    working row is the pivot, its row scaled to 1, so the result is
+    deterministic.  Entries below each pivot are cleared; with reduced,
+    those above too, leaving the reduced row echelon form.  Stops once
+    the rank reaches stop_at.
+    """
     nrows, ncols = a.shape
-    r = 0
+    pivots: list[int] = []
     for c in range(ncols):
+        r = len(pivots)
         if r == nrows:
             break
-        col = a[r:, c]
-        nz = np.nonzero(col)[0]
+        nz = np.nonzero(a[r:, c])[0]
         if nz.size == 0:
             continue
         pr = r + int(nz[0])
@@ -210,49 +209,185 @@ def rank_mod_p_int(rows: list[list[int]], p: int, stop_at: int | None = None) ->
             a[[r, pr]] = a[[pr, r]]
         inv = pow(int(a[r, c]), -1, p)
         a[r, c:] = a[r, c:] * inv % p
-        below = np.nonzero(a[r + 1 :, c])[0]
-        if below.size:
-            idx = r + 1 + below
+        lo = 0 if reduced else r + 1
+        idx = lo + np.nonzero(a[lo:, c])[0]
+        if reduced:
+            idx = idx[idx != r]
+        if idx.size:
             factors = a[idx, c][:, None]
             a[idx, c:] = (a[idx, c:] - factors * a[r, c:]) % p
-        r += 1
-        if stop_at is not None and r >= stop_at:
+        pivots.append(c)
+        if stop_at is not None and r + 1 >= stop_at:
             break
-    return r
+    return pivots
 
 
-def rank_int_exact(rows: list[list[int]]) -> int:
-    """Exact rank over Q of an integer matrix, fraction-free elimination.
+def rank_mod_p_int(rows: list[list[int]], p: int, stop_at: int | None = None) -> int:
+    """Rank mod p of an integer matrix by vectorized forward elimination.
 
-    Row contents are stripped by gcd after each update to keep entries small.
+    Entries are any ints.  Below 2^31 the array is int64, and entries too
+    large for it are reduced mod p first; above, it holds Python ints
+    (dtype object).  Stops once the rank reaches stop_at, so a smaller
+    result is the whole rank mod p.
     """
-    a = [list(row) for row in rows]
-    nrows = len(a)
-    ncols = len(a[0]) if a else 0
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pr = next((i for i in range(r, nrows) if a[i][c]), None)
-        if pr is None:
+    if not rows:
+        return 0
+    return len(_eliminate(_residues(_int_array(rows), p), p, stop_at))
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin on the first 13 prime bases: exact below 3.3 * 10^24."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    if n < 2:
+        return False
+    for b in bases:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in bases:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
             continue
-        a[r], a[pr] = a[pr], a[r]
-        piv = a[r]
-        pc = piv[c]
-        for i in range(r + 1, nrows):
-            f = a[i][c]
-            if not f:
-                continue
-            g = gcd(pc, f)
-            m1, m2 = pc // g, f // g
-            row = [m1 * x - m2 * y for x, y in zip(a[i], piv)]
-            content = 0
-            for x in row:
-                content = gcd(content, x)
-                if content == 1:
-                    break
-            if content > 1:
-                row = [x // content for x in row]
-            a[i] = row
-        r += 1
-    return r
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _primes_from(q: int):
+    """Primes down from odd q through the 31-bit ones, then up from 2^31: no end."""
+    for c in itertools.chain(range(q, 2**30, -2), itertools.count(2**31 + 1, 2)):
+        if _is_prime(c):
+            yield c
+
+
+# the first primes of rank_q_certified's sequence, found once at import
+_LIFT_PRIMES = tuple(itertools.islice(_primes_from(2**31 - 1), 8))
+
+
+def _rational(u: int, m: int, bound: int) -> tuple[int, int] | None:
+    """(n, d) with n = d*u mod m, |n| <= bound and 0 < d <= bound, or None.
+
+    Wang's rational reconstruction: the extended Euclidean algorithm on
+    (m, u), stopped at the first remainder within the bound.  With
+    2*bound^2 < m such a fraction is unique when it exists.
+    """
+    r0, r1, s0, s1 = m, u, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+    if abs(s1) > bound:
+        return None
+    return (r1, s1) if s1 > 0 else (-r1, -s1)
+
+
+def _lift_kernel(residues: np.ndarray, modulus: int, pivots: list[int], free: list[int]):
+    """Integer kernel candidates from minus the free columns of the reduced form mod modulus.
+
+    Vector k is the denominator lcm times: 1 at free column k, and at pivot
+    column i the rational reconstruction of residues[i, k].  Only nonzero
+    residues are reconstructed.  None when one has no reconstruction yet.
+    """
+    bound = isqrt(modulus // 2)
+    vectors = []
+    for k, fc in enumerate(free):
+        column = residues[:, k]
+        entries = {fc: (1, 1)}
+        for i in np.flatnonzero(column).tolist():
+            q = _rational(int(column[i]), modulus, bound)
+            if q is None:
+                return None
+            entries[pivots[i]] = q
+        scale = lcm(*(d for _, d in entries.values()))
+        vectors.append({j: n * (scale // d) for j, (n, d) in entries.items()})
+    return vectors
+
+
+def _annihilates(rows: list[list[int]], z: np.ndarray, vectors: list[dict[int, int]]) -> bool:
+    """Whether rows * v = 0 over Z for every sparse vector v {column: value}.
+
+    Sums run over the nonzeros of the columns in each vector's support, in
+    exact Python ints from the rows themselves.
+    """
+    columns: dict[int, list[tuple[int, int]]] = {}
+    for v in vectors:
+        sums: dict[int, int] = {}
+        for j, x in v.items():
+            col = columns.get(j)
+            if col is None:
+                col = columns[j] = [(i, rows[i][j]) for i in np.flatnonzero(z[:, j]).tolist()]
+            for i, a in col:
+                sums[i] = sums.get(i, 0) + a * x
+        if any(sums.values()):
+            return False
+    return True
+
+
+def rank_q_certified(rows: list[list[int]]) -> int:
+    """Exact rank over Q of an integer matrix, from kernels mod p checked over Z.
+
+    For each prime of the sequence in turn (31-bit primes down from
+    2^31 - 1, the first few found once at import) the rows are put in
+    reduced row echelon form mod p by the column loop of rank_mod_p_int.  That gives the rank r_p and the pivot
+    columns.  Each of the k = cols - r_p free columns gives a kernel vector
+    mod p: 1 there, 0 at the other free columns, and minus that column of
+    the reduced form at the pivots.  The residues of the primes with the
+    same (rank, pivots) are combined by CRT, lifted to Q by rational
+    reconstruction (Wang-Guy-Davenport 1982; Monagan, ISSAC 2004) and
+    cleared of denominators, and A*v = 0 is checked exactly over Z on the
+    nonzeros of the rows.
+
+    Why the answer is exact.  r_p <= rank_Q for every prime, as a minor
+    that is nonzero mod p is nonzero over Z.  The k vectors that pass the
+    check lie in the kernel over Q, and they are independent, since each
+    is nonzero at its own free column and zero at the others.  So
+    rank_Q <= cols - k = r_p, and the rank is pinned.  If r_p already
+    reaches min(rows, cols), that bound pins it without a kernel.  Nothing
+    else is trusted: a wrong lift fails the check and costs one more prime.
+
+    Why the loop ends.  Let rank_Q = r with pivots P, the reduced form over
+    Q.  The i-th pivot is the first column that raises the rank of the
+    columns before it, and mod p each of those ranks can only drop.  So a
+    prime gives rank r and pivots P (good), or a lower rank or a
+    lexicographically later pivot list (bad).  Bad primes are discarded,
+    and a prime that does better than the residues kept so far replaces
+    them, so once a good prime is met only good primes are combined.  Bad
+    primes divide a fixed nonzero r x r minor of A on the columns P, so
+    there are finitely many.  By Cramer's rule every entry of the reduced
+    form is a ratio of two r x r minors, so its numerator and denominator
+    are at most the Hadamard bound H.  Once the combined modulus exceeds
+    2*H^2, reconstruction returns those entries, and the true kernel
+    vectors pass the check.  The prime sequence has no end, so this
+    point is always reached.
+    """
+    if not rows:
+        return 0
+    z = _int_array(rows)
+    nrows, ncols = z.shape
+    kept = residues = modulus = None
+    for p in itertools.chain(_LIFT_PRIMES, _primes_from(_LIFT_PRIMES[-1] - 2)):
+        a = _residues(z, p)
+        pivots = _eliminate(a, p, reduced=True)
+        r = len(pivots)
+        if r == min(nrows, ncols):
+            return r
+        key = (-r, pivots)  # smaller is better: higher rank, then earlier pivots
+        if kept is not None and key > kept:
+            continue
+        pivot_set = set(pivots)
+        free = [c for c in range(ncols) if c not in pivot_set]
+        block = -a[:r, free] % p
+        if kept is None or key < kept:
+            kept, residues, modulus = key, block, p
+        else:
+            old = residues.astype(object)  # the modulus outgrows int64
+            residues = old + modulus * ((block - old) * pow(modulus, -1, p) % p)
+            modulus *= p
+        vectors = _lift_kernel(residues, modulus, pivots, free)
+        if vectors is not None and _annihilates(rows, z, vectors):
+            return r

@@ -345,31 +345,28 @@ class LinearChange:
         return LinearChange(self.field, linalg.invert(self.matrix).row_lists())
 
     def image_of_variable(self, i: int) -> Polynomial:
-        row = self.matrix.row(i)
-        return Polynomial.from_terms(
-            self.field,
-            self.nvars,
-            {
-                tuple(1 if k == j else 0 for k in range(self.nvars)): c
-                for j, c in enumerate(row)
-                if c
-            },
-        )
+        return linear_form(self.field, self.matrix.row(i))
 
     def __repr__(self) -> str:
         return f"LinearChange({self.matrix!r})"
 
 
-def substitute_linear(p: Polynomial, change: LinearChange) -> Polynomial:
+def substitute_linear(p: Polynomial, change: LinearChange | list[Polynomial]) -> Polynomial:
     """Apply a linear change of variables: (substitute_linear(p, C))(x) = p(Cx).
 
-    Ring homomorphism in p; undone exactly by change.inverse().
+    Ring homomorphism in p; undone exactly by change.inverse().  The change
+    may also be given as the list of the variables' images, linear forms
+    in p's ring, which skips LinearChange's invertibility check: for
+    callers whose change is invertible by construction.
     """
-    if change.nvars != p.nvars:
-        raise ArityMismatch(f"change on {change.nvars} variables, polynomial has {p.nvars}")
-    if change.field != p.field:
+    if isinstance(change, LinearChange):
+        images = [change.image_of_variable(i) for i in range(change.nvars)]
+    else:
+        images = list(change)
+    if len(images) != p.nvars or any(g.nvars != p.nvars for g in images):
+        raise ArityMismatch(f"change on {len(images)} variables, polynomial has {p.nvars}")
+    if any(g.field != p.field for g in images):
         raise FieldMismatch("change and polynomial over different fields")
-    images = [change.image_of_variable(i) for i in range(p.nvars)]
     powers: dict[tuple[int, int], Polynomial] = {}
 
     def power(i: int, e: int) -> Polynomial:

@@ -34,7 +34,6 @@ from .errors import (
 from .fields import FieldSpec, Scalar
 from .jacobian import ideal_graded_dim, is_smooth, jacobian_generators
 from .poly import (
-    LinearChange,
     Polynomial,
     linear_coefficients,
     linear_form,
@@ -100,7 +99,9 @@ def normalize_hyperplane(f: Polynomial, hyperplane: Hyperplane) -> Polynomial:
 
     The change swaps x0 with the pivot variable and shears the remaining
     coefficients away, so the returned form has the given hyperplane as its
-    x0 = 0 section.
+    x0 = 0 section.  A permutation times a unit shear is invertible by
+    construction, so the variables' images are substituted directly,
+    without a LinearChange and its rank check.
     """
     if hyperplane.nvars != f.nvars:
         raise ArityMismatch(
@@ -119,7 +120,7 @@ def normalize_hyperplane(f: Polynomial, hyperplane: Hyperplane) -> Polynomial:
         rows[i][slot] = one
         rows[j][slot] = -coeffs[i]
     rows[j][0] = one
-    return substitute_linear(f, LinearChange(field, rows))
+    return substitute_linear(f, [linear_form(field, row) for row in rows])
 
 
 def criterion_form(f_normalized: Polynomial) -> Polynomial:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from hypersect import FieldSpec, Matrix, Polynomial, Scalar, make_field
 from hypersect.poly import monomial_basis
@@ -109,3 +109,55 @@ def macaulay_rows_reference(generators: list[Polynomial], degree: int):
                 row[index[tuple(a + b for a, b in zip(m, mono))]] = int(c.value * scale)
             rows.append(row)
     return basis, rows
+
+
+def mat_vec(m: Matrix, v: list[Scalar]) -> list[Scalar]:
+    """m v over the matrix field."""
+    if len(v) != m.cols:
+        raise ValueError("length mismatch")
+    out = []
+    for i in range(m.rows):
+        acc = m.field.zero()
+        for x, y in zip(m.row(i), v):
+            if x and y:
+                acc = acc + x * y
+        out.append(acc)
+    return out
+
+
+def rank_int_exact(rows: list[list[int]]) -> int:
+    """Exact rank over Q of an integer matrix, fraction-free elimination.
+
+    The oracle for linalg.rank_q_certified.  Row contents are stripped by
+    gcd after each update to keep entries small.
+    """
+    a = [list(row) for row in rows]
+    nrows = len(a)
+    ncols = len(a[0]) if a else 0
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        pr = next((i for i in range(r, nrows) if a[i][c]), None)
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        piv = a[r]
+        pc = piv[c]
+        for i in range(r + 1, nrows):
+            f = a[i][c]
+            if not f:
+                continue
+            g = gcd(pc, f)
+            m1, m2 = pc // g, f // g
+            row = [m1 * x - m2 * y for x, y in zip(a[i], piv)]
+            content = 0
+            for x in row:
+                content = gcd(content, x)
+                if content == 1:
+                    break
+            if content > 1:
+                row = [x // content for x in row]
+            a[i] = row
+        r += 1
+    return r

@@ -36,11 +36,11 @@ from hypersect import (
     substitute_linear,
 )
 from hypersect.fixtures import cubic_threefold_example, cyclic_fermat, fermat
-from hypersect.linalg import mat_vec
 from gf_oracle import find_singular_point
 from helpers import (
     FIELDS,
     in_span,
+    mat_vec,
     rand_invertible,
     rand_matrix,
     rand_nonzero_homogeneous,

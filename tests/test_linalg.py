@@ -1,12 +1,15 @@
 """Exact linear algebra: row reduction, rank, kernels, inverses."""
 
+import itertools
+import math
 import random
 
 import pytest
 
 from hypersect import Matrix, SingularMatrix, invert, kernel_basis, make_field, rank, rref
-from hypersect.linalg import PROBE_PRIME, mat_vec, rank_int_exact, rank_mod_p_int
-from helpers import FIELDS, in_span, rand_invertible, rand_matrix, rand_scalar
+from hypersect import linalg
+from hypersect.linalg import PROBE_PRIME, rank_mod_p_int, rank_q_certified
+from helpers import FIELDS, in_span, mat_vec, rand_invertible, rand_matrix, rand_scalar, rank_int_exact
 
 Q = make_field(0)
 
@@ -164,6 +167,7 @@ def test_integer_rank_helpers_agree_with_matrix_rank():
         width = max(len(r) for r in rows)
         rows = [r + [0] * (width - len(r)) for r in rows]
         assert rank_int_exact(rows) == rank(Matrix.from_rows(Q, rows))
+        assert rank_q_certified(rows) == rank(Matrix.from_rows(Q, rows))
         for p in (2, 3, 5, 101):
             fp = make_field(p)
             assert rank_mod_p_int(rows, p) == rank(Matrix.from_rows(fp, rows))
@@ -182,10 +186,10 @@ def test_rational_rank_matches_large_prime_probe():
 def _planted_rows(rng, ncols, draw):
     """Random rows from draw() plus small integer combinations of them."""
     base = [[draw() for _ in range(ncols)] for _ in range(rng.randint(1, 4))]
-    extra = [
-        [sum(rng.randint(-3, 3) * row[c] for row in base) for c in range(ncols)]
-        for _ in range(rng.randint(0, 3))
-    ]
+    extra = []
+    for _ in range(rng.randint(0, 3)):
+        coeffs = [rng.randint(-3, 3) for _ in base]
+        extra.append([sum(k * row[c] for k, row in zip(coeffs, base)) for c in range(ncols)])
     rows = base + extra
     rng.shuffle(rows)
     return rows
@@ -222,3 +226,150 @@ def test_rank_mod_p_entries_beyond_int64():
             expected = rank(Matrix.from_rows(fp, rows))
             assert rank_mod_p_int(rows, p) == expected
             assert rank_mod_p_int(rows, p, stop_at=1) == min(expected, 1)
+
+
+# --- exact rank over Q from verified modular kernels -------------------------
+
+
+def _spied_rank(monkeypatch, rows):
+    """rank_q_certified(rows), the pivot list found at each prime, and every
+    vector list the exact check accepted."""
+    pivot_lists, accepted = [], []
+    real_eliminate, real_check = linalg._eliminate, linalg._annihilates
+
+    def eliminate_spy(a, p, stop_at=None, reduced=False):
+        pivots = real_eliminate(a, p, stop_at, reduced)
+        pivot_lists.append(list(pivots))
+        return pivots
+
+    def check_spy(rows_, z, vectors):
+        ok = real_check(rows_, z, vectors)
+        if ok:
+            accepted.append(vectors)
+        return ok
+
+    monkeypatch.setattr(linalg, "_eliminate", eliminate_spy)
+    monkeypatch.setattr(linalg, "_annihilates", check_spy)
+    try:
+        return rank_q_certified(rows), pivot_lists, accepted
+    finally:
+        monkeypatch.undo()
+
+
+def _check_certified(monkeypatch, rows):
+    """The certified rank equals the fraction-free oracle, and the accepted
+    vectors are, checked anew, cols - rank independent integer vectors
+    with A*v = 0."""
+    got, pivot_lists, accepted = _spied_rank(monkeypatch, rows)
+    want = rank_int_exact(rows)
+    assert got == want, rows
+    ncols = len(rows[0])
+    assert len(accepted) <= 1
+    if accepted:
+        dense = [[v.get(j, 0) for j in range(ncols)] for v in accepted[0]]
+        assert len(dense) == ncols - want
+        assert rank_int_exact(dense) == len(dense)
+        for v in dense:
+            assert all(isinstance(x, int) for x in v)
+            assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in rows)
+    else:
+        assert want == min(len(rows), ncols)
+    return pivot_lists
+
+
+def _shaped_grid(rng, draw):
+    """Random and planted rank-deficient matrices of every shape: square,
+    wide, tall, with zero rows, and all zero."""
+    for nrows, ncols in ((1, 1), (3, 3), (4, 4), (2, 5), (3, 7), (6, 2), (7, 4), (5, 5)):
+        yield [[draw() for _ in range(ncols)] for _ in range(nrows)]
+        rows = _planted_rows(rng, ncols, draw)
+        yield rows
+        yield rows + [[0] * ncols] + rows[:1]
+        yield [[0] * ncols for _ in range(nrows)]
+
+
+def test_rank_q_certified_matches_fraction_free_oracle(monkeypatch):
+    rng = random.Random(75)
+    draws = (
+        lambda: rng.randint(-9, 9),
+        lambda: rng.choice((0, 0, 1, -1, 2)),
+        lambda: rng.randint(-(10**6), 10**6),
+    )
+    deficient = 0
+    for draw in draws:
+        for _ in range(4):
+            for rows in _shaped_grid(rng, draw):
+                _check_certified(monkeypatch, rows)
+                deficient += rank_int_exact(rows) < min(len(rows), len(rows[0]))
+    assert deficient >= 100
+
+
+def test_rank_q_certified_entries_beyond_int64(monkeypatch):
+    """Entries at and past +-2^63 go through Python ints, in the residues
+    and in the exact check."""
+    rng = random.Random(76)
+    huge = (2**63, -(2**63), -(2**63) - 1, 2**64 + 3, 10**20, -(10**40))
+    draw = lambda: rng.choice(huge) * rng.randint(-2, 2) + rng.randint(-9, 9)
+    deficient = 0
+    for _ in range(4):
+        for rows in _shaped_grid(rng, draw):
+            if any(x for row in rows for x in row):
+                rows[0][0] = rng.choice(huge)
+            _check_certified(monkeypatch, rows)
+            deficient += rank_int_exact(rows) < min(len(rows), len(rows[0]))
+    assert deficient >= 30
+
+
+def test_rank_q_certified_lifts_large_kernels_by_crt(monkeypatch):
+    """Kernel entries past 2^31 need more than one prime; the residues of
+    primes with the same pivots are combined until the lift checks out."""
+    rng = random.Random(77)
+    for _ in range(20):
+        ncols = rng.randint(3, 6)
+        base = [[rng.randint(-(2**40), 2**40) for _ in range(ncols)] for _ in range(rng.randint(1, ncols - 1))]
+        coeffs = [rng.randint(1, 5) for _ in base]
+        combo = [sum(k * row[c] for k, row in zip(coeffs, base)) for c in range(ncols)]
+        pivot_lists = _check_certified(monkeypatch, base + [combo])
+        assert len(pivot_lists) >= 2
+        assert all(pivots == pivot_lists[0] for pivots in pivot_lists)
+
+
+def test_rank_q_certified_discards_unlucky_primes(monkeypatch):
+    """A column scaled by the first prime makes that prime unlucky: lower
+    rank, or the same rank with a later pivot list.  Its kernel fails the
+    exact check and the next prime replaces it.  A column scaled by the
+    second prime, met after a good first prime, is skipped outright.  The
+    good primes alone then lift the kernel: entries 0 and -1 need one;
+    1/p0 needs a modulus past 2*p0^2, three; 3^30/p1 past 2*3^60, four."""
+    p0, p1 = linalg._LIFT_PRIMES[:2]
+    lower_rank = [[p0, 0, 0], [0, 1, 1], [0, 1, 1]]
+    assert _check_certified(monkeypatch, lower_rank) == [[1], [0, 1]]
+    later_pivots = [[p0, 1, 1], [2 * p0, 2, 2]]
+    assert _check_certified(monkeypatch, later_pivots) == [[1], [0], [0], [0]]
+    b, c = 2**40 + 15, 3**30
+    skipped = [[p1, b, c], [2 * p1, 2 * b, 2 * c], [0, 0, 0]]
+    assert _check_certified(monkeypatch, skipped) == [[0], [1], [0], [0], [0]]
+
+
+def test_lift_primes_run_down_the_31_bit_primes_then_up():
+    """The sequence starts at 2^31 - 1 and lists every prime below it in
+    turn (checked by trial division); past 2^30 it goes on above 2^31."""
+    def by_trial(n):
+        return n > 1 and all(n % k for k in range(2, math.isqrt(n) + 1))
+
+    seq = list(itertools.islice(linalg._primes_from(2**31 - 1), 10))
+    assert seq[: len(linalg._LIFT_PRIMES)] == list(linalg._LIFT_PRIMES)
+    assert seq == [n for n in range(2**31 - 1, seq[-1] - 1, -1) if by_trial(n)]
+    tail = list(itertools.islice(linalg._primes_from(2**30 + 1), 3))
+    assert tail[0] > 2**31 and all(by_trial(n) for n in tail)
+    assert [linalg._is_prime(n) for n in range(-3, 200)] == [by_trial(n) for n in range(-3, 200)]
+
+
+def test_rank_q_certified_past_int64_primes(monkeypatch):
+    """Primes from 2^31 up run the reduced elimination and the CRT on
+    Python ints; the ranks still match the oracle."""
+    rng = random.Random(78)
+    for first in (2**31 + 11, 2**61 - 1):
+        monkeypatch.setattr(linalg, "_LIFT_PRIMES", (first,))
+        for rows in itertools.islice(_shaped_grid(rng, lambda: rng.randint(-(10**6), 10**6)), 0, None, 3):
+            assert rank_q_certified(rows) == rank_int_exact(rows)

@@ -13,6 +13,7 @@ from hypersect import (
     Polynomial,
     SingularMatrix,
     first_order_section,
+    linear_form,
     make_field,
     monomial_basis,
     parse_poly,
@@ -116,6 +117,21 @@ def test_linear_change_inverse_roundtrip():
         change = LinearChange(field, rows)
         p = rand_poly(rng, field, 3)
         assert substitute_linear(substitute_linear(p, change), change.inverse()) == p
+
+
+def test_substitute_variable_images_match_change():
+    """A list of variable images substitutes like the LinearChange of the
+    same rows; a list of the wrong length is an ArityMismatch."""
+    rng = random.Random(4)
+    from helpers import rand_invertible
+
+    for field in FIELDS[:4]:
+        rows = rand_invertible(rng, field, 3)
+        images = [linear_form(field, row) for row in rows]
+        p = rand_poly(rng, field, 3)
+        assert substitute_linear(p, images) == substitute_linear(p, LinearChange(field, rows))
+        with pytest.raises(ArityMismatch):
+            substitute_linear(p, images[:2])
 
 
 def test_singular_change_rejected():

@@ -33,7 +33,7 @@ from hypersect import (
     survey_kernels,
 )
 from hypersect.fixtures import cubic_threefold_example, cyclic_fermat, fermat
-from helpers import in_span
+from helpers import FIELDS, in_span, rand_nonzero_homogeneous, rand_scalar
 
 Q = make_field(0)
 
@@ -79,6 +79,30 @@ def test_normalize_tilted_hyperplane():
     )
     # section of the moved form equals the original cut along x0 = -2 x1
     assert set_var_zero(moved, 0) == parse_poly("-7*x0^3 + x1^3 + x2^3", 3, Q)
+
+
+def test_normalized_form_round_trips_through_inverse_change():
+    """normalize_hyperplane skips LinearChange; its change is still
+    invertible.  The inverse sends x0 to the hyperplane's form and the
+    pivot's slot back to each other variable; as a rank-checked
+    LinearChange it takes the normalized form back to f."""
+    rng = random.Random(41)
+    for field in FIELDS:
+        for _ in range(8):
+            f = rand_nonzero_homogeneous(rng, field, 4, 3)
+            lead = rng.randint(0, 3)  # pivots at every variable
+            coeffs = [field.zero()] * lead + [rand_scalar(rng, field) for _ in range(4 - lead)]
+            if not any(coeffs):
+                continue
+            hp = Hyperplane.from_coefficients(field, coeffs)
+            j = hp.pivot
+            rows = [[field.zero()] * 4 for _ in range(4)]
+            rows[0] = hp.coefficients()
+            for i in range(4):
+                if i != j:
+                    rows[j if i == 0 else i][i] = field.one()
+            moved = normalize_hyperplane(f, hp)
+            assert substitute_linear(moved, LinearChange(field, rows)) == f
 
 
 def test_normalize_swaps_coordinates():
