@@ -13,8 +13,8 @@ from fractions import Fraction
 
 from .errors import CompositeCharacteristic, DivisionByZero, FieldMismatch
 
-# deterministic Miller-Rabin witnesses, sufficient for every n < 2^64
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# deterministic Miller-Rabin witnesses, the first 13 primes: exact below 3.3*10^24
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 _MAX_CHARACTERISTIC = 2**63 - 1
 
@@ -22,7 +22,7 @@ _MAX_CHARACTERISTIC = 2**63 - 1
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d, s = n - 1, 0

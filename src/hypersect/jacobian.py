@@ -45,7 +45,7 @@ from dataclasses import dataclass, field as dc_field
 from math import lcm
 
 from . import linalg
-from .errors import InhomogeneousGenerator, NotHomogeneous
+from .errors import ArityMismatch, FieldMismatch, InhomogeneousGenerator, NotHomogeneous
 from .fields import FieldSpec, Scalar
 from .linalg import Matrix, PROBE_PRIME
 from .poly import (
@@ -98,10 +98,14 @@ class GradedPiece:
         The residual is the coefficient vector of p minus its projection
         onto the row span; it is zero exactly when p lies in the piece.
         """
+        field = self.span_matrix.field
+        if p.field != field:
+            raise FieldMismatch(f"form over {p.field} reduced by a piece over {field}")
+        if self.basis and len(self.basis[0]) != p.nvars:
+            raise ArityMismatch(f"form has {p.nvars} variables, piece has {len(self.basis[0])}")
         if p and not p.is_homogeneous(self.degree):
             raise NotHomogeneous(f"expected a form of degree {self.degree}")
         index = self._index()
-        field = self.span_matrix.field
         v = [field.zero()] * len(self.basis)
         for m, c in p.terms.items():
             v[index[m]] = c

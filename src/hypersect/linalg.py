@@ -1,28 +1,29 @@
 """Dense exact linear algebra over a FieldSpec.
 
-Row reduction is plain Gauss-Jordan with first-nonzero pivoting, so the
-reduced form, the pivot list, and the kernel basis are deterministic
-functions of the input.  No floating point anywhere.
+There is one elimination: a vectorized column loop mod p (an int64 array
+for p < 2^31, Python ints above; the dtype follows from p alone).  Run
+forward and stopping early, it is the rank probe.  Run to the reduced
+form, it gives kernels mod p, from which _kernel_q lifts kernel vectors
+over Q and verifies them exactly over Z, so an exact rank over Q rests on
+checked vectors, not on a prime.
 
-The integer kernels at the bottom serve the smoothness scan's large rank
-checks.  They hold the only other elimination: one vectorized column loop
-mod p (an int64 array for p < 2^31, Python ints above; the dtype follows
-from p alone).  Run forward and stopping early, it is the rank probe; run
-to the reduced form, it gives kernels mod p, from which rank_q_certified
-lifts kernel vectors over Q and verifies them exactly over Z, so an exact
-rank over Q rests on checked vectors, not on a prime.  They never replace
-the Scalar paths for small problems.
+Scalar matrices meet that loop at one edge adapter, rref: over F_p it
+eliminates the residues directly, and over Q it reads the reduced form
+off the verified kernel vectors.  The reduced form, the pivot list and
+the kernel basis are deterministic functions of the input.  No floating
+point anywhere.
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from math import isqrt, lcm
 
 import numpy as np
 
 from .errors import FieldMismatch, SingularMatrix
-from .fields import FieldSpec, Scalar
+from .fields import FieldSpec, Scalar, _is_prime
 
 
 class Matrix:
@@ -92,30 +93,44 @@ class Matrix:
 def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and the list of pivot column indices.
 
-    Scans columns left to right and picks the first nonzero entry at or
-    below the working row as pivot, so the result is deterministic.
+    Over F_p the residues go through the column loop in reduced mode.  Over
+    Q each row is first scaled by the lcm of its denominators, which keeps
+    the row span, and the form is read off the verified kernel vectors of
+    _kernel_q: entry (i, fc) is -v[p_i] / v[fc] for the vector v of free
+    column fc and the i-th pivot p_i.
+
+    That is the Gauss-Jordan form, because a row span has only one reduced
+    row echelon form.  v is zero at the pivots after fc (reduced mod p,
+    row i is zero left of p_i, and a zero residue lifts to 0), so the
+    matrix R so read is in reduced form, with 1 at p_i and 0 at the other
+    pivots.  Row i of R annihilates every v: v[p_i] + R[i, fc] * v[fc] = 0.
+    The vectors span the kernel over Q, so the r rows of R lie in the row
+    span of the input, which has rank r: they span it.
     """
-    a = [list(m.row(i)) for i in range(m.rows)]
-    nrows, ncols = m.rows, m.cols
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pr = next((i for i in range(r, nrows) if a[i][c]), None)
-        if pr is None:
-            continue
-        a[r], a[pr] = a[pr], a[r]
-        inv = a[r][c].inv()
-        a[r] = [x * inv for x in a[r]]
-        for i in range(nrows):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-    flat = [x for row in a for x in row]
-    return Matrix(m.field, nrows, ncols, flat), pivots
+    field, nrows, ncols = m.field, m.rows, m.cols
+    if not (nrows and ncols):
+        return Matrix(field, nrows, ncols, []), []
+    rows = m.row_lists()
+    p = field.characteristic
+    zero, one = field.zero(), field.one()
+    if p:
+        a = _residues(_int_array([[x.value for x in row] for row in rows]), p)
+        pivots = _eliminate(a, p, reduced=True)
+        entries = [field.scalar(x) if x else zero for x in a.ravel().tolist()]
+        return Matrix(field, nrows, ncols, entries), pivots
+    integer_rows = []
+    for row in rows:
+        scale = lcm(*(x.value.denominator for x in row))
+        integer_rows.append([x.value.numerator * (scale // x.value.denominator) for x in row])
+    pivots, free, vectors = _kernel_q(integer_rows)
+    entries = [zero] * (nrows * ncols)
+    for i, pc in enumerate(pivots):
+        entries[i * ncols + pc] = one
+    for fc, v in zip(free, vectors):
+        for i, pc in enumerate(pivots):
+            if x := v.get(pc):
+                entries[i * ncols + fc] = field.scalar(Fraction(-x, v[fc]))
+    return Matrix(field, nrows, ncols, entries), pivots
 
 
 def rank(m: Matrix) -> int:
@@ -235,30 +250,6 @@ def rank_mod_p_int(rows: list[list[int]], p: int, stop_at: int | None = None) ->
     return len(_eliminate(_residues(_int_array(rows), p), p, stop_at))
 
 
-def _is_prime(n: int) -> bool:
-    """Miller-Rabin on the first 13 prime bases: exact below 3.3 * 10^24."""
-    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-    if n < 2:
-        return False
-    for b in bases:
-        if n % b == 0:
-            return n == b
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for b in bases:
-        x = pow(b, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
 def _primes_from(q: int):
     """Primes down from odd q through the 31-bit ones, then up from 2^31: no end."""
     for c in itertools.chain(range(q, 2**30, -2), itertools.count(2**31 + 1, 2)):
@@ -328,15 +319,17 @@ def _annihilates(rows: list[list[int]], z: np.ndarray, vectors: list[dict[int, i
     return True
 
 
-def rank_q_certified(rows: list[list[int]]) -> int:
-    """Exact rank over Q of an integer matrix, from kernels mod p checked over Z.
+def _kernel_q(rows: list[list[int]]) -> tuple[list[int], list[int], list[dict[int, int]]]:
+    """Pivots, free columns and a kernel basis over Q of an integer matrix.
 
-    For each prime of the sequence in turn (31-bit primes down from
-    2^31 - 1, the first few found once at import) the rows are put in
-    reduced row echelon form mod p by the column loop of rank_mod_p_int.  That gives the rank r_p and the pivot
-    columns.  Each of the k = cols - r_p free columns gives a kernel vector
-    mod p: 1 there, 0 at the other free columns, and minus that column of
-    the reduced form at the pivots.  The residues of the primes with the
+    The basis holds one integer vector {column: value} per free column,
+    checked over Z.  For each prime of the sequence in turn (31-bit primes
+    down from 2^31 - 1, the first few found once at import) the rows are
+    put in reduced row echelon form mod p by the column loop of
+    rank_mod_p_int.  That gives the rank r_p and the pivot columns.  Each
+    of the k = cols - r_p free columns gives a kernel vector mod p: 1
+    there, 0 at the other free columns, and minus that column of the
+    reduced form at the pivots.  The residues of the primes with the
     same (rank, pivots) are combined by CRT, lifted to Q by rational
     reconstruction (Wang-Guy-Davenport 1982; Monagan, ISSAC 2004) and
     cleared of denominators, and A*v = 0 is checked exactly over Z on the
@@ -346,9 +339,8 @@ def rank_q_certified(rows: list[list[int]]) -> int:
     that is nonzero mod p is nonzero over Z.  The k vectors that pass the
     check lie in the kernel over Q, and they are independent, since each
     is nonzero at its own free column and zero at the others.  So
-    rank_Q <= cols - k = r_p, and the rank is pinned.  If r_p already
-    reaches min(rows, cols), that bound pins it without a kernel.  Nothing
-    else is trusted: a wrong lift fails the check and costs one more prime.
+    rank_Q <= cols - k = r_p, and the rank is pinned.  Nothing else is
+    trusted: a wrong lift fails the check and costs one more prime.
 
     Why the loop ends.  Let rank_Q = r with pivots P, the reduced form over
     Q.  The i-th pivot is the first column that raises the rank of the
@@ -365,17 +357,15 @@ def rank_q_certified(rows: list[list[int]]) -> int:
     vectors pass the check.  The prime sequence has no end, so this
     point is always reached.
     """
-    if not rows:
-        return 0
     z = _int_array(rows)
-    nrows, ncols = z.shape
+    ncols = z.shape[1]
     kept = residues = modulus = None
     for p in itertools.chain(_LIFT_PRIMES, _primes_from(_LIFT_PRIMES[-1] - 2)):
         a = _residues(z, p)
         pivots = _eliminate(a, p, reduced=True)
         r = len(pivots)
-        if r == min(nrows, ncols):
-            return r
+        if r == ncols:
+            return pivots, [], []
         key = (-r, pivots)  # smaller is better: higher rank, then earlier pivots
         if kept is not None and key > kept:
             continue
@@ -390,4 +380,9 @@ def rank_q_certified(rows: list[list[int]]) -> int:
             modulus *= p
         vectors = _lift_kernel(residues, modulus, pivots, free)
         if vectors is not None and _annihilates(rows, z, vectors):
-            return r
+            return pivots, free, vectors
+
+
+def rank_q_certified(rows: list[list[int]]) -> int:
+    """Exact rank over Q of an integer matrix: the pivot count of _kernel_q."""
+    return len(_kernel_q(rows)[0]) if rows else 0

@@ -15,7 +15,6 @@ that prefer ambient labels can print with var_start=1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 from . import linalg
@@ -385,63 +384,6 @@ def substitute_linear(p: Polynomial, change: LinearChange | list[Polynomial]) ->
                 term = term * power(i, e)
         out = out + term
     return out
-
-
-# -- first-order restriction to a moving hyperplane ---------------------------
-
-
-@dataclass
-class _Dual:
-    """a + eps*b with eps^2 = 0, components polynomials in the section ring."""
-
-    a: Polynomial
-    b: Polynomial
-
-    def __add__(self, other: "_Dual") -> "_Dual":
-        return _Dual(self.a + other.a, self.b + other.b)
-
-    def __mul__(self, other: "_Dual") -> "_Dual":
-        # the a*b' + a'*b cross terms survive; eps^2 truncates b*b'
-        return _Dual(self.a * other.a, self.a * other.b + self.b * other.a)
-
-    def __pow__(self, e: int) -> "_Dual":
-        out = _Dual(
-            Polynomial.constant(self.a.field, self.a.nvars, 1),
-            Polynomial.zero(self.a.field, self.a.nvars),
-        )
-        for _ in range(e):
-            out = out * self
-        return out
-
-
-def first_order_section(f: Polynomial, direction: Polynomial) -> tuple[Polynomial, Polynomial]:
-    """Restrict f to the moving hyperplane x0 = eps*direction, eps^2 = 0.
-
-    `direction` is a linear form in the section variables (one fewer than
-    f).  Returns (g, h) with f(eps*direction, x) = g + eps*h: g is the
-    restriction of f to x0 = 0 and h equals the x0-partial of f restricted
-    to x0 = 0 times the direction.
-    """
-    if direction.nvars != f.nvars - 1:
-        raise ArityMismatch(
-            f"direction must use {f.nvars - 1} section variables, has {direction.nvars}"
-        )
-    if direction and not direction.is_homogeneous(1):
-        raise NotHomogeneous("direction must be a linear form")
-    n = f.nvars - 1
-    field = f.field
-    zero = Polynomial.zero(field, n)
-    subs = [_Dual(zero, direction)]
-    for i in range(n):
-        subs.append(_Dual(Polynomial.variable(field, n, i), zero))
-    acc = _Dual(zero, zero)
-    for m, c in f.terms.items():
-        term = _Dual(Polynomial.constant(field, n, c), zero)
-        for i, e in enumerate(m):
-            if e:
-                term = term * subs[i] ** e
-        acc = acc + term
-    return acc.a, acc.b
 
 
 def linear_form(field: FieldSpec, coefficients) -> Polynomial:

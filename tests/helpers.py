@@ -7,10 +7,11 @@ tests pass their own seeds.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from hypersect import FieldSpec, Matrix, Polynomial, Scalar, make_field
+from hypersect import ArityMismatch, FieldSpec, Matrix, NotHomogeneous, Polynomial, Scalar, make_field
 from hypersect.poly import monomial_basis
 
 FIELDS = [make_field(0), make_field(2), make_field(3), make_field(5), make_field(7), make_field(101)]
@@ -161,3 +162,87 @@ def rank_int_exact(rows: list[list[int]]) -> int:
             a[i] = row
         r += 1
     return r
+
+
+def rref_reference(m: Matrix) -> tuple[Matrix, list[int]]:
+    """Reduced row echelon form and pivot columns by Gauss-Jordan on Scalars.
+
+    The oracle for linalg.rref and the mod-p column loop.  Scans columns
+    left to right and picks the first nonzero entry at or below the
+    working row as pivot.
+    """
+    a = [list(m.row(i)) for i in range(m.rows)]
+    nrows, ncols = m.rows, m.cols
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        pr = next((i for i in range(r, nrows) if a[i][c]), None)
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        inv = a[r][c].inv()
+        a[r] = [x * inv for x in a[r]]
+        for i in range(nrows):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+    flat = [x for row in a for x in row]
+    return Matrix(m.field, nrows, ncols, flat), pivots
+
+
+@dataclass
+class _Dual:
+    """a + eps*b with eps^2 = 0, components polynomials in the section ring."""
+
+    a: Polynomial
+    b: Polynomial
+
+    def __add__(self, other: "_Dual") -> "_Dual":
+        return _Dual(self.a + other.a, self.b + other.b)
+
+    def __mul__(self, other: "_Dual") -> "_Dual":
+        # the a*b' + a'*b cross terms survive; eps^2 truncates b*b'
+        return _Dual(self.a * other.a, self.a * other.b + self.b * other.a)
+
+    def __pow__(self, e: int) -> "_Dual":
+        out = _Dual(
+            Polynomial.constant(self.a.field, self.a.nvars, 1),
+            Polynomial.zero(self.a.field, self.a.nvars),
+        )
+        for _ in range(e):
+            out = out * self
+        return out
+
+
+def first_order_section(f: Polynomial, direction: Polynomial) -> tuple[Polynomial, Polynomial]:
+    """Restrict f to the moving hyperplane x0 = eps*direction, eps^2 = 0.
+
+    `direction` is a linear form in the section variables (one fewer than
+    f).  Returns (g, h) with f(eps*direction, x) = g + eps*h: g is the
+    restriction of f to x0 = 0 and h equals the x0-partial of f restricted
+    to x0 = 0 times the direction.
+    """
+    if direction.nvars != f.nvars - 1:
+        raise ArityMismatch(
+            f"direction must use {f.nvars - 1} section variables, has {direction.nvars}"
+        )
+    if direction and not direction.is_homogeneous(1):
+        raise NotHomogeneous("direction must be a linear form")
+    n = f.nvars - 1
+    field = f.field
+    zero = Polynomial.zero(field, n)
+    subs = [_Dual(zero, direction)]
+    for i in range(n):
+        subs.append(_Dual(Polynomial.variable(field, n, i), zero))
+    acc = _Dual(zero, zero)
+    for m, c in f.terms.items():
+        term = _Dual(Polynomial.constant(field, n, c), zero)
+        for i, e in enumerate(m):
+            if e:
+                term = term * subs[i] ** e
+        acc = acc + term
+    return acc.a, acc.b

@@ -22,7 +22,6 @@ from hypersect import (
     criterion_form,
     criterion_kernel,
     euler_check,
-    first_order_section,
     is_smooth,
     kernel_basis,
     linear_coefficients,
@@ -39,6 +38,7 @@ from hypersect.fixtures import cubic_threefold_example, cyclic_fermat, fermat
 from gf_oracle import find_singular_point
 from helpers import (
     FIELDS,
+    first_order_section,
     in_span,
     mat_vec,
     rand_invertible,

@@ -295,3 +295,47 @@ def test_error_without_json_prints_nothing_to_stdout(capsys):
     assert code == 2
     assert out == ""
     assert "CompositeCharacteristic" in err
+
+
+# Kernel bases printed by criterion and survey, recorded as --json stdout.
+# Each basis is the reduced form of the criterion map's kernel: free
+# columns, leading coefficient 1.  The last two need a lift past one prime
+# over Q and the Python-int path mod a prime above 2^31.
+_CUBIC = "3*x0^3+x1^3-2*x2^3+x3^3+x0*x1*x2+x1*x2*x3"
+KERNEL_BYTES = [
+    (
+        ["criterion", "--char", "0", "--fixture", "cubic-threefold", "--h", "x0"],
+        '{"command":"criterion","request":{"char":0,"fixture":"cubic-threefold","h":"x0","nvars":5,"polynomial":"x0^3 + x0*x1^2 + x1^3 + x1*x2^2 + x2*x4^2 + x3^3"},"result":{"criterion_form":"x1^2","graded_ideal_dim":16,"hyperplane":"x0","kernel_basis":["x1","x4"],"kernel_dim":2,"status":"computed"},"schema_version":"1"}\n',
+    ),
+    (
+        ["criterion", "--char", "0", "--fixture", "cubic-threefold", "--h", "x0+2*x1-x3"],
+        '{"command":"criterion","request":{"char":0,"fixture":"cubic-threefold","h":"x0 + 2*x1 - x3","nvars":5,"polynomial":"x0^3 + x0*x1^2 + x1^3 + x1*x2^2 + x2*x4^2 + x3^3"},"result":{"criterion_form":"13*x1^2 - 12*x1*x3 + 3*x3^2","graded_ideal_dim":16,"hyperplane":"x0 + 2*x1 - x3","kernel_basis":["x1 - 1/15*x3"],"kernel_dim":1,"status":"computed"},"schema_version":"1"}\n',
+    ),
+    (
+        ["criterion", "--char", "101", "--fixture", "cubic-threefold", "--h", "x0+x2"],
+        '{"command":"criterion","request":{"char":101,"fixture":"cubic-threefold","h":"x0 + x2","nvars":5,"polynomial":"x0^3 + x0*x1^2 + x1^3 + x1*x2^2 + x2*x4^2 + x3^3"},"result":{"criterion_form":"x1^2 + 3*x2^2","graded_ideal_dim":16,"hyperplane":"x0 + x2","kernel_basis":["x1 + 49*x2","x4"],"kernel_dim":2,"status":"computed"},"schema_version":"1"}\n',
+    ),
+    (
+        ["survey", "--char", "0", "--fixture", "fermat", "--n", "3", "--d", "3", "--h", "x0+x1+x2", "--h", "2*x0-x1+3*x3"],
+        '{"command":"survey","request":{"char":0,"fixture":"fermat","h":["x0 + x1 + x2","x0 - 1/2*x1 + 3/2*x3"],"nvars":4,"polynomial":"x0^3 + x1^3 + x2^3 + x3^3"},"result":{"reports":[{"criterion_form":"3*x1^2 + 6*x1*x2 + 3*x2^2","graded_ideal_dim":9,"hyperplane":"x0 + x1 + x2","kernel_basis":["x1","x2"],"kernel_dim":2,"status":"computed"},{"criterion_form":"3/4*x1^2 - 9/2*x1*x3 + 27/4*x3^2","graded_ideal_dim":9,"hyperplane":"x0 - 1/2*x1 + 3/2*x3","kernel_basis":["x1","x3"],"kernel_dim":2,"status":"computed"}]},"schema_version":"1"}\n',
+    ),
+    (
+        ["criterion", "--char", "5", "--fixture", "fermat", "--n", "3", "--d", "3", "--h", "x0+2*x1+3*x2+x3"],
+        '{"command":"criterion","request":{"char":5,"fixture":"fermat","h":"x0 + 2*x1 + 3*x2 + x3","nvars":4,"polynomial":"x0^3 + x1^3 + x2^3 + x3^3"},"result":{"criterion_form":"2*x1^2 + x1*x2 + 2*x1*x3 + 2*x2^2 + 3*x2*x3 + 3*x3^2","graded_ideal_dim":9,"hyperplane":"x0 + 2*x1 + 3*x2 + x3","kernel_basis":["x2","x1 + x3"],"kernel_dim":2,"status":"computed"},"schema_version":"1"}\n',
+    ),
+    (
+        ["criterion", "--char", "0", "--f", _CUBIC, "--h", "x0+x1-x2+2*x3"],
+        '{"command":"criterion","request":{"char":0,"h":"x0 + x1 - x2 + 2*x3","nvars":4,"polynomial":"3*x0^3 + x0*x1*x2 + x1^3 + x1*x2*x3 - 2*x2^3 + x3^3"},"result":{"criterion_form":"9*x1^2 - 17*x1*x2 + 36*x1*x3 + 9*x2^2 - 36*x2*x3 + 36*x3^2","graded_ideal_dim":9,"hyperplane":"x0 + x1 - x2 + 2*x3","kernel_basis":["x1 + 79460669/72576216*x2","x1 + 4674157/5605858*x3"],"kernel_dim":2,"status":"computed"},"schema_version":"1"}\n',
+    ),
+    (
+        ["criterion", "--char", "2147483659", "--f", _CUBIC, "--h", "x0+x1-x2+2*x3"],
+        '{"command":"criterion","request":{"char":2147483659,"h":"x0 + x1 + 2147483658*x2 + 2*x3","nvars":4,"polynomial":"3*x0^3 + x0*x1*x2 + x1^3 + x1*x2*x3 + 2147483657*x2^3 + x3^3"},"result":{"criterion_form":"9*x1^2 + 2147483642*x1*x2 + 36*x1*x3 + 9*x2^2 + 2147483623*x2*x3 + 36*x3^2","graded_ideal_dim":9,"hyperplane":"x0 + x1 + 2147483658*x2 + 2*x3","kernel_basis":["x1 + 105423837*x2","x1 + 2099380876*x3"],"kernel_dim":2,"status":"computed"},"schema_version":"1"}\n',
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, stdout", KERNEL_BYTES, ids=[" ".join(argv) for argv, _ in KERNEL_BYTES])
+def test_kernel_basis_bytes(capsys, argv, stdout):
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    assert out == stdout

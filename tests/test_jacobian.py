@@ -7,6 +7,8 @@ from itertools import combinations_with_replacement
 import pytest
 
 from hypersect import (
+    ArityMismatch,
+    FieldMismatch,
     InhomogeneousGenerator,
     LinearChange,
     NotHomogeneous,
@@ -23,7 +25,7 @@ from hypersect import (
 from hypersect import jacobian, linalg
 from hypersect.fixtures import cubic_threefold_example, cyclic_fermat, fermat
 from hypersect.jacobian import GradedPiece, _macaulay_rows, dimension_of_degree
-from hypersect.linalg import PROBE_PRIME, Matrix, rank_mod_p_int, rref
+from hypersect.linalg import PROBE_PRIME, Matrix, rank_mod_p_int
 from hypersect.poly import monomial_basis
 from gf_oracle import find_singular_point
 from helpers import (
@@ -33,6 +35,7 @@ from helpers import (
     rand_invertible,
     rand_nonzero_homogeneous,
     rank_int_exact,
+    rref_reference,
 )
 
 Q = make_field(0)
@@ -100,6 +103,18 @@ def test_graded_piece_membership():
     assert not piece.contains(parse_poly("x0*x1", 4, Q))
     assert all(not c for c in piece.reduce(parse_poly("x0^2", 4, Q)))
     assert any(c for c in piece.reduce(parse_poly("x0*x1", 4, Q)))
+
+
+def test_graded_piece_rejects_forms_from_another_ring():
+    """A form with another variable count or over another field is refused
+    with a typed error, also when it misses every pivot column."""
+    piece = ideal_graded_dim(jacobian_generators(fermat(3, 3, Q))[1:], 3)
+    with pytest.raises(ArityMismatch):
+        piece.reduce(parse_poly("x0^3 + x1*x2^2", 3, Q))
+    f5 = make_field(5)
+    for text in ("x0^3 + x1*x2^2", "x0*x1*x2"):
+        with pytest.raises(FieldMismatch):
+            piece.reduce(parse_poly(text, 4, f5))
 
 
 def test_smooth_fermat_when_char_does_not_divide_degree():
@@ -317,7 +332,7 @@ def test_pruning_keeps_span_for_any_generator_list():
 def _reference_piece(generators, degree, field):
     basis, rows = macaulay_rows_reference(generators, degree)
     matrix = Matrix.from_rows(field, rows) if rows else Matrix.zero(field, 0, len(basis))
-    reduced, pivots = rref(matrix)
+    reduced, pivots = rref_reference(matrix)
     return GradedPiece(degree, basis, matrix, len(pivots), reduced, pivots)
 
 

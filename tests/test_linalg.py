@@ -3,13 +3,24 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from hypersect import Matrix, SingularMatrix, invert, kernel_basis, make_field, rank, rref
 from hypersect import linalg
+from hypersect.fields import _is_prime
 from hypersect.linalg import PROBE_PRIME, rank_mod_p_int, rank_q_certified
-from helpers import FIELDS, in_span, mat_vec, rand_invertible, rand_matrix, rand_scalar, rank_int_exact
+from helpers import (
+    FIELDS,
+    in_span,
+    mat_vec,
+    rand_invertible,
+    rand_matrix,
+    rand_scalar,
+    rank_int_exact,
+    rref_reference,
+)
 
 Q = make_field(0)
 
@@ -160,17 +171,22 @@ def test_invert_rejects_singular():
         invert(Matrix.zero(Q, 2, 2))
 
 
+def _reference_rank(field, rows):
+    """Rank of integer rows over the field by the Scalar Gauss-Jordan oracle."""
+    return len(rref_reference(Matrix.from_rows(field, rows))[1])
+
+
 def test_integer_rank_helpers_agree_with_matrix_rank():
     rng = random.Random(71)
     for _ in range(80):
         rows = [[rng.randint(-9, 9) for _ in range(rng.randint(1, 5))] for _ in range(rng.randint(1, 4))]
         width = max(len(r) for r in rows)
         rows = [r + [0] * (width - len(r)) for r in rows]
-        assert rank_int_exact(rows) == rank(Matrix.from_rows(Q, rows))
-        assert rank_q_certified(rows) == rank(Matrix.from_rows(Q, rows))
+        assert rank_int_exact(rows) == _reference_rank(Q, rows)
+        assert rank_q_certified(rows) == _reference_rank(Q, rows)
         for p in (2, 3, 5, 101):
             fp = make_field(p)
-            assert rank_mod_p_int(rows, p) == rank(Matrix.from_rows(fp, rows))
+            assert rank_mod_p_int(rows, p) == _reference_rank(fp, rows)
 
 
 def test_rational_rank_matches_large_prime_probe():
@@ -197,15 +213,15 @@ def _planted_rows(rng, ncols, draw):
 
 def test_rank_mod_large_prime_uses_python_path():
     """From 2^31 up rank_mod_p_int eliminates Python ints in an object
-    array; checked against the Scalar rank over F_p, with and without
-    stop_at, just past the int64 limit and at a 61-bit prime."""
+    array; checked against the Scalar Gauss-Jordan oracle over F_p, with
+    and without stop_at, just past the int64 limit and at a 61-bit prime."""
     rng = random.Random(73)
     for p in (2**31 + 11, 2**61 - 1):
         fp = make_field(p)
         for _ in range(30):
             ncols = rng.randint(1, 6)
             rows = _planted_rows(rng, ncols, lambda: rng.randrange(-p, p))
-            expected = rank(Matrix.from_rows(fp, rows))
+            expected = _reference_rank(fp, rows)
             assert rank_mod_p_int(rows, p) == expected
             for stop_at in range(1, ncols + 1):
                 assert rank_mod_p_int(rows, p, stop_at=stop_at) == min(expected, stop_at)
@@ -213,7 +229,8 @@ def test_rank_mod_large_prime_uses_python_path():
 
 def test_rank_mod_p_entries_beyond_int64():
     """Entries at and past +-2^63 do not fit the int64 array; they are
-    reduced mod p first and the rank matches the Scalar rank over F_p."""
+    reduced mod p first and the rank matches the Scalar Gauss-Jordan
+    oracle over F_p."""
     rng = random.Random(74)
     huge = (2**63, -(2**63) - 1, 10**20, -(10**40), 3 * PROBE_PRIME * 2**64)
     for p in (3, 101, PROBE_PRIME):
@@ -223,7 +240,7 @@ def test_rank_mod_p_entries_beyond_int64():
             draw = lambda: rng.choice(huge) * rng.randint(-2, 2) + rng.randint(-9, 9)
             rows = _planted_rows(rng, ncols, draw)
             rows[0][0] = rng.choice(huge)
-            expected = rank(Matrix.from_rows(fp, rows))
+            expected = _reference_rank(fp, rows)
             assert rank_mod_p_int(rows, p) == expected
             assert rank_mod_p_int(rows, p, stop_at=1) == min(expected, 1)
 
@@ -362,7 +379,7 @@ def test_lift_primes_run_down_the_31_bit_primes_then_up():
     assert seq == [n for n in range(2**31 - 1, seq[-1] - 1, -1) if by_trial(n)]
     tail = list(itertools.islice(linalg._primes_from(2**30 + 1), 3))
     assert tail[0] > 2**31 and all(by_trial(n) for n in tail)
-    assert [linalg._is_prime(n) for n in range(-3, 200)] == [by_trial(n) for n in range(-3, 200)]
+    assert [_is_prime(n) for n in range(-3, 200)] == [by_trial(n) for n in range(-3, 200)]
 
 
 def test_rank_q_certified_past_int64_primes(monkeypatch):
@@ -373,3 +390,61 @@ def test_rank_q_certified_past_int64_primes(monkeypatch):
         monkeypatch.setattr(linalg, "_LIFT_PRIMES", (first,))
         for rows in itertools.islice(_shaped_grid(rng, lambda: rng.randint(-(10**6), 10**6)), 0, None, 3):
             assert rank_q_certified(rows) == rank_int_exact(rows)
+
+
+# --- Scalar rref on the one column loop and the verified lift ----------------
+
+
+def _check_rref(m):
+    """rref(m) is a new Matrix equal to the Gauss-Jordan oracle's, pivots too."""
+    got, pivots = rref(m)
+    want, want_pivots = rref_reference(m)
+    assert got is not m
+    assert (got, pivots) == (want, want_pivots), m
+    return len(pivots) < min(m.rows, m.cols)
+
+
+def test_rref_matches_gauss_jordan_oracle():
+    """Every test field, two primes past the int64 path, and Q with
+    numerators and denominators past 2^63; square, wide and tall shapes,
+    zero rows, all zero, planted rank deficiency, 0 x k and k x 0."""
+    rng = random.Random(79)
+    huge = (2**63, -(2**63) - 1, 2**64 + 3, 10**20)
+    fields = FIELDS + [make_field(2**31 + 11), make_field(2**61 - 1)]
+    for field in fields:
+        p = field.characteristic
+        if p:
+            draws = (lambda: rng.randrange(-p, p), lambda: rng.choice((0, 0, 1, -1, 2)))
+        else:
+            big = lambda: rng.choice(huge) * rng.randint(-2, 2) + rng.randint(-9, 9)
+            draws = (
+                lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 5)),
+                lambda: Fraction(big(), rng.choice((1, 3, 2**64 + 3, 10**20))),
+            )
+        deficient = 0
+        for draw in draws:
+            for rows in _shaped_grid(rng, draw):
+                deficient += _check_rref(Matrix.from_rows(field, rows))
+        assert deficient >= 20
+        for k in (0, 1, 3):
+            _check_rref(Matrix.zero(field, 0, k))
+            _check_rref(Matrix.zero(field, k, 0))
+
+
+def test_rref_over_q_lifts_entries_past_one_prime(monkeypatch):
+    """Entries whose numerators pass the reconstruction bound of one 31-bit
+    prime come from residues combined over at least two primes."""
+    moduli = []
+    real_eliminate = linalg._eliminate
+
+    def eliminate_spy(a, p, stop_at=None, reduced=False):
+        moduli.append(p)
+        return real_eliminate(a, p, stop_at, reduced)
+
+    m = Matrix.from_rows(Q, [[72576216, 79460669, 3, 0], [5605858, 0, 1, 4674157]])
+    monkeypatch.setattr(linalg, "_eliminate", eliminate_spy)
+    got = rref(m)
+    monkeypatch.undo()
+    assert got == rref_reference(m)
+    assert len(moduli) >= 2
+    assert max(x.value.denominator for x in got[0].entries) > 2**16

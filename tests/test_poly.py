@@ -12,7 +12,6 @@ from hypersect import (
     NotHomogeneous,
     Polynomial,
     SingularMatrix,
-    first_order_section,
     linear_form,
     make_field,
     monomial_basis,
@@ -23,7 +22,7 @@ from hypersect import (
 )
 from hypersect.fixtures import cubic_threefold_example, cyclic_fermat, fermat
 from hypersect.poly import require_homogeneous
-from helpers import FIELDS, rand_poly, rand_scalar
+from helpers import FIELDS, first_order_section, rand_poly, rand_scalar
 
 Q = make_field(0)
 

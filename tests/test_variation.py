@@ -20,7 +20,6 @@ from hypersect import (
     certify_max_variation,
     criterion_form,
     criterion_kernel,
-    first_order_section,
     ideal_graded_dim,
     jacobian_generators,
     make_field,
@@ -33,7 +32,7 @@ from hypersect import (
     survey_kernels,
 )
 from hypersect.fixtures import cubic_threefold_example, cyclic_fermat, fermat
-from helpers import FIELDS, in_span, rand_nonzero_homogeneous, rand_scalar
+from helpers import FIELDS, first_order_section, in_span, rand_nonzero_homogeneous, rand_scalar
 
 Q = make_field(0)
 
