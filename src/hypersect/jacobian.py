@@ -25,8 +25,8 @@ Three facts keep the decision cheap:
 
 Every matrix holds the monomial multiples of the generators in one degree,
 less those the leading-term (Koszul/F5) criterion shows redundant: fewer
-rows, same span.  When the characteristic does not divide d, the scan
-drops f, which Euler's identity puts in the ideal of its partials.
+rows, same span.  Unless char | d, the scan and the criterion drop f, which
+Euler's identity puts in the ideal of its partials (_spanning_generators).
 
 Over a small prime field, singular inputs are also screened by scanning
 projective rational points for a common zero of the generators.  Over Q,
@@ -63,6 +63,14 @@ def jacobian_generators(f: Polynomial) -> list[Polynomial]:
     """[f, df/dx0, ..., df/dxn]; partials may vanish in small characteristic."""
     require_homogeneous(f, 1, "hypersurface form")
     return [f] + [partial_derivative(f, i) for i in range(f.nvars)]
+
+
+def _spanning_generators(f: Polynomial) -> list[Polynomial]:
+    """The nonzero Jacobian generators of f, f dropped unless char | d
+    (Euler's sum_i x_i*df/dx_i = d*f puts f in the ideal of its partials)."""
+    d, p = f.degree(), f.field.characteristic
+    skip_f = 1 if p == 0 or d % p else 0
+    return [g for g in jacobian_generators(f)[skip_f:] if not g.is_zero()]
 
 
 def default_degree_cap(nvars: int, degree: int) -> int:
@@ -279,9 +287,7 @@ def is_smooth(f: Polynomial, t_max: int | None = None) -> bool:
         # the formula goes negative only for linear forms; degree 0 suffices there
         cap = max(default_degree_cap(f.nvars, d), 0)
     p = f.field.characteristic
-    # unless p | d, Euler's sum_i x_i*df/dx_i = d*f puts f in the ideal of its partials
-    skip_f = 1 if p == 0 or d % p else 0
-    gens = [g for g in jacobian_generators(f)[skip_f:] if not g.is_zero()]
+    gens = _spanning_generators(f)
     if not gens:
         return False
     probe = p or PROBE_PRIME

@@ -3,15 +3,13 @@
 There is one elimination: a vectorized column loop mod p (an int64 array
 for p < 2^31, Python ints above; the dtype follows from p alone).  Run
 forward and stopping early, it is the rank probe.  Run to the reduced
-form, it gives kernels mod p, from which _kernel_q lifts kernel vectors
-over Q and verifies them exactly over Z, so an exact rank over Q rests on
-checked vectors, not on a prime.
-
-Scalar matrices meet that loop at one edge adapter, rref: over F_p it
-eliminates the residues directly, and over Q it reads the reduced form
-off the verified kernel vectors.  The reduced form, the pivot list and
-the kernel basis are deterministic functions of the input.  No floating
-point anywhere.
+form, it feeds the one kernel primitive, integer_kernel: the residues
+over F_p, and over Q vectors lifted from several primes and verified
+exactly over Z, so an exact rank over Q rests on checked vectors, not on
+a prime.  Scalar matrices reach it with each row scaled by the lcm of its
+denominators, and rref and kernel_basis read its vectors with no branch
+on the characteristic.  Every result is a deterministic function of the
+input.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -90,39 +88,36 @@ class Matrix:
         return f"Matrix({self.field}, {self.rows}x{self.cols}: {body})"
 
 
+def _integer_rows(m: Matrix) -> list[list[int]]:
+    """The rows of m, each scaled by the lcm of its denominators (1 over F_p)."""
+    out = []
+    for row in m.row_lists():
+        scale = lcm(*(x.value.denominator for x in row))
+        out.append([x.value.numerator * (scale // x.value.denominator) for x in row])
+    return out
+
+
+def _leading_one(field: FieldSpec, entries: list[int]) -> list[Scalar]:
+    """The integer entries as Scalars, scaled so the first nonzero one is 1."""
+    lead = next(x for x in entries if x)
+    return [field.scalar(Fraction(x, lead)) for x in entries]
+
+
 def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and the list of pivot column indices.
 
-    Over F_p the residues go through the column loop in reduced mode.  Over
-    Q each row is first scaled by the lcm of its denominators, which keeps
-    the row span, and the form is read off the verified kernel vectors of
-    _kernel_q: entry (i, fc) is -v[p_i] / v[fc] for the vector v of free
-    column fc and the i-th pivot p_i.
-
-    That is the Gauss-Jordan form, because a row span has only one reduced
-    row echelon form.  v is zero at the pivots after fc (reduced mod p,
-    row i is zero left of p_i, and a zero residue lifts to 0), so the
-    matrix R so read is in reduced form, with 1 at p_i and 0 at the other
-    pivots.  Row i of R annihilates every v: v[p_i] + R[i, fc] * v[fc] = 0.
-    The vectors span the kernel over Q, so the r rows of R lie in the row
-    span of the input, which has rank r: they span it.
+    Entry (i, fc) is -v[p_i] / v[fc] for the kernel vector v of free column
+    fc and the i-th pivot p_i.  Over F_p, v is minus that column of the
+    reduced form.  Over Q, v is zero at the pivots after fc (a zero residue
+    lifts to 0), so the matrix R so read is reduced; its rows annihilate
+    every v, which span the kernel, so its r rows span the row space, of
+    rank r.  A row space has one reduced form: this is the Gauss-Jordan one.
     """
     field, nrows, ncols = m.field, m.rows, m.cols
     if not (nrows and ncols):
         return Matrix(field, nrows, ncols, []), []
-    rows = m.row_lists()
-    p = field.characteristic
+    pivots, free, vectors = integer_kernel(_integer_rows(m), field.characteristic)
     zero, one = field.zero(), field.one()
-    if p:
-        a = _residues(_int_array([[x.value for x in row] for row in rows]), p)
-        pivots = _eliminate(a, p, reduced=True)
-        entries = [field.scalar(x) if x else zero for x in a.ravel().tolist()]
-        return Matrix(field, nrows, ncols, entries), pivots
-    integer_rows = []
-    for row in rows:
-        scale = lcm(*(x.value.denominator for x in row))
-        integer_rows.append([x.value.numerator * (scale // x.value.denominator) for x in row])
-    pivots, free, vectors = _kernel_q(integer_rows)
     entries = [zero] * (nrows * ncols)
     for i, pc in enumerate(pivots):
         entries[i * ncols + pc] = one
@@ -138,27 +133,11 @@ def rank(m: Matrix) -> int:
 
 
 def kernel_basis(m: Matrix) -> list[list[Scalar]]:
-    """Basis of the right kernel {v : m v = 0}.
-
-    One vector per free column, in ascending free-column order, each
-    scaled so its leading (lowest-index) nonzero entry is 1.
-    """
-    red, pivots = rref(m)
-    pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
-    zero, one = m.field.zero(), m.field.one()
-    basis = []
-    for fc in free:
-        v = [zero] * m.cols
-        v[fc] = one
-        for r, pc in enumerate(pivots):
-            v[pc] = -red.at(r, fc)
-        lead = next(x for x in v if x)
-        if lead != one:
-            inv = lead.inv()
-            v = [x * inv for x in v]
-        basis.append(v)
-    return basis
+    """Basis of the right kernel {v : m v = 0}: the vectors of integer_kernel,
+    one per free column in ascending order, leading (lowest-index) entry 1."""
+    rows = _integer_rows(m) or [[0] * m.cols]  # a zero row keeps the kernel
+    _, _, vectors = integer_kernel(rows, m.field.characteristic)
+    return [_leading_one(m.field, [v.get(c, 0) for c in range(m.cols)]) for v in vectors]
 
 
 def invert(m: Matrix) -> Matrix:
@@ -319,27 +298,25 @@ def _annihilates(rows: list[list[int]], z: np.ndarray, vectors: list[dict[int, i
     return True
 
 
-def _kernel_q(rows: list[list[int]]) -> tuple[list[int], list[int], list[dict[int, int]]]:
-    """Pivots, free columns and a kernel basis over Q of an integer matrix.
+def integer_kernel(rows: list[list[int]], p: int) -> tuple[list[int], list[int], list[dict[int, int]]]:
+    """Pivots, free columns and a kernel basis of an integer matrix over F_p or, for p = 0, Q.
 
     The basis holds one integer vector {column: value} per free column,
-    checked over Z.  For each prime of the sequence in turn (31-bit primes
-    down from 2^31 - 1, the first few found once at import) the rows are
-    put in reduced row echelon form mod p by the column loop of
-    rank_mod_p_int.  That gives the rank r_p and the pivot columns.  Each
-    of the k = cols - r_p free columns gives a kernel vector mod p: 1
-    there, 0 at the other free columns, and minus that column of the
-    reduced form at the pivots.  The residues of the primes with the
-    same (rank, pivots) are combined by CRT, lifted to Q by rational
-    reconstruction (Wang-Guy-Davenport 1982; Monagan, ISSAC 2004) and
-    cleared of denominators, and A*v = 0 is checked exactly over Z on the
-    nonzeros of the rows.
+    nonzero there and zero at the other free columns.  The column loop of
+    rank_mod_p_int reduces the rows mod a prime, giving the rank r_p, the
+    pivots and, for each of the k = cols - r_p free columns, a kernel vector
+    mod the prime: 1 there, 0 at the other free columns, minus that column
+    of the reduced form at the pivots.  Over F_p these residues are the
+    answer.  Over Q the primes run down from 2^31 - 1; residues of primes
+    with the same (rank, pivots) are combined by CRT, lifted by rational
+    reconstruction (Wang-Guy-Davenport 1982; Monagan, ISSAC 2004), cleared
+    of denominators and checked, A*v = 0, exactly over Z.
 
-    Why the answer is exact.  r_p <= rank_Q for every prime, as a minor
-    that is nonzero mod p is nonzero over Z.  The k vectors that pass the
-    check lie in the kernel over Q, and they are independent, since each
-    is nonzero at its own free column and zero at the others.  So
-    rank_Q <= cols - k = r_p, and the rank is pinned.  Nothing else is
+    Why the answer over Q is exact.  r_p <= rank_Q for every prime, as a
+    minor that is nonzero mod p is nonzero over Z.  The k vectors that
+    pass the check lie in the kernel over Q, and they are independent,
+    since each is nonzero at its own free column and zero at the others.
+    So rank_Q <= cols - k = r_p, and the rank is pinned.  Nothing else is
     trusted: a wrong lift fails the check and costs one more prime.
 
     Why the loop ends.  Let rank_Q = r with pivots P, the reduced form over
@@ -360,9 +337,9 @@ def _kernel_q(rows: list[list[int]]) -> tuple[list[int], list[int], list[dict[in
     z = _int_array(rows)
     ncols = z.shape[1]
     kept = residues = modulus = None
-    for p in itertools.chain(_LIFT_PRIMES, _primes_from(_LIFT_PRIMES[-1] - 2)):
-        a = _residues(z, p)
-        pivots = _eliminate(a, p, reduced=True)
+    for prime in (p,) if p else itertools.chain(_LIFT_PRIMES, _primes_from(_LIFT_PRIMES[-1] - 2)):
+        a = _residues(z, prime)
+        pivots = _eliminate(a, prime, reduced=True)
         r = len(pivots)
         if r == ncols:
             return pivots, [], []
@@ -371,18 +348,23 @@ def _kernel_q(rows: list[list[int]]) -> tuple[list[int], list[int], list[dict[in
             continue
         pivot_set = set(pivots)
         free = [c for c in range(ncols) if c not in pivot_set]
-        block = -a[:r, free] % p
+        block = -a[:r, free] % prime
+        if p:
+            return pivots, free, [
+                {fc: 1} | {pivots[i]: int(block[i, k]) for i in np.flatnonzero(block[:, k]).tolist()}
+                for k, fc in enumerate(free)
+            ]
         if kept is None or key < kept:
-            kept, residues, modulus = key, block, p
+            kept, residues, modulus = key, block, prime
         else:
             old = residues.astype(object)  # the modulus outgrows int64
-            residues = old + modulus * ((block - old) * pow(modulus, -1, p) % p)
-            modulus *= p
+            residues = old + modulus * ((block - old) * pow(modulus, -1, prime) % prime)
+            modulus *= prime
         vectors = _lift_kernel(residues, modulus, pivots, free)
         if vectors is not None and _annihilates(rows, z, vectors):
             return pivots, free, vectors
 
 
 def rank_q_certified(rows: list[list[int]]) -> int:
-    """Exact rank over Q of an integer matrix: the pivot count of _kernel_q."""
-    return len(_kernel_q(rows)[0]) if rows else 0
+    """Exact rank over Q of an integer matrix: the pivot count of integer_kernel."""
+    return len(integer_kernel(rows, 0)[0]) if rows else 0

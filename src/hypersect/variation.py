@@ -32,7 +32,7 @@ from .errors import (
     ZeroHyperplane,
 )
 from .fields import FieldSpec, Scalar
-from .jacobian import ideal_graded_dim, is_smooth, jacobian_generators
+from .jacobian import _macaulay_rows, _spanning_generators, is_smooth
 from .poly import (
     Polynomial,
     linear_coefficients,
@@ -174,6 +174,19 @@ def criterion_kernel(
     the criterion form vanishes, and otherwise the exact kernel of
     l -> class of (criterion form)*l in the degree-d piece of the
     section's Jacobian ring.
+
+    One integer Macaulay matrix serves it: the m rows spanning the degree-d
+    piece J_d of the section's Jacobian ideal, then x_0*q, ..., x_{n-1}*q
+    (never pruned: no generator of degree >= 2 has a leading term dividing
+    a linear monomial).  integer_kernel runs on its transpose.  Pivots
+    below m count dim J_d.  Column fc >= m is free exactly when x_{fc-m}*q
+    lies in J_d plus the span of the earlier q columns, and its kernel
+    vector, restricted to the last n coordinates, is a form l with q*l in
+    J_d, nonzero at x_{fc-m} and 0 at the other free q columns.  These
+    forms span the criterion kernel.  A kernel member is fixed by its
+    coefficients at the free columns, so, scaled to leading coefficient 1,
+    they are the basis kernel_basis reads off the residues of x_i*q modulo
+    J_d, whatever rows span J_d.
     """
     d, n = _check_criterion_domain(f)
     normalized = normalize_hyperplane(f, hyperplane)
@@ -183,22 +196,21 @@ def criterion_kernel(
     q = criterion_form(normalized)
     if q.is_zero():
         return CriterionReport(hyperplane, CriterionStatus.VACUOUS, criterion_form=q)
-    piece = ideal_graded_dim(jacobian_generators(section), d)
-    residuals = []
-    for i in range(n):
-        residuals.append(piece.reduce(q * Polynomial.variable(f.field, n, i)))
-    columns = linalg.Matrix.from_rows(
-        f.field, [[residuals[i][r] for i in range(n)] for r in range(len(piece.basis))]
-    )
-    kernel_vectors = linalg.kernel_basis(columns)
-    kernel = [linear_form(f.field, v) for v in kernel_vectors]
+    _, rows = _macaulay_rows(_spanning_generators(section) + [q], d)
+    m = len(rows) - n
+    pivots, free, vectors = linalg.integer_kernel(list(zip(*rows)), f.field.characteristic)
+    kernel = [
+        linear_form(f.field, linalg._leading_one(f.field, [v.get(m + i, 0) for i in range(n)]))
+        for fc, v in zip(free, vectors)
+        if fc >= m
+    ]
     return CriterionReport(
         hyperplane,
         CriterionStatus.COMPUTED,
         criterion_form=q,
         kernel_basis=kernel,
         kernel_dim=len(kernel),
-        graded_ideal_dim=piece.dimension,
+        graded_ideal_dim=sum(pc < m for pc in pivots),
     )
 
 

@@ -194,6 +194,65 @@ def rref_reference(m: Matrix) -> tuple[Matrix, list[int]]:
     return Matrix(m.field, nrows, ncols, flat), pivots
 
 
+def kernel_reference(m: Matrix) -> list[list[Scalar]]:
+    """Right kernel basis read off rref_reference: one vector per free
+    column, ascending, scaled to leading entry 1.  The oracle for
+    linalg.kernel_basis."""
+    red, pivots = rref_reference(m)
+    zero, one = m.field.zero(), m.field.one()
+    basis = []
+    for fc in (c for c in range(m.cols) if c not in pivots):
+        v = [zero] * m.cols
+        v[fc] = one
+        for r, pc in enumerate(pivots):
+            v[pc] = -red.at(r, fc)
+        inv = next(x for x in v if x).inv()
+        basis.append([x * inv for x in v])
+    return basis
+
+
+def criterion_kernel_reference(f: Polynomial, hyperplane, t_max=None):
+    """variation.criterion_kernel through the Scalar graded piece.
+
+    Reduces x_i*q by the degree-d piece of the section's full Jacobian
+    ideal (f kept) with GradedPiece.reduce and reads the kernel of the
+    residual columns off kernel_reference.  The oracle for the integer
+    Macaulay matrix path.
+    """
+    from hypersect.jacobian import ideal_graded_dim, is_smooth, jacobian_generators
+    from hypersect.poly import linear_form, set_var_zero
+    from hypersect.variation import (
+        CriterionReport,
+        CriterionStatus,
+        _check_criterion_domain,
+        criterion_form,
+        normalize_hyperplane,
+    )
+
+    d, n = _check_criterion_domain(f)
+    normalized = normalize_hyperplane(f, hyperplane)
+    section = set_var_zero(normalized, 0)
+    if section.is_zero() or not is_smooth(section, t_max=t_max):
+        return CriterionReport(hyperplane, CriterionStatus.SINGULAR_SECTION)
+    q = criterion_form(normalized)
+    if q.is_zero():
+        return CriterionReport(hyperplane, CriterionStatus.VACUOUS, criterion_form=q)
+    piece = ideal_graded_dim(jacobian_generators(section), d)
+    residuals = [piece.reduce(q * Polynomial.variable(f.field, n, i)) for i in range(n)]
+    columns = Matrix.from_rows(
+        f.field, [[residuals[i][r] for i in range(n)] for r in range(len(piece.basis))]
+    )
+    kernel = [linear_form(f.field, v) for v in kernel_reference(columns)]
+    return CriterionReport(
+        hyperplane,
+        CriterionStatus.COMPUTED,
+        criterion_form=q,
+        kernel_basis=kernel,
+        kernel_dim=len(kernel),
+        graded_ideal_dim=piece.dimension,
+    )
+
+
 @dataclass
 class _Dual:
     """a + eps*b with eps^2 = 0, components polynomials in the section ring."""

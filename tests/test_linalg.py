@@ -14,6 +14,7 @@ from hypersect.linalg import PROBE_PRIME, rank_mod_p_int, rank_q_certified
 from helpers import (
     FIELDS,
     in_span,
+    kernel_reference,
     mat_vec,
     rand_invertible,
     rand_matrix,
@@ -396,18 +397,21 @@ def test_rank_q_certified_past_int64_primes(monkeypatch):
 
 
 def _check_rref(m):
-    """rref(m) is a new Matrix equal to the Gauss-Jordan oracle's, pivots too."""
+    """rref(m) is a new Matrix equal to the Gauss-Jordan oracle's, pivots
+    too, and kernel_basis(m) is the kernel read off the oracle's form."""
     got, pivots = rref(m)
     want, want_pivots = rref_reference(m)
     assert got is not m
     assert (got, pivots) == (want, want_pivots), m
+    assert kernel_basis(m) == kernel_reference(m), m
     return len(pivots) < min(m.rows, m.cols)
 
 
 def test_rref_matches_gauss_jordan_oracle():
     """Every test field, two primes past the int64 path, and Q with
     numerators and denominators past 2^63; square, wide and tall shapes,
-    zero rows, all zero, planted rank deficiency, 0 x k and k x 0."""
+    zero rows, all zero, planted rank deficiency, 0 x k and k x 0.  The
+    kernel basis is checked on every one of them too."""
     rng = random.Random(79)
     huge = (2**63, -(2**63) - 1, 2**64 + 3, 10**20)
     fields = FIELDS + [make_field(2**31 + 11), make_field(2**61 - 1)]

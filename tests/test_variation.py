@@ -1,5 +1,6 @@
 """Hyperplane sections, the first-order criterion map, and certification."""
 
+import itertools
 import random
 from collections import Counter
 
@@ -31,8 +32,17 @@ from hypersect import (
     substitute_linear,
     survey_kernels,
 )
+from hypersect import linalg, variation
+from hypersect.jacobian import GradedPiece
 from hypersect.fixtures import cubic_threefold_example, cyclic_fermat, fermat
-from helpers import FIELDS, first_order_section, in_span, rand_nonzero_homogeneous, rand_scalar
+from helpers import (
+    FIELDS,
+    criterion_kernel_reference,
+    first_order_section,
+    in_span,
+    rand_nonzero_homogeneous,
+    rand_scalar,
+)
 
 Q = make_field(0)
 
@@ -197,6 +207,96 @@ def _coeffs(linear):
     from hypersect import linear_coefficients
 
     return linear_coefficients(linear)
+
+
+# --- the criterion kernel against the Scalar graded piece -------------------
+
+_GRID_FIELDS = (Q, make_field(3), make_field(5), make_field(101), make_field(2**31 + 11))
+
+
+def _criterion_grid(seed):
+    """The cubic threefold and cyclic Fermat (3,3), (3,5) and (4,3) over
+    Q, F_3 (p | d), F_5, F_101 and a prime past 2^31, at 12 hyperplanes
+    each: the coordinate ones, then seeded small coefficients."""
+    rng = random.Random(seed)
+    for field in _GRID_FIELDS:
+        forms = [cubic_threefold_example(field)]
+        forms += [cyclic_fermat(n, d, field) for n, d in ((3, 3), (3, 5), (4, 3))]
+        for f in forms:
+            for k in range(12):
+                if k < f.nvars:
+                    yield f, Hyperplane.coordinate(field, f.nvars, k)
+                    continue
+                coeffs = [field.zero()]
+                while not any(coeffs):
+                    coeffs = [field.scalar(rng.randint(-3, 3)) for _ in range(f.nvars)]
+                yield f, Hyperplane.from_coefficients(field, coeffs)
+
+
+def _report_fields(rep):
+    return rep.status, rep.kernel_basis, rep.kernel_dim, rep.graded_ideal_dim
+
+
+def test_criterion_kernel_matches_graded_piece_oracle():
+    """Status, kernel basis, kernel dimension and graded ideal dimension
+    equal those of the Scalar path (GradedPiece.reduce on the full
+    Jacobian ideal, kernel read off the Gauss-Jordan oracle) on a seeded
+    grid, and on a basis over Q whose entries need a lift over 2 primes."""
+    computed = Counter()
+    for f, h in _criterion_grid(93):
+        got = criterion_kernel(f, h)
+        assert _report_fields(got) == _report_fields(criterion_kernel_reference(f, h)), (f, h)
+        computed[f] += got.status is CriterionStatus.COMPUTED
+    assert computed[cyclic_fermat(4, 3, make_field(3))] >= 5  # p | d: f stays in J
+    assert sum(computed.values()) >= 150
+    f = parse_poly("3*x0^3+x1^3-2*x2^3+x3^3+x0*x1*x2+x1*x2*x3", 4, Q)
+    h = Hyperplane.from_coefficients(Q, [1, 1, -1, 2])
+    got = criterion_kernel(f, h)
+    assert _report_fields(got) == _report_fields(criterion_kernel_reference(f, h))
+    assert max(c.value.denominator for b in got.kernel_basis for c in b.terms.values()) > 2**16
+
+
+def test_criterion_kernel_is_one_integer_kernel(monkeypatch):
+    """One criterion makes one Macaulay matrix at degree d and one kernel
+    call on it, and no Scalar elimination: no rref, kernel_basis or
+    GradedPiece.reduce."""
+    builds, kernels, scalar = [], [], []
+    real_rows, real_kernel = variation._macaulay_rows, linalg.integer_kernel
+
+    def rows_spy(gens, degree):
+        builds.append(degree)
+        return real_rows(gens, degree)
+
+    def kernel_spy(rows, p):
+        kernels.append(p)
+        return real_kernel(rows, p)
+
+    def scalar_spy(owner, name):
+        real = getattr(owner, name)
+
+        def spy(*args, **kwargs):
+            scalar.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, spy)
+
+    monkeypatch.setattr(variation, "_macaulay_rows", rows_spy)
+    monkeypatch.setattr(linalg, "integer_kernel", kernel_spy)
+    for owner, name in ((linalg, "rref"), (linalg, "kernel_basis"), (GradedPiece, "reduce")):
+        scalar_spy(owner, name)
+    computed = 0
+    for f, h in itertools.islice(_criterion_grid(94), 0, None, 4):
+        builds.clear()
+        kernels.clear()
+        rep = criterion_kernel(f, h)
+        if rep.status is CriterionStatus.COMPUTED:
+            computed += 1
+            assert builds == [f.degree()], (f, h)
+            assert kernels == [f.field.characteristic], (f, h)
+        else:
+            assert builds == []
+    assert scalar == []
+    assert computed >= 30
 
 
 def test_first_order_term_factors_through_criterion_form():
