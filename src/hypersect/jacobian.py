@@ -21,7 +21,11 @@ Three facts keep the decision cheap:
   Macaulay bound persists (Gotzmann).  Two consecutive equal quotient
   dimensions c <= t-1 past the generator degrees therefore pin the
   quotient at c forever, certifying the singular case from small matrices
-  instead of one large elimination at the cap.
+  instead of one large elimination at the cap.  Over Q the walk sees
+  quotient dimensions mod a prime, which bound the exact ones from above;
+  one exact rank at the upper degree t of such a pair settles it, since an
+  exact value c at t forces the exact value c at t-1 (is_smooth has the
+  proof).
 
 Every matrix holds the monomial multiples of the generators in one degree,
 less those the leading-term (Koszul/F5) criterion shows redundant: fewer
@@ -31,8 +35,8 @@ Euler's identity puts in the ideal of its partials (_spanning_generators).
 Over a small prime field, singular inputs are also screened by scanning
 projective rational points for a common zero of the generators.  Over Q,
 ranks of the (integer-scaled) span matrices are probed mod a fixed 31-bit
-prime: full rank mod a prime certifies full rank over Q.  Negative answers
-are confirmed by exact ranks over Q of the rows already probed
+prime: full rank mod a prime certifies full rank over Q.  A pair or the
+cap is confirmed by one exact rank over Q of the rows already probed
 (linalg.rank_q_certified): kernels mod p, lifted to Q and verified over Z,
 so a "not smooth" over Q rests on checked kernel vectors and every
 returned verdict is exact.
@@ -42,6 +46,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field as dc_field
+from functools import cache
 from math import lcm
 
 from . import linalg
@@ -51,7 +56,6 @@ from .linalg import Matrix, PROBE_PRIME
 from .poly import (
     Monomial,
     Polynomial,
-    dimension_of_degree,
     grlex_key,
     monomial_basis,
     partial_derivative,
@@ -192,23 +196,6 @@ def ideal_graded_dim(
 # -- fast fullness ------------------------------------------------------------
 
 
-def _probe_piece(
-    generators: list[Polynomial], degree: int, p: int
-) -> tuple[list[Monomial], list[list[int]], int | None]:
-    """Basis, rows and rank mod p of the degree-t piece, probed for fullness.
-
-    The elimination may stop once the rank fills the columns, so a lower
-    rank is the whole rank mod p.  With fewer rows than columns the piece
-    cannot be full and the rank is not computed (None).  Over F_p the rank
-    is exact; over Q, p is the probe prime, and a full rank certifies
-    fullness while a lower one merely means "not proven".
-    """
-    basis, rows = _macaulay_rows(generators, degree)
-    if len(rows) < len(basis):
-        return basis, rows, None
-    return basis, rows, linalg.rank_mod_p_int(rows, p, stop_at=len(basis))
-
-
 _POINT_SCAN_LIMIT = 600
 
 
@@ -245,17 +232,6 @@ def _rational_singular_point(generators: list[Polynomial], field: FieldSpec, nva
     return False
 
 
-def _rank_q(rows: list[list[int]], probe_rank: int) -> int:
-    """Exact rank over Q of rows whose rank mod the probe prime is known.
-
-    A rank mod p never exceeds the rank over Q, which never exceeds the
-    row count, so a probe rank at the row count is exact already.
-    """
-    if probe_rank == len(rows):
-        return probe_rank
-    return linalg.rank_q_certified(rows)
-
-
 def is_smooth(f: Polynomial, t_max: int | None = None) -> bool:
     """Whether the projective hypersurface f = 0 is smooth.
 
@@ -265,15 +241,23 @@ def is_smooth(f: Polynomial, t_max: int | None = None) -> bool:
 
     The scan first probes the degree where a smooth hypersurface away from
     char | d must fill up, (n+1)(d-2) + 1.  Failing that, it walks the
-    quotient dimensions h_t upward; h_t = 0 certifies smoothness, and two
-    consecutive equal values h_{t-1} = h_t = c with c <= t-1 (past the
-    generator degrees) certify singularity: constant growth is Macaulay-
-    maximal, so by Gotzmann persistence the quotient never dies.  Only if
-    neither shortcut fires does the scan reach the cap and decide there.
-    Over F_p each h_t is exact; over Q it is probed mod PROBE_PRIME, and a
-    pair or the cap is confirmed by exact ranks of the walk's own rows,
-    which rest on kernel vectors verified over Z.  Each degree is built and
-    ranked once: a failed probe hands its rows and rank to the walk.
+    quotient dimensions h(t) upward, each degree built and ranked mod the
+    probe prime once (p over F_p, PROBE_PRIME over Q); h(t) = 0 certifies
+    smoothness.  h_exact(t), the exact quotient dimension, equals h(t) over
+    F_p and whenever the rows are independent mod the probe; otherwise it
+    is an exact rank over Q (linalg.rank_q_certified, kernel vectors
+    verified over Z).  One exact rank decides a pair:
+
+    A rank mod p never exceeds the rank over Q, so h_Q <= h at every
+    degree.  Let t-1 >= d and h(t-1) = h(t) = c <= t-1.  If h_Q(t) = c,
+    then h_Q(t-1) <= c <= t-1.  Macaulay's bound gives h_Q(t) <=
+    h_Q(t-1)^<t-1>, and a value at most t-1 is its own <t-1> bound, so
+    h_Q(t) <= h_Q(t-1), and h_Q(t-1) = c.  That is maximal growth past the
+    generator degrees, so by Gotzmann persistence h_Q stays c > 0 for ever
+    and f is singular.  If h_Q(t) = 0 the piece is full and f is smooth.
+    Any other exact value decides nothing and the walk goes on.  Over F_p
+    h_exact = h = c, so the same test returns False at once.  Past the
+    walk, the cap decides by its exact quotient dimension.
     """
     d = require_homogeneous(f, 1, "hypersurface form")
     if f.nvars < 2:
@@ -292,44 +276,37 @@ def is_smooth(f: Polynomial, t_max: int | None = None) -> bool:
         return False
     probe = p or PROBE_PRIME
     expected_full = max((n + 1) * (d - 2) + 1, d - 1, 0)
-    probed = None
-    if expected_full <= cap:
-        probed = _probe_piece(gens, expected_full, probe)
-        basis, _, rank = probed
-        if rank == len(basis):
-            return True
+    pieces = {}  # degree -> (basis, rows), dropped once the walk passes the degree
+
+    @cache
+    def h(t: int) -> int:
+        """Quotient dimension at t mod the probe: exact over F_p, an upper bound over Q."""
+        basis, rows = pieces[t] = _macaulay_rows(gens, t)
+        # a failed stop_at probe runs on to the whole rank mod the probe
+        full = len(basis) if t == expected_full and len(rows) >= len(basis) else None
+        return len(basis) - (linalg.rank_mod_p_int(rows, probe, full) if rows else 0)
+
+    @cache
+    def h_exact(t: int) -> int:
+        c = h(t)
+        basis, rows = pieces[t]
+        # a rank over Q lies between the rank mod the probe and the row count
+        if p or c == len(basis) - len(rows):
+            return c
+        return len(basis) - linalg.rank_q_certified(rows)
+
+    if expected_full <= cap and h(expected_full) == 0:
+        return True
     if f.field.is_prime_field and _rational_singular_point(gens, f.field, f.nvars):
         return False
-    h_prev = rows_prev = rank_prev = h_exact_prev = None
     for t in range(max(d - 1, 0), cap + 1):
-        if t == expected_full and probed is not None:
-            basis, rows, rank = probed  # the failed probe's rank is already the whole rank
-        else:
-            (basis, rows), rank = _macaulay_rows(gens, t), None
-        if rank is None:
-            rank = linalg.rank_mod_p_int(rows, probe) if rows else 0
-        # over F_p the probe rank is exact; over Q it bounds h from above
-        h = len(basis) - rank
-        if h == 0:
+        pieces.pop(t - 1, None)
+        c = h(t)
+        if c == 0:
             return True
-        h_exact = None
-        if h_prev == h and h <= t - 1 and t - 1 >= d:
-            if p:
-                return False
-            # confirm the pair on the rows already built; exact h never exceeds the probe's
-            if h_exact_prev is None:
-                cols_prev = dimension_of_degree(f.nvars, t - 1)
-                h_exact_prev = cols_prev - _rank_q(rows_prev, rank_prev)
-            h_exact = len(basis) - _rank_q(rows, rank)
-            if h_exact_prev == 0 or h_exact == 0:
-                return True
-            if h_exact_prev == h_exact:
-                return False
-        h_prev, rows_prev, rank_prev, h_exact_prev = h, rows, rank, h_exact
-    # the cap decides: no degree walked, an exact probe over F_p, or a known nonzero exact h
-    if p or rows_prev is None or h_exact_prev is not None:
-        return False
-    return _rank_q(rows_prev, rank_prev) == dimension_of_degree(f.nvars, cap)
+        if t - 1 >= d and c <= t - 1 and h(t - 1) == c and h_exact(t) in (0, c):
+            return h_exact(t) == 0
+    return h_exact(cap) == 0
 
 
 def euler_check(f: Polynomial) -> bool:

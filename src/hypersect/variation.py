@@ -28,6 +28,7 @@ from .errors import (
     ArityMismatch,
     DegreeTooSmall,
     DimensionTooSmall,
+    NotHomogeneous,
     SingularInput,
     ZeroHyperplane,
 )
@@ -56,9 +57,9 @@ class Hyperplane:
     def __init__(self, form: Polynomial):
         if form.is_zero():
             raise ZeroHyperplane("the zero form defines no hyperplane")
-        require_homogeneous(form, 1, "hyperplane form")
-        if form.degree() != 1:
-            raise ZeroHyperplane("a hyperplane is cut out by a linear form")
+        d = require_homogeneous(form, 1, "hyperplane form")
+        if d != 1:
+            raise NotHomogeneous(f"hyperplane form has degree {d}, need a linear form")
         coeffs = linear_coefficients(form)
         pivot = next(i for i, c in enumerate(coeffs) if c)
         if coeffs[pivot] != form.field.one():

@@ -253,6 +253,82 @@ def criterion_kernel_reference(f: Polynomial, hyperplane, t_max=None):
     )
 
 
+def is_smooth_reference(f: Polynomial, t_max: int | None = None) -> bool:
+    """jacobian.is_smooth as a walk that confirms both degrees of a pair.
+
+    Probes the CI degree mod jacobian.PROBE_PRIME (read at call time), scans
+    rational points, then walks h_t.  Over Q a Gotzmann pair h_{t-1} = h_t
+    is confirmed by exact ranks at t-1 and at t, and the cap by an exact
+    rank at the cap.  The oracle for the one-exact-rank walk.
+    """
+    from hypersect import jacobian, linalg
+    from hypersect.jacobian import (
+        _macaulay_rows,
+        _rational_singular_point,
+        _spanning_generators,
+        default_degree_cap,
+    )
+    from hypersect.poly import dimension_of_degree, require_homogeneous
+
+    def rank_q(rows, probe_rank):
+        return probe_rank if probe_rank == len(rows) else linalg.rank_q_certified(rows)
+
+    d = require_homogeneous(f, 1, "hypersurface form")
+    if f.nvars < 2:
+        raise NotHomogeneous("need at least two variables for a projective hypersurface")
+    n = f.nvars - 1
+    if t_max is not None:
+        cap = t_max
+        if cap < 0:
+            return False
+    else:
+        cap = max(default_degree_cap(f.nvars, d), 0)
+    p = f.field.characteristic
+    gens = _spanning_generators(f)
+    if not gens:
+        return False
+    probe = p or jacobian.PROBE_PRIME
+    expected_full = max((n + 1) * (d - 2) + 1, d - 1, 0)
+    probed = None
+    if expected_full <= cap:
+        basis, rows = _macaulay_rows(gens, expected_full)
+        rank = None
+        if len(rows) >= len(basis):
+            rank = linalg.rank_mod_p_int(rows, probe, stop_at=len(basis))
+        probed = basis, rows, rank
+        if rank == len(basis):
+            return True
+    if f.field.is_prime_field and _rational_singular_point(gens, f.field, f.nvars):
+        return False
+    h_prev = rows_prev = rank_prev = h_exact_prev = None
+    for t in range(max(d - 1, 0), cap + 1):
+        if t == expected_full and probed is not None:
+            basis, rows, rank = probed
+        else:
+            (basis, rows), rank = _macaulay_rows(gens, t), None
+        if rank is None:
+            rank = linalg.rank_mod_p_int(rows, probe) if rows else 0
+        h = len(basis) - rank
+        if h == 0:
+            return True
+        h_exact = None
+        if h_prev == h and h <= t - 1 and t - 1 >= d:
+            if p:
+                return False
+            if h_exact_prev is None:
+                cols_prev = dimension_of_degree(f.nvars, t - 1)
+                h_exact_prev = cols_prev - rank_q(rows_prev, rank_prev)
+            h_exact = len(basis) - rank_q(rows, rank)
+            if h_exact_prev == 0 or h_exact == 0:
+                return True
+            if h_exact_prev == h_exact:
+                return False
+        h_prev, rows_prev, rank_prev, h_exact_prev = h, rows, rank, h_exact
+    if p or rows_prev is None or h_exact_prev is not None:
+        return False
+    return rank_q(rows_prev, rank_prev) == dimension_of_degree(f.nvars, cap)
+
+
 @dataclass
 class _Dual:
     """a + eps*b with eps^2 = 0, components polynomials in the section ring."""

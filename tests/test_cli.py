@@ -269,6 +269,7 @@ def test_timing_goes_to_stderr_not_stdout(capsys):
         (("certify", "--fixture", "cubic-threefold", "--char", "0", "--budget", "-5"), "UsageError"),
         (("smooth", "--fixture", "fermat", "--n", "3", "--d", "3", "--char", "0", "--t-max", "-3"), "UsageError"),
         (("certify", "--fixture", "cubic-threefold", "--char", "0", "--t-max", "-1"), "UsageError"),
+        (("criterion", "--fixture", "cubic-threefold", "--char", "0", "--h", "x0^2"), "NotHomogeneous"),
     ],
 )
 def test_error_paths_emit_json_and_exit_two(capsys, argv, code):

@@ -24,12 +24,13 @@ from hypersect import (
 )
 from hypersect import jacobian, linalg
 from hypersect.fixtures import cubic_threefold_example, cyclic_fermat, fermat
-from hypersect.jacobian import GradedPiece, _macaulay_rows, dimension_of_degree
+from hypersect.jacobian import GradedPiece, _macaulay_rows
 from hypersect.linalg import PROBE_PRIME, Matrix, rank_mod_p_int
-from hypersect.poly import monomial_basis
+from hypersect.poly import dimension_of_degree, monomial_basis
 from gf_oracle import find_singular_point
 from helpers import (
     FIELDS,
+    is_smooth_reference,
     macaulay_rows_reference,
     rand_homogeneous,
     rand_invertible,
@@ -399,13 +400,42 @@ def test_small_probe_prime_keeps_every_verdict(monkeypatch):
     assert {(True, "pair"), (False, "pair"), (True, "cap"), (False, "cap")} <= paths
 
 
+# smooth plane curves over Q whose walks under probe prime 2 meet pairs that
+# one exact rank must read right: at the quintic's first pair the exact h is
+# neither 0 nor c, and the nonic's h plateaus above t-1, out of Gotzmann's reach
+PINNED_SMOOTH = [
+    "-x0^4*x1 + 3*x0^3*x2^2 + 2*x0^2*x1^2*x2 + x0*x1^4 - x0*x1^3*x2 + 3*x1^3*x2^2"
+    " - 2*x1*x2^4",
+    "3*x0^9 + 2*x0^5*x1^2*x2^2 + 2*x0^4*x1^2*x2^3 - x0^4*x1*x2^4 - x0^2*x1^4*x2^3"
+    " + 2*x0*x1^7*x2 - 2*x0*x1^2*x2^6 + 3*x1^9 + 2*x1*x2^8 + x2^9",
+]
+
+
+def test_one_exact_rank_per_pair_keeps_the_two_rank_verdicts(monkeypatch):
+    """is_smooth gives the verdict of the reference walk, which confirms
+    both degrees of a Gotzmann pair exactly, over Q and F_p, under probe
+    primes that drop ranks, with the default cap and with a drawn one."""
+    rng = random.Random(93)
+    fields = [Q, make_field(3), make_field(5), make_field(7)]
+    forms = [(f, t_max) for f in _walk_grid(93, fields) for t_max in (None, rng.randint(0, 8))]
+    for q in (PROBE_PRIME, 2, 3, 5):
+        monkeypatch.setattr(jacobian, "PROBE_PRIME", q)
+        for f, t_max in forms:
+            assert is_smooth(f, t_max) == is_smooth_reference(f, t_max), (f.to_text(), q, t_max)
+    monkeypatch.setattr(jacobian, "PROBE_PRIME", 2)
+    for text in PINNED_SMOOTH:
+        assert is_smooth(parse_poly(text, 3, Q)), text
+
+
 def test_walk_builds_and_ranks_each_degree_once(monkeypatch):
     """Within one is_smooth call no degree's rows are built twice, and no
     matrix is ranked mod p twice: a failed CI-degree probe hands its rows
     and rank to the walk.  Also with a small probe prime, where over Q the
-    exact ranks at Gotzmann pairs and at the cap take over."""
-    builds, ranks, probes = Counter(), Counter(), []
+    exact ranks take over: one per width, on the upper degree t of a
+    Gotzmann pair or on the cap, never on the pair's lower degree t-1."""
+    builds, ranks, probes, exact, h = Counter(), Counter(), [], Counter(), {}
     real_rows, real_rank = jacobian._macaulay_rows, linalg.rank_mod_p_int
+    real_exact = linalg.rank_q_certified
 
     def rows_spy(gens, degree):
         builds[degree] += 1
@@ -416,18 +446,37 @@ def test_walk_builds_and_ranks_each_degree_once(monkeypatch):
             ranks[len(rows[0])] += 1
         else:
             probes.append(len(rows[0]))
-        return real_rank(rows, p, stop_at)
+        rank = real_rank(rows, p, stop_at)
+        h[len(rows[0])] = len(rows[0]) - rank
+        return rank
+
+    def exact_spy(rows):
+        exact[len(rows[0])] += 1
+        return real_exact(rows)
 
     monkeypatch.setattr(jacobian, "_macaulay_rows", rows_spy)
     monkeypatch.setattr(linalg, "rank_mod_p_int", rank_spy)
+    monkeypatch.setattr(linalg, "rank_q_certified", exact_spy)
     fields = [Q, make_field(7), make_field(101)]
+    exact_runs = 0
     for q in (PROBE_PRIME, 3):
         monkeypatch.setattr(jacobian, "PROBE_PRIME", q)
         for f in _walk_grid(92, fields):
             builds.clear()
             ranks.clear()
             probes.clear()
+            exact.clear()
+            h.clear()
             is_smooth(f)
             assert len(probes) <= 1
             assert all(count == 1 for count in builds.values()), (f.to_text(), q, builds)
             assert all(count == 1 for count in ranks.values()), (f.to_text(), q, ranks)
+            assert all(count == 1 for count in exact.values()), (f.to_text(), q, exact)
+            d, cap = f.degree(), default_degree_cap(f.nvars, f.degree())
+            for width in exact:
+                t = next(t for t in range(cap + 1) if dimension_of_degree(f.nvars, t) == width)
+                below = dimension_of_degree(f.nvars, t - 1)
+                upper = t - 1 >= d and h[below] == h[width] <= t - 1
+                assert t == cap or upper, (f.to_text(), q, t)
+            exact_runs += len(exact)
+    assert exact_runs > 0

@@ -14,6 +14,7 @@ from hypersect import (
     DimensionTooSmall,
     Hyperplane,
     LinearChange,
+    NotHomogeneous,
     Polynomial,
     ScanStrategy,
     SingularInput,
@@ -64,6 +65,8 @@ def test_coordinate_hyperplane():
 def test_zero_hyperplane_rejected():
     with pytest.raises(ZeroHyperplane):
         Hyperplane.from_coefficients(Q, [0, 0, 0, 0])
+    with pytest.raises(NotHomogeneous, match="degree 2"):
+        Hyperplane(parse_poly("x0^2 + x1*x2", 4, Q))
 
 
 def test_normalize_rejects_hyperplane_of_other_arity():
