@@ -135,12 +135,15 @@ class GradedPiece:
 
 def _macaulay_rows(
     generators: list[Polynomial], degree: int
-) -> tuple[list[Monomial], list[list[int]]]:
-    """Degree-t monomial basis and integer rows spanning the ideal's piece.
+) -> tuple[list[Monomial], list[linalg.Row]]:
+    """Degree-t monomial basis and sparse integer rows spanning the ideal's piece.
 
-    Row m*g_i holds m*g_i with g_i's denominators cleared.  Zero generators
-    are skipped, and so is m*g_i when LT(g_j) divides m for some j < i
-    (grlex leading terms; the Koszul/F5 criterion).  The span stays the
+    Row m*g_i holds m*g_i with g_i's denominators cleared, as (column,
+    value) pairs over the basis, columns ascending: the terms of g_i are
+    sorted grlex-descending once, multiplying by m keeps that order, and
+    the basis is grlex-descending.  Zero generators are skipped, and so is
+    m*g_i when LT(g_j) divides m for some j < i (grlex leading terms; the
+    Koszul/F5 criterion).  The span stays the
     same over any field: with u = m/LT(g_j) and c = LC(g_j),
     m*g_i = (u*g_i/c)*g_j + (m - u*g_j/c)*g_i, rows of g_j plus rows of g_i
     at monomials below m; induct on (i, m).  Mod a prime where an LC
@@ -159,14 +162,12 @@ def _macaulay_rows(
             raise InhomogeneousGenerator(f"generator {g} is not homogeneous")
         if e <= degree:
             scale = lcm(*(c.value.denominator for c in g.terms.values()))  # 1 over F_p
-            coeffs = [(m, int(c.value * scale)) for m, c in g.terms.items()]
+            monos = sorted(g.terms, key=grlex_key, reverse=True)
+            coeffs = [(mono, int(g.terms[mono].value * scale)) for mono in monos]
             for m in monomial_basis(nvars, degree - e):
                 if any(all(a >= b for a, b in zip(m, lt)) for lt in leads):
                     continue
-                row = [0] * len(basis)
-                for mono, c in coeffs:
-                    row[index[tuple(a + b for a, b in zip(m, mono))]] = c
-                rows.append(row)
+                rows.append([(index[tuple(a + b for a, b in zip(m, mono))], c) for mono, c in coeffs])
         leads.append(max(g.terms, key=grlex_key))
     return basis, rows
 
@@ -188,7 +189,7 @@ def ideal_graded_dim(
     elif field is None or nvars is None:
         raise ValueError("empty generator list needs explicit field and nvars")
     basis, rows = _macaulay_rows(live, degree) if live else (monomial_basis(nvars, degree), [])
-    matrix = Matrix.from_rows(field, rows) if rows else Matrix.zero(field, 0, len(basis))
+    matrix = Matrix.from_sparse(field, len(basis), rows)
     reduced, pivots = linalg.rref(matrix)
     return GradedPiece(degree, basis, matrix, len(pivots), reduced, pivots)
 
@@ -293,7 +294,7 @@ def is_smooth(f: Polynomial, t_max: int | None = None) -> bool:
         # a rank over Q lies between the rank mod the probe and the row count
         if p or c == len(basis) - len(rows):
             return c
-        return len(basis) - linalg.rank_q_certified(rows)
+        return len(basis) - linalg.rank_q_certified(rows, len(basis))
 
     if expected_full <= cap and h(expected_full) == 0:
         return True

@@ -1,15 +1,18 @@
-"""Dense exact linear algebra over a FieldSpec.
+"""Exact linear algebra over a FieldSpec, on sparse integer rows.
 
-There is one elimination: a vectorized column loop mod p (an int64 array
-for p < 2^31, Python ints above; the dtype follows from p alone).  Run
-forward and stopping early, it is the rank probe.  Run to the reduced
-form, it feeds the one kernel primitive, integer_kernel: the residues
-over F_p, and over Q vectors lifted from several primes and verified
-exactly over Z, so an exact rank over Q rests on checked vectors, not on
-a prime.  Scalar matrices reach it with each row scaled by the lcm of its
-denominators, and rref and kernel_basis read its vectors with no branch
-on the characteristic.  Every result is a deterministic function of the
-input.  No floating point anywhere.
+An integer matrix is a list of sparse rows, each a list of (column, value)
+pairs in ascending column order.  There is one elimination: a vectorized
+column loop mod p on a dense array (int64 for p < 2^31, Python ints
+above; the dtype follows from p alone).  The rank mod p first splits off
+the rows with distinct leading columns as sparse pivots (Faugere-Lachartre)
+and runs the loop forward, stopping early, on the small leftover block
+only.  Run to the reduced form, the loop feeds the one kernel primitive,
+integer_kernel: the residues over F_p, and over Q vectors lifted from
+several primes and verified exactly over Z, so an exact rank over Q rests
+on checked vectors, not on a prime.  Scalar matrices reach it with each
+row scaled by the lcm of its denominators, and rref and kernel_basis read
+its vectors with no branch on the characteristic.  Every result is a
+deterministic function of the input.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -22,6 +25,8 @@ import numpy as np
 
 from .errors import FieldMismatch, SingularMatrix
 from .fields import FieldSpec, Scalar, _is_prime
+
+Row = list[tuple[int, int]]  # a sparse integer row: (column, value) pairs, columns ascending
 
 
 class Matrix:
@@ -49,6 +54,15 @@ class Matrix:
                 raise ValueError("ragged rows")
         flat = [x for row in rows for x in row]
         return cls(field, len(rows), ncols, flat)
+
+    @classmethod
+    def from_sparse(cls, field: FieldSpec, cols: int, rows: list[Row]) -> "Matrix":
+        """The matrix with the given column count of sparse integer rows."""
+        entries = [field.zero()] * (len(rows) * cols)
+        for i, row in enumerate(rows):
+            for c, x in row:
+                entries[i * cols + c] = field.scalar(x)
+        return cls(field, len(rows), cols, entries)
 
     @classmethod
     def zero(cls, field: FieldSpec, rows: int, cols: int) -> "Matrix":
@@ -88,12 +102,13 @@ class Matrix:
         return f"Matrix({self.field}, {self.rows}x{self.cols}: {body})"
 
 
-def _integer_rows(m: Matrix) -> list[list[int]]:
-    """The rows of m, each scaled by the lcm of its denominators (1 over F_p)."""
+def _integer_rows(m: Matrix) -> list[Row]:
+    """The rows of m as sparse integer rows, each scaled by the lcm of its
+    denominators (1 over F_p)."""
     out = []
     for row in m.row_lists():
         scale = lcm(*(x.value.denominator for x in row))
-        out.append([x.value.numerator * (scale // x.value.denominator) for x in row])
+        out.append([(c, x.value.numerator * (scale // x.value.denominator)) for c, x in enumerate(row) if x])
     return out
 
 
@@ -116,7 +131,7 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     field, nrows, ncols = m.field, m.rows, m.cols
     if not (nrows and ncols):
         return Matrix(field, nrows, ncols, []), []
-    pivots, free, vectors = integer_kernel(_integer_rows(m), field.characteristic)
+    pivots, free, vectors = integer_kernel(_integer_rows(m), ncols, field.characteristic)
     zero, one = field.zero(), field.one()
     entries = [zero] * (nrows * ncols)
     for i, pc in enumerate(pivots):
@@ -135,8 +150,7 @@ def rank(m: Matrix) -> int:
 def kernel_basis(m: Matrix) -> list[list[Scalar]]:
     """Basis of the right kernel {v : m v = 0}: the vectors of integer_kernel,
     one per free column in ascending order, leading (lowest-index) entry 1."""
-    rows = _integer_rows(m) or [[0] * m.cols]  # a zero row keeps the kernel
-    _, _, vectors = integer_kernel(rows, m.field.characteristic)
+    _, _, vectors = integer_kernel(_integer_rows(m), m.cols, m.field.characteristic)
     return [_leading_one(m.field, [v.get(c, 0) for c in range(m.cols)]) for v in vectors]
 
 
@@ -165,12 +179,21 @@ PROBE_PRIME = 2**31 - 1
 _INT64_PRIME_LIMIT = 2**31  # below it (p-1)^2 + p stays inside int64
 
 
-def _int_array(rows: list[list[int]]) -> np.ndarray:
+def _dense(rows: list[Row], ncols: int, dtype, order: str = "C") -> np.ndarray:
+    """The sparse rows scattered into a zero array of the dtype and memory order."""
+    a = np.zeros((len(rows), ncols), dtype=dtype, order=order)
+    if any(rows):
+        at = np.repeat(np.arange(len(rows)), [len(row) for row in rows])
+        a[at, [c for row in rows for c, _ in row]] = [x for row in rows for _, x in row]
+    return a
+
+
+def _int_array(rows: list[Row], ncols: int) -> np.ndarray:
     """The rows as an int64 array, or as Python ints (dtype object) when an entry overflows it."""
     try:
-        return np.array(rows, dtype=np.int64)
+        return _dense(rows, ncols, np.int64)
     except OverflowError:
-        return np.array(rows, dtype=object)
+        return _dense(rows, ncols, object)
 
 
 def _residues(z: np.ndarray, p: int) -> np.ndarray:
@@ -187,13 +210,14 @@ def _eliminate(a: np.ndarray, p: int, stop_at: int | None = None, reduced: bool 
     working row is the pivot, its row scaled to 1, so the result is
     deterministic.  Entries below each pivot are cleared; with reduced,
     those above too, leaving the reduced row echelon form.  Stops once
-    the rank reaches stop_at.
+    the rank reaches stop_at, before any pivot when stop_at <= 0.
     """
     nrows, ncols = a.shape
+    limit = nrows if stop_at is None else max(min(stop_at, nrows), 0)
     pivots: list[int] = []
     for c in range(ncols):
         r = len(pivots)
-        if r == nrows:
+        if r == limit:
             break
         nz = np.nonzero(a[r:, c])[0]
         if nz.size == 0:
@@ -211,22 +235,71 @@ def _eliminate(a: np.ndarray, p: int, stop_at: int | None = None, reduced: bool 
             factors = a[idx, c][:, None]
             a[idx, c:] = (a[idx, c:] - factors * a[r, c:]) % p
         pivots.append(c)
-        if stop_at is not None and r + 1 >= stop_at:
-            break
     return pivots
 
 
-def rank_mod_p_int(rows: list[list[int]], p: int, stop_at: int | None = None) -> int:
-    """Rank mod p of an integer matrix by vectorized forward elimination.
+def rank_mod_p_int(rows: list[Row], p: int, stop_at: int | None = None) -> int:
+    """Rank mod p of sparse integer rows, by a pivot split (Faugere-Lachartre).
 
-    Entries are any ints.  Below 2^31 the array is int64, and entries too
-    large for it are reduced mod p first; above, it holds Python ints
-    (dtype object).  Stops once the rank reaches stop_at, so a smaller
-    result is the whole rank mod p.
+    Entries are any ints.  Each is reduced mod p first and zero residues
+    are dropped, so every row leads with a unit.  Of the rows leading at
+    the same column the sparsest is a pivot, the first on a tie; the k
+    pivots stay sparse and are never changed.  The other m rows go into
+    one dense m x cols block (int64 below 2^31, Python ints above).  For
+    each pivot column in ascending order, multiples of its pivot row
+    clear that column in the block, one vectorized update per pivot.  The
+    column loop then ranks the block on the non-pivot columns, the Schur
+    complement, forward and stopping at stop_at - k.  Stops once the rank
+    reaches stop_at, so a smaller result is the whole rank mod p; a
+    stop_at <= 0 gives 0.
+
+    Why the rank is k plus the rank of the Schur complement.  The pivot
+    rows lead at distinct columns, so on the pivot columns, in order, they
+    form a triangular matrix with units on its diagonal: they are
+    independent.  Subtracting multiples of pivot rows from the other rows
+    keeps the row space and so the rank.  A pivot column is cleared after
+    every earlier one, by a row zero before its own column, so each
+    update keeps the columns already cleared at zero, and afterwards the
+    block is zero on every pivot column.  In a vanishing combination of
+    pivot rows and block rows the pivot rows then combine to zero on the
+    pivot columns, where the triangle is invertible, so their part is
+    zero: the rank is k plus the rank of the block, which lives on the
+    non-pivot columns.  The result is the rank of the residue matrix, so
+    over Q it still bounds the rank from below: a minor nonzero mod p is
+    nonzero over Z.
     """
-    if not rows:
+    if stop_at is not None and stop_at <= 0:
         return 0
-    return len(_eliminate(_residues(_int_array(rows), p), p, stop_at))
+    pivots: dict[int, Row] = {}
+    rest: list[Row] = []
+    ncols = 0
+    for row in rows:
+        row = [(c, r) for c, x in row if (r := x % p)]
+        if not row:
+            continue
+        ncols = max(ncols, row[-1][0] + 1)
+        kept = pivots.setdefault(row[0][0], row)
+        if kept is not row:
+            if len(row) < len(kept):
+                pivots[row[0][0]], row = row, kept
+            rest.append(row)
+    k = len(pivots)
+    if stop_at is not None and stop_at <= k:
+        return stop_at
+    if not rest:
+        return k
+    # column-major for the pivot updates, which read columns; the column
+    # loop gathers rows, so the Schur complement is copied row-major
+    block = _dense(rest, ncols, np.int64 if p < _INT64_PRIME_LIMIT else object, "F")
+    for c in sorted(pivots):
+        hit = np.flatnonzero(block[:, c])
+        if hit.size:
+            cols, values = zip(*pivots[c])
+            factors = block[hit, c] * pow(values[0], -1, p) % p
+            at = np.ix_(hit, cols)
+            block[at] = (block[at] - factors[:, None] * np.array(values, dtype=block.dtype)) % p
+    schur = np.ascontiguousarray(block[:, [c for c in range(ncols) if c not in pivots]])
+    return k + len(_eliminate(schur, p, None if stop_at is None else stop_at - k))
 
 
 def _primes_from(q: int):
@@ -278,39 +351,27 @@ def _lift_kernel(residues: np.ndarray, modulus: int, pivots: list[int], free: li
     return vectors
 
 
-def _annihilates(rows: list[list[int]], z: np.ndarray, vectors: list[dict[int, int]]) -> bool:
-    """Whether rows * v = 0 over Z for every sparse vector v {column: value}.
-
-    Sums run over the nonzeros of the columns in each vector's support, in
-    exact Python ints from the rows themselves.
-    """
-    columns: dict[int, list[tuple[int, int]]] = {}
-    for v in vectors:
-        sums: dict[int, int] = {}
-        for j, x in v.items():
-            col = columns.get(j)
-            if col is None:
-                col = columns[j] = [(i, rows[i][j]) for i in np.flatnonzero(z[:, j]).tolist()]
-            for i, a in col:
-                sums[i] = sums.get(i, 0) + a * x
-        if any(sums.values()):
-            return False
-    return True
+def _annihilates(rows: list[Row], vectors: list[dict[int, int]]) -> bool:
+    """Whether row * v = 0 over Z for every row and every sparse vector v
+    {column: value}, in exact Python ints from the rows themselves."""
+    return not any(sum(x * v.get(c, 0) for c, x in row) for v in vectors for row in rows)
 
 
-def integer_kernel(rows: list[list[int]], p: int) -> tuple[list[int], list[int], list[dict[int, int]]]:
-    """Pivots, free columns and a kernel basis of an integer matrix over F_p or, for p = 0, Q.
+def integer_kernel(rows: list[Row], ncols: int, p: int) -> tuple[list[int], list[int], list[dict[int, int]]]:
+    """Pivots, free columns and a kernel basis of ncols-column sparse integer
+    rows over F_p or, for p = 0, Q.
 
     The basis holds one integer vector {column: value} per free column,
-    nonzero there and zero at the other free columns.  The column loop of
-    rank_mod_p_int reduces the rows mod a prime, giving the rank r_p, the
-    pivots and, for each of the k = cols - r_p free columns, a kernel vector
-    mod the prime: 1 there, 0 at the other free columns, minus that column
-    of the reduced form at the pivots.  Over F_p these residues are the
-    answer.  Over Q the primes run down from 2^31 - 1; residues of primes
-    with the same (rank, pivots) are combined by CRT, lifted by rational
-    reconstruction (Wang-Guy-Davenport 1982; Monagan, ISSAC 2004), cleared
-    of denominators and checked, A*v = 0, exactly over Z.
+    nonzero there and zero at the other free columns.  The column loop
+    brings the rows, scattered into a dense array, to the reduced form mod
+    a prime, giving the rank r_p, the pivots and, for each of the
+    k = cols - r_p free columns, a kernel vector mod the prime: 1 there,
+    0 at the other free columns, minus that column of the reduced form at
+    the pivots.  Over F_p these residues are the answer.  Over Q the
+    primes run down from 2^31 - 1; residues of primes with the same
+    (rank, pivots) are combined by CRT, lifted by rational reconstruction
+    (Wang-Guy-Davenport 1982; Monagan, ISSAC 2004), cleared of
+    denominators and checked, A*v = 0, exactly over Z.
 
     Why the answer over Q is exact.  r_p <= rank_Q for every prime, as a
     minor that is nonzero mod p is nonzero over Z.  The k vectors that
@@ -334,8 +395,7 @@ def integer_kernel(rows: list[list[int]], p: int) -> tuple[list[int], list[int],
     vectors pass the check.  The prime sequence has no end, so this
     point is always reached.
     """
-    z = _int_array(rows)
-    ncols = z.shape[1]
+    z = _int_array(rows, ncols)
     kept = residues = modulus = None
     for prime in (p,) if p else itertools.chain(_LIFT_PRIMES, _primes_from(_LIFT_PRIMES[-1] - 2)):
         a = _residues(z, prime)
@@ -361,10 +421,11 @@ def integer_kernel(rows: list[list[int]], p: int) -> tuple[list[int], list[int],
             residues = old + modulus * ((block - old) * pow(modulus, -1, prime) % prime)
             modulus *= prime
         vectors = _lift_kernel(residues, modulus, pivots, free)
-        if vectors is not None and _annihilates(rows, z, vectors):
+        if vectors is not None and _annihilates(rows, vectors):
             return pivots, free, vectors
 
 
-def rank_q_certified(rows: list[list[int]]) -> int:
-    """Exact rank over Q of an integer matrix: the pivot count of integer_kernel."""
-    return len(integer_kernel(rows, 0)[0]) if rows else 0
+def rank_q_certified(rows: list[Row], ncols: int) -> int:
+    """Exact rank over Q of ncols-column sparse integer rows: the pivot
+    count of integer_kernel."""
+    return len(integer_kernel(rows, ncols, 0)[0])

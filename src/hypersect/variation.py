@@ -197,9 +197,13 @@ def criterion_kernel(
     q = criterion_form(normalized)
     if q.is_zero():
         return CriterionReport(hyperplane, CriterionStatus.VACUOUS, criterion_form=q)
-    _, rows = _macaulay_rows(_spanning_generators(section) + [q], d)
+    basis, rows = _macaulay_rows(_spanning_generators(section) + [q], d)
     m = len(rows) - n
-    pivots, free, vectors = linalg.integer_kernel(list(zip(*rows)), f.field.characteristic)
+    columns = [[] for _ in basis]  # the transpose: each entry bucketed on its column
+    for i, row in enumerate(rows):
+        for c, x in row:
+            columns[c].append((i, x))
+    pivots, free, vectors = linalg.integer_kernel(columns, len(rows), f.field.characteristic)
     kernel = [
         linear_form(f.field, linalg._leading_one(f.field, [v.get(m + i, 0) for i in range(n)]))
         for fc, v in zip(free, vectors)

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
+import numpy as np
+
 from hypersect import ArityMismatch, FieldSpec, Matrix, NotHomogeneous, Polynomial, Scalar, make_field
 from hypersect.poly import monomial_basis
 
@@ -110,6 +112,36 @@ def macaulay_rows_reference(generators: list[Polynomial], degree: int):
                 row[index[tuple(a + b for a, b in zip(m, mono))]] = int(c.value * scale)
             rows.append(row)
     return basis, rows
+
+
+def sparse_rows(dense: list[list[int]]) -> list[list[tuple[int, int]]]:
+    """Dense integer rows as sparse rows: (column, value) for each nonzero entry."""
+    return [[(c, x) for c, x in enumerate(row) if x] for row in dense]
+
+
+def dense_rows(rows: list[list[tuple[int, int]]], ncols: int) -> list[list[int]]:
+    """Sparse integer rows as dense rows of length ncols."""
+    out = [[0] * ncols for _ in rows]
+    for dense, row in zip(out, rows):
+        for c, x in row:
+            dense[c] = x
+    return out
+
+
+def rank_mod_p_dense(rows: list[list[int]], p: int, stop_at: int | None = None) -> int:
+    """Rank mod p of dense integer rows, all of them eliminated in one array
+    by the column loop (int64 below 2^31, Python ints above), stopping once
+    the rank reaches stop_at.  The oracle for the pivot split of
+    linalg.rank_mod_p_int."""
+    from hypersect.linalg import _eliminate, _residues
+
+    if not rows:
+        return 0
+    try:
+        a = np.array(rows, dtype=np.int64)
+    except OverflowError:
+        a = np.array(rows, dtype=object)
+    return len(_eliminate(_residues(a, p), p, stop_at))
 
 
 def mat_vec(m: Matrix, v: list[Scalar]) -> list[Scalar]:
@@ -270,8 +302,8 @@ def is_smooth_reference(f: Polynomial, t_max: int | None = None) -> bool:
     )
     from hypersect.poly import dimension_of_degree, require_homogeneous
 
-    def rank_q(rows, probe_rank):
-        return probe_rank if probe_rank == len(rows) else linalg.rank_q_certified(rows)
+    def rank_q(rows, cols, probe_rank):
+        return probe_rank if probe_rank == len(rows) else linalg.rank_q_certified(rows, cols)
 
     d = require_homogeneous(f, 1, "hypersurface form")
     if f.nvars < 2:
@@ -317,8 +349,8 @@ def is_smooth_reference(f: Polynomial, t_max: int | None = None) -> bool:
                 return False
             if h_exact_prev is None:
                 cols_prev = dimension_of_degree(f.nvars, t - 1)
-                h_exact_prev = cols_prev - rank_q(rows_prev, rank_prev)
-            h_exact = len(basis) - rank_q(rows, rank)
+                h_exact_prev = cols_prev - rank_q(rows_prev, cols_prev, rank_prev)
+            h_exact = len(basis) - rank_q(rows, len(basis), rank)
             if h_exact_prev == 0 or h_exact == 0:
                 return True
             if h_exact_prev == h_exact:
@@ -326,7 +358,8 @@ def is_smooth_reference(f: Polynomial, t_max: int | None = None) -> bool:
         h_prev, rows_prev, rank_prev, h_exact_prev = h, rows, rank, h_exact
     if p or rows_prev is None or h_exact_prev is not None:
         return False
-    return rank_q(rows_prev, rank_prev) == dimension_of_degree(f.nvars, cap)
+    cols = dimension_of_degree(f.nvars, cap)
+    return rank_q(rows_prev, cols, rank_prev) == cols
 
 
 @dataclass

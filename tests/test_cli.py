@@ -6,9 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from hypersect import make_field
+from hypersect import is_smooth, make_field, parse_poly
 from hypersect.cli import main
 from hypersect.fixtures import cubic_threefold_example
+from hypersect.linalg import PROBE_PRIME
+from helpers import is_smooth_reference
 
 Q = make_field(0)
 
@@ -111,6 +113,24 @@ def test_criterion_tilted_hyperplane(capsys):
 )
 def test_smooth_coefficients_beyond_int64(capsys, text, smooth):
     # scaled rows of these partials hold entries of 10^20, past int64
+    code, payload, _ = run_json(capsys, "smooth", "--char", "0", "--f", text)
+    assert payload["result"] == {"smooth": smooth}
+    assert code == (0 if smooth else 1)
+
+
+@pytest.mark.parametrize(
+    "text,smooth",
+    [
+        (f"{PROBE_PRIME}*x0^3 + x0^2*x1 + x1^3 + x2^3 + x3^3", True),
+        (f"{3 * PROBE_PRIME}*x0^3 + x0^2*x1 + x1^2*x2 + x2^3", True),
+        (f"{PROBE_PRIME}*x0^3 + x0^2*x1 + x1^2*x2", False),
+    ],
+)
+def test_smooth_leading_coefficient_divisible_by_probe_prime(capsys, text, smooth):
+    # the x0-partial leads with a multiple of the probe prime, so mod the
+    # probe its rows lead with a zero residue and the probe drops rank
+    f = parse_poly(text, 4 if "x3" in text else 3, Q)
+    assert is_smooth(f) == is_smooth_reference(f) == smooth
     code, payload, _ = run_json(capsys, "smooth", "--char", "0", "--f", text)
     assert payload["result"] == {"smooth": smooth}
     assert code == (0 if smooth else 1)

@@ -30,6 +30,7 @@ from hypersect.poly import dimension_of_degree, monomial_basis
 from gf_oracle import find_singular_point
 from helpers import (
     FIELDS,
+    dense_rows,
     is_smooth_reference,
     macaulay_rows_reference,
     rand_homogeneous,
@@ -37,6 +38,7 @@ from helpers import (
     rand_nonzero_homogeneous,
     rank_int_exact,
     rref_reference,
+    sparse_rows,
 )
 
 Q = make_field(0)
@@ -259,12 +261,13 @@ def test_agrees_with_point_enumeration_oracle():
 # --- the pruned row builder against the unpruned reference -------------------
 
 
-def _exact_rank(rows, field):
+def _exact_rank(rows, ncols, field):
+    """Rank of sparse integer rows over the field."""
     if not rows:
         return 0
     if field.is_prime_field:
         return rank_mod_p_int(rows, field.characteristic)
-    return rank_int_exact(rows)
+    return rank_int_exact(dense_rows(rows, ncols))
 
 
 def _random_form(rng, field, nvars, d, singular):
@@ -302,7 +305,8 @@ def test_pruned_rows_without_f_keep_every_jacobian_rank():
             basis, rows = _macaulay_rows(used, t)
             ref_basis, ref_rows = macaulay_rows_reference(full, t)
             assert basis == ref_basis
-            assert _exact_rank(rows, field) == _exact_rank(ref_rows, field), (f.to_text(), t)
+            want = _exact_rank(sparse_rows(ref_rows), len(basis), field)
+            assert _exact_rank(rows, len(basis), field) == want, (f.to_text(), t)
     assert char_divides > 0
 
 
@@ -322,10 +326,11 @@ def test_pruning_keeps_span_for_any_generator_list():
             if all(g.is_zero() for g in gens):
                 continue
             for t in range(1, 5):
-                _, rows = _macaulay_rows(gens, t)
+                basis, rows = _macaulay_rows(gens, t)
                 _, ref_rows = macaulay_rows_reference(gens, t)
+                ref_rows, ncols = sparse_rows(ref_rows), len(basis)
                 assert {tuple(r) for r in rows} <= {tuple(r) for r in ref_rows}
-                assert _exact_rank(rows, field) == _exact_rank(ref_rows, field)
+                assert _exact_rank(rows, ncols, field) == _exact_rank(ref_rows, ncols, field)
                 pruned_some = pruned_some or len(rows) < len(ref_rows)
     assert pruned_some
 
@@ -384,9 +389,9 @@ def test_small_probe_prime_keeps_every_verdict(monkeypatch):
     widths = []
     real_exact = linalg.rank_q_certified
 
-    def exact_spy(rows):
-        widths.append(len(rows[0]))
-        return real_exact(rows)
+    def exact_spy(rows, ncols):
+        widths.append(ncols)
+        return real_exact(rows, ncols)
 
     monkeypatch.setattr(linalg, "rank_q_certified", exact_spy)
     paths = set()
@@ -436,23 +441,27 @@ def test_walk_builds_and_ranks_each_degree_once(monkeypatch):
     builds, ranks, probes, exact, h = Counter(), Counter(), [], Counter(), {}
     real_rows, real_rank = jacobian._macaulay_rows, linalg.rank_mod_p_int
     real_exact = linalg.rank_q_certified
+    widths = {}  # id of a built row list -> its column count
 
     def rows_spy(gens, degree):
         builds[degree] += 1
-        return real_rows(gens, degree)
+        basis, rows = real_rows(gens, degree)
+        widths[id(rows)] = len(basis)
+        return basis, rows
 
     def rank_spy(rows, p, stop_at=None):
+        width = widths[id(rows)]
         if stop_at is None:
-            ranks[len(rows[0])] += 1
+            ranks[width] += 1
         else:
-            probes.append(len(rows[0]))
+            probes.append(width)
         rank = real_rank(rows, p, stop_at)
-        h[len(rows[0])] = len(rows[0]) - rank
+        h[width] = width - rank
         return rank
 
-    def exact_spy(rows):
-        exact[len(rows[0])] += 1
-        return real_exact(rows)
+    def exact_spy(rows, ncols):
+        exact[ncols] += 1
+        return real_exact(rows, ncols)
 
     monkeypatch.setattr(jacobian, "_macaulay_rows", rows_spy)
     monkeypatch.setattr(linalg, "rank_mod_p_int", rank_spy)

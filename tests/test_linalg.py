@@ -20,7 +20,9 @@ from helpers import (
     rand_matrix,
     rand_scalar,
     rank_int_exact,
+    rank_mod_p_dense,
     rref_reference,
+    sparse_rows,
 )
 
 Q = make_field(0)
@@ -184,10 +186,10 @@ def test_integer_rank_helpers_agree_with_matrix_rank():
         width = max(len(r) for r in rows)
         rows = [r + [0] * (width - len(r)) for r in rows]
         assert rank_int_exact(rows) == _reference_rank(Q, rows)
-        assert rank_q_certified(rows) == _reference_rank(Q, rows)
+        assert rank_q_certified(sparse_rows(rows), width) == _reference_rank(Q, rows)
         for p in (2, 3, 5, 101):
             fp = make_field(p)
-            assert rank_mod_p_int(rows, p) == _reference_rank(fp, rows)
+            assert rank_mod_p_int(sparse_rows(rows), p) == _reference_rank(fp, rows)
 
 
 def test_rational_rank_matches_large_prime_probe():
@@ -197,7 +199,7 @@ def test_rational_rank_matches_large_prime_probe():
     big = 2_147_483_647
     for _ in range(120):
         rows = [[rng.randint(-9, 9) for _ in range(4)] for _ in range(4)]
-        assert rank_int_exact(rows) == rank_mod_p_int(rows, big)
+        assert rank_int_exact(rows) == rank_mod_p_int(sparse_rows(rows), big)
 
 
 def _planted_rows(rng, ncols, draw):
@@ -223,9 +225,9 @@ def test_rank_mod_large_prime_uses_python_path():
             ncols = rng.randint(1, 6)
             rows = _planted_rows(rng, ncols, lambda: rng.randrange(-p, p))
             expected = _reference_rank(fp, rows)
-            assert rank_mod_p_int(rows, p) == expected
+            assert rank_mod_p_int(sparse_rows(rows), p) == expected
             for stop_at in range(1, ncols + 1):
-                assert rank_mod_p_int(rows, p, stop_at=stop_at) == min(expected, stop_at)
+                assert rank_mod_p_int(sparse_rows(rows), p, stop_at=stop_at) == min(expected, stop_at)
 
 
 def test_rank_mod_p_entries_beyond_int64():
@@ -242,8 +244,69 @@ def test_rank_mod_p_entries_beyond_int64():
             rows = _planted_rows(rng, ncols, draw)
             rows[0][0] = rng.choice(huge)
             expected = _reference_rank(fp, rows)
-            assert rank_mod_p_int(rows, p) == expected
-            assert rank_mod_p_int(rows, p, stop_at=1) == min(expected, 1)
+            assert rank_mod_p_int(sparse_rows(rows), p) == expected
+            assert rank_mod_p_int(sparse_rows(rows), p, stop_at=1) == min(expected, 1)
+
+
+def test_rank_mod_p_stop_at_zero_or_below_is_zero():
+    """A stop_at <= 0 asks for no pivot: the rank is 0, also on the column
+    loop alone, never the first pivot it would otherwise take."""
+    for stop_at in (0, -3):
+        assert rank_mod_p_int([[(0, 1)], [(1, 1)]], 5, stop_at=stop_at) == 0
+        assert rank_mod_p_dense([[1, 0], [0, 1]], 5, stop_at=stop_at) == 0
+
+
+def _split_grid(rng, p):
+    """Dense integer rows that exercise the pivot split mod p: few leading
+    columns, so many rows share one with different row lengths; empty rows,
+    rows zero mod p, leading entries that vanish mod p, entries past
+    +-2^63, and planted integer combinations of the rows."""
+    huge = (2**63, -(2**63) - 1, 10**20, -(10**40))
+    draws = (
+        lambda: rng.randint(-9, 9),
+        lambda: rng.randrange(-p, p),
+        lambda: rng.choice(huge) * rng.randint(-2, 2) + rng.randint(-9, 9),
+    )
+    for draw in draws:
+        for _ in range(10):
+            ncols = rng.randint(1, 8)
+            rows = []
+            for _ in range(rng.randint(0, 10)):
+                lead = rng.randrange(min(ncols, 4))
+                row = [0] * ncols
+                row[lead] = draw() or 1
+                for c in rng.sample(range(lead + 1, ncols), rng.randint(0, ncols - lead - 1)):
+                    row[c] = draw()
+                kind = rng.randrange(6)
+                if kind == 0:
+                    row = [0] * ncols
+                elif kind == 1:
+                    row = [x * p for x in row]
+                elif kind == 2:
+                    row[lead] = p * rng.choice((1, -2, 2**64))
+                rows.append(row)
+            for _ in range(rng.randint(0, 3) if rows else 0):
+                coeffs = [rng.randint(-2, 2) for _ in rows]
+                rows.append([sum(k * row[c] for k, row in zip(coeffs, rows)) for c in range(ncols)])
+            rng.shuffle(rows)
+            yield ncols, rows
+
+
+def test_pivot_split_matches_dense_rank_on_a_seeded_grid():
+    """rank_mod_p_int on sparse rows equals the dense elimination of the
+    same rows, for every stop_at from None and 0 up to the column count,
+    mod primes on both sides of 2^31."""
+    rng = random.Random(80)
+    deficient = 0
+    for p in (2, 3, 101, 2**31 - 1, 2**31 + 11, 2**61 - 1):
+        for ncols, rows in _split_grid(rng, p):
+            full = rank_mod_p_dense(rows, p)
+            deficient += full < min(len(rows), ncols)
+            for stop_at in (None, 0, *range(1, ncols + 1)):
+                want = rank_mod_p_dense(rows, p, stop_at)
+                assert want == (full if stop_at is None else min(full, stop_at))
+                assert rank_mod_p_int(sparse_rows(rows), p, stop_at) == want, (rows, p, stop_at)
+    assert deficient >= 30
 
 
 # --- exact rank over Q from verified modular kernels -------------------------
@@ -260,8 +323,8 @@ def _spied_rank(monkeypatch, rows):
         pivot_lists.append(list(pivots))
         return pivots
 
-    def check_spy(rows_, z, vectors):
-        ok = real_check(rows_, z, vectors)
+    def check_spy(rows_, vectors):
+        ok = real_check(rows_, vectors)
         if ok:
             accepted.append(vectors)
         return ok
@@ -269,7 +332,7 @@ def _spied_rank(monkeypatch, rows):
     monkeypatch.setattr(linalg, "_eliminate", eliminate_spy)
     monkeypatch.setattr(linalg, "_annihilates", check_spy)
     try:
-        return rank_q_certified(rows), pivot_lists, accepted
+        return rank_q_certified(sparse_rows(rows), len(rows[0])), pivot_lists, accepted
     finally:
         monkeypatch.undo()
 
@@ -390,7 +453,7 @@ def test_rank_q_certified_past_int64_primes(monkeypatch):
     for first in (2**31 + 11, 2**61 - 1):
         monkeypatch.setattr(linalg, "_LIFT_PRIMES", (first,))
         for rows in itertools.islice(_shaped_grid(rng, lambda: rng.randint(-(10**6), 10**6)), 0, None, 3):
-            assert rank_q_certified(rows) == rank_int_exact(rows)
+            assert rank_q_certified(sparse_rows(rows), len(rows[0])) == rank_int_exact(rows)
 
 
 # --- Scalar rref on the one column loop and the verified lift ----------------

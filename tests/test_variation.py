@@ -270,9 +270,9 @@ def test_criterion_kernel_is_one_integer_kernel(monkeypatch):
         builds.append(degree)
         return real_rows(gens, degree)
 
-    def kernel_spy(rows, p):
+    def kernel_spy(rows, ncols, p):
         kernels.append(p)
-        return real_kernel(rows, p)
+        return real_kernel(rows, ncols, p)
 
     def scalar_spy(owner, name):
         real = getattr(owner, name)
