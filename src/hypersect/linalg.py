@@ -1,18 +1,18 @@
 """Exact linear algebra over a FieldSpec, on sparse integer rows.
 
 An integer matrix is a list of sparse rows, each a list of (column, value)
-pairs in ascending column order.  There is one elimination: a vectorized
-column loop mod p on a dense array (int64 for p < 2^31, Python ints
-above; the dtype follows from p alone).  The rank mod p first splits off
-the rows with distinct leading columns as sparse pivots (Faugere-Lachartre)
-and runs the loop forward, stopping early, on the small leftover block
-only.  Run to the reduced form, the loop feeds the one kernel primitive,
-integer_kernel: the residues over F_p, and over Q vectors lifted from
-several primes and verified exactly over Z, so an exact rank over Q rests
-on checked vectors, not on a prime.  Scalar matrices reach it with each
-row scaled by the lcm of its denominators, and rref and kernel_basis read
-its vectors with no branch on the characteristic.  Every result is a
-deterministic function of the input.  No floating point anywhere.
+pairs in ascending column order.  There is one elimination, a pivot split
+(Faugere-Lachartre): the rows with distinct leading columns stay sparse as
+pivots, and a vectorized column loop mod p runs only on the dense block
+they leave (int64 for p < 2^31, Python ints above).  The rank mod p runs
+it forward, stopping early.  Run to the reduced form and back-substituted
+through the pivots, it feeds the one kernel primitive, integer_kernel: the
+residues over F_p, and over Q vectors lifted from several primes and
+verified exactly over Z, so an exact rank over Q rests on checked vectors,
+not on a prime.  Scalar matrices reach it with each row scaled by the lcm
+of its denominators, and rref and kernel_basis read its vectors with no
+branch on the characteristic.  Every result is a deterministic function of
+the input.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -179,30 +179,6 @@ PROBE_PRIME = 2**31 - 1
 _INT64_PRIME_LIMIT = 2**31  # below it (p-1)^2 + p stays inside int64
 
 
-def _dense(rows: list[Row], ncols: int, dtype, order: str = "C") -> np.ndarray:
-    """The sparse rows scattered into a zero array of the dtype and memory order."""
-    a = np.zeros((len(rows), ncols), dtype=dtype, order=order)
-    if any(rows):
-        at = np.repeat(np.arange(len(rows)), [len(row) for row in rows])
-        a[at, [c for row in rows for c, _ in row]] = [x for row in rows for _, x in row]
-    return a
-
-
-def _int_array(rows: list[Row], ncols: int) -> np.ndarray:
-    """The rows as an int64 array, or as Python ints (dtype object) when an entry overflows it."""
-    try:
-        return _dense(rows, ncols, np.int64)
-    except OverflowError:
-        return _dense(rows, ncols, object)
-
-
-def _residues(z: np.ndarray, p: int) -> np.ndarray:
-    """z mod p: an int64 array for p < 2^31, Python ints (dtype object) above."""
-    if p < _INT64_PRIME_LIMIT:
-        return (z % p).astype(np.int64, copy=False)
-    return z.astype(object) % p
-
-
 def _eliminate(a: np.ndarray, p: int, stop_at: int | None = None, reduced: bool = False) -> list[int]:
     """Row-reduce the residues a mod p in place; return the pivot columns.
 
@@ -238,20 +214,25 @@ def _eliminate(a: np.ndarray, p: int, stop_at: int | None = None, reduced: bool 
     return pivots
 
 
-def rank_mod_p_int(rows: list[Row], p: int, stop_at: int | None = None) -> int:
-    """Rank mod p of sparse integer rows, by a pivot split (Faugere-Lachartre).
+def _split(rows: list[Row], ncols: int, p: int, stop_at: int | None = None, reduced: bool = False):
+    """The pivot split (Faugere-Lachartre) of ncols-column sparse integer rows mod p.
 
     Entries are any ints.  Each is reduced mod p first and zero residues
     are dropped, so every row leads with a unit.  Of the rows leading at
     the same column the sparsest is a pivot, the first on a tie; the k
     pivots stay sparse and are never changed.  The other m rows go into
-    one dense m x cols block (int64 below 2^31, Python ints above).  For
-    each pivot column in ascending order, multiples of its pivot row
-    clear that column in the block, one vectorized update per pivot.  The
-    column loop then ranks the block on the non-pivot columns, the Schur
-    complement, forward and stopping at stop_at - k.  Stops once the rank
-    reaches stop_at, so a smaller result is the whole rank mod p; a
-    stop_at <= 0 gives 0.
+    one dense m x ncols block (int64 below 2^31, Python ints above), the
+    only dense array built from sparse rows.  For each pivot column in
+    ascending order, multiples of its pivot row clear that column in the
+    block, one vectorized update per pivot.  The column loop then brings
+    the block on the non-pivot columns, the Schur complement, to echelon
+    form (reduced form with reduced), stopping once k plus its rank
+    reaches stop_at.
+
+    Returns (pivots, others, schur, leads): pivots maps each pivot column
+    to its row of residues; others lists the non-pivot columns, schur is
+    the eliminated complement on them (no rows if nothing was left) and
+    leads the positions in others of its pivots.
 
     Why the rank is k plus the rank of the Schur complement.  The pivot
     rows lead at distinct columns, so on the pivot columns, in order, they
@@ -264,42 +245,50 @@ def rank_mod_p_int(rows: list[Row], p: int, stop_at: int | None = None) -> int:
     pivot rows and block rows the pivot rows then combine to zero on the
     pivot columns, where the triangle is invertible, so their part is
     zero: the rank is k plus the rank of the block, which lives on the
-    non-pivot columns.  The result is the rank of the residue matrix, so
-    over Q it still bounds the rank from below: a minor nonzero mod p is
-    nonzero over Z.
+    non-pivot columns.
     """
-    if stop_at is not None and stop_at <= 0:
-        return 0
+    dtype = np.int64 if p < _INT64_PRIME_LIMIT else object
     pivots: dict[int, Row] = {}
     rest: list[Row] = []
-    ncols = 0
     for row in rows:
         row = [(c, r) for c, x in row if (r := x % p)]
         if not row:
             continue
-        ncols = max(ncols, row[-1][0] + 1)
         kept = pivots.setdefault(row[0][0], row)
         if kept is not row:
             if len(row) < len(kept):
                 pivots[row[0][0]], row = row, kept
             rest.append(row)
-    k = len(pivots)
-    if stop_at is not None and stop_at <= k:
-        return stop_at
-    if not rest:
-        return k
+    others = [c for c in range(ncols) if c not in pivots]
+    limit = None if stop_at is None else stop_at - len(pivots)
+    if not rest or (limit is not None and limit <= 0):
+        return pivots, others, np.zeros((0, len(others)), dtype=dtype), []
     # column-major for the pivot updates, which read columns; the column
     # loop gathers rows, so the Schur complement is copied row-major
-    block = _dense(rest, ncols, np.int64 if p < _INT64_PRIME_LIMIT else object, "F")
+    block = np.zeros((len(rest), ncols), dtype=dtype, order="F")
+    at = np.repeat(np.arange(len(rest)), [len(row) for row in rest])
+    block[at, [c for row in rest for c, _ in row]] = [x for row in rest for _, x in row]
     for c in sorted(pivots):
         hit = np.flatnonzero(block[:, c])
         if hit.size:
             cols, values = zip(*pivots[c])
             factors = block[hit, c] * pow(values[0], -1, p) % p
             at = np.ix_(hit, cols)
-            block[at] = (block[at] - factors[:, None] * np.array(values, dtype=block.dtype)) % p
-    schur = np.ascontiguousarray(block[:, [c for c in range(ncols) if c not in pivots]])
-    return k + len(_eliminate(schur, p, None if stop_at is None else stop_at - k))
+            block[at] = (block[at] - factors[:, None] * np.array(values, dtype=dtype)) % p
+    schur = np.ascontiguousarray(block[:, others])
+    return pivots, others, schur, _eliminate(schur, p, limit, reduced)
+
+
+def rank_mod_p_int(rows: list[Row], p: int, stop_at: int | None = None) -> int:
+    """Rank mod p of sparse integer rows: the pivot count of their split,
+    run forward.  Stops once the rank reaches stop_at, so a smaller result
+    is the whole rank mod p; a stop_at <= 0 gives 0.  Over Q it bounds the
+    rank from below: a minor nonzero mod p is nonzero over Z."""
+    if stop_at is not None and stop_at <= 0:
+        return 0
+    pivots, _, _, leads = _split(rows, max((row[-1][0] + 1 for row in rows if row), default=0), p, stop_at)
+    rank = len(pivots) + len(leads)
+    return rank if stop_at is None else min(rank, stop_at)
 
 
 def _primes_from(q: int):
@@ -362,14 +351,17 @@ def integer_kernel(rows: list[Row], ncols: int, p: int) -> tuple[list[int], list
     rows over F_p or, for p = 0, Q.
 
     The basis holds one integer vector {column: value} per free column,
-    nonzero there and zero at the other free columns.  The column loop
-    brings the rows, scattered into a dense array, to the reduced form mod
-    a prime, giving the rank r_p, the pivots and, for each of the
+    nonzero there and zero at the other free columns.  Mod a prime the
+    split, run to the reduced form, and back substitution through its
+    sparse pivot rows give the rank r_p, the pivots and, for each of the
     k = cols - r_p free columns, a kernel vector mod the prime: 1 there,
     0 at the other free columns, minus that column of the reduced form at
-    the pivots.  Over F_p these residues are the answer.  Over Q the
-    primes run down from 2^31 - 1; residues of primes with the same
-    (rank, pivots) are combined by CRT, lifted by rational reconstruction
+    the pivots.  They match Gauss-Jordan: the pivot and reduced Schur rows
+    are an echelon form, leading at the columns that raise the rank of
+    those before them, and one kernel vector alone has given free
+    entries.  Over F_p these residues are the answer.  Over Q the primes
+    run down from 2^31 - 1; residues of primes with the same (rank,
+    pivots) are combined by CRT, lifted by rational reconstruction
     (Wang-Guy-Davenport 1982; Monagan, ISSAC 2004), cleared of
     denominators and checked, A*v = 0, exactly over Z.
 
@@ -395,20 +387,28 @@ def integer_kernel(rows: list[Row], ncols: int, p: int) -> tuple[list[int], list
     vectors pass the check.  The prime sequence has no end, so this
     point is always reached.
     """
-    z = _int_array(rows, ncols)
     kept = residues = modulus = None
     for prime in (p,) if p else itertools.chain(_LIFT_PRIMES, _primes_from(_LIFT_PRIMES[-1] - 2)):
-        a = _residues(z, prime)
-        pivots = _eliminate(a, prime, reduced=True)
-        r = len(pivots)
-        if r == ncols:
-            return pivots, [], []
-        key = (-r, pivots)  # smaller is better: higher rank, then earlier pivots
+        pivot_rows, others, schur, leads = _split(rows, ncols, prime, reduced=True)
+        lead_cols = [others[j] for j in leads]
+        pivots = sorted([*pivot_rows, *lead_cols])
+        key = (-len(pivots), pivots)  # smaller is better: higher rank, then earlier pivots
         if kept is not None and key > kept:
             continue
-        pivot_set = set(pivots)
-        free = [c for c in range(ncols) if c not in pivot_set]
-        block = -a[:r, free] % prime
+        # the free columns' kernel vectors: reduced Schur rows, then pivot rows bottom-up
+        free_at = sorted(set(range(len(others))) - set(leads))
+        free = [others[j] for j in free_at]
+        v = np.zeros((ncols, len(free)), dtype=schur.dtype)
+        v[free, np.arange(len(free))] = 1
+        v[lead_cols] = -schur[: len(leads), free_at] % prime
+        for c in sorted(pivot_rows, reverse=True):
+            (_, lead), *tail = pivot_rows[c]
+            if tail:
+                cols, values = zip(*tail)
+                # reduced before the sum and again before the inverse: int64 holds one (p-1)^2, not two
+                total = (np.array(values, dtype=v.dtype)[:, None] * v[list(cols)] % prime).sum(0) % prime
+                v[c] = -total * pow(lead, -1, prime) % prime
+        block = v[pivots]
         if p:
             return pivots, free, [
                 {fc: 1} | {pivots[i]: int(block[i, k]) for i in np.flatnonzero(block[:, k]).tolist()}

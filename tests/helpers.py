@@ -133,15 +133,13 @@ def rank_mod_p_dense(rows: list[list[int]], p: int, stop_at: int | None = None) 
     by the column loop (int64 below 2^31, Python ints above), stopping once
     the rank reaches stop_at.  The oracle for the pivot split of
     linalg.rank_mod_p_int."""
-    from hypersect.linalg import _eliminate, _residues
+    from hypersect.linalg import _eliminate
 
     if not rows:
         return 0
-    try:
-        a = np.array(rows, dtype=np.int64)
-    except OverflowError:
-        a = np.array(rows, dtype=object)
-    return len(_eliminate(_residues(a, p), p, stop_at))
+    residues = [[x % p for x in row] for row in rows]
+    a = np.array(residues, dtype=np.int64 if p < 2**31 else object)
+    return len(_eliminate(a, p, stop_at))
 
 
 def mat_vec(m: Matrix, v: list[Scalar]) -> list[Scalar]:

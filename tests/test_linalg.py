@@ -316,12 +316,13 @@ def _spied_rank(monkeypatch, rows):
     """rank_q_certified(rows), the pivot list found at each prime, and every
     vector list the exact check accepted."""
     pivot_lists, accepted = [], []
-    real_eliminate, real_check = linalg._eliminate, linalg._annihilates
+    real_split, real_check = linalg._split, linalg._annihilates
 
-    def eliminate_spy(a, p, stop_at=None, reduced=False):
-        pivots = real_eliminate(a, p, stop_at, reduced)
-        pivot_lists.append(list(pivots))
-        return pivots
+    def split_spy(rows_, ncols, p, stop_at=None, reduced=False):
+        split = real_split(rows_, ncols, p, stop_at, reduced)
+        pivot_rows, others, _, leads = split
+        pivot_lists.append(sorted([*pivot_rows, *(others[j] for j in leads)]))
+        return split
 
     def check_spy(rows_, vectors):
         ok = real_check(rows_, vectors)
@@ -329,7 +330,7 @@ def _spied_rank(monkeypatch, rows):
             accepted.append(vectors)
         return ok
 
-    monkeypatch.setattr(linalg, "_eliminate", eliminate_spy)
+    monkeypatch.setattr(linalg, "_split", split_spy)
     monkeypatch.setattr(linalg, "_annihilates", check_spy)
     try:
         return rank_q_certified(sparse_rows(rows), len(rows[0])), pivot_lists, accepted
@@ -456,6 +457,28 @@ def test_rank_q_certified_past_int64_primes(monkeypatch):
             assert rank_q_certified(sparse_rows(rows), len(rows[0])) == rank_int_exact(rows)
 
 
+def test_rank_q_certified_eliminates_only_the_schur_block(monkeypatch):
+    """The exact rank eliminates dense only what the pivot split leaves: on
+    the degree-17 rows of cyclic Fermat (3,6), 1,350 x 1,140 with 980
+    distinct leading columns, every array the column loop sees is at most
+    370 x 160, never the whole matrix."""
+    from hypersect import jacobian
+    from hypersect.fixtures import cyclic_fermat
+
+    basis, rows = jacobian._macaulay_rows(jacobian._spanning_generators(cyclic_fermat(3, 6, Q)), 17)
+    assert (len(rows), len(basis), len({row[0][0] for row in rows})) == (1350, 1140, 980)
+    shapes = []
+    real_eliminate = linalg._eliminate
+
+    def eliminate_spy(a, p, stop_at=None, reduced=False):
+        shapes.append(a.shape)
+        return real_eliminate(a, p, stop_at, reduced)
+
+    monkeypatch.setattr(linalg, "_eliminate", eliminate_spy)
+    assert rank_q_certified(rows, len(basis)) == 1139
+    assert shapes and all(nrows <= 370 and ncols <= 160 for nrows, ncols in shapes)
+
+
 # --- Scalar rref on the one column loop and the verified lift ----------------
 
 
@@ -471,13 +494,14 @@ def _check_rref(m):
 
 
 def test_rref_matches_gauss_jordan_oracle():
-    """Every test field, two primes past the int64 path, and Q with
-    numerators and denominators past 2^63; square, wide and tall shapes,
-    zero rows, all zero, planted rank deficiency, 0 x k and k x 0.  The
-    kernel basis is checked on every one of them too."""
+    """Every test field, 2^31 - 1 and two primes past the int64 path, and Q
+    with numerators and denominators past 2^63; square, wide and tall
+    shapes, zero rows, all zero, planted rank deficiency, 0 x k and k x 0,
+    and the pivot split's grid (over Q taken at the first lift prime).
+    The kernel basis is checked on every one of them too."""
     rng = random.Random(79)
     huge = (2**63, -(2**63) - 1, 2**64 + 3, 10**20)
-    fields = FIELDS + [make_field(2**31 + 11), make_field(2**61 - 1)]
+    fields = FIELDS + [make_field(p) for p in (2**31 - 1, 2**31 + 11, 2**61 - 1)]
     for field in fields:
         p = field.characteristic
         if p:
@@ -493,6 +517,8 @@ def test_rref_matches_gauss_jordan_oracle():
             for rows in _shaped_grid(rng, draw):
                 deficient += _check_rref(Matrix.from_rows(field, rows))
         assert deficient >= 20
+        for ncols, rows in _split_grid(rng, p or linalg._LIFT_PRIMES[0]):
+            _check_rref(Matrix.from_sparse(field, ncols, sparse_rows(rows)))
         for k in (0, 1, 3):
             _check_rref(Matrix.zero(field, 0, k))
             _check_rref(Matrix.zero(field, k, 0))
@@ -502,14 +528,14 @@ def test_rref_over_q_lifts_entries_past_one_prime(monkeypatch):
     """Entries whose numerators pass the reconstruction bound of one 31-bit
     prime come from residues combined over at least two primes."""
     moduli = []
-    real_eliminate = linalg._eliminate
+    real_split = linalg._split
 
-    def eliminate_spy(a, p, stop_at=None, reduced=False):
+    def split_spy(rows, ncols, p, stop_at=None, reduced=False):
         moduli.append(p)
-        return real_eliminate(a, p, stop_at, reduced)
+        return real_split(rows, ncols, p, stop_at, reduced)
 
     m = Matrix.from_rows(Q, [[72576216, 79460669, 3, 0], [5605858, 0, 1, 4674157]])
-    monkeypatch.setattr(linalg, "_eliminate", eliminate_spy)
+    monkeypatch.setattr(linalg, "_split", split_spy)
     got = rref(m)
     monkeypatch.undo()
     assert got == rref_reference(m)
