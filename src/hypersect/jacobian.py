@@ -34,8 +34,8 @@ Euler's identity puts in the ideal of its partials (_spanning_generators).
 
 Over a small prime field, singular inputs are also screened by scanning
 projective rational points for a common zero of the generators.  Over Q,
-ranks of the (integer-scaled) span matrices are probed mod a fixed 31-bit
-prime: full rank mod a prime certifies full rank over Q.  A pair or the
+ranks of the Macaulay rows (denominators cleared) are probed mod a fixed
+31-bit prime: full rank mod a prime certifies full rank over Q.  A pair or the
 cap is confirmed by one exact rank over Q of the rows already probed
 (linalg.rank_q_certified): kernels mod p, lifted to Q and verified over Z,
 so a "not smooth" over Q rests on checked kernel vectors and every
@@ -45,14 +45,14 @@ returned verdict is exact.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import cache
 from math import lcm
 
 from . import linalg
-from .errors import ArityMismatch, FieldMismatch, InhomogeneousGenerator, NotHomogeneous
-from .fields import FieldSpec, Scalar
-from .linalg import Matrix, PROBE_PRIME
+from .errors import InhomogeneousGenerator, NotHomogeneous
+from .fields import FieldSpec
+from .linalg import PROBE_PRIME
 from .poly import (
     Monomial,
     Polynomial,
@@ -83,54 +83,14 @@ def default_degree_cap(nvars: int, degree: int) -> int:
     return (n + 2) * (degree - 1) - n
 
 
-@dataclass
-class GradedPiece:
-    """Degree-t piece of a homogeneous ideal inside the space of t-forms.
-
-    `basis` lists the degree-t monomials (grlex descending); they index the
-    columns of `span_matrix`, whose rows are the degree-t monomial multiples
-    of the generators less those redundant by the leading-term criterion: a
-    subset with the same span, which alone fixes every `reduce` residual.
-    `dimension` is the exact rank.
-    """
+@dataclass(frozen=True)
+class GradedDim:
+    """Degree-t piece of a homogeneous ideal: the degree-t monomials
+    (grlex descending) and the exact dimension of the piece in their span."""
 
     degree: int
     basis: list[Monomial]
-    span_matrix: Matrix
     dimension: int
-    _reduced: Matrix = dc_field(repr=False, default=None)
-    _pivots: list[int] = dc_field(repr=False, default=None)
-
-    def _index(self) -> dict[Monomial, int]:
-        return {m: i for i, m in enumerate(self.basis)}
-
-    def reduce(self, p: Polynomial) -> list[Scalar]:
-        """Residual of a degree-t form after reduction by the piece.
-
-        The residual is the coefficient vector of p minus its projection
-        onto the row span; it is zero exactly when p lies in the piece.
-        """
-        field = self.span_matrix.field
-        if p.field != field:
-            raise FieldMismatch(f"form over {p.field} reduced by a piece over {field}")
-        if self.basis and len(self.basis[0]) != p.nvars:
-            raise ArityMismatch(f"form has {p.nvars} variables, piece has {len(self.basis[0])}")
-        if p and not p.is_homogeneous(self.degree):
-            raise NotHomogeneous(f"expected a form of degree {self.degree}")
-        index = self._index()
-        v = [field.zero()] * len(self.basis)
-        for m, c in p.terms.items():
-            v[index[m]] = c
-        red, pivots = self._reduced, self._pivots
-        for r, pc in enumerate(pivots):
-            f = v[pc]
-            if f:
-                row = red.row(r)
-                v = [x - f * y for x, y in zip(v, row)]
-        return v
-
-    def contains(self, p: Polynomial) -> bool:
-        return not any(self.reduce(p))
 
 
 def _macaulay_rows(
@@ -177,11 +137,13 @@ def ideal_graded_dim(
     degree: int,
     field: FieldSpec | None = None,
     nvars: int | None = None,
-) -> GradedPiece:
+) -> GradedDim:
     """Degree-t piece of the ideal spanned by homogeneous generators.
 
     Generators of degree above t contribute nothing; zero generators are
-    skipped.  field/nvars are only needed when the list is empty.
+    skipped.  field/nvars are only needed when the list is empty.  The
+    dimension is one exact rank of the Macaulay rows: mod p over F_p,
+    linalg.rank_q_certified over Q.
     """
     live = [g for g in generators if not g.is_zero()]
     if live:
@@ -189,9 +151,9 @@ def ideal_graded_dim(
     elif field is None or nvars is None:
         raise ValueError("empty generator list needs explicit field and nvars")
     basis, rows = _macaulay_rows(live, degree) if live else (monomial_basis(nvars, degree), [])
-    matrix = Matrix.from_sparse(field, len(basis), rows)
-    reduced, pivots = linalg.rref(matrix)
-    return GradedPiece(degree, basis, matrix, len(pivots), reduced, pivots)
+    p = field.characteristic
+    rank = linalg.rank_mod_p_int(rows, p) if p else linalg.rank_q_certified(rows, len(basis))
+    return GradedDim(degree, basis, rank)
 
 
 # -- fast fullness ------------------------------------------------------------
@@ -309,15 +271,3 @@ def is_smooth(f: Polynomial, t_max: int | None = None) -> bool:
             return h_exact(t) == 0
     return h_exact(cap) == 0
 
-
-def euler_check(f: Polynomial) -> bool:
-    """Verify sum_i x_i * df/dx_i = d * f with d reduced into the field.
-
-    This is a formal identity in every characteristic, so it doubles as an
-    internal self-test of the derivative code.
-    """
-    d = require_homogeneous(f, 1, "hypersurface form")
-    total = Polynomial.zero(f.field, f.nvars)
-    for i in range(f.nvars):
-        total = total + Polynomial.variable(f.field, f.nvars, i) * partial_derivative(f, i)
-    return total == f.scale(f.field.scalar(d))

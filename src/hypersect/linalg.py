@@ -1,4 +1,4 @@
-"""Exact linear algebra over a FieldSpec, on sparse integer rows.
+"""Exact linear algebra on sparse integer rows, over F_p or Q.
 
 An integer matrix is a list of sparse rows, each a list of (column, value)
 pairs in ascending column order.  There is one elimination, a pivot split
@@ -9,168 +9,20 @@ it forward, stopping early.  Run to the reduced form and back-substituted
 through the pivots, it feeds the one kernel primitive, integer_kernel: the
 residues over F_p, and over Q vectors lifted from several primes and
 verified exactly over Z, so an exact rank over Q rests on checked vectors,
-not on a prime.  Scalar matrices reach it with each row scaled by the lcm
-of its denominators, and rref and kernel_basis read its vectors with no
-branch on the characteristic.  Every result is a deterministic function of
-the input.  No floating point anywhere.
+not on a prime.  Every result is a deterministic function of the input.
+No floating point anywhere.
 """
 
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
-from math import isqrt, lcm
+from math import isqrt, lcm, prod
 
 import numpy as np
 
-from .errors import FieldMismatch, SingularMatrix
-from .fields import FieldSpec, Scalar, _is_prime
+from .fields import _is_prime
 
 Row = list[tuple[int, int]]  # a sparse integer row: (column, value) pairs, columns ascending
-
-
-class Matrix:
-    """Dense row-major matrix of Scalars over one field."""
-
-    __slots__ = ("field", "rows", "cols", "entries")
-
-    def __init__(self, field: FieldSpec, rows: int, cols: int, entries: list[Scalar]):
-        if len(entries) != rows * cols:
-            raise ValueError(f"need {rows * cols} entries, got {len(entries)}")
-        for e in entries:
-            if e.field != field:
-                raise FieldMismatch("matrix entries must share the matrix field")
-        self.field = field
-        self.rows = rows
-        self.cols = cols
-        self.entries = entries
-
-    @classmethod
-    def from_rows(cls, field: FieldSpec, row_lists) -> "Matrix":
-        rows = [[field.scalar(x) for x in row] for row in row_lists]
-        ncols = len(rows[0]) if rows else 0
-        for r in rows:
-            if len(r) != ncols:
-                raise ValueError("ragged rows")
-        flat = [x for row in rows for x in row]
-        return cls(field, len(rows), ncols, flat)
-
-    @classmethod
-    def from_sparse(cls, field: FieldSpec, cols: int, rows: list[Row]) -> "Matrix":
-        """The matrix with the given column count of sparse integer rows."""
-        entries = [field.zero()] * (len(rows) * cols)
-        for i, row in enumerate(rows):
-            for c, x in row:
-                entries[i * cols + c] = field.scalar(x)
-        return cls(field, len(rows), cols, entries)
-
-    @classmethod
-    def zero(cls, field: FieldSpec, rows: int, cols: int) -> "Matrix":
-        z = field.zero()
-        return cls(field, rows, cols, [z] * (rows * cols))
-
-    @classmethod
-    def identity(cls, field: FieldSpec, n: int) -> "Matrix":
-        m = cls.zero(field, n, n)
-        for i in range(n):
-            m.entries[i * n + i] = field.one()
-        return m
-
-    def at(self, i: int, j: int) -> Scalar:
-        return self.entries[i * self.cols + j]
-
-    def row(self, i: int) -> list[Scalar]:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def row_lists(self) -> list[list[Scalar]]:
-        return [self.row(i) for i in range(self.rows)]
-
-    def copy(self) -> "Matrix":
-        return Matrix(self.field, self.rows, self.cols, list(self.entries))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Matrix)
-            and self.field == other.field
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
-
-    def __repr__(self) -> str:
-        body = "; ".join(" ".join(str(x) for x in self.row(i)) for i in range(self.rows))
-        return f"Matrix({self.field}, {self.rows}x{self.cols}: {body})"
-
-
-def _integer_rows(m: Matrix) -> list[Row]:
-    """The rows of m as sparse integer rows, each scaled by the lcm of its
-    denominators (1 over F_p)."""
-    out = []
-    for row in m.row_lists():
-        scale = lcm(*(x.value.denominator for x in row))
-        out.append([(c, x.value.numerator * (scale // x.value.denominator)) for c, x in enumerate(row) if x])
-    return out
-
-
-def _leading_one(field: FieldSpec, entries: list[int]) -> list[Scalar]:
-    """The integer entries as Scalars, scaled so the first nonzero one is 1."""
-    lead = next(x for x in entries if x)
-    return [field.scalar(Fraction(x, lead)) for x in entries]
-
-
-def rref(m: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and the list of pivot column indices.
-
-    Entry (i, fc) is -v[p_i] / v[fc] for the kernel vector v of free column
-    fc and the i-th pivot p_i.  Over F_p, v is minus that column of the
-    reduced form.  Over Q, v is zero at the pivots after fc (a zero residue
-    lifts to 0), so the matrix R so read is reduced; its rows annihilate
-    every v, which span the kernel, so its r rows span the row space, of
-    rank r.  A row space has one reduced form: this is the Gauss-Jordan one.
-    """
-    field, nrows, ncols = m.field, m.rows, m.cols
-    if not (nrows and ncols):
-        return Matrix(field, nrows, ncols, []), []
-    pivots, free, vectors = integer_kernel(_integer_rows(m), ncols, field.characteristic)
-    zero, one = field.zero(), field.one()
-    entries = [zero] * (nrows * ncols)
-    for i, pc in enumerate(pivots):
-        entries[i * ncols + pc] = one
-    for fc, v in zip(free, vectors):
-        for i, pc in enumerate(pivots):
-            if x := v.get(pc):
-                entries[i * ncols + fc] = field.scalar(Fraction(-x, v[fc]))
-    return Matrix(field, nrows, ncols, entries), pivots
-
-
-def rank(m: Matrix) -> int:
-    return len(rref(m)[1])
-
-
-def kernel_basis(m: Matrix) -> list[list[Scalar]]:
-    """Basis of the right kernel {v : m v = 0}: the vectors of integer_kernel,
-    one per free column in ascending order, leading (lowest-index) entry 1."""
-    _, _, vectors = integer_kernel(_integer_rows(m), m.cols, m.field.characteristic)
-    return [_leading_one(m.field, [v.get(c, 0) for c in range(m.cols)]) for v in vectors]
-
-
-def invert(m: Matrix) -> Matrix:
-    """Inverse of a square matrix; raises SingularMatrix when rank drops."""
-    if m.rows != m.cols:
-        raise SingularMatrix(f"cannot invert a {m.rows}x{m.cols} matrix")
-    n = m.rows
-    aug_rows = []
-    ident = Matrix.identity(m.field, n)
-    for i in range(n):
-        aug_rows.append(m.row(i) + ident.row(i))
-    red, pivots = rref(Matrix.from_rows(m.field, aug_rows))
-    if pivots != list(range(n)):
-        raise SingularMatrix("matrix is not invertible")
-    inv_rows = [red.row(i)[n:] for i in range(n)]
-    return Matrix.from_rows(m.field, inv_rows)
-
-
-# -- fast integer kernels ----------------------------------------------------
 
 # probe prime for rank lower bounds on integer matrices: full rank mod a
 # prime certifies full rank over Q, never the other way around
@@ -378,16 +230,23 @@ def integer_kernel(rows: list[Row], ncols: int, p: int) -> tuple[list[int], list
     prime gives rank r and pivots P (good), or a lower rank or a
     lexicographically later pivot list (bad).  Bad primes are discarded,
     and a prime that does better than the residues kept so far replaces
-    them, so once a good prime is met only good primes are combined.  Bad
-    primes divide a fixed nonzero r x r minor of A on the columns P, so
-    there are finitely many.  By Cramer's rule every entry of the reduced
-    form is a ratio of two r x r minors, so its numerator and denominator
-    are at most the Hadamard bound H.  Once the combined modulus exceeds
-    2*H^2, reconstruction returns those entries, and the true kernel
-    vectors pass the check.  The prime sequence has no end, so this
-    point is always reached.
+    them, so once a good prime is met only good primes are combined.  Fix
+    a nonzero r x r minor M of A on the columns P.  A prime not dividing M
+    keeps those columns independent, so each rank of the first columns is
+    as over Q and the prime is good: every bad prime divides M.  Let H^2
+    be the product of the min(rows, cols) largest nonzero squared row
+    norms; by Hadamard's inequality every r x r minor is at most H, M
+    included.  Distinct primes kept under one bad key all divide M, so
+    their product is at most H.  By Cramer's rule every entry of the
+    reduced form is a ratio of two r x r minors, so its numerator and
+    denominator are at most H.  Once the combined modulus exceeds 2*H^2
+    the key is therefore good, reconstruction returns those entries, and
+    the true kernel vectors pass the check.  The prime sequence has no
+    end, so this point is always reached; a check failing past it proves
+    a defect here, and raises RuntimeError rather than trying primes
+    forever.  H^2 is computed only once a check has failed.
     """
-    kept = residues = modulus = None
+    kept = residues = modulus = hadamard2 = None
     for prime in (p,) if p else itertools.chain(_LIFT_PRIMES, _primes_from(_LIFT_PRIMES[-1] - 2)):
         pivot_rows, others, schur, leads = _split(rows, ncols, prime, reduced=True)
         lead_cols = [others[j] for j in leads]
@@ -423,6 +282,11 @@ def integer_kernel(rows: list[Row], ncols: int, p: int) -> tuple[list[int], list
         vectors = _lift_kernel(residues, modulus, pivots, free)
         if vectors is not None and _annihilates(rows, vectors):
             return pivots, free, vectors
+        if hadamard2 is None:
+            norms = sorted((sum(x * x for _, x in row) for row in rows), reverse=True)
+            hadamard2 = prod(n for n in norms[:ncols] if n)
+        if modulus > 2 * hadamard2:
+            raise RuntimeError(f"kernel lift failed its check past 2*H^2 = {2 * hadamard2}")
 
 
 def rank_q_certified(rows: list[Row], ncols: int) -> int:

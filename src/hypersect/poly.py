@@ -15,7 +15,7 @@ that prefer ambient labels can print with var_start=1.
 
 from __future__ import annotations
 
-from math import comb
+from math import comb, lcm
 
 from . import linalg
 from .errors import (
@@ -317,54 +317,38 @@ def embed_shift(p: Polynomial, nvars: int, shift: int) -> Polynomial:
     return Polynomial(p.field, nvars, terms)
 
 
-class LinearChange:
-    """An invertible linear substitution x_i -> sum_j M[i][j] x_j.
+class LinearChange(list):
+    """An invertible linear substitution x_i -> sum_j M[i][j] x_j, held as
+    the list of the variables' images, the linear forms of M's rows.
 
-    Invertibility is checked at construction by a rank check; the inverse
-    is computed on demand, so a change can still be undone exactly.
+    Invertibility is checked once, at construction, by one exact rank of
+    the rows scaled by the lcm of their denominators.
     """
-
-    __slots__ = ("field", "nvars", "matrix")
 
     def __init__(self, field: FieldSpec, rows):
-        m = linalg.Matrix.from_rows(field, rows)
-        if m.rows != m.cols:
+        rows = [[field.scalar(x) for x in row] for row in rows]
+        if any(len(row) != len(rows) for row in rows):
             raise ArityMismatch("linear change must be square")
-        if linalg.rank(m) != m.rows:
+        scaled = []
+        for row in rows:
+            scale = lcm(*(x.value.denominator for x in row))
+            scaled.append([(c, x.value.numerator * (scale // x.value.denominator)) for c, x in enumerate(row) if x])
+        if len(linalg.integer_kernel(scaled, len(rows), field.characteristic)[0]) != len(rows):
             raise SingularMatrix("linear change is not invertible")
-        self.field = field
-        self.nvars = m.rows
-        self.matrix = m
-
-    @classmethod
-    def identity(cls, field: FieldSpec, nvars: int) -> "LinearChange":
-        return cls(field, linalg.Matrix.identity(field, nvars).row_lists())
-
-    def inverse(self) -> "LinearChange":
-        return LinearChange(self.field, linalg.invert(self.matrix).row_lists())
-
-    def image_of_variable(self, i: int) -> Polynomial:
-        return linear_form(self.field, self.matrix.row(i))
-
-    def __repr__(self) -> str:
-        return f"LinearChange({self.matrix!r})"
+        super().__init__(linear_form(field, row) for row in rows)
 
 
-def substitute_linear(p: Polynomial, change: LinearChange | list[Polynomial]) -> Polynomial:
+def substitute_linear(p: Polynomial, change: list[Polynomial]) -> Polynomial:
     """Apply a linear change of variables: (substitute_linear(p, C))(x) = p(Cx).
 
-    Ring homomorphism in p; undone exactly by change.inverse().  The change
-    may also be given as the list of the variables' images, linear forms
-    in p's ring, which skips LinearChange's invertibility check: for
-    callers whose change is invertible by construction.
+    Ring homomorphism in p.  The change is the list of the variables'
+    images, linear forms in p's ring: a LinearChange, checked invertible
+    when built, or a plain list, for callers whose change is invertible by
+    construction (normalize_hyperplane).
     """
-    if isinstance(change, LinearChange):
-        images = [change.image_of_variable(i) for i in range(change.nvars)]
-    else:
-        images = list(change)
-    if len(images) != p.nvars or any(g.nvars != p.nvars for g in images):
-        raise ArityMismatch(f"change on {len(images)} variables, polynomial has {p.nvars}")
-    if any(g.field != p.field for g in images):
+    if len(change) != p.nvars or any(g.nvars != p.nvars for g in change):
+        raise ArityMismatch(f"change on {len(change)} variables, polynomial has {p.nvars}")
+    if any(g.field != p.field for g in change):
         raise FieldMismatch("change and polynomial over different fields")
     powers: dict[tuple[int, int], Polynomial] = {}
 
@@ -372,7 +356,7 @@ def substitute_linear(p: Polynomial, change: LinearChange | list[Polynomial]) ->
         key = (i, e)
         got = powers.get(key)
         if got is None:
-            got = images[i] ** e
+            got = change[i] ** e
             powers[key] = got
         return got
 

@@ -166,6 +166,12 @@ def _check_criterion_domain(f: Polynomial) -> tuple[int, int]:
     return d, n
 
 
+def _leading_one(field: FieldSpec, entries: list[int]) -> list[Scalar]:
+    """The integer entries as Scalars, scaled so the first nonzero one is 1."""
+    lead = next(x for x in entries if x)
+    return [field.scalar(Fraction(x, lead)) for x in entries]
+
+
 def criterion_kernel(
     f: Polynomial, hyperplane: Hyperplane, t_max: int | None = None
 ) -> CriterionReport:
@@ -205,7 +211,7 @@ def criterion_kernel(
             columns[c].append((i, x))
     pivots, free, vectors = linalg.integer_kernel(columns, len(rows), f.field.characteristic)
     kernel = [
-        linear_form(f.field, linalg._leading_one(f.field, [v.get(m + i, 0) for i in range(n)]))
+        linear_form(f.field, _leading_one(f.field, [v.get(m + i, 0) for i in range(n)]))
         for fc, v in zip(free, vectors)
         if fc >= m
     ]

@@ -13,12 +13,182 @@ from math import gcd, lcm
 
 import numpy as np
 
-from hypersect import ArityMismatch, FieldSpec, Matrix, NotHomogeneous, Polynomial, Scalar, make_field
-from hypersect.poly import monomial_basis
+from hypersect import (
+    ArityMismatch,
+    FieldMismatch,
+    FieldSpec,
+    LinearChange,
+    NotHomogeneous,
+    Polynomial,
+    Scalar,
+    SingularMatrix,
+    make_field,
+)
+from hypersect import linalg
+from hypersect.poly import linear_coefficients, monomial_basis, partial_derivative, require_homogeneous
+from hypersect.variation import _leading_one
 
 FIELDS = [make_field(0), make_field(2), make_field(3), make_field(5), make_field(7), make_field(101)]
 
 PRIME_FIELDS = [f for f in FIELDS if f.is_prime_field]
+
+
+# -- the Scalar matrix layer: dense matrices of Scalars, edge adapters over
+# linalg.integer_kernel, so the tests that use them exercise the engine ----
+
+
+class Matrix:
+    """Dense row-major matrix of Scalars over one field."""
+
+    __slots__ = ("field", "rows", "cols", "entries")
+
+    def __init__(self, field: FieldSpec, rows: int, cols: int, entries: list[Scalar]):
+        if len(entries) != rows * cols:
+            raise ValueError(f"need {rows * cols} entries, got {len(entries)}")
+        for e in entries:
+            if e.field != field:
+                raise FieldMismatch("matrix entries must share the matrix field")
+        self.field = field
+        self.rows = rows
+        self.cols = cols
+        self.entries = entries
+
+    @classmethod
+    def from_rows(cls, field: FieldSpec, row_lists) -> "Matrix":
+        rows = [[field.scalar(x) for x in row] for row in row_lists]
+        ncols = len(rows[0]) if rows else 0
+        for r in rows:
+            if len(r) != ncols:
+                raise ValueError("ragged rows")
+        flat = [x for row in rows for x in row]
+        return cls(field, len(rows), ncols, flat)
+
+    @classmethod
+    def from_sparse(cls, field: FieldSpec, cols: int, rows: list[linalg.Row]) -> "Matrix":
+        """The matrix with the given column count of sparse integer rows."""
+        entries = [field.zero()] * (len(rows) * cols)
+        for i, row in enumerate(rows):
+            for c, x in row:
+                entries[i * cols + c] = field.scalar(x)
+        return cls(field, len(rows), cols, entries)
+
+    @classmethod
+    def zero(cls, field: FieldSpec, rows: int, cols: int) -> "Matrix":
+        z = field.zero()
+        return cls(field, rows, cols, [z] * (rows * cols))
+
+    @classmethod
+    def identity(cls, field: FieldSpec, n: int) -> "Matrix":
+        m = cls.zero(field, n, n)
+        for i in range(n):
+            m.entries[i * n + i] = field.one()
+        return m
+
+    def at(self, i: int, j: int) -> Scalar:
+        return self.entries[i * self.cols + j]
+
+    def row(self, i: int) -> list[Scalar]:
+        return self.entries[i * self.cols : (i + 1) * self.cols]
+
+    def row_lists(self) -> list[list[Scalar]]:
+        return [self.row(i) for i in range(self.rows)]
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, Matrix)
+            and self.field == other.field
+            and self.rows == other.rows
+            and self.cols == other.cols
+            and self.entries == other.entries
+        )
+
+    def __repr__(self) -> str:
+        body = "; ".join(" ".join(str(x) for x in self.row(i)) for i in range(self.rows))
+        return f"Matrix({self.field}, {self.rows}x{self.cols}: {body})"
+
+
+def _integer_rows(m: Matrix) -> list[linalg.Row]:
+    """The rows of m as sparse integer rows, each scaled by the lcm of its
+    denominators (1 over F_p)."""
+    out = []
+    for row in m.row_lists():
+        scale = lcm(*(x.value.denominator for x in row))
+        out.append([(c, x.value.numerator * (scale // x.value.denominator)) for c, x in enumerate(row) if x])
+    return out
+
+
+def rref(m: Matrix) -> tuple[Matrix, list[int]]:
+    """Reduced row echelon form and the list of pivot columns, read off
+    linalg.integer_kernel.
+
+    Entry (i, fc) is -v[p_i] / v[fc] for the kernel vector v of free column
+    fc and the i-th pivot p_i.  Over F_p, v is minus that column of the
+    reduced form.  Over Q, v is zero at the pivots after fc (a zero residue
+    lifts to 0), so the matrix R so read is reduced; its rows annihilate
+    every v, which span the kernel, so its r rows span the row space, of
+    rank r.  A row space has one reduced form: this is the Gauss-Jordan one.
+    """
+    field, nrows, ncols = m.field, m.rows, m.cols
+    if not (nrows and ncols):
+        return Matrix(field, nrows, ncols, []), []
+    pivots, free, vectors = linalg.integer_kernel(_integer_rows(m), ncols, field.characteristic)
+    zero, one = field.zero(), field.one()
+    entries = [zero] * (nrows * ncols)
+    for i, pc in enumerate(pivots):
+        entries[i * ncols + pc] = one
+    for fc, v in zip(free, vectors):
+        for i, pc in enumerate(pivots):
+            if x := v.get(pc):
+                entries[i * ncols + fc] = field.scalar(Fraction(-x, v[fc]))
+    return Matrix(field, nrows, ncols, entries), pivots
+
+
+def rank(m: Matrix) -> int:
+    return len(rref(m)[1])
+
+
+def kernel_basis(m: Matrix) -> list[list[Scalar]]:
+    """Basis of the right kernel {v : m v = 0}: the vectors of
+    linalg.integer_kernel, one per free column in ascending order, leading
+    (lowest-index) entry 1."""
+    _, _, vectors = linalg.integer_kernel(_integer_rows(m), m.cols, m.field.characteristic)
+    return [_leading_one(m.field, [v.get(c, 0) for c in range(m.cols)]) for v in vectors]
+
+
+def invert(m: Matrix) -> Matrix:
+    """Inverse of a square matrix; raises SingularMatrix when rank drops."""
+    if m.rows != m.cols:
+        raise SingularMatrix(f"cannot invert a {m.rows}x{m.cols} matrix")
+    n = m.rows
+    ident = Matrix.identity(m.field, n)
+    red, pivots = rref(Matrix.from_rows(m.field, [m.row(i) + ident.row(i) for i in range(n)]))
+    if pivots != list(range(n)):
+        raise SingularMatrix("matrix is not invertible")
+    return Matrix.from_rows(m.field, [red.row(i)[n:] for i in range(n)])
+
+
+def identity_change(field: FieldSpec, nvars: int) -> LinearChange:
+    return LinearChange(field, Matrix.identity(field, nvars).row_lists())
+
+
+def inverse_change(change: LinearChange) -> LinearChange:
+    """The LinearChange undoing change: the inverse of its coefficient rows."""
+    field = change[0].field
+    m = Matrix.from_rows(field, [linear_coefficients(g) for g in change])
+    return LinearChange(field, invert(m).row_lists())
+
+
+def euler_check(f: Polynomial) -> bool:
+    """Verify sum_i x_i * df/dx_i = d * f with d reduced into the field.
+
+    This is a formal identity in every characteristic, so it doubles as a
+    self-test of the derivative code.
+    """
+    d = require_homogeneous(f, 1, "hypersurface form")
+    total = Polynomial.zero(f.field, f.nvars)
+    for i in range(f.nvars):
+        total = total + Polynomial.variable(f.field, f.nvars, i) * partial_derivative(f, i)
+    return total == f.scale(f.field.scalar(d))
 
 
 def rand_scalar(rng: random.Random, field: FieldSpec) -> Scalar:
@@ -74,8 +244,6 @@ def rand_matrix(rng: random.Random, field: FieldSpec, rows: int, cols: int) -> M
 
 def rand_invertible(rng: random.Random, field: FieldSpec, size: int) -> list[list[Scalar]]:
     """Rows of a random invertible matrix, by rejection."""
-    from hypersect.linalg import rank
-
     while True:
         rows = [[rand_scalar(rng, field) for _ in range(size)] for _ in range(size)]
         if rank(Matrix.from_rows(field, rows)) == size:
@@ -84,8 +252,6 @@ def rand_invertible(rng: random.Random, field: FieldSpec, size: int) -> list[lis
 
 def in_span(vectors: list[list[Scalar]], candidate: list[Scalar], field: FieldSpec) -> bool:
     """Whether candidate lies in the row span of vectors."""
-    from hypersect.linalg import rank
-
     if not vectors:
         return all(not c for c in candidate)
     base = Matrix.from_rows(field, vectors)
@@ -241,15 +407,75 @@ def kernel_reference(m: Matrix) -> list[list[Scalar]]:
     return basis
 
 
+@dataclass
+class GradedPiece:
+    """Degree-t piece of a homogeneous ideal inside the space of t-forms, in
+    Scalars: the oracle for reduction modulo a graded piece.
+
+    `basis` lists the degree-t monomials (grlex descending); they index the
+    columns of `span_matrix`, whose rows span the piece.  `_reduced` and
+    `_pivots` are rref_reference of it, which depend on the span alone and
+    so fix every `reduce` residual; `dimension` is the pivot count.
+    """
+
+    degree: int
+    basis: list[tuple[int, ...]]
+    span_matrix: Matrix
+    dimension: int
+    _reduced: Matrix
+    _pivots: list[int]
+
+    @classmethod
+    def of_rows(cls, field: FieldSpec, degree: int, basis, rows: list[linalg.Row]) -> "GradedPiece":
+        matrix = Matrix.from_sparse(field, len(basis), rows)
+        reduced, pivots = rref_reference(matrix)
+        return cls(degree, basis, matrix, len(pivots), reduced, pivots)
+
+    def reduce(self, p: Polynomial) -> list[Scalar]:
+        """Residual of a degree-t form after reduction by the piece: the
+        coefficient vector of p less its projection onto the row span,
+        zero exactly when p lies in the piece."""
+        field = self.span_matrix.field
+        if p.field != field:
+            raise FieldMismatch(f"form over {p.field} reduced by a piece over {field}")
+        if self.basis and len(self.basis[0]) != p.nvars:
+            raise ArityMismatch(f"form has {p.nvars} variables, piece has {len(self.basis[0])}")
+        if p and not p.is_homogeneous(self.degree):
+            raise NotHomogeneous(f"expected a form of degree {self.degree}")
+        index = {m: i for i, m in enumerate(self.basis)}
+        v = [field.zero()] * len(self.basis)
+        for m, c in p.terms.items():
+            v[index[m]] = c
+        for r, pc in enumerate(self._pivots):
+            if f := v[pc]:
+                v = [x - f * y for x, y in zip(v, self._reduced.row(r))]
+        return v
+
+    def contains(self, p: Polynomial) -> bool:
+        return not any(self.reduce(p))
+
+
+def graded_piece(generators: list[Polynomial], degree: int) -> GradedPiece:
+    """The degree-t piece of the ideal of nonzero homogeneous generators,
+    on the pruned rows of jacobian._macaulay_rows, reduced by rref_reference:
+    the Scalar companion of jacobian.ideal_graded_dim."""
+    from hypersect.jacobian import _macaulay_rows
+
+    live = [g for g in generators if not g.is_zero()]
+    basis, rows = _macaulay_rows(live, degree)
+    return GradedPiece.of_rows(live[0].field, degree, basis, rows)
+
+
 def criterion_kernel_reference(f: Polynomial, hyperplane, t_max=None):
     """variation.criterion_kernel through the Scalar graded piece.
 
     Reduces x_i*q by the degree-d piece of the section's full Jacobian
     ideal (f kept) with GradedPiece.reduce and reads the kernel of the
-    residual columns off kernel_reference.  The oracle for the integer
-    Macaulay matrix path.
+    residual columns off kernel_reference: Fraction Gauss-Jordan alone,
+    so no linalg.integer_kernel runs outside is_smooth.  The oracle for
+    the integer Macaulay matrix path.
     """
-    from hypersect.jacobian import ideal_graded_dim, is_smooth, jacobian_generators
+    from hypersect.jacobian import is_smooth, jacobian_generators
     from hypersect.poly import linear_form, set_var_zero
     from hypersect.variation import (
         CriterionReport,
@@ -267,7 +493,7 @@ def criterion_kernel_reference(f: Polynomial, hyperplane, t_max=None):
     q = criterion_form(normalized)
     if q.is_zero():
         return CriterionReport(hyperplane, CriterionStatus.VACUOUS, criterion_form=q)
-    piece = ideal_graded_dim(jacobian_generators(section), d)
+    piece = graded_piece(jacobian_generators(section), d)
     residuals = [piece.reduce(q * Polynomial.variable(f.field, n, i)) for i in range(n)]
     columns = Matrix.from_rows(
         f.field, [[residuals[i][r] for i in range(n)] for r in range(len(piece.basis))]

@@ -15,22 +15,17 @@ from hypersect import (
     CriterionStatus,
     Hyperplane,
     LinearChange,
-    Matrix,
     Polynomial,
     ScanStrategy,
     certify_max_variation,
     criterion_form,
     criterion_kernel,
-    euler_check,
     is_smooth,
-    kernel_basis,
     linear_coefficients,
     make_field,
     moduli_dim,
     parse_poly,
     partial_derivative,
-    rank,
-    rref,
     sections_exceed_moduli,
     substitute_linear,
 )
@@ -38,14 +33,18 @@ from hypersect.fixtures import cubic_threefold_example, cyclic_fermat, fermat
 from gf_oracle import find_singular_point
 from helpers import (
     FIELDS,
+    euler_check,
     first_order_section,
     in_span,
+    kernel_basis,
     mat_vec,
     rand_invertible,
     rand_matrix,
     rand_nonzero_homogeneous,
     rand_poly,
     rand_scalar,
+    rank,
+    rref,
 )
 
 Q = make_field(0)

@@ -14,7 +14,6 @@ from hypersect import (
     NotHomogeneous,
     Polynomial,
     default_degree_cap,
-    euler_check,
     ideal_graded_dim,
     is_smooth,
     jacobian_generators,
@@ -24,20 +23,22 @@ from hypersect import (
 )
 from hypersect import jacobian, linalg
 from hypersect.fixtures import cubic_threefold_example, cyclic_fermat, fermat
-from hypersect.jacobian import GradedPiece, _macaulay_rows
-from hypersect.linalg import PROBE_PRIME, Matrix, rank_mod_p_int
+from hypersect.jacobian import _macaulay_rows
+from hypersect.linalg import PROBE_PRIME, rank_mod_p_int
 from hypersect.poly import dimension_of_degree, monomial_basis
 from gf_oracle import find_singular_point
 from helpers import (
     FIELDS,
+    GradedPiece,
     dense_rows,
+    euler_check,
+    graded_piece,
     is_smooth_reference,
     macaulay_rows_reference,
     rand_homogeneous,
     rand_invertible,
     rand_nonzero_homogeneous,
     rank_int_exact,
-    rref_reference,
     sparse_rows,
 )
 
@@ -100,7 +101,7 @@ def test_graded_dim_rejects_inhomogeneous():
 
 def test_graded_piece_membership():
     partials = jacobian_generators(fermat(3, 3, Q))[1:]
-    piece = ideal_graded_dim(partials, 2)
+    piece = graded_piece(partials, 2)
     assert piece.contains(parse_poly("x0^2", 4, Q))
     assert piece.contains(parse_poly("2*x1^2 - x3^2", 4, Q))
     assert not piece.contains(parse_poly("x0*x1", 4, Q))
@@ -111,7 +112,7 @@ def test_graded_piece_membership():
 def test_graded_piece_rejects_forms_from_another_ring():
     """A form with another variable count or over another field is refused
     with a typed error, also when it misses every pivot column."""
-    piece = ideal_graded_dim(jacobian_generators(fermat(3, 3, Q))[1:], 3)
+    piece = graded_piece(jacobian_generators(fermat(3, 3, Q))[1:], 3)
     with pytest.raises(ArityMismatch):
         piece.reduce(parse_poly("x0^3 + x1*x2^2", 3, Q))
     f5 = make_field(5)
@@ -337,24 +338,24 @@ def test_pruning_keeps_span_for_any_generator_list():
 
 def _reference_piece(generators, degree, field):
     basis, rows = macaulay_rows_reference(generators, degree)
-    matrix = Matrix.from_rows(field, rows) if rows else Matrix.zero(field, 0, len(basis))
-    reduced, pivots = rref_reference(matrix)
-    return GradedPiece(degree, basis, matrix, len(pivots), reduced, pivots)
+    return GradedPiece.of_rows(field, degree, basis, sparse_rows(rows))
 
 
 def test_graded_piece_residuals_match_unpruned_reference():
-    """ideal_graded_dim builds pruned rows; its dimension, pivots and the
-    residual of every tested form equal those of the unpruned piece."""
+    """The pieces on pruned rows have the dimension, pivots and residual of
+    every tested form of the unpruned piece; ideal_graded_dim has its
+    basis and dimension."""
     rng = random.Random(83)
     verdicts = set()
     for field, d, f in _form_grid(84):
         verdicts.add(is_smooth(f))
         gens = jacobian_generators(f)
         for t in (d - 1, d, d + 1):
-            piece = ideal_graded_dim(gens, t)
+            piece = graded_piece(gens, t)
             ref = _reference_piece(gens, t, field)
-            assert piece.basis == ref.basis
-            assert piece.dimension == ref.dimension
+            dim = ideal_graded_dim(gens, t)
+            assert piece.basis == ref.basis == dim.basis
+            assert piece.dimension == ref.dimension == dim.dimension
             assert piece._pivots == ref._pivots
             assert piece.span_matrix.rows <= ref.span_matrix.rows
             probes = [rand_homogeneous(rng, field, f.nvars, t) for _ in range(4)]

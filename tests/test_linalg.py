@@ -7,20 +7,25 @@ from fractions import Fraction
 
 import pytest
 
-from hypersect import Matrix, SingularMatrix, invert, kernel_basis, make_field, rank, rref
+from hypersect import HypersectError, SingularMatrix, make_field
 from hypersect import linalg
 from hypersect.fields import _is_prime
 from hypersect.linalg import PROBE_PRIME, rank_mod_p_int, rank_q_certified
 from helpers import (
     FIELDS,
+    Matrix,
     in_span,
+    invert,
+    kernel_basis,
     kernel_reference,
     mat_vec,
     rand_invertible,
     rand_matrix,
     rand_scalar,
+    rank,
     rank_int_exact,
     rank_mod_p_dense,
+    rref,
     rref_reference,
     sparse_rows,
 )
@@ -455,6 +460,38 @@ def test_rank_q_certified_past_int64_primes(monkeypatch):
         monkeypatch.setattr(linalg, "_LIFT_PRIMES", (first,))
         for rows in itertools.islice(_shaped_grid(rng, lambda: rng.randint(-(10**6), 10**6)), 0, None, 3):
             assert rank_q_certified(sparse_rows(rows), len(rows[0])) == rank_int_exact(rows)
+
+
+def test_lift_raises_instead_of_looping_when_checks_keep_failing(monkeypatch):
+    """A check that never passes is a defect, not bad luck: past 2*H^2 the
+    lift raises an internal RuntimeError instead of trying primes forever.
+    Here the first prime already exceeds 2*H^2 = 2*77*14."""
+    calls = []
+
+    def failing_check(rows, vectors):
+        calls.append(1)
+        if len(calls) > 10:
+            pytest.fail("the lift kept trying primes")
+        return False
+
+    monkeypatch.setattr(linalg, "_annihilates", failing_check)
+    with pytest.raises(RuntimeError) as raised:
+        linalg.integer_kernel(sparse_rows([[1, 2, 3], [4, 5, 6]]), 3, 0)
+    assert not isinstance(raised.value, HypersectError)
+    assert len(calls) == 1
+
+
+def test_public_surface_has_no_scalar_matrix_layer():
+    """Every exported name resolves, and the Scalar matrix layer lives in
+    the test helpers only."""
+    import hypersect
+    from hypersect import jacobian
+
+    for name in hypersect.__all__:
+        getattr(hypersect, name)
+    gone = ("Matrix", "rref", "rank", "kernel_basis", "invert", "euler_check", "GradedPiece")
+    for module in (hypersect, linalg, jacobian):
+        assert [name for name in gone if hasattr(module, name)] == [], module.__name__
 
 
 def test_rank_q_certified_eliminates_only_the_schur_block(monkeypatch):

@@ -22,7 +22,6 @@ from hypersect import (
     certify_max_variation,
     criterion_form,
     criterion_kernel,
-    ideal_graded_dim,
     jacobian_generators,
     make_field,
     moduli_dim,
@@ -33,14 +32,15 @@ from hypersect import (
     substitute_linear,
     survey_kernels,
 )
-from hypersect import linalg, variation
-from hypersect.jacobian import GradedPiece
+from hypersect import jacobian, linalg, variation
 from hypersect.fixtures import cubic_threefold_example, cyclic_fermat, fermat
 from helpers import (
     FIELDS,
     criterion_kernel_reference,
     first_order_section,
+    graded_piece,
     in_span,
+    inverse_change,
     rand_nonzero_homogeneous,
     rand_scalar,
 )
@@ -194,7 +194,7 @@ def test_kernel_members_multiply_into_the_ideal():
     f = cubic_threefold_example(Q)
     rep = criterion_kernel(f, Hyperplane.coordinate(Q, 5, 0))
     section = set_var_zero(f, 0)
-    piece = ideal_graded_dim(jacobian_generators(section), 3)
+    piece = graded_piece(jacobian_generators(section), 3)
     q = rep.criterion_form
     for l in rep.kernel_basis:
         assert piece.contains(q * l)
@@ -259,11 +259,27 @@ def test_criterion_kernel_matches_graded_piece_oracle():
     assert max(c.value.denominator for b in got.kernel_basis for c in b.terms.values()) > 2**16
 
 
+def test_criterion_kernel_oracle_runs_no_integer_kernel(monkeypatch):
+    """Over F_p the oracle is independent of the engine it checks: with
+    linalg.integer_kernel raising, criterion_kernel_reference still
+    returns on every prime-field case of the oracle grid."""
+
+    def refuse(*args):
+        raise AssertionError("integer_kernel called")
+
+    monkeypatch.setattr(linalg, "integer_kernel", refuse)
+    computed = 0
+    for f, h in _criterion_grid(93):
+        if f.field.is_prime_field:
+            computed += criterion_kernel_reference(f, h).status is CriterionStatus.COMPUTED
+    assert computed >= 100
+
+
 def test_criterion_kernel_is_one_integer_kernel(monkeypatch):
     """One criterion makes one Macaulay matrix at degree d and one kernel
-    call on it, and no Scalar elimination: no rref, kernel_basis or
-    GradedPiece.reduce."""
-    builds, kernels, scalar = [], [], []
+    call on it, and no Scalar elimination: the package has no rref,
+    kernel_basis or GradedPiece."""
+    builds, kernels = [], []
     real_rows, real_kernel = variation._macaulay_rows, linalg.integer_kernel
 
     def rows_spy(gens, degree):
@@ -274,19 +290,10 @@ def test_criterion_kernel_is_one_integer_kernel(monkeypatch):
         kernels.append(p)
         return real_kernel(rows, ncols, p)
 
-    def scalar_spy(owner, name):
-        real = getattr(owner, name)
-
-        def spy(*args, **kwargs):
-            scalar.append(name)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(owner, name, spy)
-
     monkeypatch.setattr(variation, "_macaulay_rows", rows_spy)
     monkeypatch.setattr(linalg, "integer_kernel", kernel_spy)
-    for owner, name in ((linalg, "rref"), (linalg, "kernel_basis"), (GradedPiece, "reduce")):
-        scalar_spy(owner, name)
+    assert not hasattr(linalg, "rref") and not hasattr(linalg, "kernel_basis")
+    assert not hasattr(jacobian, "GradedPiece")
     computed = 0
     for f, h in itertools.islice(_criterion_grid(94), 0, None, 4):
         builds.clear()
@@ -298,7 +305,6 @@ def test_criterion_kernel_is_one_integer_kernel(monkeypatch):
             assert kernels == [f.field.characteristic], (f, h)
         else:
             assert builds == []
-    assert scalar == []
     assert computed >= 30
 
 
@@ -330,7 +336,7 @@ def test_kernel_dim_invariant_under_section_coordinate_change():
         # kernels correspond: undoing the block change on a basis vector
         # of the moved kernel lands in the span of the original kernel
         section_change = LinearChange(Q, block)
-        mapped = [substitute_linear(b, section_change.inverse()) for b in rep.kernel_basis]
+        mapped = [substitute_linear(b, inverse_change(section_change)) for b in rep.kernel_basis]
         target = [_coeffs(b) for b in base.kernel_basis]
         for v in mapped:
             assert in_span(target, _coeffs(v), Q)
