@@ -11,11 +11,13 @@ any input error.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import re
 import sys
 import time
 from fractions import Fraction
+from functools import cache, partial
 
 from . import fixtures
 from .errors import HypersectError, UsageError
@@ -35,10 +37,6 @@ from .variation import (
 )
 
 SCHEMA_VERSION = "1"
-
-_COMMANDS = ("smooth", "criterion", "certify", "survey", "moduli-dim", "fixture", "parse")
-
-_SOURCE_COMMANDS = {"smooth", "criterion", "certify", "survey", "parse"}
 
 _EPILOG = """\
 polynomial grammar:
@@ -60,6 +58,7 @@ examples:
   hypersect certify --char 0 --fixture fermat --n 3 --d 4 --budget 32 --json
   hypersect survey --char 0 --f "x0^3+x1^3+x2^3+x3^3" --h "x0" --h "x0 + x1"
   hypersect moduli-dim --d 3 --n 2
+  hypersect certify --help     (the flags of one command)
 """
 
 
@@ -70,7 +69,32 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _int_at_least(low: int, name: str):
+    """argparse type: an integer >= low; anything else reads 'invalid <name> value'."""
+
+    def parse(text: str) -> int:
+        if int(text) < low:
+            raise ValueError(text)
+        return int(text)
+
+    parse.__name__ = name
+    return parse
+
+
+def _params(build) -> list[str]:
+    return [name for name in inspect.signature(build).parameters if name != "field"]
+
+
+# the source flags named after fixture parameters
+_FIXTURE_PARAMS = list(dict.fromkeys(p for build in fixtures.FIXTURES.values() for p in _params(build)))
+
+
+@cache
 def _build_parser() -> _Parser:
+    """One subcommand per command, each declaring exactly its own flags.
+
+    Built once per process; parse_args leaves no state in the parsers.
+    """
     parser = _Parser(
         prog="hypersect",
         description="Certify maximal variation of smooth hyperplane sections "
@@ -79,40 +103,49 @@ def _build_parser() -> _Parser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
         allow_abbrev=False,
     )
-    parser.add_argument("command", choices=_COMMANDS, help="what to compute")
-    parser.add_argument("--char", type=int, default=None, help="field characteristic: 0 for Q or a prime")
-    parser.add_argument("--f", default=None, metavar="POLY", help="inline polynomial ('-' reads stdin)")
-    parser.add_argument("--fixture", default=None, choices=sorted(fixtures.FIXTURES), help="named example input")
-    parser.add_argument("--n", type=int, default=None, help="projective dimension (fixtures, moduli-dim)")
-    parser.add_argument("--d", type=int, default=None, help="degree (fixtures, moduli-dim)")
-    parser.add_argument("--a", action="append", default=None, metavar="COEFF",
-                        help="quadric coefficient for cubic-threefold-normal-form; give four times")
-    parser.add_argument("--g", default=None, metavar="CUBIC",
-                        help="cubic part in x1..x4 for cubic-threefold-normal-form")
-    parser.add_argument("--h", action="append", default=None, metavar="LINEAR",
-                        help="hyperplane as a linear form; repeatable for survey")
-    parser.add_argument("--nvars", type=int, default=None, help="variable count override for inline input")
-    parser.add_argument("--seed", type=int, default=None, help="certify: RNG seed (default 0)")
-    parser.add_argument("--budget", type=int, default=None, help="certify: trial budget (default 64)")
-    parser.add_argument("--t-max", type=int, default=None, dest="t_max",
-                        help="override the smoothness scan degree cap")
-    parser.add_argument("--json", action="store_true", help="machine-readable report on stdout")
+    commands = parser.add_subparsers(dest="command", required=True)
+    command = partial(commands.add_parser, allow_abbrev=False)
+    shared = partial(_Parser, add_help=False)
+    common = shared()
+    common.add_argument("--json", action="store_true", help="machine-readable report on stdout")
+    source = shared(parents=[common])
+    source.add_argument("--char", type=int, required=True, help="field characteristic: 0 for Q or a prime")
+    source.add_argument("--f", metavar="POLY", help="inline polynomial ('-' reads stdin)")
+    source.add_argument("--nvars", type=int, help="variable count override for inline --f")
+    takes = ", ".join(f"{name}({', '.join(_params(build))})" for name, build in fixtures.FIXTURES.items())
+    source.add_argument("--fixture", choices=sorted(fixtures.FIXTURES),
+                        help=f"named example input, given exactly its parameters: {takes}")
+    source.add_argument("--n", type=int, help="projective dimension (fixture parameter)")
+    source.add_argument("--d", type=int, help="degree (fixture parameter)")
+    source.add_argument("--a", action="append", metavar="COEFF",
+                        help="quadric coefficient (fixture parameter); give four times")
+    source.add_argument("--g", metavar="CUBIC", help="cubic part in x1..x4 (fixture parameter)")
+    scan = shared(parents=[source])
+    scan.add_argument("--t-max", type=_int_at_least(0, "nonnegative int"), dest="t_max",
+                      help="override the smoothness scan degree cap")
+    planes = shared(parents=[scan])
+    planes.add_argument("--h", action="append", required=True, metavar="LINEAR",
+                        help="hyperplane as a linear form")
+    command("smooth", parents=[scan])
+    command("criterion", parents=[planes])
+    certify = command("certify", parents=[scan])
+    certify.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    certify.add_argument("--budget", type=_int_at_least(1, "positive int"), default=64,
+                         help="trial budget (default 64)")
+    command("survey", parents=[planes])
+    moduli = command("moduli-dim", parents=[common])
+    moduli.add_argument("--n", type=int, required=True, help="projective dimension")
+    moduli.add_argument("--d", type=int, required=True, help="degree")
+    command("fixture", parents=[source])
+    command("parse", parents=[source])
     return parser
 
 
 _VAR_RE = re.compile(r"x([0-9]+)")
 
 
-def _reject(options: argparse.Namespace, names: list[str], command: str) -> None:
-    for name in names:
-        if getattr(options, name.lstrip("-").replace("-", "_")) is not None:
-            raise UsageError(f"{name} does not apply to '{command}'")
-
-
 def _read_inline(text: str) -> str:
-    if text == "-":
-        return sys.stdin.read()
-    return text
+    return sys.stdin.read() if text == "-" else text
 
 
 def _inline_nvars(text: str, override: int | None) -> int:
@@ -125,40 +158,36 @@ def _inline_nvars(text: str, override: int | None) -> int:
     return override
 
 
-def _field_of(options: argparse.Namespace) -> FieldSpec:
-    if options.char is None:
-        raise UsageError("--char is required")
-    return make_field(options.char)
+def _fixture_args(options: argparse.Namespace, source: str, wanted: list[str]) -> dict:
+    """The fixture-parameter flags, which must be exactly `wanted`."""
+    for name in _FIXTURE_PARAMS:
+        given = getattr(options, name) is not None
+        if given != (name in wanted):
+            raise UsageError(f"{source} {'takes no' if given else 'needs'} --{name}")
+    return {name: getattr(options, name) for name in wanted}
 
 
 def _fixture_poly(options: argparse.Namespace, field: FieldSpec) -> Polynomial:
-    name = options.fixture
-    if name in ("fermat", "cyclic-fermat"):
-        if options.n is None or options.d is None:
-            raise UsageError(f"--fixture {name} needs --n and --d")
-        build = fixtures.fermat if name == "fermat" else fixtures.cyclic_fermat
-        return build(options.n, options.d, field)
-    if name == "cubic-threefold":
-        if options.n is not None or options.d is not None:
-            raise UsageError("--fixture cubic-threefold takes no --n or --d")
-        return fixtures.cubic_threefold_example(field)
-    if options.a is None or options.g is None:
-        raise UsageError(f"--fixture {name} needs --a (four times) and --g")
-    try:
-        coeffs = [Fraction(text) for text in options.a]
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"bad --a value: {exc}") from None
-    ambient = parse_poly(_read_inline(options.g), 5, field)
-    if any(m[0] for m in ambient.terms):
-        raise UsageError("--g must involve only x1..x4")
-    return fixtures.cubic_threefold_normal_form(coeffs, set_var_zero(ambient, 0), field)
+    build = fixtures.FIXTURES[options.fixture]
+    args = _fixture_args(options, f"--fixture {options.fixture}", _params(build))
+    if "a" in args:
+        try:
+            args["a"] = [Fraction(text) for text in args["a"]]
+        except (ValueError, ZeroDivisionError) as exc:
+            raise UsageError(f"bad --a value: {exc}") from None
+    if "g" in args:
+        ambient = parse_poly(_read_inline(args["g"]), 5, field)
+        if any(m[0] for m in ambient.terms):
+            raise UsageError("--g must involve only x1..x4")
+        args["g"] = set_var_zero(ambient, 0)
+    return build(**args, field=field)
 
 
 def _source_poly(options: argparse.Namespace, field: FieldSpec) -> tuple[Polynomial, str | None]:
     if (options.f is None) == (options.fixture is None):
         raise UsageError("give exactly one polynomial source: --f or --fixture")
     if options.f is not None:
-        _reject(options, ["--n", "--d", "--a", "--g"], "an inline --f request")
+        _fixture_args(options, "an inline --f request", [])
         text = _read_inline(options.f)
         return parse_poly(text, _inline_nvars(text, options.nvars), field), None
     if options.nvars is not None:
@@ -167,9 +196,7 @@ def _source_poly(options: argparse.Namespace, field: FieldSpec) -> tuple[Polynom
 
 
 def _parse_hyperplanes(options: argparse.Namespace, f: Polynomial) -> list[Hyperplane]:
-    return [
-        Hyperplane(parse_poly(text, f.nvars, f.field)) for text in options.h
-    ]
+    return [Hyperplane(parse_poly(text, f.nvars, f.field)) for text in options.h]
 
 
 def _criterion_payload(report: CriterionReport) -> dict:
@@ -186,12 +213,8 @@ def _criterion_payload(report: CriterionReport) -> dict:
 
 def _certify_payload(report: CertifyReport) -> dict:
     trials = [
-        {
-            "hyperplane": trial.hyperplane.form.to_text(),
-            "status": trial.status.value,
-            "kernel_dim": trial.kernel_dim,
-        }
-        for trial in report.trials
+        {"hyperplane": t.hyperplane.form.to_text(), "status": t.status.value, "kernel_dim": t.kernel_dim}
+        for t in report.trials
     ]
     return {
         "verdict": report.verdict.value,
@@ -205,21 +228,16 @@ def _run(options: argparse.Namespace) -> tuple[dict, dict, int]:
     """Returns (request echo, result payload, exit code)."""
     command = options.command
     if command == "moduli-dim":
-        _reject(options, ["--char", "--f", "--fixture", "--h", "--seed", "--budget",
-                          "--t-max", "--nvars", "--a", "--g"], command)
-        if options.d is None or options.n is None:
-            raise UsageError("moduli-dim needs --d and --n")
         request = {"d": options.d, "n": options.n}
         return request, {"m": moduli_dim(options.d, options.n)}, 0
 
-    field = _field_of(options)
+    field = make_field(options.char)
     f, fixture_name = _source_poly(options, field)
     request: dict = {"char": field.characteristic, "polynomial": f.to_text(), "nvars": f.nvars}
     if fixture_name is not None:
         request["fixture"] = fixture_name
 
     if command == "parse":
-        _reject(options, ["--h", "--seed", "--budget", "--t-max"], command)
         degree = f.degree()
         result = {
             "polynomial": f.to_text(),
@@ -231,30 +249,20 @@ def _run(options: argparse.Namespace) -> tuple[dict, dict, int]:
         return request, result, 0
 
     if command == "fixture":
-        _reject(options, ["--h", "--seed", "--budget", "--t-max"], command)
         if fixture_name is None:
             raise UsageError("the fixture command needs --fixture, not --f")
-        result = {
-            "name": fixture_name,
-            "polynomial": f.to_text(),
-            "nvars": f.nvars,
-            "degree": f.degree(),
-        }
+        result = {"name": fixture_name, "polynomial": f.to_text(), "nvars": f.nvars, "degree": f.degree()}
         return request, result, 0
 
     if options.t_max is not None:
-        if options.t_max < 0:
-            raise UsageError(f"--t-max must be a nonnegative degree, got {options.t_max}")
         request["t_max"] = options.t_max
 
     if command == "smooth":
-        _reject(options, ["--h", "--seed", "--budget"], command)
         verdict = is_smooth(f, t_max=options.t_max)
         return request, {"smooth": verdict}, 0 if verdict else 1
 
     if command == "criterion":
-        _reject(options, ["--seed", "--budget"], command)
-        if options.h is None or len(options.h) != 1:
+        if len(options.h) != 1:
             raise UsageError("criterion needs exactly one --h")
         (hyperplane,) = _parse_hyperplanes(options, f)
         request["h"] = hyperplane.form.to_text()
@@ -262,31 +270,21 @@ def _run(options: argparse.Namespace) -> tuple[dict, dict, int]:
         return request, _criterion_payload(report), 0
 
     if command == "survey":
-        _reject(options, ["--seed", "--budget"], command)
-        if not options.h:
-            raise UsageError("survey needs at least one --h")
         planes = _parse_hyperplanes(options, f)
         request["h"] = [plane.form.to_text() for plane in planes]
         reports = survey_kernels(f, planes, t_max=options.t_max)
         return request, {"reports": [_criterion_payload(r) for r in reports]}, 0
 
     # certify
-    _reject(options, ["--h"], command)
-    if options.budget is not None and options.budget <= 0:
-        raise UsageError(f"--budget must be a positive trial count, got {options.budget}")
-    strategy = ScanStrategy(
-        seed=0 if options.seed is None else options.seed,
-        trial_budget=64 if options.budget is None else options.budget,
-    )
-    request["seed"] = strategy.seed
-    request["budget"] = strategy.trial_budget
+    request.update(seed=options.seed, budget=options.budget)
+    strategy = ScanStrategy(seed=options.seed, trial_budget=options.budget)
     report = certify_max_variation(f, strategy, t_max=options.t_max)
-    code = 0 if report.witness is not None else 1
-    return request, _certify_payload(report), code
+    return request, _certify_payload(report), 0 if report.witness is not None else 1
 
 
-def _emit_json(obj: dict) -> None:
-    print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
+def _emit_json(**fields) -> None:
+    report = {"schema_version": SCHEMA_VERSION, **fields}
+    print(json.dumps(report, sort_keys=True, separators=(",", ":")))
 
 
 def _human_lines(command: str, result: dict) -> list[str]:
@@ -330,25 +328,14 @@ def main(argv: list[str] | None = None) -> int:
         if position is not None:
             error["position"] = position
         if json_mode:
-            _emit_json({"schema_version": SCHEMA_VERSION, "error": error})
+            _emit_json(error=error)
         print(f"error[{error['code']}]: {error['message']}", file=sys.stderr)
         return 2
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     if json_mode:
-        _emit_json(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "command": options.command,
-                "request": request,
-                "result": result,
-            }
-        )
+        _emit_json(command=options.command, request=request, result=result)
     else:
         for line in _human_lines(options.command, result):
             print(line)
     print(f"elapsed_ms: {elapsed_ms:.1f}", file=sys.stderr)
     return code
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -141,15 +141,21 @@ def ideal_graded_dim(
     """Degree-t piece of the ideal spanned by homogeneous generators.
 
     Generators of degree above t contribute nothing; zero generators are
-    skipped.  field/nvars are only needed when the list is empty.  The
-    dimension is one exact rank of the Macaulay rows: mod p over F_p,
-    linalg.rank_q_certified over Q.
+    skipped.  field/nvars are only needed when the list is empty.  All
+    generators must share one ring, the given field/nvars where given
+    (FieldMismatch, ArityMismatch otherwise).  The dimension is one exact
+    rank of the Macaulay rows: mod p over F_p, linalg.rank_q_certified
+    over Q.
     """
-    live = [g for g in generators if not g.is_zero()]
-    if live:
-        field, nvars = live[0].field, live[0].nvars
+    if generators:
+        field = generators[0].field if field is None else field
+        nvars = generators[0].nvars if nvars is None else nvars
     elif field is None or nvars is None:
         raise ValueError("empty generator list needs explicit field and nvars")
+    ring = Polynomial.zero(field, nvars)
+    for g in generators:
+        ring._check(g)
+    live = [g for g in generators if not g.is_zero()]
     basis, rows = _macaulay_rows(live, degree) if live else (monomial_basis(nvars, degree), [])
     p = field.characteristic
     rank = linalg.rank_mod_p_int(rows, p) if p else linalg.rank_q_certified(rows, len(basis))

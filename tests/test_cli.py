@@ -2,6 +2,10 @@
 
 import io
 import json
+import os
+import re
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -290,6 +294,12 @@ def test_timing_goes_to_stderr_not_stdout(capsys):
         (("smooth", "--fixture", "fermat", "--n", "3", "--d", "3", "--char", "0", "--t-max", "-3"), "UsageError"),
         (("certify", "--fixture", "cubic-threefold", "--char", "0", "--t-max", "-1"), "UsageError"),
         (("criterion", "--fixture", "cubic-threefold", "--char", "0", "--h", "x0^2"), "NotHomogeneous"),
+        # each fixture takes exactly the parameters of its function
+        (("fixture", "--char", "0", "--fixture", "fermat", "--n", "3", "--d", "3", "--a", "1", "--g", "x1^3"),
+         "UsageError"),
+        (("fixture", "--char", "0", "--fixture", "cubic-threefold", "--a", "1"), "UsageError"),
+        (("fixture", "--char", "0", "--fixture", "cubic-threefold-normal-form", "--a", "1", "--a", "1",
+          "--a", "1", "--a", "1", "--g", "x1^3+x2^3+x3^3+x4^3", "--n", "3"), "UsageError"),
     ],
 )
 def test_error_paths_emit_json_and_exit_two(capsys, argv, code):
@@ -297,6 +307,46 @@ def test_error_paths_emit_json_and_exit_two(capsys, argv, code):
     assert exit_code == 2
     assert payload["error"]["code"] == code
     assert err.startswith(f"error[{code}]")
+
+
+def test_parser_reuse_leaks_no_state(capsys):
+    # one parser serves every request in the process
+    args = ("survey", "--fixture", "cubic-threefold", "--char", "0")
+    assert run_json(capsys, *args, "--h", "x0")[1]["request"]["h"] == ["x0"]
+    assert run_json(capsys, *args, "--h", "x1")[1]["request"]["h"] == ["x1"]
+    args = ("certify", "--fixture", "cubic-threefold", "--char", "0", "--budget", "1")
+    assert run_json(capsys, *args, "--seed", "3")[1]["request"]["seed"] == 3
+    assert run_json(capsys, *args)[1]["request"]["seed"] == 0
+
+
+SOURCE_FLAGS = ["--json", "--char", "--f", "--nvars", "--fixture", "--n", "--d", "--a", "--g"]
+COMMAND_FLAGS = {
+    "smooth": SOURCE_FLAGS + ["--t-max"],
+    "criterion": SOURCE_FLAGS + ["--t-max", "--h"],
+    "survey": SOURCE_FLAGS + ["--t-max", "--h"],
+    "certify": SOURCE_FLAGS + ["--t-max", "--seed", "--budget"],
+    "parse": SOURCE_FLAGS,
+    "fixture": SOURCE_FLAGS,
+    "moduli-dim": ["--json", "--n", "--d"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+def test_command_help_lists_only_its_flags(capsys, command):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    # option lines of the help text; "-h, --help" starts with -h
+    listed = re.findall(r"^  (--[a-z-]+)", capsys.readouterr().out, re.MULTILINE)
+    assert sorted(listed) == sorted(COMMAND_FLAGS[command])
+
+
+def test_module_entry_point_matches_main(capsys):
+    argv = ["moduli-dim", "--d", "3", "--n", "2", "--json"]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run([sys.executable, "-m", "hypersect", *argv], capture_output=True, env=env, timeout=60)
+    code, out, _ = run(capsys, *argv)
+    assert (proc.returncode, proc.stdout) == (code, out.encode())
 
 
 def test_unknown_command_is_usage_error(capsys):

@@ -121,6 +121,26 @@ def test_graded_piece_rejects_forms_from_another_ring():
             piece.reduce(parse_poly(text, 4, f5))
 
 
+def test_graded_dim_rejects_generators_from_mixed_rings():
+    """Generators over two fields or in two variable counts are refused
+    with a typed error instead of a KeyError or the first ring's answer."""
+    f5 = make_field(5)
+    with pytest.raises(ArityMismatch):
+        ideal_graded_dim([parse_poly("x0^2", 3, Q), parse_poly("x3^2", 4, Q)], 2)
+    with pytest.raises(FieldMismatch):
+        ideal_graded_dim([parse_poly("x0^2", 3, Q), parse_poly("x1^2", 3, f5)], 2)
+
+
+def test_graded_dim_rejects_generators_outside_the_given_ring():
+    f5 = make_field(5)
+    with pytest.raises(FieldMismatch):
+        ideal_graded_dim([parse_poly("x0^2", 3, Q)], 2, field=f5)
+    with pytest.raises(ArityMismatch):
+        ideal_graded_dim([parse_poly("x0^2", 3, Q)], 2, nvars=4)
+    # the ring named explicitly and matching is accepted
+    assert ideal_graded_dim([parse_poly("x0^2", 3, f5)], 2, field=f5, nvars=3).dimension == 1
+
+
 def test_smooth_fermat_when_char_does_not_divide_degree():
     for n, d in ((2, 3), (3, 3), (3, 4), (4, 3)):
         for p in (0, 2, 5, 7):
