@@ -51,10 +51,8 @@ from .variation import (
     Hyperplane,
     ScanStrategy,
     certify_max_variation,
-    criterion_form,
     criterion_kernel,
     moduli_dim,
-    normalize_hyperplane,
     sections_exceed_moduli,
     survey_kernels,
 )
@@ -90,7 +88,6 @@ __all__ = [
     "UsageError",
     "ZeroHyperplane",
     "certify_max_variation",
-    "criterion_form",
     "criterion_kernel",
     "default_degree_cap",
     "fixtures",
@@ -102,7 +99,6 @@ __all__ = [
     "make_field",
     "moduli_dim",
     "monomial_basis",
-    "normalize_hyperplane",
     "parse_poly",
     "partial_derivative",
     "sections_exceed_moduli",

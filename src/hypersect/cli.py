@@ -167,14 +167,18 @@ def _fixture_args(options: argparse.Namespace, source: str, wanted: list[str]) -
     return {name: getattr(options, name) for name in wanted}
 
 
+def _fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise UsageError(f"bad --a value {text!r}") from None
+
+
 def _fixture_poly(options: argparse.Namespace, field: FieldSpec) -> Polynomial:
     build = fixtures.FIXTURES[options.fixture]
     args = _fixture_args(options, f"--fixture {options.fixture}", _params(build))
     if "a" in args:
-        try:
-            args["a"] = [Fraction(text) for text in args["a"]]
-        except (ValueError, ZeroDivisionError) as exc:
-            raise UsageError(f"bad --a value: {exc}") from None
+        args["a"] = [_fraction(text) for text in args["a"]]
     if "g" in args:
         ambient = parse_poly(_read_inline(args["g"]), 5, field)
         if any(m[0] for m in ambient.terms):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from .errors import BadCharacteristic, DimensionTooSmall
 from .fields import FieldSpec
-from .poly import Polynomial, embed_shift, require_homogeneous
+from .poly import Polynomial, require_homogeneous, substitute_linear
 
 
 def _check_nd(n: int, d: int) -> None:
@@ -90,7 +90,7 @@ def cubic_threefold_normal_form(a, g: Polynomial, field: FieldSpec) -> Polynomia
             continue
         sq = tuple(2 if k == i + 1 else 0 for k in range(5))
         out = out + (x0 * Polynomial.from_terms(field, 5, {sq: c}))
-    return out + embed_shift(g, 5, 1)
+    return out + substitute_linear(g, [Polynomial.variable(field, 5, i) for i in range(1, 5)])
 
 
 FIXTURES = {

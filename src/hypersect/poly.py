@@ -307,16 +307,6 @@ def set_var_zero(p: Polynomial, index: int) -> Polynomial:
     return Polynomial(p.field, p.nvars - 1, terms)
 
 
-def embed_shift(p: Polynomial, nvars: int, shift: int) -> Polynomial:
-    """View p inside a larger ring, moving variable i to i+shift."""
-    if shift < 0 or p.nvars + shift > nvars:
-        raise ArityMismatch(f"cannot shift {p.nvars} variables by {shift} into {nvars}")
-    pad_left = (0,) * shift
-    pad_right = (0,) * (nvars - p.nvars - shift)
-    terms = {pad_left + m + pad_right: c for m, c in p.terms.items()}
-    return Polynomial(p.field, nvars, terms)
-
-
 class LinearChange(list):
     """An invertible linear substitution x_i -> sum_j M[i][j] x_j, held as
     the list of the variables' images, the linear forms of M's rows.
@@ -339,17 +329,20 @@ class LinearChange(list):
 
 
 def substitute_linear(p: Polynomial, change: list[Polynomial]) -> Polynomial:
-    """Apply a linear change of variables: (substitute_linear(p, C))(x) = p(Cx).
+    """The ring map x_i -> change[i]: (substitute_linear(p, C))(y) = p(C(y)).
 
     Ring homomorphism in p.  The change is the list of the variables'
-    images, linear forms in p's ring: a LinearChange, checked invertible
-    when built, or a plain list, for callers whose change is invertible by
-    construction (normalize_hyperplane).
+    images, linear forms that all live in one ring over p's field; the
+    result lives in that ring.  Images in p's own ring are a change of
+    variables: a LinearChange, checked invertible when built, or a plain
+    list.  Images in fewer variables restrict p (Hyperplane.restrict).
     """
-    if len(change) != p.nvars or any(g.nvars != p.nvars for g in change):
-        raise ArityMismatch(f"change on {len(change)} variables, polynomial has {p.nvars}")
+    if len(change) != p.nvars or any(g.nvars != change[0].nvars for g in change):
+        rings = sorted({g.nvars for g in change})
+        raise ArityMismatch(f"{len(change)} images in rings of {rings} variables, polynomial has {p.nvars}")
     if any(g.field != p.field for g in change):
         raise FieldMismatch("change and polynomial over different fields")
+    nvars = change[0].nvars if change else 0
     powers: dict[tuple[int, int], Polynomial] = {}
 
     def power(i: int, e: int) -> Polynomial:
@@ -360,9 +353,9 @@ def substitute_linear(p: Polynomial, change: list[Polynomial]) -> Polynomial:
             powers[key] = got
         return got
 
-    out = Polynomial.zero(p.field, p.nvars)
+    out = Polynomial.zero(p.field, nvars)
     for m, c in p.terms.items():
-        term = Polynomial.constant(p.field, p.nvars, c)
+        term = Polynomial.constant(p.field, nvars, c)
         for i, e in enumerate(m):
             if e:
                 term = term * power(i, e)

@@ -1,14 +1,16 @@
 """First-order variation of smooth hyperplane sections.
 
-Fix a smooth degree-d form f in x0..xn (n >= 3, d >= 3).  Moving a
-hyperplane H infinitesimally and following the section X cap H gives a
-first-order deformation of the section.  After a linear change taking H
-to {x0 = 0} with section g = f(0, x1..xn), the deformation along the
-direction x0 = eps*l is trivial exactly when q*l falls into the degree-d
-piece of the section's Jacobian ideal, where q is the x0-partial of f
-restricted to x0 = 0.  The linear forms l with q*l in that piece form the
-criterion kernel; a zero kernel at a single smooth, non-vacuous section
-certifies that sections vary maximally in moduli near H.
+Fix a smooth degree-d form f in x0..xn (n >= 3, d >= 3) and a hyperplane
+H whose pivot x_j is its first variable with a nonzero coefficient.
+Moving H infinitesimally and following the section X cap H gives a
+first-order deformation of the section.  On H, in n section coordinates,
+the section is g = f|H, and the deformation along the direction l is
+trivial exactly when q*l falls into the degree-d piece of g's Jacobian
+ideal, where q = (df/dx_j)|H is the derivative of f across H, restricted
+to H (Hyperplane.restrict gives both).  The linear forms l with q*l in
+that piece form the criterion kernel, the first-order Kodaira-Spencer
+test of Carlson-Griffiths; a zero kernel at a single smooth, non-vacuous
+section certifies that sections vary maximally in moduli near H.
 
 A zero kernel computed over Q or over F_p stays zero over every field
 extension (kernel dimension is a rank computation over the base field),
@@ -25,7 +27,6 @@ from math import comb
 
 from . import linalg
 from .errors import (
-    ArityMismatch,
     DegreeTooSmall,
     DimensionTooSmall,
     NotHomogeneous,
@@ -40,7 +41,6 @@ from .poly import (
     linear_form,
     partial_derivative,
     require_homogeneous,
-    set_var_zero,
     substitute_linear,
 )
 
@@ -82,6 +82,33 @@ class Hyperplane:
     def coefficients(self) -> list[Scalar]:
         return linear_coefficients(self.form)
 
+    def restrict(self, p: Polynomial) -> Polynomial:
+        """p restricted to the hyperplane, in its n section coordinates.
+
+        With pivot j and coefficients c (c_j = 1) the hyperplane is
+        x_j = -sum_{i != j} c_i x_i.  Every other x_i becomes one section
+        coordinate y_{s(i)}, where x0 takes the pivot's slot, s(0) = j - 1,
+        and s(i) = i - 1 otherwise; x_j becomes -sum_{i != j} c_i y_{s(i)}.
+
+        These images are those of the change phi that swaps x0 with x_j
+        and shears, phi(x_i) = x_{s(i)+1} for i != j and phi(x_j) =
+        x0 - sum_{i != j} c_i x_{s(i)+1}, followed by x0 = 0: restrict(f)
+        is the x0 = 0 section of f moved by phi.  Only phi(x_j) contains
+        x0, with coefficient 1, so the chain rule gives d(f o phi)/dx0 =
+        (df/dx_j) o phi, and restrict(df/dx_j) is the x0-partial of the
+        moved form on x0 = 0, polynomial for polynomial: the criterion
+        form.
+        """
+        field, j, n = self.form.field, self.pivot, self.nvars - 1
+        coeffs = self.coefficients()
+        rows = [[field.zero()] * n for _ in coeffs]
+        for i in range(self.nvars):
+            if i != j:
+                s = (j if i == 0 else i) - 1
+                rows[i][s] = field.one()
+                rows[j][s] = -coeffs[i]
+        return substitute_linear(p, [linear_form(field, row) for row in rows])
+
     def __eq__(self, other) -> bool:
         return isinstance(other, Hyperplane) and self.form == other.form
 
@@ -93,44 +120,6 @@ class Hyperplane:
 
     def __repr__(self) -> str:
         return f"Hyperplane({self.form.to_text()})"
-
-
-def normalize_hyperplane(f: Polynomial, hyperplane: Hyperplane) -> Polynomial:
-    """Rewrite f through a linear change taking {x0 = 0} onto the hyperplane.
-
-    The change swaps x0 with the pivot variable and shears the remaining
-    coefficients away, so the returned form has the given hyperplane as its
-    x0 = 0 section.  A permutation times a unit shear is invertible by
-    construction, so the variables' images are substituted directly,
-    without a LinearChange and its rank check.
-    """
-    if hyperplane.nvars != f.nvars:
-        raise ArityMismatch(
-            f"hyperplane on {hyperplane.nvars} variables, form has {f.nvars}"
-        )
-    field = f.field
-    nv = f.nvars
-    coeffs = hyperplane.coefficients()
-    j = hyperplane.pivot
-    zero, one = field.zero(), field.one()
-    rows = [[zero] * nv for _ in range(nv)]
-    for i in range(nv):
-        if i == j:
-            continue
-        slot = j if i == 0 else i
-        rows[i][slot] = one
-        rows[j][slot] = -coeffs[i]
-    rows[j][0] = one
-    return substitute_linear(f, [linear_form(field, row) for row in rows])
-
-
-def criterion_form(f_normalized: Polynomial) -> Polynomial:
-    """x0-partial of the normalized form, restricted to x0 = 0.
-
-    Degree d-1 in the n section variables; zero exactly on vacuous
-    hyperplanes, where first-order data says nothing.
-    """
-    return set_var_zero(partial_derivative(f_normalized, 0), 0)
 
 
 class CriterionStatus(str, Enum):
@@ -177,9 +166,10 @@ def criterion_kernel(
 ) -> CriterionReport:
     """Run the first-order criterion for f at one hyperplane.
 
-    Reports SINGULAR_SECTION when the section is not smooth, VACUOUS when
-    the criterion form vanishes, and otherwise the exact kernel of
-    l -> class of (criterion form)*l in the degree-d piece of the
+    The section is hyperplane.restrict(f) and the criterion form q is
+    hyperplane.restrict(df/dx_pivot).  Reports SINGULAR_SECTION when the
+    section is not smooth, VACUOUS when q vanishes, and otherwise the
+    exact kernel of l -> class of q*l in the degree-d piece of the
     section's Jacobian ring.
 
     One integer Macaulay matrix serves it: the m rows spanning the degree-d
@@ -196,11 +186,10 @@ def criterion_kernel(
     J_d, whatever rows span J_d.
     """
     d, n = _check_criterion_domain(f)
-    normalized = normalize_hyperplane(f, hyperplane)
-    section = set_var_zero(normalized, 0)
+    section = hyperplane.restrict(f)
     if section.is_zero() or not is_smooth(section, t_max=t_max):
         return CriterionReport(hyperplane, CriterionStatus.SINGULAR_SECTION)
-    q = criterion_form(normalized)
+    q = hyperplane.restrict(partial_derivative(f, hyperplane.pivot))
     if q.is_zero():
         return CriterionReport(hyperplane, CriterionStatus.VACUOUS, criterion_form=q)
     basis, rows = _macaulay_rows(_spanning_generators(section) + [q], d)

@@ -25,7 +25,15 @@ from hypersect import (
     make_field,
 )
 from hypersect import linalg
-from hypersect.poly import linear_coefficients, monomial_basis, partial_derivative, require_homogeneous
+from hypersect.poly import (
+    linear_coefficients,
+    linear_form,
+    monomial_basis,
+    partial_derivative,
+    require_homogeneous,
+    set_var_zero,
+    substitute_linear,
+)
 from hypersect.variation import _leading_one
 
 FIELDS = [make_field(0), make_field(2), make_field(3), make_field(5), make_field(7), make_field(101)]
@@ -466,6 +474,59 @@ def graded_piece(generators: list[Polynomial], degree: int) -> GradedPiece:
     return GradedPiece.of_rows(live[0].field, degree, basis, rows)
 
 
+# -- the normalize path: the section and criterion form through a full
+# change of variables in the ambient ring, the reference for
+# Hyperplane.restrict ----------------------------------------------------
+
+
+def embed_shift(p: Polynomial, nvars: int, shift: int) -> Polynomial:
+    """View p inside a larger ring, moving variable i to i+shift."""
+    if shift < 0 or p.nvars + shift > nvars:
+        raise ArityMismatch(f"cannot shift {p.nvars} variables by {shift} into {nvars}")
+    pad_left = (0,) * shift
+    pad_right = (0,) * (nvars - p.nvars - shift)
+    terms = {pad_left + m + pad_right: c for m, c in p.terms.items()}
+    return Polynomial(p.field, nvars, terms)
+
+
+def normalize_hyperplane(f: Polynomial, hyperplane) -> Polynomial:
+    """Rewrite f through a linear change taking {x0 = 0} onto the hyperplane.
+
+    The change swaps x0 with the pivot variable and shears the remaining
+    coefficients away, so the returned form has the given hyperplane as its
+    x0 = 0 section.  A permutation times a unit shear is invertible by
+    construction, so the variables' images are substituted directly,
+    without a LinearChange and its rank check.
+    """
+    if hyperplane.nvars != f.nvars:
+        raise ArityMismatch(
+            f"hyperplane on {hyperplane.nvars} variables, form has {f.nvars}"
+        )
+    field = f.field
+    nv = f.nvars
+    coeffs = hyperplane.coefficients()
+    j = hyperplane.pivot
+    zero, one = field.zero(), field.one()
+    rows = [[zero] * nv for _ in range(nv)]
+    for i in range(nv):
+        if i == j:
+            continue
+        slot = j if i == 0 else i
+        rows[i][slot] = one
+        rows[j][slot] = -coeffs[i]
+    rows[j][0] = one
+    return substitute_linear(f, [linear_form(field, row) for row in rows])
+
+
+def criterion_form(f_normalized: Polynomial) -> Polynomial:
+    """x0-partial of the normalized form, restricted to x0 = 0.
+
+    Degree d-1 in the n section variables; zero exactly on vacuous
+    hyperplanes, where first-order data says nothing.
+    """
+    return set_var_zero(partial_derivative(f_normalized, 0), 0)
+
+
 def criterion_kernel_reference(f: Polynomial, hyperplane, t_max=None):
     """variation.criterion_kernel through the Scalar graded piece.
 
@@ -476,14 +537,7 @@ def criterion_kernel_reference(f: Polynomial, hyperplane, t_max=None):
     the integer Macaulay matrix path.
     """
     from hypersect.jacobian import is_smooth, jacobian_generators
-    from hypersect.poly import linear_form, set_var_zero
-    from hypersect.variation import (
-        CriterionReport,
-        CriterionStatus,
-        _check_criterion_domain,
-        criterion_form,
-        normalize_hyperplane,
-    )
+    from hypersect.variation import CriterionReport, CriterionStatus, _check_criterion_domain
 
     d, n = _check_criterion_domain(f)
     normalized = normalize_hyperplane(f, hyperplane)

@@ -18,7 +18,6 @@ from hypersect import (
     Polynomial,
     ScanStrategy,
     certify_max_variation,
-    criterion_form,
     criterion_kernel,
     is_smooth,
     linear_coefficients,
@@ -33,6 +32,7 @@ from hypersect.fixtures import cubic_threefold_example, cyclic_fermat, fermat
 from gf_oracle import find_singular_point
 from helpers import (
     FIELDS,
+    criterion_form,
     euler_check,
     first_order_section,
     in_span,

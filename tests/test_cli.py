@@ -309,6 +309,16 @@ def test_error_paths_emit_json_and_exit_two(capsys, argv, code):
     assert err.startswith(f"error[{code}]")
 
 
+@pytest.mark.parametrize("value", ["1/0", "abc"])
+def test_bad_a_value_names_the_typed_text(capsys, value):
+    argv = ("fixture", "--char", "0", "--fixture", "cubic-threefold-normal-form",
+            "--a", value, "--a", "1", "--a", "1", "--a", "1", "--g", "x1^3")
+    exit_code, payload, err = run_json(capsys, *argv)
+    assert exit_code == 2
+    assert payload["error"] == {"code": "UsageError", "message": f"bad --a value '{value}'"}
+    assert err.startswith(f"error[UsageError]: bad --a value '{value}'")
+
+
 def test_parser_reuse_leaks_no_state(capsys):
     # one parser serves every request in the process
     args = ("survey", "--fixture", "cubic-threefold", "--char", "0")

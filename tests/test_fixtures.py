@@ -10,7 +10,6 @@ from hypersect import (
     DimensionTooSmall,
     LinearChange,
     NotHomogeneous,
-    criterion_form,
     criterion_kernel,
     Hyperplane,
     is_smooth,
@@ -25,6 +24,7 @@ from hypersect.fixtures import (
     cyclic_fermat,
     fermat,
 )
+from helpers import criterion_form
 
 Q = make_field(0)
 

@@ -104,6 +104,6 @@ def test_round_trip_shifted_variables():
         shifted = p.to_text(var_start=1)
         # reading the shifted text back in a wider ring reproduces the
         # polynomial with every index moved up one slot
-        from hypersect.poly import embed_shift
+        from helpers import embed_shift
 
         assert parse_poly(shifted, 4, Q) == embed_shift(p, 4, 1)

@@ -1,6 +1,7 @@
 """Multivariate polynomial ring operations."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -20,9 +21,9 @@ from hypersect import (
     set_var_zero,
     substitute_linear,
 )
-from hypersect.fixtures import cubic_threefold_example, cyclic_fermat, fermat
+from hypersect.fixtures import cubic_threefold_example, cubic_threefold_normal_form, cyclic_fermat, fermat
 from hypersect.poly import require_homogeneous
-from helpers import FIELDS, first_order_section, identity_change, rand_poly, rand_scalar
+from helpers import FIELDS, embed_shift, first_order_section, identity_change, rand_poly, rand_scalar
 
 Q = make_field(0)
 
@@ -131,6 +132,41 @@ def test_substitute_variable_images_match_change():
         assert substitute_linear(p, images) == substitute_linear(p, LinearChange(field, rows))
         with pytest.raises(ArityMismatch):
             substitute_linear(p, images[:2])
+
+
+def test_substitute_into_fewer_variables_restricts():
+    """Images in a smaller ring land the result there: sending x2 to zero
+    and x0, x1 to the two new variables is set_var_zero(p, 2)."""
+    rng = random.Random(5)
+    for field in FIELDS:
+        images = [Polynomial.variable(field, 2, 0), Polynomial.variable(field, 2, 1), Polynomial.zero(field, 2)]
+        for _ in range(10):
+            p = rand_poly(rng, field, 3)
+            restricted = substitute_linear(p, images)
+            assert restricted.nvars == 2 and restricted == set_var_zero(p, 2)
+
+
+def test_substitute_refuses_images_of_other_rings():
+    p = parse_poly("x0^2 + x1*x2", 3, Q)
+    mixed = [Polynomial.variable(Q, 2, 0), Polynomial.variable(Q, 3, 1), Polynomial.variable(Q, 2, 1)]
+    with pytest.raises(ArityMismatch):
+        substitute_linear(p, mixed)
+    f5 = make_field(5)
+    with pytest.raises(FieldMismatch):
+        substitute_linear(p, [Polynomial.variable(f5, 2, i % 2) for i in range(3)])
+
+
+def test_normal_form_embeds_g_as_before():
+    """The normal-form fixture places g on x1..x4 through substitute_linear;
+    its bytes equal the padded-exponent embedding it replaced."""
+    g = parse_poly("x0^3 - 2*x0*x1*x3 + 1/2*x1^2*x2 + x2^3 - 5*x3^3", 4, Q)
+    nf = cubic_threefold_normal_form([1, 2, Fraction(1, 3), -1], g, Q)
+    zero_g = cubic_threefold_normal_form([1, 2, Fraction(1, 3), -1], Polynomial.zero(Q, 4), Q)
+    assert nf == zero_g + embed_shift(g, 5, 1)
+    assert nf.to_text() == (
+        "x0^3 + x0*x1^2 + 2*x0*x2^2 + 1/3*x0*x3^2 - x0*x4^2 + x1^3 - 2*x1*x2*x4"
+        " + 1/2*x2^2*x3 + x3^3 - 5*x4^3"
+    )
 
 
 def test_singular_change_rejected():

@@ -12,6 +12,7 @@ from hypersect import (
     CriterionStatus,
     DegreeTooSmall,
     DimensionTooSmall,
+    FieldMismatch,
     Hyperplane,
     LinearChange,
     NotHomogeneous,
@@ -20,13 +21,12 @@ from hypersect import (
     SingularInput,
     ZeroHyperplane,
     certify_max_variation,
-    criterion_form,
     criterion_kernel,
     jacobian_generators,
     make_field,
     moduli_dim,
-    normalize_hyperplane,
     parse_poly,
+    partial_derivative,
     sections_exceed_moduli,
     set_var_zero,
     substitute_linear,
@@ -36,12 +36,15 @@ from hypersect import jacobian, linalg, variation
 from hypersect.fixtures import cubic_threefold_example, cyclic_fermat, fermat
 from helpers import (
     FIELDS,
+    criterion_form,
     criterion_kernel_reference,
     first_order_section,
     graded_piece,
     in_span,
     inverse_change,
+    normalize_hyperplane,
     rand_nonzero_homogeneous,
+    rand_nonzero_scalar,
     rand_scalar,
 )
 
@@ -76,7 +79,41 @@ def test_normalize_rejects_hyperplane_of_other_arity():
             normalize_hyperplane(f, Hyperplane.coordinate(Q, nvars, 0))
 
 
+def test_criterion_kernel_rejects_hyperplane_of_other_ring(monkeypatch):
+    """The restriction refuses a hyperplane in another variable count or
+    over another field with a typed error, before any elimination."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("elimination ran")
+
+    monkeypatch.setattr(variation, "is_smooth", refuse)
+    monkeypatch.setattr(linalg, "_split", refuse)
+    f = fermat(3, 3, Q)
+    for nvars in (3, 5):
+        with pytest.raises(ArityMismatch):
+            criterion_kernel(f, Hyperplane.coordinate(Q, nvars, 0))
+    with pytest.raises(FieldMismatch):
+        criterion_kernel(f, Hyperplane.coordinate(make_field(5), 4, 0))
+
+
 # --- normalization and the criterion form ----------------------------------
+
+def test_restrict_matches_the_normalize_path():
+    """Hyperplane.restrict gives the section and the criterion form of the
+    reference path, polynomial for polynomial, with pivots at every
+    variable."""
+    rng = random.Random(43)
+    fields = [make_field(p) for p in (0, 2, 3, 101, 2**31 + 11)]
+    for field, n, d in itertools.product(fields, (3, 4), (3, 4, 5)):
+        for pivot in range(n + 1):
+            for _ in range(2):
+                f = rand_nonzero_homogeneous(rng, field, n + 1, d, max_terms=8)
+                coeffs = [field.zero()] * pivot + [rand_nonzero_scalar(rng, field)]
+                coeffs += [rand_scalar(rng, field) for _ in range(n - pivot)]
+                hp = Hyperplane.from_coefficients(field, coeffs)
+                moved = normalize_hyperplane(f, hp)
+                assert hp.restrict(f) == set_var_zero(moved, 0), (f, hp)
+                assert hp.restrict(partial_derivative(f, pivot)) == criterion_form(moved), (f, hp)
+
 
 def test_normalize_at_x0_is_identity():
     f = fermat(3, 3, Q)
