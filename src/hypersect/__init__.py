@@ -34,7 +34,6 @@ from .poly import (
     linear_form,
     monomial_basis,
     partial_derivative,
-    set_var_zero,
     substitute_linear,
 )
 from .jacobian import (
@@ -102,7 +101,6 @@ __all__ = [
     "parse_poly",
     "partial_derivative",
     "sections_exceed_moduli",
-    "set_var_zero",
     "substitute_linear",
     "survey_kernels",
     "__version__",

@@ -24,7 +24,7 @@ from .errors import HypersectError, UsageError
 from .fields import FieldSpec, make_field
 from .jacobian import is_smooth
 from .parsing import parse_poly
-from .poly import Polynomial, set_var_zero
+from .poly import Polynomial
 from .variation import (
     CertifyReport,
     CriterionReport,
@@ -183,7 +183,7 @@ def _fixture_poly(options: argparse.Namespace, field: FieldSpec) -> Polynomial:
         ambient = parse_poly(_read_inline(args["g"]), 5, field)
         if any(m[0] for m in ambient.terms):
             raise UsageError("--g must involve only x1..x4")
-        args["g"] = set_var_zero(ambient, 0)
+        args["g"] = Hyperplane.coordinate(field, 5, 0).restrict(ambient)
     return build(**args, field=field)
 
 

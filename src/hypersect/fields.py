@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Rational
 
 from .errors import CompositeCharacteristic, DivisionByZero, FieldMismatch
 
@@ -64,11 +65,18 @@ class FieldSpec:
         return self.characteristic != 0
 
     def scalar(self, value) -> "Scalar":
-        """Coerce an int, Fraction, or Scalar into canonical form here."""
-        if isinstance(value, Scalar):
+        """Coerce an int, a Fraction (any numbers.Rational) or a Scalar into
+        canonical form here.  Inexact input (a float, a Decimal, a string)
+        raises TypeError."""
+        kind = type(value)
+        if kind is Scalar:
             if value.field != self:
                 raise FieldMismatch(f"scalar over {value.field} used over {self}")
             return value
+        if kind is not int and kind is not Fraction:
+            if not isinstance(value, Rational):
+                raise TypeError(f"coefficients must be exact (int or Fraction), got {kind.__name__} {value!r}")
+            value = Fraction(int(value.numerator), int(value.denominator))
         if self.characteristic == 0:
             return Scalar(self, Fraction(value))
         if isinstance(value, Fraction):
@@ -77,7 +85,7 @@ class FieldSpec:
             num = value.numerator % self.characteristic
             den = pow(value.denominator % self.characteristic, -1, self.characteristic)
             return Scalar(self, num * den % self.characteristic)
-        return Scalar(self, int(value) % self.characteristic)
+        return Scalar(self, value % self.characteristic)
 
     def zero(self) -> "Scalar":
         return self.scalar(0)
@@ -85,18 +93,7 @@ class FieldSpec:
     def one(self) -> "Scalar":
         return self.scalar(1)
 
-    def from_string(self, text: str) -> "Scalar":
-        """Parse 'a' or 'a/b' (integers, optional leading minus)."""
-        text = text.strip()
-        if "/" in text:
-            num, _, den = text.partition("/")
-            frac = Fraction(int(num), int(den))
-        else:
-            frac = Fraction(int(text))
-        return self.scalar(frac)
-
     def __str__(self) -> str:
-
         return "Q" if self.characteristic == 0 else f"F_{self.characteristic}"
 
 
@@ -128,32 +125,25 @@ class Scalar:
         if other.field != self.field:
             raise FieldMismatch(f"cannot combine {self.field} with {other.field}")
 
+    def _reduced(self, v) -> "Scalar":
+        """v in this field's canonical form: mod p over F_p, as is over Q."""
+        p = self.field.characteristic
+        return Scalar(self.field, v % p if p else v)
+
     def __add__(self, other: "Scalar") -> "Scalar":
         self._check(other)
-        v = self.value + other.value
-        if self.field.is_prime_field:
-            v %= self.field.characteristic
-        return Scalar(self.field, v)
+        return self._reduced(self.value + other.value)
 
     def __sub__(self, other: "Scalar") -> "Scalar":
         self._check(other)
-        v = self.value - other.value
-        if self.field.is_prime_field:
-            v %= self.field.characteristic
-        return Scalar(self.field, v)
+        return self._reduced(self.value - other.value)
 
     def __mul__(self, other: "Scalar") -> "Scalar":
         self._check(other)
-        v = self.value * other.value
-        if self.field.is_prime_field:
-            v %= self.field.characteristic
-        return Scalar(self.field, v)
+        return self._reduced(self.value * other.value)
 
     def __neg__(self) -> "Scalar":
-        v = -self.value
-        if self.field.is_prime_field:
-            v %= self.field.characteristic
-        return Scalar(self.field, v)
+        return self._reduced(-self.value)
 
     def inv(self) -> "Scalar":
         if not self:

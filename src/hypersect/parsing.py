@@ -20,8 +20,8 @@ import re
 from fractions import Fraction
 
 from .errors import DivisionByZero, ParseError, UnknownVariable
-from .fields import FieldSpec
-from .poly import Polynomial
+from .fields import FieldSpec, Scalar
+from .poly import Monomial, Polynomial
 
 _TOKEN = re.compile(r"\s*(?:(x[0-9]+)|([0-9]+)|([+\-*/^])|(\S))")
 
@@ -70,25 +70,25 @@ class _Parser:
         return int(text), pos
 
     def parse(self) -> Polynomial:
-        total = Polynomial.zero(self.field, self.nvars)
+        pairs = []
         negate = False
         kind, text, pos = self.peek()
         if kind == "op" and text in "+-":
             self.advance()
             negate = text == "-"
         while True:
-            term = self.term()
-            total = total - term if negate else total + term
+            monomial, coeff = self.term()
+            pairs.append((monomial, -coeff if negate else coeff))
             kind, text, pos = self.peek()
             if kind == "end":
-                return total
+                return Polynomial.from_terms(self.field, self.nvars, pairs)
             if kind == "op" and text in "+-":
                 self.advance()
                 negate = text == "-"
                 continue
             raise ParseError(f"expected '+' or '-', found {text!r}", pos)
 
-    def term(self) -> Polynomial:
+    def term(self) -> tuple[Monomial, Scalar]:
         kind, text, pos = self.peek()
         exponents = [0] * self.nvars
         if kind == "int":
@@ -104,7 +104,7 @@ class _Parser:
                 self.advance()
                 self.factor(exponents)
             else:
-                return Polynomial.from_terms(self.field, self.nvars, {tuple(exponents): coeff})
+                return tuple(exponents), coeff
 
     def coefficient(self):
         num, pos = self.expect_int()

@@ -5,17 +5,19 @@ nonzero Scalars; zero coefficients are never stored.  Monomials are
 ordered graded-lexicographically, degree first and then lexicographic on
 exponents, largest first.  That single order drives printing and the
 column indexing of every matrix built from a graded piece, so everything
-downstream is deterministic.
+downstream is deterministic.  Every sum of terms goes through _collect,
+the one place that adds coefficients and drops the zero sums.
 
-Variables are x0..x{nvars-1}.  Dropping a variable (restriction to a
-coordinate hyperplane) reindexes the survivors densely, so a polynomial
-in the section's n variables again uses x0..x{n-1} internally; callers
-that prefer ambient labels can print with var_start=1.
+Variables are x0..x{nvars-1}.
 """
 
 from __future__ import annotations
 
-from math import comb, lcm
+import operator
+from collections.abc import Mapping
+from functools import cache
+from itertools import chain
+from math import lcm
 
 from . import linalg
 from .errors import (
@@ -53,6 +55,16 @@ def monomial_basis(nvars: int, degree: int) -> list[Monomial]:
     return out
 
 
+def _exponents(m, nvars: int) -> Monomial:
+    """m as an exponent tuple; exponents are integers (operator.index)."""
+    m = tuple(map(operator.index, m))
+    if len(m) != nvars:
+        raise ArityMismatch(f"monomial {m} does not have {nvars} exponents")
+    if any(e < 0 for e in m):
+        raise ValueError(f"negative exponent in {m}")
+    return m
+
+
 def monomial_text(m: Monomial, var_start: int = 0) -> str:
     parts = []
     for i, e in enumerate(m):
@@ -61,6 +73,15 @@ def monomial_text(m: Monomial, var_start: int = 0) -> str:
         elif e > 1:
             parts.append(f"x{i + var_start}^{e}")
     return "*".join(parts)
+
+
+def _collect(field: FieldSpec, nvars: int, pairs) -> "Polynomial":
+    """The sum of (monomial, Scalar) pairs, storing no zero coefficient."""
+    terms: dict[Monomial, Scalar] = {}
+    for m, c in pairs:
+        s = terms.get(m)
+        terms[m] = c if s is None else s + c
+    return Polynomial(field, nvars, {m: c for m, c in terms.items() if c})
 
 
 class Polynomial:
@@ -76,19 +97,11 @@ class Polynomial:
 
     @classmethod
     def from_terms(cls, field: FieldSpec, nvars: int, terms) -> "Polynomial":
-        clean: dict[Monomial, Scalar] = {}
-        for m, c in dict(terms).items():
-            m = tuple(int(e) for e in m)
-            if len(m) != nvars:
-                raise ArityMismatch(f"monomial {m} does not have {nvars} exponents")
-            if any(e < 0 for e in m):
-                raise ValueError(f"negative exponent in {m}")
-            s = field.scalar(c)
-            if s:
-                clean[m] = clean[m] + s if m in clean else s
-                if not clean[m]:
-                    del clean[m]
-        return cls(field, nvars, clean)
+        """The sum of the given terms: a dict or an iterable of (monomial,
+        coefficient) pairs, repeated monomials adding up.  Exponents must be
+        integers and coefficients exact (FieldSpec.scalar); else TypeError."""
+        pairs = terms.items() if isinstance(terms, Mapping) else terms
+        return _collect(field, nvars, ((_exponents(m, nvars), field.scalar(c)) for m, c in pairs))
 
     @classmethod
     def zero(cls, field: FieldSpec, nvars: int) -> "Polynomial":
@@ -147,18 +160,7 @@ class Polynomial:
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            s = terms.get(m)
-            if s is None:
-                terms[m] = c
-            else:
-                s = s + c
-                if s:
-                    terms[m] = s
-                else:
-                    del terms[m]
-        return Polynomial(self.field, self.nvars, terms)
+        return _collect(self.field, self.nvars, chain(self.terms.items(), other.terms.items()))
 
     def __neg__(self) -> "Polynomial":
         return Polynomial(self.field, self.nvars, {m: -c for m, c in self.terms.items()})
@@ -169,22 +171,12 @@ class Polynomial:
     def __mul__(self, other):
         if isinstance(other, Polynomial):
             self._check(other)
-            terms: dict[Monomial, Scalar] = {}
-            for m1, c1 in self.terms.items():
-                for m2, c2 in other.terms.items():
-                    m = tuple(a + b for a, b in zip(m1, m2))
-                    c = c1 * c2
-                    s = terms.get(m)
-                    if s is None:
-                        if c:
-                            terms[m] = c
-                    else:
-                        s = s + c
-                        if s:
-                            terms[m] = s
-                        else:
-                            del terms[m]
-            return Polynomial(self.field, self.nvars, terms)
+            pairs = (
+                (tuple(map(operator.add, m1, m2)), c1 * c2)
+                for m1, c1 in self.terms.items()
+                for m2, c2 in other.terms.items()
+            )
+            return _collect(self.field, self.nvars, pairs)
         c = self.field.scalar(other)
         return self.scale(c)
 
@@ -274,37 +266,12 @@ def partial_derivative(p: Polynomial, index: int) -> Polynomial:
     """
     if not 0 <= index < p.nvars:
         raise IndexOutOfRange(f"variable index {index} outside 0..{p.nvars - 1}")
-    terms: dict[Monomial, Scalar] = {}
-    for m, c in p.terms.items():
-        e = m[index]
-        if e == 0:
-            continue
-        factor = p.field.scalar(e)
-        if not factor:
-            continue
-        newm = m[:index] + (e - 1,) + m[index + 1 :]
-        c2 = c * factor
-        s = terms.get(newm)
-        terms[newm] = c2 if s is None else s + c2
-        if not terms[newm]:
-            del terms[newm]
-    return Polynomial(p.field, p.nvars, terms)
-
-
-def set_var_zero(p: Polynomial, index: int) -> Polynomial:
-    """Restrict to the coordinate hyperplane x_index = 0.
-
-    Monomials containing x_index are dropped; remaining variables are
-    reindexed densely, so the result lives in nvars-1 variables.
-    """
-    if not 0 <= index < p.nvars:
-        raise IndexOutOfRange(f"variable index {index} outside 0..{p.nvars - 1}")
-    terms = {}
-    for m, c in p.terms.items():
-        if m[index]:
-            continue
-        terms[m[:index] + m[index + 1 :]] = c
-    return Polynomial(p.field, p.nvars - 1, terms)
+    pairs = (
+        (m[:index] + (m[index] - 1,) + m[index + 1 :], c * p.field.scalar(m[index]))
+        for m, c in p.terms.items()
+        if m[index]
+    )
+    return _collect(p.field, p.nvars, pairs)
 
 
 class LinearChange(list):
@@ -343,24 +310,19 @@ def substitute_linear(p: Polynomial, change: list[Polynomial]) -> Polynomial:
     if any(g.field != p.field for g in change):
         raise FieldMismatch("change and polynomial over different fields")
     nvars = change[0].nvars if change else 0
-    powers: dict[tuple[int, int], Polynomial] = {}
 
+    @cache
     def power(i: int, e: int) -> Polynomial:
-        key = (i, e)
-        got = powers.get(key)
-        if got is None:
-            got = change[i] ** e
-            powers[key] = got
-        return got
+        return change[i] ** e
 
-    out = Polynomial.zero(p.field, nvars)
-    for m, c in p.terms.items():
-        term = Polynomial.constant(p.field, nvars, c)
+    def expand(m: Monomial, c: Scalar):
+        term = Polynomial(p.field, nvars, {(0,) * nvars: c})
         for i, e in enumerate(m):
             if e:
                 term = term * power(i, e)
-        out = out + term
-    return out
+        return term.terms.items()
+
+    return _collect(p.field, nvars, chain.from_iterable(expand(m, c) for m, c in p.terms.items()))
 
 
 def linear_form(field: FieldSpec, coefficients) -> Polynomial:
@@ -385,9 +347,3 @@ def linear_coefficients(p: Polynomial) -> list[Scalar]:
         out.append(p.coefficient(m))
     return out
 
-
-def dimension_of_degree(nvars: int, degree: int) -> int:
-    """Dimension of the space of degree-d forms in nvars variables."""
-    if degree < 0:
-        return 0
-    return comb(nvars - 1 + degree, degree)

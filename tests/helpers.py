@@ -17,6 +17,7 @@ from hypersect import (
     ArityMismatch,
     FieldMismatch,
     FieldSpec,
+    IndexOutOfRange,
     LinearChange,
     NotHomogeneous,
     Polynomial,
@@ -31,7 +32,6 @@ from hypersect.poly import (
     monomial_basis,
     partial_derivative,
     require_homogeneous,
-    set_var_zero,
     substitute_linear,
 )
 from hypersect.variation import _leading_one
@@ -242,6 +242,65 @@ def rand_poly(
         m = rng.choice(monomial_basis(nvars, d))
         out = out + Polynomial.from_terms(field, nvars, {m: rand_scalar(rng, field)})
     return out
+
+
+# -- raw-value polynomials: dicts from exponent tuples to Fractions (p = 0)
+# or residues in [0, p), built without Scalars or hypersect.poly; the
+# reference for the term accumulator -----------------------------------------
+
+
+def rand_raw_value(rng: random.Random, p: int):
+    """A random residue mod p, or a small Fraction when p = 0; may be 0."""
+    return rng.randrange(p) if p else Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+
+
+def rand_raw_pairs(rng: random.Random, p: int, nvars: int, max_terms: int = 6) -> list:
+    """Random (monomial, value) pairs; monomials may repeat, values be 0."""
+    return [
+        (tuple(rng.randint(0, 2) for _ in range(nvars)), rand_raw_value(rng, p))
+        for _ in range(rng.randint(0, max_terms))
+    ]
+
+
+def raw_collect(pairs, p: int) -> dict:
+    """Sum the values per monomial, reduce mod p when p, keep the nonzero."""
+    sums: dict = {}
+    for m, c in pairs:
+        sums[m] = sums.get(m, 0) + c
+    reduced = {m: c % p if p else c for m, c in sums.items()}
+    return {m: c for m, c in reduced.items() if c != 0}
+
+
+def raw_mul(a: dict, b: dict, p: int) -> dict:
+    pairs = (
+        (tuple(x + y for x, y in zip(ma, mb)), ca * cb)
+        for ma, ca in a.items()
+        for mb, cb in b.items()
+    )
+    return raw_collect(pairs, p)
+
+
+def raw_pow(a: dict, e: int, nvars: int, p: int) -> dict:
+    out = {(0,) * nvars: 1}
+    for _ in range(e):
+        out = raw_mul(out, a, p)
+    return out
+
+
+def raw_partial(a: dict, index: int, p: int) -> dict:
+    pairs = ((m[:index] + (m[index] - 1,) + m[index + 1 :], c * m[index]) for m, c in a.items() if m[index])
+    return raw_collect(pairs, p)
+
+
+def raw_substitute(a: dict, images: list[dict], nvars: int, p: int) -> dict:
+    """a with x_i replaced by images[i], raw polynomials in nvars variables."""
+    pairs = []
+    for m, c in a.items():
+        term = {(0,) * nvars: c}
+        for image, e in zip(images, m):
+            term = raw_mul(term, raw_pow(image, e, nvars, p), p)
+        pairs.extend(term.items())
+    return raw_collect(pairs, p)
 
 
 def rand_matrix(rng: random.Random, field: FieldSpec, rows: int, cols: int) -> Matrix:
@@ -489,6 +548,23 @@ def embed_shift(p: Polynomial, nvars: int, shift: int) -> Polynomial:
     return Polynomial(p.field, nvars, terms)
 
 
+def set_var_zero(p: Polynomial, index: int) -> Polynomial:
+    """Restrict to the coordinate hyperplane x_index = 0.
+
+    Monomials containing x_index are dropped; remaining variables are
+    reindexed densely, so the result lives in nvars-1 variables.  Its own
+    copy, so the normalize path shares no code with Hyperplane.restrict.
+    """
+    if not 0 <= index < p.nvars:
+        raise IndexOutOfRange(f"variable index {index} outside 0..{p.nvars - 1}")
+    terms = {}
+    for m, c in p.terms.items():
+        if m[index]:
+            continue
+        terms[m[:index] + m[index + 1 :]] = c
+    return Polynomial(p.field, p.nvars - 1, terms)
+
+
 def normalize_hyperplane(f: Polynomial, hyperplane) -> Polynomial:
     """Rewrite f through a linear change taking {x0 = 0} onto the hyperplane.
 
@@ -578,7 +654,6 @@ def is_smooth_reference(f: Polynomial, t_max: int | None = None) -> bool:
         _spanning_generators,
         default_degree_cap,
     )
-    from hypersect.poly import dimension_of_degree, require_homogeneous
 
     def rank_q(rows, cols, probe_rank):
         return probe_rank if probe_rank == len(rows) else linalg.rank_q_certified(rows, cols)
@@ -626,7 +701,7 @@ def is_smooth_reference(f: Polynomial, t_max: int | None = None) -> bool:
             if p:
                 return False
             if h_exact_prev is None:
-                cols_prev = dimension_of_degree(f.nvars, t - 1)
+                cols_prev = len(monomial_basis(f.nvars, t - 1))
                 h_exact_prev = cols_prev - rank_q(rows_prev, cols_prev, rank_prev)
             h_exact = len(basis) - rank_q(rows, len(basis), rank)
             if h_exact_prev == 0 or h_exact == 0:
@@ -636,7 +711,7 @@ def is_smooth_reference(f: Polynomial, t_max: int | None = None) -> bool:
         h_prev, rows_prev, rank_prev, h_exact_prev = h, rows, rank, h_exact
     if p or rows_prev is None or h_exact_prev is not None:
         return False
-    cols = dimension_of_degree(f.nvars, cap)
+    cols = len(monomial_basis(f.nvars, cap))
     return rank_q(rows_prev, cols, rank_prev) == cols
 
 

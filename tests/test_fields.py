@@ -1,8 +1,10 @@
 """Exact scalar arithmetic over Q and prime fields."""
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hypersect import (
@@ -66,20 +68,26 @@ def test_canonical_residues():
 def test_canonical_fractions():
     q = make_field(0)
     assert q.scalar(Fraction(2, 4)) == q.scalar(Fraction(1, 2))
-    assert q.from_string("2/4") == q.scalar(Fraction(1, 2))
     assert str(q.scalar(-3)) == "-3"
 
 
-def test_from_string_mod_p_fraction():
-    # 1/2 means the inverse of 2, which is 4 mod 7
-    f7 = make_field(7)
-    assert f7.from_string("1/2") == f7.scalar(4)
-    assert f7.from_string("-3") == f7.scalar(4)
+@pytest.mark.parametrize("value", [0.5, 1.5, 0.1, 2.0, Decimal("0.5"), "1"])
+def test_scalar_rejects_inexact_input(value):
+    """Only ints, Fractions and Scalars are coefficients: a float is not
+    rounded into the field (0.5 over F_7 used to become 0, and 0.1 over Q
+    its binary expansion)."""
+    for field in (make_field(0), make_field(7)):
+        with pytest.raises(TypeError):
+            field.scalar(value)
 
 
-def test_from_string_rejects_garbage():
-    with pytest.raises(ValueError):
-        make_field(7).from_string("x")
+def test_scalar_accepts_every_exact_rational():
+    """numpy integers and bools are numbers.Rational; they land as plain
+    Python ints and Fractions."""
+    q, f7 = make_field(0), make_field(7)
+    assert f7.scalar(np.int64(10)) == f7.scalar(3) and type(f7.scalar(np.int64(10)).value) is int
+    assert q.scalar(np.int32(-3)) == q.scalar(-3) and type(q.scalar(np.int32(-3)).value.numerator) is int
+    assert q.scalar(True) == q.one() and f7.scalar(Fraction(1, 2)) == f7.scalar(4)
 
 
 def test_cross_field_operations_rejected():

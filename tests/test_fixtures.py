@@ -15,7 +15,6 @@ from hypersect import (
     is_smooth,
     make_field,
     parse_poly,
-    set_var_zero,
     substitute_linear,
 )
 from hypersect.fixtures import (
@@ -104,7 +103,7 @@ def test_displayed_cubic_is_smooth_with_smooth_section():
     f = cubic_threefold_example(Q)
     assert f.nvars == 5 and f.degree() == 3
     assert is_smooth(f)
-    assert is_smooth(set_var_zero(f, 0))
+    assert is_smooth(Hyperplane.coordinate(Q, 5, 0).restrict(f))
     assert criterion_form(f) == parse_poly("x0^2", 4, Q)
 
 

@@ -25,7 +25,7 @@ from hypersect import jacobian, linalg
 from hypersect.fixtures import cubic_threefold_example, cyclic_fermat, fermat
 from hypersect.jacobian import _macaulay_rows
 from hypersect.linalg import PROBE_PRIME, rank_mod_p_int
-from hypersect.poly import dimension_of_degree, monomial_basis
+from hypersect.poly import monomial_basis
 from gf_oracle import find_singular_point
 from helpers import (
     FIELDS,
@@ -228,7 +228,7 @@ def test_full_pieces_stay_full():
         nvars = f.nvars
         seen_full = False
         for t in range(1, default_degree_cap(nvars, f.degree()) + 1):
-            full = ideal_graded_dim(gens, t).dimension == dimension_of_degree(nvars, t)
+            full = ideal_graded_dim(gens, t).dimension == len(monomial_basis(nvars, t))
             if seen_full:
                 assert full
             seen_full = seen_full or full
@@ -417,7 +417,7 @@ def test_small_probe_prime_keeps_every_verdict(monkeypatch):
     monkeypatch.setattr(linalg, "rank_q_certified", exact_spy)
     paths = set()
     for f, want in zip(forms, wanted):
-        cap_width = dimension_of_degree(f.nvars, default_degree_cap(f.nvars, f.degree()))
+        cap_width = len(monomial_basis(f.nvars, default_degree_cap(f.nvars, f.degree())))
         for q in (2, 3, 5):
             monkeypatch.setattr(jacobian, "PROBE_PRIME", q)
             widths.clear()
@@ -504,8 +504,8 @@ def test_walk_builds_and_ranks_each_degree_once(monkeypatch):
             assert all(count == 1 for count in exact.values()), (f.to_text(), q, exact)
             d, cap = f.degree(), default_degree_cap(f.nvars, f.degree())
             for width in exact:
-                t = next(t for t in range(cap + 1) if dimension_of_degree(f.nvars, t) == width)
-                below = dimension_of_degree(f.nvars, t - 1)
+                t = next(t for t in range(cap + 1) if len(monomial_basis(f.nvars, t)) == width)
+                below = len(monomial_basis(f.nvars, t - 1))
                 upper = t - 1 >= d and h[below] == h[width] <= t - 1
                 assert t == cap or upper, (f.to_text(), q, t)
             exact_runs += len(exact)

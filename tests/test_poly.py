@@ -1,29 +1,47 @@
 """Multivariate polynomial ring operations."""
 
+import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hypersect import (
     ArityMismatch,
     FieldMismatch,
+    Hyperplane,
     IndexOutOfRange,
     LinearChange,
     NotHomogeneous,
     Polynomial,
+    Scalar,
     SingularMatrix,
     linear_form,
     make_field,
     monomial_basis,
     parse_poly,
     partial_derivative,
-    set_var_zero,
     substitute_linear,
 )
 from hypersect.fixtures import cubic_threefold_example, cubic_threefold_normal_form, cyclic_fermat, fermat
 from hypersect.poly import require_homogeneous
-from helpers import FIELDS, embed_shift, first_order_section, identity_change, rand_poly, rand_scalar
+from helpers import (
+    FIELDS,
+    embed_shift,
+    first_order_section,
+    identity_change,
+    rand_poly,
+    rand_raw_pairs,
+    rand_raw_value,
+    rand_scalar,
+    raw_collect,
+    raw_mul,
+    raw_partial,
+    raw_pow,
+    raw_substitute,
+    set_var_zero,
+)
 
 Q = make_field(0)
 
@@ -42,6 +60,89 @@ def test_parse_fraction_coefficient():
     assert p.coefficient((2, 0, 0)) == Q.one()
     assert p.coefficient((0, 1, 1)) == Q.scalar(-1) / Q.scalar(2)
     assert p.to_text() == "x0^2 - 1/2*x1*x2"
+
+
+def test_from_terms_sums_repeated_monomials():
+    """A pair list may name a monomial twice; the coefficients add up, and
+    a sum that cancels is not stored."""
+    pairs = [((1, 0), 1), ((0, 1), 2), ((1, 0), Fraction(1, 2)), ((0, 1), -2)]
+    assert Polynomial.from_terms(Q, 2, pairs) == parse_poly("3/2*x0", 2, Q)
+    f5 = make_field(5)
+    assert Polynomial.from_terms(f5, 2, [((2, 0), 3), ((2, 0), 2)]).is_zero()
+
+
+@pytest.mark.parametrize("monomial", [(1.5, 0), ("2", 0), (1.0, 1)])
+def test_from_terms_rejects_non_integer_exponents(monomial):
+    with pytest.raises(TypeError):
+        Polynomial.from_terms(Q, 2, {monomial: 1})
+
+
+def test_from_terms_rejects_inexact_coefficients():
+    """0.5 over F_7 used to become 0 and 2.9 became 2; floats now raise."""
+    f7 = make_field(7)
+    with pytest.raises(TypeError):
+        Polynomial.from_terms(f7, 2, {(1, 0): 0.5, (0, 1): 2.9})
+    with pytest.raises(TypeError):
+        Polynomial.from_terms(Q, 2, {(1, 0): 0.1})
+    with pytest.raises(TypeError):
+        parse_poly("x0", 2, Q) * 0.5
+    with pytest.raises(ValueError):
+        Polynomial.from_terms(Q, 2, {(-1, 2): 1})
+    exact = Polynomial.from_terms(f7, 2, {(np.int64(1), np.int32(1)): np.int64(9)})
+    assert exact == parse_poly("2*x0*x1", 2, f7)
+    assert all(type(e) is int for e in next(iter(exact.terms)))
+
+
+def _assert_matches_raw(poly: Polynomial, raw: dict) -> None:
+    """poly's terms are raw's values, each a nonzero Scalar of poly's field
+    holding a Fraction over Q and an int residue over F_p."""
+    assert {m: c.value for m, c in poly.terms.items()} == raw
+    value_type = int if poly.field.is_prime_field else Fraction
+    for m, c in poly.terms.items():
+        assert type(c) is Scalar and c.field == poly.field and c, (poly, m)
+        assert type(c.value) is value_type and len(m) == poly.nvars, (poly, m)
+
+
+def test_ring_operations_match_raw_value_reference():
+    """Every operation that sums terms agrees with raw dicts of Fractions or
+    residues and stores no zero coefficient: +, -, x, scale, **, the partial
+    derivative, substitution (square and into fewer variables) and parsing
+    the printout.  b = c - a, so a + b cancels every term of a."""
+    rng = random.Random(14)
+    for p in (0, 2, 3, 101, 2**31 + 11):
+        field = make_field(p)
+
+        def build(nvars: int, terms: dict) -> tuple[Polynomial, dict]:
+            poly = Polynomial.from_terms(field, nvars, terms)
+            raw = raw_collect(terms.items(), p)
+            _assert_matches_raw(poly, raw)
+            return poly, raw
+
+        def linear_images(nvars: int) -> list[tuple[Polynomial, dict]]:
+            units = [tuple(int(i == j) for j in range(nvars)) for i in range(nvars)]
+            return [build(nvars, {u: rand_raw_value(rng, p) for u in units}) for _ in range(3)]
+
+        for _ in range(30):
+            a, ra = build(3, dict(rand_raw_pairs(rng, p, 3)))
+            c_pairs = rand_raw_pairs(rng, p, 3)
+            b, rb = build(3, raw_collect(c_pairs + [(m, -v) for m, v in ra.items()], p))
+            _assert_matches_raw(a + b, raw_collect(c_pairs, p))
+            _assert_matches_raw(a - b, raw_collect(itertools.chain(ra.items(), ((m, -v) for m, v in rb.items())), p))
+            _assert_matches_raw(a * b, raw_mul(ra, rb, p))
+            s = rand_raw_value(rng, p)
+            _assert_matches_raw(a.scale(field.scalar(s)), raw_collect(((m, v * s) for m, v in ra.items()), p))
+            for e in range(4):
+                _assert_matches_raw(a**e, raw_pow(ra, e, 3, p))
+            for i in range(3):
+                _assert_matches_raw(partial_derivative(a, i), raw_partial(ra, i, p))
+            for nvars in (3, 2):
+                images = linear_images(nvars)
+                _assert_matches_raw(
+                    substitute_linear(a, [g for g, _ in images]),
+                    raw_substitute(ra, [r for _, r in images], nvars, p),
+                )
+            _assert_matches_raw(parse_poly(a.to_text(), 3, field), ra)
+            _assert_matches_raw(parse_poly(b.to_text(), 3, field), rb)
 
 
 def test_difference_of_squares():
@@ -136,7 +237,7 @@ def test_substitute_variable_images_match_change():
 
 def test_substitute_into_fewer_variables_restricts():
     """Images in a smaller ring land the result there: sending x2 to zero
-    and x0, x1 to the two new variables is set_var_zero(p, 2)."""
+    and x0, x1 to the two new variables is the reference set_var_zero(p, 2)."""
     rng = random.Random(5)
     for field in FIELDS:
         images = [Polynomial.variable(field, 2, 0), Polynomial.variable(field, 2, 1), Polynomial.zero(field, 2)]
@@ -176,19 +277,21 @@ def test_singular_change_rejected():
 
 
 def test_set_var_zero_fermat():
+    """Restriction to x0 = 0 drops the x0 terms and reindexes the rest."""
     f = fermat(3, 4, Q)
-    g = set_var_zero(f, 0)
+    g = Hyperplane.coordinate(Q, 4, 0).restrict(f)
     assert g.nvars == 3
     assert g == parse_poly("x0^4 + x1^4 + x2^4", 3, Q)
 
 
 def test_set_var_zero_reindexes_displayed_cubic():
-    g = set_var_zero(cubic_threefold_example(Q), 0)
+    g = Hyperplane.coordinate(Q, 5, 0).restrict(cubic_threefold_example(Q))
     assert g.nvars == 4
     assert g == parse_poly("x0^3 + x0*x1^2 + x1*x3^2 + x2^3", 4, Q)
 
 
 def test_set_var_zero_middle_variable():
+    """The reference restriction, kept apart from Hyperplane.restrict."""
     p = parse_poly("x0*x2 + x1^2", 3, Q)
     assert set_var_zero(p, 1) == parse_poly("x0*x1", 2, Q)
     assert set_var_zero(p, 2) == parse_poly("x1^2", 2, Q)
@@ -208,13 +311,13 @@ def test_first_order_section_cyclic_example():
     f = cyclic_fermat(3, 4, Q)
     g, h = first_order_section(f, parse_poly("x0", 3, Q))
     assert h == parse_poly("x0*x2^3", 3, Q)
-    assert g == set_var_zero(f, 0)
+    assert g == Hyperplane.coordinate(Q, 4, 0).restrict(f)
 
 
 def test_first_order_section_zero_direction():
     f = cyclic_fermat(3, 4, Q)
     g, h = first_order_section(f, Polynomial.zero(Q, 3))
-    assert g == set_var_zero(f, 0)
+    assert g == Hyperplane.coordinate(Q, 4, 0).restrict(f)
     assert h.is_zero()
 
 

@@ -28,7 +28,6 @@ from hypersect import (
     parse_poly,
     partial_derivative,
     sections_exceed_moduli,
-    set_var_zero,
     substitute_linear,
     survey_kernels,
 )
@@ -46,6 +45,7 @@ from helpers import (
     rand_nonzero_homogeneous,
     rand_nonzero_scalar,
     rand_scalar,
+    set_var_zero,
 )
 
 Q = make_field(0)
@@ -230,7 +230,7 @@ def test_kernel_members_multiply_into_the_ideal():
     degree-d piece of the section's Jacobian ideal."""
     f = cubic_threefold_example(Q)
     rep = criterion_kernel(f, Hyperplane.coordinate(Q, 5, 0))
-    section = set_var_zero(f, 0)
+    section = Hyperplane.coordinate(Q, 5, 0).restrict(f)
     piece = graded_piece(jacobian_generators(section), 3)
     q = rep.criterion_form
     for l in rep.kernel_basis:
