@@ -34,8 +34,10 @@ Euler's identity puts in the ideal of its partials (_spanning_generators).
 
 Over a small prime field, singular inputs are also screened by scanning
 projective rational points for a common zero of the generators.  Over Q,
-ranks of the Macaulay rows (denominators cleared) are probed mod a fixed
-31-bit prime: full rank mod a prime certifies full rank over Q.  A pair or the
+ranks of the Macaulay rows (denominators cleared) are probed mod
+linalg.PROBE_PRIME, the largest prime below 2^20, where the elimination
+delays its reductions: full rank mod any prime certifies full rank over
+Q, and a rank drop only sends the walk on.  A pair or the
 cap is confirmed by one exact rank over Q of the rows already probed
 (linalg.rank_q_certified): kernels mod p, lifted to Q and verified over Z,
 so a "not smooth" over Q rests on checked kernel vectors and every
@@ -46,8 +48,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cache
-from math import lcm
+from functools import cache, lru_cache
+from math import comb, lcm
+
+import numpy as np
 
 from . import linalg
 from .errors import InhomogeneousGenerator, NotHomogeneous
@@ -93,6 +97,28 @@ class GradedDim:
     dimension: int
 
 
+@lru_cache(maxsize=64)
+def _exponent_array(nvars: int, degree: int) -> np.ndarray:
+    """monomial_basis(nvars, degree) as a read-only int64 array, a row per
+    monomial, built once per (nvars, degree) while it stays in the cache."""
+    exponents = np.array(monomial_basis(nvars, degree), dtype=np.int64).reshape(-1, nvars)
+    exponents.flags.writeable = False
+    return exponents
+
+
+@lru_cache(maxsize=64)
+def _below(nvars: int, degree: int) -> np.ndarray:
+    """below[k, s] = C(s+k-1, k), the count of monomials in k variables of
+    degree under s, for k < nvars and s <= degree."""
+    counts = [[comb(s + k - 1, s - 1) if s else 0 for s in range(degree + 1)] for k in range(nvars)]
+    return np.array(counts, dtype=np.int64)
+
+
+def _tails(exponents: np.ndarray) -> np.ndarray:
+    """tails[..., i] = e_(i+1) + ... + e_(n-1), for i < n-1."""
+    return exponents.sum(-1, keepdims=True) - np.cumsum(exponents[..., :-1], axis=-1)
+
+
 def _macaulay_rows(
     generators: list[Polynomial], degree: int
 ) -> tuple[list[Monomial], list[linalg.Row]]:
@@ -108,11 +134,22 @@ def _macaulay_rows(
     m*g_i = (u*g_i/c)*g_j + (m - u*g_j/c)*g_i, rows of g_j plus rows of g_i
     at monomials below m; induct on (i, m).  Mod a prime where an LC
     vanishes the rank can only drop, so it still bounds the rank over Q.
+
+    The multipliers m of each generator come as one array, the criterion
+    as one mask over it.  A degree-t monomial e sits in the basis after
+    those with the same e_0..e_(i-1) and a larger e_i, for each i < n-1:
+    C(T_i+k-1, k) of them, with k = n-1-i later variables and T_i =
+    e_(i+1) + ... + e_(n-1) the degree they share (_below).  So its column
+    is the sum of those counts, and as T_i(m*x^a) = T_i(m) + T_i(x^a) the
+    columns of a whole generator are a sum of n-1 table lookups.  Each
+    count, and the column, is below the basis length, so int64 holds them
+    for any number of variables.
     """
     nvars = generators[0].nvars
-    basis = monomial_basis(nvars, degree)
-    index = {m: i for i, m in enumerate(basis)}
-    rows = []
+    basis = list(map(tuple, _exponent_array(nvars, degree).tolist()))
+    below = _below(nvars, degree)
+    shared = np.arange(len(basis), dtype=object)  # one int object per column, for every row
+    rows: list[linalg.Row] = []
     leads: list[Monomial] = []
     for g in generators:
         if g.is_zero():
@@ -120,15 +157,20 @@ def _macaulay_rows(
         e = g.degree()
         if not g.is_homogeneous(e):
             raise InhomogeneousGenerator(f"generator {g} is not homogeneous")
+        monos = sorted(g.terms, key=grlex_key, reverse=True)
         if e <= degree:
             scale = lcm(*(c.value.denominator for c in g.terms.values()))  # 1 over F_p
-            monos = sorted(g.terms, key=grlex_key, reverse=True)
-            coeffs = [(mono, int(g.terms[mono].value * scale)) for mono in monos]
-            for m in monomial_basis(nvars, degree - e):
-                if any(all(a >= b for a, b in zip(m, lt)) for lt in leads):
-                    continue
-                rows.append([(index[tuple(a + b for a, b in zip(m, mono))], c) for mono, c in coeffs])
-        leads.append(max(g.terms, key=grlex_key))
+            coeffs = [int(g.terms[mono].value * scale) for mono in monos]
+            multipliers = _exponent_array(nvars, degree - e)
+            if leads:
+                divided = (multipliers[:, None, :] >= np.array(leads)).all(-1).any(-1)
+                multipliers = multipliers[~divided]
+            m_tails, g_tails = _tails(multipliers), _tails(np.array(monos, dtype=np.int64))
+            columns = np.zeros((len(multipliers), len(monos)), dtype=np.int64)
+            for i in range(nvars - 1):
+                columns += below[nvars - 1 - i][m_tails[:, i, None] + g_tails[:, i]]
+            rows.extend(list(zip(row, coeffs)) for row in shared[columns].tolist())
+        leads.append(monos[0])
     return basis, rows
 
 

@@ -4,12 +4,18 @@ An integer matrix is a list of sparse rows, each a list of (column, value)
 pairs in ascending column order.  There is one elimination, a pivot split
 (Faugere-Lachartre): the rows with distinct leading columns stay sparse as
 pivots, and a vectorized column loop mod p runs only on the dense block
-they leave (int64 for p < 2^31, Python ints above).  The rank mod p runs
-it forward, stopping early.  Run to the reduced form and back-substituted
-through the pivots, it feeds the one kernel primitive, integer_kernel: the
-residues over F_p, and over Q vectors lifted from several primes and
-verified exactly over Z, so an exact rank over Q rests on checked vectors,
-not on a prime.  Every result is a deterministic function of the input.
+they leave (int64 for p < 2^31, Python ints above).  The split's clearing
+and the column loop delay their % p where int64 allows it (_delays:
+ncols*(p-1)^2 < 2^62, after FFLAS-FFPACK): an update only subtracts, and
+entries are reduced when their column is searched for a pivot, when their
+row becomes the pivot row, and once at the end.  Every block delays at
+the probe prime, the largest prime below 2^20; at the 31-bit lift primes
+every update is reduced.  The rank mod p runs the split forward, stopping
+early.  Run to the reduced form and back-substituted through the pivots,
+it feeds the one kernel primitive, integer_kernel: the residues over F_p,
+and over Q vectors lifted from several primes and verified exactly over
+Z, so an exact rank over Q rests on checked vectors, not on a prime.
+Every result is a deterministic function of the input.
 No floating point anywhere.
 """
 
@@ -25,10 +31,19 @@ from .fields import _is_prime
 Row = list[tuple[int, int]]  # a sparse integer row: (column, value) pairs, columns ascending
 
 # probe prime for rank lower bounds on integer matrices: full rank mod a
-# prime certifies full rank over Q, never the other way around
-PROBE_PRIME = 2**31 - 1
+# prime certifies full rank over Q, never the other way around.  The
+# largest prime below 2^20, so the column loop delays its % p (_delays)
+PROBE_PRIME = 1_048_573
 
 _INT64_PRIME_LIMIT = 2**31  # below it (p-1)^2 + p stays inside int64
+
+
+def _delays(a: np.ndarray, p: int) -> bool:
+    """Whether updates of the block a mod p may skip their % p: an int64
+    block with ncols*(p-1)^2 < 2^62 (proof in _eliminate).  True for any
+    block under 2^22 columns at the probe prime; at the 31-bit lift primes
+    and for Python-int blocks every update is reduced."""
+    return a.dtype == np.int64 and a.shape[1] * (p - 1) ** 2 < 2**62
 
 
 def _eliminate(a: np.ndarray, p: int, stop_at: int | None = None, reduced: bool = False) -> list[int]:
@@ -38,15 +53,31 @@ def _eliminate(a: np.ndarray, p: int, stop_at: int | None = None, reduced: bool 
     working row is the pivot, its row scaled to 1, so the result is
     deterministic.  Entries below each pivot are cleared; with reduced,
     those above too, leaving the reduced row echelon form.  Stops once
-    the rank reaches stop_at, before any pivot when stop_at <= 0.
+    the rank reaches stop_at, before any pivot when stop_at <= 0.  On
+    return every entry is a residue in [0, p).
+
+    Delayed reduction (Dumas-Giorgi-Pernet, FFLAS-FFPACK): when _delays,
+    an update only subtracts factor * pivot row, with no % p.  The column
+    searched for a pivot is reduced first, so the pivot and the factors
+    are residues, and so is the pivot row once scaled; the block is
+    reduced once at the end.  No overflow: every entry starts in [0, p),
+    a reduction brings it back there, and an update subtracts a product
+    of two residues, at most (p-1)^2.  An entry takes one update per pivot,
+    so at most ncols, and stays in [-ncols*(p-1)^2, p), inside int64 since
+    ncols*(p-1)^2 < 2^62.  Every step agrees mod p with the reduced one,
+    so the pivots, found on reduced columns, and the final residues are
+    those of reducing every update.
     """
     nrows, ncols = a.shape
     limit = nrows if stop_at is None else max(min(stop_at, nrows), 0)
+    delay = _delays(a, p)
     pivots: list[int] = []
     for c in range(ncols):
         r = len(pivots)
         if r == limit:
             break
+        if delay:
+            a[0 if reduced else r :, c] %= p
         nz = np.nonzero(a[r:, c])[0]
         if nz.size == 0:
             continue
@@ -54,15 +85,20 @@ def _eliminate(a: np.ndarray, p: int, stop_at: int | None = None, reduced: bool 
         if pr != r:
             a[[r, pr]] = a[[pr, r]]
         inv = pow(int(a[r, c]), -1, p)
-        a[r, c:] = a[r, c:] * inv % p
+        a[r, c:] = a[r, c:] % p * inv % p
         lo = 0 if reduced else r + 1
         idx = lo + np.nonzero(a[lo:, c])[0]
         if reduced:
             idx = idx[idx != r]
         if idx.size:
-            factors = a[idx, c][:, None]
-            a[idx, c:] = (a[idx, c:] - factors * a[r, c:]) % p
+            update = a[idx, c][:, None] * a[r, c:]
+            if delay:
+                a[idx, c:] -= update
+            else:
+                a[idx, c:] = (a[idx, c:] - update) % p
         pivots.append(c)
+    if delay:
+        a %= p
     return pivots
 
 
@@ -76,7 +112,9 @@ def _split(rows: list[Row], ncols: int, p: int, stop_at: int | None = None, redu
     one dense m x ncols block (int64 below 2^31, Python ints above), the
     only dense array built from sparse rows.  For each pivot column in
     ascending order, multiples of its pivot row clear that column in the
-    block, one vectorized update per pivot.  The column loop then brings
+    block, one vectorized update per pivot, its % p delayed as in
+    _eliminate (each entry takes at most one update per pivot column) and
+    the block reduced once it is handed on.  The column loop then brings
     the block on the non-pivot columns, the Schur complement, to echelon
     form (reduced form with reduced), stopping once k plus its rank
     reaches stop_at.
@@ -120,14 +158,26 @@ def _split(rows: list[Row], ncols: int, p: int, stop_at: int | None = None, redu
     block = np.zeros((len(rest), ncols), dtype=dtype, order="F")
     at = np.repeat(np.arange(len(rest)), [len(row) for row in rest])
     block[at, [c for row in rest for c, _ in row]] = [x for row in rest for _, x in row]
-    for c in sorted(pivots):
-        hit = np.flatnonzero(block[:, c])
+    delay = _delays(block, p)
+    # the pivot rows' columns and values, built once, row after row
+    order = sorted(pivots)
+    entries = np.array([e for c in order for e in pivots[c]], dtype=dtype)
+    cols, values = entries[:, 0].astype(np.intp), entries[:, 1]
+    bounds = itertools.pairwise(itertools.accumulate((len(pivots[c]) for c in order), initial=0))
+    for c, (start, end) in zip(order, bounds):
+        column = block[:, c] % p if delay else block[:, c]
+        hit = column.nonzero()[0]
         if hit.size:
-            cols, values = zip(*pivots[c])
-            factors = block[hit, c] * pow(values[0], -1, p) % p
-            at = np.ix_(hit, cols)
-            block[at] = (block[at] - factors[:, None] * np.array(values, dtype=dtype)) % p
+            factors = column[hit] * pow(int(values[start]), -1, p) % p
+            update = factors[:, None] * values[start:end]
+            at = hit[:, None], cols[start:end]
+            if delay:
+                block[at] -= update
+            else:
+                block[at] = (block[at] - update) % p
     schur = np.ascontiguousarray(block[:, others])
+    if delay:
+        schur %= p
     return pivots, others, schur, _eliminate(schur, p, limit, reduced)
 
 

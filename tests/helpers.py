@@ -18,6 +18,7 @@ from hypersect import (
     FieldMismatch,
     FieldSpec,
     IndexOutOfRange,
+    InhomogeneousGenerator,
     LinearChange,
     NotHomogeneous,
     Polynomial,
@@ -27,6 +28,7 @@ from hypersect import (
 )
 from hypersect import linalg
 from hypersect.poly import (
+    grlex_key,
     linear_coefficients,
     linear_form,
     monomial_basis,
@@ -327,6 +329,38 @@ def in_span(vectors: list[list[Scalar]], candidate: list[Scalar], field: FieldSp
 
 
 def macaulay_rows_reference(generators: list[Polynomial], degree: int):
+    """Degree-t basis and pruned sparse rows, one tuple of exponents at a time.
+
+    The oracle for jacobian._macaulay_rows, which builds the same rows in
+    numpy: row m*g_i for every multiplier m of every nonzero generator,
+    denominators cleared, columns found in a dict of the basis, skipped
+    when the grlex leading term of an earlier generator divides m.
+    Returns (basis, rows).
+    """
+    nvars = generators[0].nvars
+    basis = monomial_basis(nvars, degree)
+    index = {m: i for i, m in enumerate(basis)}
+    rows = []
+    leads = []
+    for g in generators:
+        if g.is_zero():
+            continue
+        e = g.degree()
+        if not g.is_homogeneous(e):
+            raise InhomogeneousGenerator(f"generator {g} is not homogeneous")
+        if e <= degree:
+            scale = lcm(*(c.value.denominator for c in g.terms.values()))
+            monos = sorted(g.terms, key=grlex_key, reverse=True)
+            coeffs = [(mono, int(g.terms[mono].value * scale)) for mono in monos]
+            for m in monomial_basis(nvars, degree - e):
+                if any(all(a >= b for a, b in zip(m, lt)) for lt in leads):
+                    continue
+                rows.append([(index[tuple(a + b for a, b in zip(m, mono))], c) for mono, c in coeffs])
+        leads.append(max(g.terms, key=grlex_key))
+    return basis, rows
+
+
+def unpruned_rows_reference(generators: list[Polynomial], degree: int):
     """Every degree-t monomial multiple of every nonzero generator.
 
     Integer rows over the grlex-descending monomial basis, denominators

@@ -22,6 +22,7 @@ from hypersect import (
     substitute_linear,
 )
 from hypersect import jacobian, linalg
+from hypersect.fields import _is_prime
 from hypersect.fixtures import cubic_threefold_example, cyclic_fermat, fermat
 from hypersect.jacobian import _macaulay_rows
 from hypersect.linalg import PROBE_PRIME, rank_mod_p_int
@@ -40,6 +41,7 @@ from helpers import (
     rand_nonzero_homogeneous,
     rank_int_exact,
     sparse_rows,
+    unpruned_rows_reference,
 )
 
 Q = make_field(0)
@@ -80,6 +82,8 @@ def test_graded_dim_of_partials_at_their_own_degree():
         partials = jacobian_generators(f)[1:]
         piece = ideal_graded_dim(partials, d - 1)
         assert piece.dimension == n + 1
+        piece.basis.clear()  # a new list, so the next piece keeps its basis
+        assert ideal_graded_dim(partials, d - 1).basis == monomial_basis(n + 1, d - 1)
 
 
 def test_graded_dim_full_jacobian_at_degree_d():
@@ -324,7 +328,7 @@ def test_pruned_rows_without_f_keep_every_jacobian_rank():
         char_divides += len(used) == len(full)
         for t in range(d - 1, f.nvars * (d - 2) + 2):
             basis, rows = _macaulay_rows(used, t)
-            ref_basis, ref_rows = macaulay_rows_reference(full, t)
+            ref_basis, ref_rows = unpruned_rows_reference(full, t)
             assert basis == ref_basis
             want = _exact_rank(sparse_rows(ref_rows), len(basis), field)
             assert _exact_rank(rows, len(basis), field) == want, (f.to_text(), t)
@@ -348,7 +352,7 @@ def test_pruning_keeps_span_for_any_generator_list():
                 continue
             for t in range(1, 5):
                 basis, rows = _macaulay_rows(gens, t)
-                _, ref_rows = macaulay_rows_reference(gens, t)
+                _, ref_rows = unpruned_rows_reference(gens, t)
                 ref_rows, ncols = sparse_rows(ref_rows), len(basis)
                 assert {tuple(r) for r in rows} <= {tuple(r) for r in ref_rows}
                 assert _exact_rank(rows, ncols, field) == _exact_rank(ref_rows, ncols, field)
@@ -356,8 +360,40 @@ def test_pruning_keeps_span_for_any_generator_list():
     assert pruned_some
 
 
+def test_numpy_rows_match_tuple_builder():
+    """_macaulay_rows gives the tuple builder's (basis, rows) exactly: the
+    same rows in the same order, over Q, F_2, F_3 and F_101.  The grid has
+    f kept where char | d, zero generators, degrees below a generator's
+    degree, mixed-degree lists, and a quadric in 40 variables, where a
+    base-3 key of the exponents would pass 2^63."""
+    rng = random.Random(86)
+    fields = [Q, make_field(2), make_field(3), make_field(101)]
+    seen = Counter()
+    for field in fields:
+        for nvars, d in ((1, 3), (2, 2), (3, 2), (3, 3), (3, 4), (4, 2), (4, 3)):
+            for _ in range(3):
+                f = rand_nonzero_homogeneous(rng, field, nvars, d, max_terms=8)
+                spanning = jacobian._spanning_generators(f)
+                mixed = [rand_homogeneous(rng, field, nvars, rng.randint(0, 3)) for _ in range(3)]
+                mixed.insert(rng.randrange(4), Polynomial.zero(field, nvars))
+                for gens in (jacobian_generators(f), spanning, mixed):
+                    if all(g.is_zero() for g in gens):
+                        continue
+                    seen["f kept"] += gens is spanning and f in spanning
+                    seen["zero"] += any(g.is_zero() for g in gens)
+                    for t in range(-1, nvars * (d - 2) + 3):
+                        seen["below"] += any(t < g.degree() for g in gens if not g.is_zero())
+                        got = _macaulay_rows(gens, t)
+                        assert got == macaulay_rows_reference(gens, t), (field, gens, t)
+    assert min(seen["f kept"], seen["zero"], seen["below"]) > 0, seen
+    f = rand_nonzero_homogeneous(rng, Q, 40, 2, max_terms=30) + fermat(39, 2, Q)
+    assert 3**40 > 2**63
+    for t in (1, 2, 3):
+        assert _macaulay_rows(jacobian_generators(f), t) == macaulay_rows_reference(jacobian_generators(f), t)
+
+
 def _reference_piece(generators, degree, field):
-    basis, rows = macaulay_rows_reference(generators, degree)
+    basis, rows = unpruned_rows_reference(generators, degree)
     return GradedPiece.of_rows(field, degree, basis, sparse_rows(rows))
 
 
@@ -426,6 +462,23 @@ def test_small_probe_prime_keeps_every_verdict(monkeypatch):
     assert {(True, "pair"), (False, "pair"), (True, "cap"), (False, "cap")} <= paths
 
 
+def test_twenty_bit_probe_prime_keeps_every_verdict(monkeypatch):
+    """The probe prime is the largest prime below 2^20, and is_smooth gives
+    the same verdict under it as under 2^31 - 1, with the default cap and
+    with a drawn one, on smooth and singular forms over Q and F_p."""
+    assert PROBE_PRIME == 1_048_573 and _is_prime(PROBE_PRIME)
+    assert not any(_is_prime(q) for q in range(PROBE_PRIME + 1, 2**20))
+    rng = random.Random(95)
+    forms = [f for _, _, f in _form_grid(96)] + list(_walk_grid(97, [Q, make_field(7)]))
+    forms = [(f, t_max) for f in forms for t_max in (None, rng.randint(0, 8))]
+    verdicts = {}
+    for q in (2**31 - 1, PROBE_PRIME):
+        monkeypatch.setattr(jacobian, "PROBE_PRIME", q)
+        verdicts[q] = [is_smooth(f, t_max) for f, t_max in forms]
+    assert verdicts[PROBE_PRIME] == verdicts[2**31 - 1]
+    assert set(verdicts[PROBE_PRIME]) == {True, False}
+
+
 # smooth plane curves over Q whose walks under probe prime 2 meet pairs that
 # one exact rank must read right: at the quintic's first pair the exact h is
 # neither 0 nor c, and the nonic's h plateaus above t-1, out of Gotzmann's reach
@@ -444,7 +497,7 @@ def test_one_exact_rank_per_pair_keeps_the_two_rank_verdicts(monkeypatch):
     rng = random.Random(93)
     fields = [Q, make_field(3), make_field(5), make_field(7)]
     forms = [(f, t_max) for f in _walk_grid(93, fields) for t_max in (None, rng.randint(0, 8))]
-    for q in (PROBE_PRIME, 2, 3, 5):
+    for q in (PROBE_PRIME, 2**31 - 1, 2, 3, 5):
         monkeypatch.setattr(jacobian, "PROBE_PRIME", q)
         for f, t_max in forms:
             assert is_smooth(f, t_max) == is_smooth_reference(f, t_max), (f.to_text(), q, t_max)
@@ -489,7 +542,7 @@ def test_walk_builds_and_ranks_each_degree_once(monkeypatch):
     monkeypatch.setattr(linalg, "rank_q_certified", exact_spy)
     fields = [Q, make_field(7), make_field(101)]
     exact_runs = 0
-    for q in (PROBE_PRIME, 3):
+    for q in (PROBE_PRIME, 2**31 - 1, 3):
         monkeypatch.setattr(jacobian, "PROBE_PRIME", q)
         for f in _walk_grid(92, fields):
             builds.clear()

@@ -5,6 +5,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hypersect import HypersectError, SingularMatrix, make_field
@@ -312,6 +313,118 @@ def test_pivot_split_matches_dense_rank_on_a_seeded_grid():
                 assert want == (full if stop_at is None else min(full, stop_at))
                 assert rank_mod_p_int(sparse_rows(rows), p, stop_at) == want, (rows, p, stop_at)
     assert deficient >= 30
+
+
+# --- delayed reduction in the column loop and the split ----------------------
+
+DELAY_PRIMES = (2, 3, 101, PROBE_PRIME, 2**31 - 1, 2**31 + 11)
+
+
+def _residue_grid(rng, p):
+    """Residue blocks mod p: random, planted rank-deficient, with zero
+    columns and zero rows, from 1 x 1 up to 16 x 10."""
+    draws = (lambda: rng.randrange(p), lambda: rng.choice((0, 0, 1, p - 1, rng.randrange(p))))
+    for nrows, ncols in ((1, 1), (4, 4), (5, 8), (9, 6), (12, 12), (16, 10)):
+        for draw in draws:
+            yield [[draw() for _ in range(ncols)] for _ in range(nrows)]
+            base = [[draw() for _ in range(ncols)] for _ in range(max(nrows // 3, 1))]
+            rows = [[sum(k * x for k, x in zip(coeffs, col)) % p for col in zip(*base)]
+                    for coeffs in ([rng.randrange(p) for _ in base] for _ in range(nrows))]
+            for c in rng.sample(range(ncols), ncols // 4):
+                for row in rows:
+                    row[c] = 0
+            yield rows + [[0] * ncols]
+
+
+def _block(rows, p):
+    ncols = len(rows[0])
+    return np.array(rows, dtype=np.int64 if p < 2**31 else object).reshape(len(rows), ncols)
+
+
+def _check_eliminate(rows, p, stop_at, want, want_pivots):
+    """The column loop, forward with stop_at and reduced, against the
+    Python-int Gauss-Jordan oracle's (want, want_pivots): its pivots, its
+    reduced form as the reduced result, the same row space forward,
+    residues throughout."""
+    field = make_field(p)
+    a = _block(rows, p)
+    pivots = linalg._eliminate(a, p, stop_at)
+    limit = len(want_pivots) if stop_at is None else max(min(stop_at, len(want_pivots)), 0)
+    assert pivots == want_pivots[:limit], (rows, p, stop_at)
+    assert all(0 <= x < p for x in a.flat)
+    for i, c in enumerate(pivots):
+        assert a[i, c] == 1 and not a[i, :c].any() and not a[i + 1 :, c].any()
+    assert rref_reference(Matrix.from_rows(field, a.tolist())) == (want, want_pivots)
+    a = _block(rows, p)
+    assert linalg._eliminate(a, p, reduced=True) == want_pivots
+    assert Matrix.from_rows(field, a.tolist()) == want, (rows, p)
+
+
+def _check_split(rows, p, stop_at, want, want_pivots):
+    """The split of sparse rows against the oracle's (want, want_pivots):
+    its rank, and its Schur block, reduced or forward, as the oracle's
+    reduced rows that lead off the pivot columns, on the other columns."""
+    field = make_field(p)
+    ncols = len(rows[0])
+    for reduced in (False, True):
+        pivots, others, schur, leads = linalg._split(sparse_rows(rows), ncols, p, stop_at, reduced)
+        rank = len(pivots) + len(leads)
+        assert all(0 <= x < p for x in schur.flat)
+        if stop_at is not None:
+            assert min(rank, stop_at) == min(len(want_pivots), stop_at), (rows, p, stop_at)
+            continue
+        assert sorted([*pivots, *(others[j] for j in leads)]) == want_pivots, (rows, p)
+        tail = [[want.at(i, c) for c in others] for i, c in enumerate(want_pivots) if c not in pivots]
+        got = Matrix.from_rows(field, schur.tolist()) if len(schur) else Matrix.zero(field, 0, len(others))
+        if reduced:
+            assert got.row_lists()[: len(leads)] == tail and not schur[len(leads) :].any()
+        else:
+            assert rref_reference(got)[0].row_lists()[: len(tail)] == tail
+
+
+def test_delayed_reduction_matches_python_int_oracle():
+    """_eliminate and _split, with the % p delayed at the 20-bit prime and
+    the small ones and kept at 2^31 - 1 and past it, give the oracle's
+    pivots and residues, forward with stop_at and reduced, on a seeded grid
+    with rank-deficient blocks and zero columns."""
+    rng = random.Random(88)
+    for p in DELAY_PRIMES:
+        assert linalg._delays(np.zeros((1, 30), dtype=np.int64), p) == (p < 2**31 - 1)
+        deficient = 0
+        for rows in _residue_grid(rng, p):
+            want = rref_reference(Matrix.from_rows(make_field(p), rows))
+            for stop_at in (None, rng.randint(0, len(rows[0]))):
+                _check_eliminate(rows, p, stop_at, *want)
+                _check_split(rows, p, stop_at, *want)
+            deficient += len(want[1]) < min(len(rows), len(rows[0]))
+        assert deficient >= 10, p
+
+
+def test_delayed_reduction_at_its_bound():
+    """The largest prime p with ncols*(p-1)^2 < 2^62 at ncols = 8, and 2^31 - 1,
+    past the bound.  Six pivot rows 1, p-1, ..., p-1 (p-2 in the seventh
+    column) over rows whose entries all start at p-1: the factors run p-1,
+    p-2, p-4, ..., so each update subtracts nearly (p-1)^2, and the last two
+    columns take six of them before the seventh holds a pivot that scales
+    the eighth, unreduced until then.  Column loop and split both match the
+    Python-int oracle, and so do the same rows mod 2^31 - 1, where only a
+    reduction at every update keeps int64 from overflowing."""
+    ncols = 8
+    top = math.isqrt(2**62 // ncols)
+    bound = next(q for q in range(top + 1, 2, -1) if _is_prime(q) and ncols * (q - 1) ** 2 < 2**62)
+    block = np.zeros((1, ncols), dtype=np.int64)
+    assert linalg._delays(block, bound)
+    assert not linalg._delays(block, next(q for q in itertools.count(bound + 1) if _is_prime(q)))
+    for p in (bound, 2**31 - 1):
+        pivots = [[0] * c + [1] + [p - 1] * (ncols - c - 1) for c in range(ncols - 2)]
+        for row in pivots:
+            row[-2] = p - 2
+        rows = pivots + [[p - 1] * ncols for _ in range(3)]
+        for order in (rows, rows[::-1]):
+            want = rref_reference(Matrix.from_rows(make_field(p), order))
+            assert len(want[1]) == ncols - 1
+            _check_eliminate(order, p, None, *want)
+            _check_split(order, p, None, *want)
 
 
 # --- exact rank over Q from verified modular kernels -------------------------
