@@ -122,7 +122,7 @@ def _build_parser() -> _Parser:
     source.add_argument("--g", metavar="CUBIC", help="cubic part in x1..x4 (fixture parameter)")
     scan = shared(parents=[source])
     scan.add_argument("--t-max", type=_int_at_least(0, "nonnegative int"), dest="t_max",
-                      help="override the smoothness scan degree cap")
+                      help="lower the smoothness degree cap (values above the proven cap change nothing)")
     planes = shared(parents=[scan])
     planes.add_argument("--h", action="append", required=True, metavar="LINEAR",
                         help="hyperplane as a linear form")

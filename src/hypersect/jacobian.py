@@ -8,47 +8,30 @@ Fullness of a graded piece is a rank condition on a matrix defined over
 the base field, so it is insensitive to field extension and can be decided
 here exactly.
 
-Three facts keep the decision cheap:
-
-* Fullness is monotone in the degree: a full piece stays full after
-  multiplying by the variables.  So "full at some t <= T" is equivalent
-  to "full at T".
-* When f is smooth and the characteristic does not divide d, the partials
-  form a regular sequence, and the first full degree is exactly
-  (n+1)(d-2) + 1.  Probing that degree first settles almost every smooth
-  input with the smallest possible matrix.
-* Quotient dimensions obey Macaulay growth, and growth that achieves the
-  Macaulay bound persists (Gotzmann).  Two consecutive equal quotient
-  dimensions c <= t-1 past the generator degrees therefore pin the
-  quotient at c forever, certifying the singular case from small matrices
-  instead of one large elimination at the cap.  Over Q the walk sees
-  quotient dimensions mod a prime, which bound the exact ones from above;
-  one exact rank at the upper degree t of such a pair settles it, since an
-  exact value c at t forces the exact value c at t-1 (is_smooth has the
-  proof).
+Fullness is monotone in the degree: a full piece stays full after
+multiplying by the variables.  And a smooth f fills by a proven degree,
+(n+1)(d-2) + 1, one more when char | d (default_degree_cap has both
+proofs).  So one graded piece, at that degree, decides smoothness: f is
+smooth exactly when it is full.
 
 Every matrix holds the monomial multiples of the generators in one degree,
 less those the leading-term (Koszul/F5) criterion shows redundant: fewer
-rows, same span.  Unless char | d, the scan and the criterion drop f, which
-Euler's identity puts in the ideal of its partials (_spanning_generators).
+rows, same span.  Unless char | d, the rows drop f, which Euler's identity
+puts in the ideal of its partials (_spanning_generators).
 
-Over a small prime field, singular inputs are also screened by scanning
-projective rational points for a common zero of the generators.  Over Q,
-ranks of the Macaulay rows (denominators cleared) are probed mod
-linalg.PROBE_PRIME, the largest prime below 2^20, where the elimination
-delays its reductions: full rank mod any prime certifies full rank over
-Q, and a rank drop only sends the walk on.  A pair or the
-cap is confirmed by one exact rank over Q of the rows already probed
-(linalg.rank_q_certified): kernels mod p, lifted to Q and verified over Z,
-so a "not smooth" over Q rests on checked kernel vectors and every
-returned verdict is exact.
+Over F_p the piece is ranked mod p, which is exact.  Over Q its rows
+(denominators cleared) are probed mod linalg.PROBE_PRIME, the largest
+prime below 2^20, where the elimination delays its reductions: full rank
+mod any prime certifies full rank over Q.  Short of full, one exact rank
+over Q of the same rows decides (linalg.rank_q_certified): kernels mod p,
+lifted to Q and verified over Z, so a "not smooth" over Q rests on checked
+kernel vectors and every returned verdict is exact.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import lru_cache
 from math import comb, lcm
 
 import numpy as np
@@ -81,10 +64,38 @@ def _spanning_generators(f: Polynomial) -> list[Polynomial]:
     return [g for g in jacobian_generators(f)[skip_f:] if not g.is_zero()]
 
 
-def default_degree_cap(nvars: int, degree: int) -> int:
-    """Last degree the smoothness scan inspects: (n+2)(d-1) - n for n = nvars-1."""
+def default_degree_cap(nvars: int, degree: int, characteristic: int = 0) -> int:
+    """The degree where the Jacobian ideal of a smooth form fills up: with
+    n = nvars-1 and e = (n+1)(d-2) + 1, it is e, or e+1 when char | d, and
+    0 for linear forms (a nonzero constant partial fills degree 0).
+
+    char does not divide d.  By Euler, d*f = sum_i x_i*df/dx_i, so the
+    partials generate the ideal.  If f is smooth they have no common
+    projective zero, so the n+1 partials of degree d-1 generate an
+    m-primary ideal of the polynomial ring in n+1 variables: a system of
+    parameters, hence a regular sequence.  The Hilbert series of the
+    quotient is then ((1-t^(d-1))/(1-t))^(n+1), a polynomial of degree
+    (n+1)(d-2), so the ideal is full past (n+1)(d-2), at e.
+
+    char divides d.  Work over the algebraic closure, and write V(df) for
+    the common zeros of the partials.  If f is smooth, V(df) misses V(f), and a projective set of positive dimension meets
+    every hypersurface, so V(df) is finite.  Take n general combinations
+    g_1..g_n of the partials: each component of V(g_1..g_(k-1)), k <= n,
+    has positive dimension, so it is not inside V(df), and a general g_k
+    does not vanish on it; V(g_1..g_n) is finitely many points.  J_d has
+    no common zero (x_j*df/dx_i and f all vanish only on V(J), which is
+    empty), so a general h in J_d vanishes at none of those points.  Then
+    g_1..g_n, h have no common zero: a regular sequence inside J, of
+    degrees (d-1)^n and d, whose quotient has Hilbert series
+    ((1-t^(d-1))/(1-t))^n * (1-t^d)/(1-t), of degree n(d-2) + d-1 = e.
+    It is full at e+1, so J is too.  Fullness is a rank condition on a
+    matrix over the base field, so the cap holds there as well.
+    """
     n = nvars - 1
-    return (n + 2) * (degree - 1) - n
+    cap = (n + 1) * (degree - 2) + 1
+    if characteristic and degree % characteristic == 0:
+        cap += 1
+    return max(cap, 0)
 
 
 @dataclass(frozen=True)
@@ -204,118 +215,34 @@ def ideal_graded_dim(
     return GradedDim(degree, basis, rank)
 
 
-# -- fast fullness ------------------------------------------------------------
-
-
-_POINT_SCAN_LIMIT = 600
-
-
-def _rational_singular_point(generators: list[Polynomial], field: FieldSpec, nvars: int) -> bool:
-    """Scan projective F_p points for a common zero of the generators.
-
-    A hit places the whole ideal inside that point's maximal ideal, so no
-    graded piece is ever full.  A miss proves nothing; callers must fall
-    through to the rank scan.  Skipped when the point count is large.
-    """
-    p = field.characteristic
-    total = (p**nvars - 1) // (p - 1)
-    if total > _POINT_SCAN_LIMIT:
-        return False
-    top = max(max(m) for g in generators for m in g.terms)
-    power = [[pow(r, e, p) for e in range(top + 1)] for r in range(p)]
-    gens = [[(c.value, m) for m, c in g.terms.items()] for g in generators]
-    for pivot in range(nvars):
-        tail = nvars - pivot - 1
-        for suffix in itertools.product(range(p), repeat=tail):
-            point = (0,) * pivot + (1,) + suffix
-            for terms in gens:
-                acc = 0
-                for coeff, mono in terms:
-                    val = coeff
-                    for v, e in enumerate(mono):
-                        if e:
-                            val = val * power[point[v]][e]
-                    acc = (acc + val) % p
-                if acc:
-                    break
-            else:
-                return True
-    return False
-
-
 def is_smooth(f: Polynomial, t_max: int | None = None) -> bool:
     """Whether the projective hypersurface f = 0 is smooth.
 
-    Equivalent to: some graded piece of the Jacobian ideal with degree at
-    most the cap is full.  The verdict holds over the algebraic closure as
-    well, since fullness is a rank condition over the base field.
+    Equivalent to: the graded piece of the Jacobian ideal at
+    default_degree_cap is full (fullness is monotone, and a smooth f fills
+    by that degree).  The verdict holds over the algebraic closure as well,
+    since fullness is a rank condition over the base field.  A t_max only
+    lowers the degree; below the proven cap a False means "not full by
+    t_max", not a proof of a singular point.
 
-    The scan first probes the degree where a smooth hypersurface away from
-    char | d must fill up, (n+1)(d-2) + 1.  Failing that, it walks the
-    quotient dimensions h(t) upward, each degree built and ranked mod the
-    probe prime once (p over F_p, PROBE_PRIME over Q); h(t) = 0 certifies
-    smoothness.  h_exact(t), the exact quotient dimension, equals h(t) over
-    F_p and whenever the rows are independent mod the probe; otherwise it
-    is an exact rank over Q (linalg.rank_q_certified, kernel vectors
-    verified over Z).  One exact rank decides a pair:
-
-    A rank mod p never exceeds the rank over Q, so h_Q <= h at every
-    degree.  Let t-1 >= d and h(t-1) = h(t) = c <= t-1.  If h_Q(t) = c,
-    then h_Q(t-1) <= c <= t-1.  Macaulay's bound gives h_Q(t) <=
-    h_Q(t-1)^<t-1>, and a value at most t-1 is its own <t-1> bound, so
-    h_Q(t) <= h_Q(t-1), and h_Q(t-1) = c.  That is maximal growth past the
-    generator degrees, so by Gotzmann persistence h_Q stays c > 0 for ever
-    and f is singular.  If h_Q(t) = 0 the piece is full and f is smooth.
-    Any other exact value decides nothing and the walk goes on.  Over F_p
-    h_exact = h = c, so the same test returns False at once.  Past the
-    walk, the cap decides by its exact quotient dimension.
+    The piece is built once.  Fewer rows than columns cannot fill it.  A
+    full rank mod the probe (p over F_p, PROBE_PRIME over Q) proves it
+    full; over F_p a rank short of full is exact, and over Q one exact
+    rank of the same rows decides (linalg.rank_q_certified).
     """
     d = require_homogeneous(f, 1, "hypersurface form")
     if f.nvars < 2:
         raise NotHomogeneous("need at least two variables for a projective hypersurface")
-    n = f.nvars - 1
-    if t_max is not None:
-        cap = t_max
-        if cap < 0:
-            return False
-    else:
-        # the formula goes negative only for linear forms; degree 0 suffices there
-        cap = max(default_degree_cap(f.nvars, d), 0)
     p = f.field.characteristic
-    gens = _spanning_generators(f)
-    if not gens:
+    cap = default_degree_cap(f.nvars, d, p)
+    if t_max is not None:
+        if t_max < 0:
+            return False
+        cap = min(cap, t_max)
+    # never empty: all partials vanish only when char | d, and then f is kept
+    basis, rows = _macaulay_rows(_spanning_generators(f), cap)
+    if len(rows) < len(basis):
         return False
-    probe = p or PROBE_PRIME
-    expected_full = max((n + 1) * (d - 2) + 1, d - 1, 0)
-    pieces = {}  # degree -> (basis, rows), dropped once the walk passes the degree
-
-    @cache
-    def h(t: int) -> int:
-        """Quotient dimension at t mod the probe: exact over F_p, an upper bound over Q."""
-        basis, rows = pieces[t] = _macaulay_rows(gens, t)
-        # a failed stop_at probe runs on to the whole rank mod the probe
-        full = len(basis) if t == expected_full and len(rows) >= len(basis) else None
-        return len(basis) - (linalg.rank_mod_p_int(rows, probe, full) if rows else 0)
-
-    @cache
-    def h_exact(t: int) -> int:
-        c = h(t)
-        basis, rows = pieces[t]
-        # a rank over Q lies between the rank mod the probe and the row count
-        if p or c == len(basis) - len(rows):
-            return c
-        return len(basis) - linalg.rank_q_certified(rows, len(basis))
-
-    if expected_full <= cap and h(expected_full) == 0:
+    if linalg.rank_mod_p_int(rows, p or PROBE_PRIME, stop_at=len(basis)) == len(basis):
         return True
-    if f.field.is_prime_field and _rational_singular_point(gens, f.field, f.nvars):
-        return False
-    for t in range(max(d - 1, 0), cap + 1):
-        pieces.pop(t - 1, None)
-        c = h(t)
-        if c == 0:
-            return True
-        if t - 1 >= d and c <= t - 1 and h(t - 1) == c and h_exact(t) in (0, c):
-            return h_exact(t) == 0
-    return h_exact(cap) == 0
-
+    return not p and linalg.rank_q_certified(rows, len(basis)) == len(basis)

@@ -6,6 +6,7 @@ tests pass their own seeds.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -673,21 +674,54 @@ def criterion_kernel_reference(f: Polynomial, hyperplane, t_max=None):
     )
 
 
-def is_smooth_reference(f: Polynomial, t_max: int | None = None) -> bool:
-    """jacobian.is_smooth as a walk that confirms both degrees of a pair.
+_POINT_SCAN_LIMIT = 600
 
-    Probes the CI degree mod jacobian.PROBE_PRIME (read at call time), scans
-    rational points, then walks h_t.  Over Q a Gotzmann pair h_{t-1} = h_t
-    is confirmed by exact ranks at t-1 and at t, and the cap by an exact
-    rank at the cap.  The oracle for the one-exact-rank walk.
+
+def _rational_singular_point(generators: list[Polynomial], field: FieldSpec, nvars: int) -> bool:
+    """Scan projective F_p points for a common zero of the generators.
+
+    A hit places the whole ideal inside that point's maximal ideal, so no
+    graded piece is ever full.  A miss proves nothing; callers must fall
+    through to the rank scan.  Skipped when the point count is large.
+    """
+    p = field.characteristic
+    total = (p**nvars - 1) // (p - 1)
+    if total > _POINT_SCAN_LIMIT:
+        return False
+    top = max(max(m) for g in generators for m in g.terms)
+    power = [[pow(r, e, p) for e in range(top + 1)] for r in range(p)]
+    gens = [[(c.value, m) for m, c in g.terms.items()] for g in generators]
+    for pivot in range(nvars):
+        tail = nvars - pivot - 1
+        for suffix in itertools.product(range(p), repeat=tail):
+            point = (0,) * pivot + (1,) + suffix
+            for terms in gens:
+                acc = 0
+                for coeff, mono in terms:
+                    val = coeff
+                    for v, e in enumerate(mono):
+                        if e:
+                            val = val * power[point[v]][e]
+                    acc = (acc + val) % p
+                if acc:
+                    break
+            else:
+                return True
+    return False
+
+
+def is_smooth_reference(f: Polynomial, t_max: int | None = None) -> bool:
+    """Smoothness by the h_t walk, the oracle for the one-piece decision.
+
+    The walk up to the old cap (n+2)(d-1) - n, which has no proof of its
+    own when char | d but lies at or above the proven one: it probes the
+    CI degree mod jacobian.PROBE_PRIME (read at call time), scans rational
+    points, then walks h_t.  Over Q a Gotzmann pair h_{t-1} = h_t is
+    confirmed by exact ranks at t-1 and at t, and the cap by an exact rank
+    at the cap.  A t_max replaces the cap.
     """
     from hypersect import jacobian, linalg
-    from hypersect.jacobian import (
-        _macaulay_rows,
-        _rational_singular_point,
-        _spanning_generators,
-        default_degree_cap,
-    )
+    from hypersect.jacobian import _macaulay_rows, _spanning_generators
 
     def rank_q(rows, cols, probe_rank):
         return probe_rank if probe_rank == len(rows) else linalg.rank_q_certified(rows, cols)
@@ -701,7 +735,7 @@ def is_smooth_reference(f: Polynomial, t_max: int | None = None) -> bool:
         if cap < 0:
             return False
     else:
-        cap = max(default_degree_cap(f.nvars, d), 0)
+        cap = max((n + 2) * (d - 1) - n, 0)
     p = f.field.characteristic
     gens = _spanning_generators(f)
     if not gens:

@@ -198,10 +198,33 @@ def test_explicit_degree_cap_is_honored():
 
 
 def test_default_degree_cap_formula():
-    assert default_degree_cap(4, 3) == 7
-    assert default_degree_cap(5, 3) == 8
-    assert default_degree_cap(4, 4) == 12
-    assert default_degree_cap(2, 1) == -1
+    """e = (n+1)(d-2) + 1, one more when char | d, and 0 for linear forms."""
+    assert default_degree_cap(4, 3) == 5
+    assert default_degree_cap(5, 3) == 6
+    assert default_degree_cap(4, 4) == 9
+    assert default_degree_cap(3, 2) == 1
+    assert default_degree_cap(4, 4, 3) == 9
+    assert default_degree_cap(4, 3, 3) == 6
+    assert default_degree_cap(3, 2, 2) == 2
+    assert default_degree_cap(4, 4, 2) == 10
+    assert default_degree_cap(3, 5, 5) == 11
+    assert default_degree_cap(2, 1) == default_degree_cap(5, 1, 7) == 0
+
+
+def test_char_dividing_degree_needs_one_more_degree():
+    """Over F_2 the conic x0^2 + x1*x2 is smooth, and its Jacobian ideal
+    (f kept, as 2 | d) is not full at e = 1 but is full at e + 1 = 2: with
+    the cap at e, is_smooth would call it singular."""
+    f2 = make_field(2)
+    raw = {(2, 0, 0): 1, (0, 1, 1): 1}
+    f = Polynomial.from_terms(f2, 3, raw)
+    assert find_singular_point(raw, 3, 2) is None
+    gens = jacobian_generators(f)
+    assert [ideal_graded_dim(gens, t).dimension for t in (1, 2)] == [2, 6]
+    assert len(monomial_basis(3, 1)) == 3 and len(monomial_basis(3, 2)) == 6
+    assert default_degree_cap(3, 2, 2) == 2
+    assert is_smooth(f)
+    assert not is_smooth(f, t_max=1)
 
 
 def test_is_smooth_rejects_bad_input():
@@ -437,9 +460,10 @@ def _walk_grid(seed, fields):
 
 def test_small_probe_prime_keeps_every_verdict(monkeypatch):
     """A probe prime of 2, 3 or 5 drops many ranks (3 kills every partial of
-    the Fermat cubic), so over Q the walk meets Gotzmann pairs that only the
-    probe sees and runs on to the cap.  Exact ranks of the walk's own rows
-    must give back the verdict of the real probe, on both of those paths."""
+    the Fermat cubic), so over Q the probe of the cap piece often falls
+    short.  The exact rank of the same rows must give back the verdict of
+    the real probe: full pieces that only the probe missed, and singular
+    forms."""
     forms = list(_walk_grid(91, [Q]))
     wanted = [is_smooth(f) for f in forms]
     assert set(wanted) == {True, False}
@@ -458,8 +482,9 @@ def test_small_probe_prime_keeps_every_verdict(monkeypatch):
             monkeypatch.setattr(jacobian, "PROBE_PRIME", q)
             widths.clear()
             assert is_smooth(f) == want, (f.to_text(), q)
-            paths.add((want, "cap" if cap_width in widths else "pair" if widths else "probe"))
-    assert {(True, "pair"), (False, "pair"), (True, "cap"), (False, "cap")} <= paths
+            assert widths in ([], [cap_width]), (f.to_text(), q, widths)
+            paths.add((want, "cap" if widths else "probe"))
+    assert {(True, "probe"), (True, "cap"), (False, "cap")} <= paths
 
 
 def test_twenty_bit_probe_prime_keeps_every_verdict(monkeypatch):
@@ -479,9 +504,8 @@ def test_twenty_bit_probe_prime_keeps_every_verdict(monkeypatch):
     assert set(verdicts[PROBE_PRIME]) == {True, False}
 
 
-# smooth plane curves over Q whose walks under probe prime 2 meet pairs that
-# one exact rank must read right: at the quintic's first pair the exact h is
-# neither 0 nor c, and the nonic's h plateaus above t-1, out of Gotzmann's reach
+# smooth plane curves over Q whose probes mod 2 fall short, so the exact
+# rank of the cap piece must read them right
 PINNED_SMOOTH = [
     "-x0^4*x1 + 3*x0^3*x2^2 + 2*x0^2*x1^2*x2 + x0*x1^4 - x0*x1^3*x2 + 3*x1^3*x2^2"
     " - 2*x1*x2^4",
@@ -490,76 +514,112 @@ PINNED_SMOOTH = [
 ]
 
 
-def test_one_exact_rank_per_pair_keeps_the_two_rank_verdicts(monkeypatch):
-    """is_smooth gives the verdict of the reference walk, which confirms
-    both degrees of a Gotzmann pair exactly, over Q and F_p, under probe
-    primes that drop ranks, with the default cap and with a drawn one."""
+def _line_singular_form(rng, field, nvars, d):
+    """A form singular along x0 = x1 = 0: every monomial with e0 + e1 >= 2,
+    each with a random coefficient (nonzero over Q)."""
+    terms = {m: rng.randint(1, 9) if not field.characteristic else rng.randrange(field.characteristic)
+             for m in monomial_basis(nvars, d) if m[0] + m[1] >= 2}
+    return Polynomial.from_terms(field, nvars, terms)
+
+
+def _widened_grid(seed):
+    """Forms over F_2 and forms with char | d (F_2 with d in {2, 4}, F_3
+    with d = 3), random and with a planted singular point, and forms
+    singular along the line x0 = x1 = 0, over Q and F_p."""
+    rng = random.Random(seed)
+    f2, f3 = make_field(2), make_field(3)
+    shapes = ((f2, 3, 2), (f2, 4, 2), (f2, 3, 3), (f2, 3, 4), (f2, 4, 3), (f3, 3, 3), (f3, 4, 3))
+    for field, nvars, d in shapes:
+        for singular in (False, True, False, False):
+            yield _random_form(rng, field, nvars, d, singular)
+    yield Polynomial.from_terms(f2, 3, {(2, 0, 0): 1, (0, 1, 1): 1})
+    yield Polynomial.from_terms(f2, 4, {(1, 1, 0, 0): 1, (0, 0, 1, 1): 1})
+    for field in (Q, f2, f3, make_field(5), make_field(7)):
+        for nvars, d in ((3, 3), (3, 4), (4, 3)):
+            f = _line_singular_form(rng, field, nvars, d)
+            if not f.is_zero():
+                yield f
+
+
+def test_one_piece_agrees_with_the_walk_reference(monkeypatch):
+    """is_smooth gives the verdict of the reference walk (old cap, rational
+    point scan, Gotzmann pairs confirmed at both degrees) over Q, F_2, F_3,
+    F_5 and F_7, under probe primes that drop ranks, with the default cap
+    and with a drawn one.  The grid has char | d and forms singular along
+    a line; a common zero the F_p^k point oracle finds means singular."""
     rng = random.Random(93)
-    fields = [Q, make_field(3), make_field(5), make_field(7)]
-    forms = [(f, t_max) for f in _walk_grid(93, fields) for t_max in (None, rng.randint(0, 8))]
+    fields = [Q, make_field(2), make_field(3), make_field(5), make_field(7)]
+    forms = list(_walk_grid(93, fields)) + list(_widened_grid(94))
+    forms = [(f, t_max) for f in forms for t_max in (None, rng.randint(0, 8))]
+    seen = Counter()
     for q in (PROBE_PRIME, 2**31 - 1, 2, 3, 5):
         monkeypatch.setattr(jacobian, "PROBE_PRIME", q)
         for f, t_max in forms:
-            assert is_smooth(f, t_max) == is_smooth_reference(f, t_max), (f.to_text(), q, t_max)
+            want = is_smooth_reference(f, t_max)
+            assert is_smooth(f, t_max) == want, (f.to_text(), q, t_max)
+            p = f.field.characteristic
+            seen[want, bool(p) and f.degree() % p == 0] += 1
+    assert set(seen) == {(True, False), (False, False), (True, True), (False, True)}, seen
+    for f, _ in forms:
+        p = f.field.characteristic
+        if p:
+            raw = {m: c.value for m, c in f.terms.items()}
+            if find_singular_point(raw, f.nvars, p) is not None:
+                assert not is_smooth(f), f.to_text()
     monkeypatch.setattr(jacobian, "PROBE_PRIME", 2)
     for text in PINNED_SMOOTH:
         assert is_smooth(parse_poly(text, 3, Q)), text
 
 
-def test_walk_builds_and_ranks_each_degree_once(monkeypatch):
-    """Within one is_smooth call no degree's rows are built twice, and no
-    matrix is ranked mod p twice: a failed CI-degree probe hands its rows
-    and rank to the walk.  Also with a small probe prime, where over Q the
-    exact ranks take over: one per width, on the upper degree t of a
-    Gotzmann pair or on the cap, never on the pair's lower degree t-1."""
-    builds, ranks, probes, exact, h = Counter(), Counter(), [], Counter(), {}
+def test_is_smooth_builds_one_piece_at_the_cap(monkeypatch):
+    """One is_smooth call builds one graded piece, at the proven cap, or at
+    t_max when that is lower; a t_max above the cap builds the cap degree
+    and gives the verdict of no t_max.  It ranks that piece mod p at most
+    once, forward with stop_at, and over Q runs at most one exact rank,
+    only when the probe fell short; over F_p never."""
+    builds, probes, exact = [], [], []
     real_rows, real_rank = jacobian._macaulay_rows, linalg.rank_mod_p_int
     real_exact = linalg.rank_q_certified
-    widths = {}  # id of a built row list -> its column count
 
     def rows_spy(gens, degree):
-        builds[degree] += 1
         basis, rows = real_rows(gens, degree)
-        widths[id(rows)] = len(basis)
+        builds.append((degree, len(basis)))
         return basis, rows
 
     def rank_spy(rows, p, stop_at=None):
-        width = widths[id(rows)]
-        if stop_at is None:
-            ranks[width] += 1
-        else:
-            probes.append(width)
         rank = real_rank(rows, p, stop_at)
-        h[width] = width - rank
+        probes.append((stop_at, rank))
         return rank
 
     def exact_spy(rows, ncols):
-        exact[ncols] += 1
+        exact.append(ncols)
         return real_exact(rows, ncols)
 
     monkeypatch.setattr(jacobian, "_macaulay_rows", rows_spy)
     monkeypatch.setattr(linalg, "rank_mod_p_int", rank_spy)
     monkeypatch.setattr(linalg, "rank_q_certified", exact_spy)
-    fields = [Q, make_field(7), make_field(101)]
+    fields = [Q, make_field(2), make_field(7), make_field(101)]
     exact_runs = 0
     for q in (PROBE_PRIME, 2**31 - 1, 3):
         monkeypatch.setattr(jacobian, "PROBE_PRIME", q)
-        for f in _walk_grid(92, fields):
-            builds.clear()
-            ranks.clear()
-            probes.clear()
-            exact.clear()
-            h.clear()
-            is_smooth(f)
-            assert len(probes) <= 1
-            assert all(count == 1 for count in builds.values()), (f.to_text(), q, builds)
-            assert all(count == 1 for count in ranks.values()), (f.to_text(), q, ranks)
-            assert all(count == 1 for count in exact.values()), (f.to_text(), q, exact)
-            d, cap = f.degree(), default_degree_cap(f.nvars, f.degree())
-            for width in exact:
-                t = next(t for t in range(cap + 1) if len(monomial_basis(f.nvars, t)) == width)
-                below = len(monomial_basis(f.nvars, t - 1))
-                upper = t - 1 >= d and h[below] == h[width] <= t - 1
-                assert t == cap or upper, (f.to_text(), q, t)
-            exact_runs += len(exact)
+        for f in list(_walk_grid(92, fields)) + list(_widened_grid(95)):
+            p, d = f.field.characteristic, f.degree()
+            cap = default_degree_cap(f.nvars, d, p)
+            verdicts = set()
+            for t_max in (None, cap, cap + 1, 10 * cap + 7, cap - 1):
+                builds.clear()
+                probes.clear()
+                exact.clear()
+                verdicts.add(is_smooth(f, t_max))
+                degree = cap if t_max is None else min(t_max, cap)
+                assert [t for t, _ in builds] == [degree], (f.to_text(), q, t_max, builds)
+                width = builds[0][1]
+                assert len(probes) <= 1 and all(stop_at == width for stop_at, _ in probes)
+                assert len(exact) <= 1 and not (p and exact)
+                if exact:
+                    assert exact == [width] and probes and probes[0][1] < width
+                if t_max != cap - 1:
+                    assert len(verdicts) == 1, (f.to_text(), q, t_max)
+                exact_runs += len(exact)
     assert exact_runs > 0
+
