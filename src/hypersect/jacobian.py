@@ -19,13 +19,12 @@ less those the leading-term (Koszul/F5) criterion shows redundant: fewer
 rows, same span.  Unless char | d, the rows drop f, which Euler's identity
 puts in the ideal of its partials (_spanning_generators).
 
-Over F_p the piece is ranked mod p, which is exact.  Over Q its rows
-(denominators cleared) are probed mod linalg.PROBE_PRIME, the largest
-prime below 2^20, where the elimination delays its reductions: full rank
-mod any prime certifies full rank over Q.  Short of full, one exact rank
-over Q of the same rows decides (linalg.rank_q_certified): kernels mod p,
-lifted to Q and verified over Z, so a "not smooth" over Q rests on checked
-kernel vectors and every returned verdict is exact.
+Every piece is ranked exactly by one linalg.rank_mod_p_int call: mod p
+over F_p, and over Q (denominators cleared) the pivot count of the kernel
+lift, whose first prime is linalg.PROBE_PRIME.  Full rank mod that prime
+proves full rank over Q after one elimination; short of full, the kernel
+vectors are lifted to Q and verified over Z, so a "not smooth" over Q
+rests on checked kernel vectors and every returned verdict is exact.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ import numpy as np
 from . import linalg
 from .errors import InhomogeneousGenerator, NotHomogeneous
 from .fields import FieldSpec
-from .linalg import PROBE_PRIME
 from .poly import (
     Monomial,
     Polynomial,
@@ -197,8 +195,7 @@ def ideal_graded_dim(
     skipped.  field/nvars are only needed when the list is empty.  All
     generators must share one ring, the given field/nvars where given
     (FieldMismatch, ArityMismatch otherwise).  The dimension is one exact
-    rank of the Macaulay rows: mod p over F_p, linalg.rank_q_certified
-    over Q.
+    rank of the Macaulay rows, linalg.rank_mod_p_int over the field.
     """
     if generators:
         field = generators[0].field if field is None else field
@@ -210,9 +207,7 @@ def ideal_graded_dim(
         ring._check(g)
     live = [g for g in generators if not g.is_zero()]
     basis, rows = _macaulay_rows(live, degree) if live else (monomial_basis(nvars, degree), [])
-    p = field.characteristic
-    rank = linalg.rank_mod_p_int(rows, p) if p else linalg.rank_q_certified(rows, len(basis))
-    return GradedDim(degree, basis, rank)
+    return GradedDim(degree, basis, linalg.rank_mod_p_int(rows, field.characteristic))
 
 
 def is_smooth(f: Polynomial, t_max: int | None = None) -> bool:
@@ -225,10 +220,9 @@ def is_smooth(f: Polynomial, t_max: int | None = None) -> bool:
     lowers the degree; below the proven cap a False means "not full by
     t_max", not a proof of a singular point.
 
-    The piece is built once.  Fewer rows than columns cannot fill it.  A
-    full rank mod the probe (p over F_p, PROBE_PRIME over Q) proves it
-    full; over F_p a rank short of full is exact, and over Q one exact
-    rank of the same rows decides (linalg.rank_q_certified).
+    The piece is built once.  Fewer rows than columns cannot fill it;
+    otherwise one exact rank of its rows over the field decides
+    (linalg.rank_mod_p_int, stopping at the full rank).
     """
     d = require_homogeneous(f, 1, "hypersurface form")
     if f.nvars < 2:
@@ -243,6 +237,4 @@ def is_smooth(f: Polynomial, t_max: int | None = None) -> bool:
     basis, rows = _macaulay_rows(_spanning_generators(f), cap)
     if len(rows) < len(basis):
         return False
-    if linalg.rank_mod_p_int(rows, p or PROBE_PRIME, stop_at=len(basis)) == len(basis):
-        return True
-    return not p and linalg.rank_q_certified(rows, len(basis)) == len(basis)
+    return linalg.rank_mod_p_int(rows, p, stop_at=len(basis)) == len(basis)

@@ -2,21 +2,21 @@
 
 An integer matrix is a list of sparse rows, each a list of (column, value)
 pairs in ascending column order.  There is one elimination, a pivot split
-(Faugere-Lachartre): the rows with distinct leading columns stay sparse as
-pivots, and a vectorized column loop mod p runs only on the dense block
-they leave (int64 for p < 2^31, Python ints above).  The split's clearing
-and the column loop delay their % p where int64 allows it (_delays:
-ncols*(p-1)^2 < 2^62, after FFLAS-FFPACK): an update only subtracts, and
-entries are reduced when their column is searched for a pivot, when their
-row becomes the pivot row, and once at the end.  Every block delays at
-the probe prime, the largest prime below 2^20; at the 31-bit lift primes
-every update is reduced.  The rank mod p runs the split forward, stopping
-early.  Run to the reduced form and back-substituted through the pivots,
-it feeds the one kernel primitive, integer_kernel: the residues over F_p,
-and over Q vectors lifted from several primes and verified exactly over
-Z, so an exact rank over Q rests on checked vectors, not on a prime.
-Every result is a deterministic function of the input.
-No floating point anywhere.
+(Faugere-Lachartre) run forward: the rows with distinct leading columns
+stay sparse as pivots, and a vectorized column loop mod p brings only the
+dense block they leave to echelon form (int64 for p < 2^31, Python ints
+above).  The split's clearing and the column loop delay their % p where
+int64 allows it (_delays: ncols*(p-1)^2 < 2^62, after FFLAS-FFPACK): an
+update only subtracts, and entries are reduced when their column is
+searched for a pivot, when their row becomes the pivot row, and once at
+the end.  Every block delays at the probe prime, the largest prime below
+2^20; at the 31-bit lift primes every update is reduced.  The rank mod p
+is the split's pivot count, stopping early.  Back substitution through
+the echelon rows gives the one kernel primitive, integer_kernel: the
+residues over F_p, and over Q vectors lifted from several primes, the
+probe prime first, and verified exactly over Z, so the exact rank over Q
+rests on checked vectors, not on a prime.  Every result is a deterministic
+function of the input.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -46,15 +46,15 @@ def _delays(a: np.ndarray, p: int) -> bool:
     return a.dtype == np.int64 and a.shape[1] * (p - 1) ** 2 < 2**62
 
 
-def _eliminate(a: np.ndarray, p: int, stop_at: int | None = None, reduced: bool = False) -> list[int]:
-    """Row-reduce the residues a mod p in place; return the pivot columns.
+def _eliminate(a: np.ndarray, p: int, stop_at: int | None = None) -> list[int]:
+    """Bring the residues a mod p to row echelon form in place; return the pivot columns.
 
     Columns go left to right and the first nonzero entry at or below the
     working row is the pivot, its row scaled to 1, so the result is
-    deterministic.  Entries below each pivot are cleared; with reduced,
-    those above too, leaving the reduced row echelon form.  Stops once
-    the rank reaches stop_at, before any pivot when stop_at <= 0.  On
-    return every entry is a residue in [0, p).
+    deterministic.  Entries below each pivot are cleared, so the i-th row
+    leads with 1 at the i-th pivot.  Stops once the rank reaches stop_at,
+    before any pivot when stop_at <= 0.  On return every entry is a
+    residue in [0, p).
 
     Delayed reduction (Dumas-Giorgi-Pernet, FFLAS-FFPACK): when _delays,
     an update only subtracts factor * pivot row, with no % p.  The column
@@ -77,7 +77,7 @@ def _eliminate(a: np.ndarray, p: int, stop_at: int | None = None, reduced: bool 
         if r == limit:
             break
         if delay:
-            a[0 if reduced else r :, c] %= p
+            a[r:, c] %= p
         nz = np.nonzero(a[r:, c])[0]
         if nz.size == 0:
             continue
@@ -86,10 +86,7 @@ def _eliminate(a: np.ndarray, p: int, stop_at: int | None = None, reduced: bool 
             a[[r, pr]] = a[[pr, r]]
         inv = pow(int(a[r, c]), -1, p)
         a[r, c:] = a[r, c:] % p * inv % p
-        lo = 0 if reduced else r + 1
-        idx = lo + np.nonzero(a[lo:, c])[0]
-        if reduced:
-            idx = idx[idx != r]
+        idx = r + 1 + np.nonzero(a[r + 1 :, c])[0]
         if idx.size:
             update = a[idx, c][:, None] * a[r, c:]
             if delay:
@@ -102,7 +99,7 @@ def _eliminate(a: np.ndarray, p: int, stop_at: int | None = None, reduced: bool 
     return pivots
 
 
-def _split(rows: list[Row], ncols: int, p: int, stop_at: int | None = None, reduced: bool = False):
+def _split(rows: list[Row], ncols: int, p: int, stop_at: int | None = None):
     """The pivot split (Faugere-Lachartre) of ncols-column sparse integer rows mod p.
 
     Entries are any ints.  Each is reduced mod p first and zero residues
@@ -116,8 +113,8 @@ def _split(rows: list[Row], ncols: int, p: int, stop_at: int | None = None, redu
     _eliminate (each entry takes at most one update per pivot column) and
     the block reduced once it is handed on.  The column loop then brings
     the block on the non-pivot columns, the Schur complement, to echelon
-    form (reduced form with reduced), stopping once k plus its rank
-    reaches stop_at.
+    form, stopping once k plus its rank reaches stop_at.  With no
+    non-pivot column or no other row there is no block.
 
     Returns (pivots, others, schur, leads): pivots maps each pivot column
     to its row of residues; others lists the non-pivot columns, schur is
@@ -151,7 +148,7 @@ def _split(rows: list[Row], ncols: int, p: int, stop_at: int | None = None, redu
             rest.append(row)
     others = [c for c in range(ncols) if c not in pivots]
     limit = None if stop_at is None else stop_at - len(pivots)
-    if not rest or (limit is not None and limit <= 0):
+    if not (rest and others) or (limit is not None and limit <= 0):
         return pivots, others, np.zeros((0, len(others)), dtype=dtype), []
     # column-major for the pivot updates, which read columns; the column
     # loop gathers rows, so the Schur complement is copied row-major
@@ -178,18 +175,22 @@ def _split(rows: list[Row], ncols: int, p: int, stop_at: int | None = None, redu
     schur = np.ascontiguousarray(block[:, others])
     if delay:
         schur %= p
-    return pivots, others, schur, _eliminate(schur, p, limit, reduced)
+    return pivots, others, schur, _eliminate(schur, p, limit)
 
 
 def rank_mod_p_int(rows: list[Row], p: int, stop_at: int | None = None) -> int:
-    """Rank mod p of sparse integer rows: the pivot count of their split,
-    run forward.  Stops once the rank reaches stop_at, so a smaller result
-    is the whole rank mod p; a stop_at <= 0 gives 0.  Over Q it bounds the
-    rank from below: a minor nonzero mod p is nonzero over Z."""
+    """Rank of sparse integer rows mod a prime p or, for p = 0, over Q: the
+    pivot count of their split, or of integer_kernel, exact.  Stops once
+    the rank reaches stop_at, so a smaller result is the whole rank; a
+    stop_at <= 0 gives 0."""
     if stop_at is not None and stop_at <= 0:
         return 0
-    pivots, _, _, leads = _split(rows, max((row[-1][0] + 1 for row in rows if row), default=0), p, stop_at)
-    rank = len(pivots) + len(leads)
+    ncols = max((row[-1][0] + 1 for row in rows if row), default=0)
+    if p:
+        pivots, _, _, leads = _split(rows, ncols, p, stop_at)
+        rank = len(pivots) + len(leads)
+    else:
+        rank = len(integer_kernel(rows, ncols, 0)[0])
     return rank if stop_at is None else min(rank, stop_at)
 
 
@@ -200,7 +201,7 @@ def _primes_from(q: int):
             yield c
 
 
-# the first primes of rank_q_certified's sequence, found once at import
+# the first primes the kernel lift over Q tries after the probe prime, found once at import
 _LIFT_PRIMES = tuple(itertools.islice(_primes_from(2**31 - 1), 8))
 
 
@@ -221,7 +222,7 @@ def _rational(u: int, m: int, bound: int) -> tuple[int, int] | None:
 
 
 def _lift_kernel(residues: np.ndarray, modulus: int, pivots: list[int], free: list[int]):
-    """Integer kernel candidates from minus the free columns of the reduced form mod modulus.
+    """Integer kernel candidates from the residues mod modulus of the kernel vectors at the pivots.
 
     Vector k is the denominator lcm times: 1 at free column k, and at pivot
     column i the rational reconstruction of residues[i, k].  Only nonzero
@@ -254,25 +255,27 @@ def integer_kernel(rows: list[Row], ncols: int, p: int) -> tuple[list[int], list
 
     The basis holds one integer vector {column: value} per free column,
     nonzero there and zero at the other free columns.  Mod a prime the
-    split, run to the reduced form, and back substitution through its
-    sparse pivot rows give the rank r_p, the pivots and, for each of the
-    k = cols - r_p free columns, a kernel vector mod the prime: 1 there,
-    0 at the other free columns, minus that column of the reduced form at
-    the pivots.  They match Gauss-Jordan: the pivot and reduced Schur rows
-    are an echelon form, leading at the columns that raise the rank of
-    those before them, and one kernel vector alone has given free
-    entries.  Over F_p these residues are the answer.  Over Q the primes
-    run down from 2^31 - 1; residues of primes with the same (rank,
-    pivots) are combined by CRT, lifted by rational reconstruction
-    (Wang-Guy-Davenport 1982; Monagan, ISSAC 2004), cleared of
-    denominators and checked, A*v = 0, exactly over Z.
+    forward split gives the rank r_p, the pivots and the echelon rows, the
+    sparse pivot rows and the Schur rows.  For each of the k = cols - r_p
+    free columns, back substitution through them, last pivot first, gives
+    a kernel vector mod the prime, 1 there and 0 at the other free columns.
+    They match Gauss-Jordan: the echelon rows lead at the columns that
+    raise the rank of those before them, the pivots of the reduced form,
+    and a kernel vector is fixed by its free entries, so these are the
+    reduced form's vectors, minus its free columns at the pivots.  Over
+    F_p these residues are the answer.  Over Q the primes are the probe
+    prime, then down from 2^31 - 1, none tried twice; residues of primes
+    with the same (rank, pivots) are combined by CRT, lifted by rational
+    reconstruction (Wang-Guy-Davenport 1982; Monagan, ISSAC 2004), cleared
+    of denominators and checked, A*v = 0, exactly over Z.
 
     Why the answer over Q is exact.  r_p <= rank_Q for every prime, as a
-    minor that is nonzero mod p is nonzero over Z.  The k vectors that
-    pass the check lie in the kernel over Q, and they are independent,
-    since each is nonzero at its own free column and zero at the others.
-    So rank_Q <= cols - k = r_p, and the rank is pinned.  Nothing else is
-    trusted: a wrong lift fails the check and costs one more prime.
+    minor that is nonzero mod p is nonzero over Z, so a prime with no free
+    column ends the search.  The k vectors that pass the check lie in the
+    kernel over Q, and they are independent, since each is nonzero at its
+    own free column and zero at the others.  So rank_Q <= cols - k = r_p,
+    and the rank is pinned.  Nothing else is trusted: a wrong lift fails
+    the check and costs one more prime.
 
     Why the loop ends.  Let rank_Q = r with pivots P, the reduced form over
     Q.  The i-th pivot is the first column that raises the rank of the
@@ -297,24 +300,31 @@ def integer_kernel(rows: list[Row], ncols: int, p: int) -> tuple[list[int], list
     forever.  H^2 is computed only once a check has failed.
     """
     kept = residues = modulus = hadamard2 = None
-    for prime in (p,) if p else itertools.chain(_LIFT_PRIMES, _primes_from(_LIFT_PRIMES[-1] - 2)):
-        pivot_rows, others, schur, leads = _split(rows, ncols, prime, reduced=True)
-        lead_cols = [others[j] for j in leads]
-        pivots = sorted([*pivot_rows, *lead_cols])
+    lift = itertools.chain(_LIFT_PRIMES, _primes_from(_LIFT_PRIMES[-1] - 2))
+    for prime in (p,) if p else itertools.chain((PROBE_PRIME,), (q for q in lift if q != PROBE_PRIME)):
+        pivot_rows, others, schur, leads = _split(rows, ncols, prime)
+        pivots = sorted([*pivot_rows, *(others[j] for j in leads)])
+        free_at = sorted(set(range(len(others))) - set(leads))
+        if not free_at:
+            return pivots, [], []
         key = (-len(pivots), pivots)  # smaller is better: higher rank, then earlier pivots
         if kept is not None and key > kept:
             continue
-        # the free columns' kernel vectors: reduced Schur rows, then pivot rows bottom-up
-        free_at = sorted(set(range(len(others))) - set(leads))
+        # back substitution, last pivot first: the Schur rows, which lead with 1,
+        # on the other columns, then the sparse pivot rows; each product is
+        # reduced before the sum, as int64 holds one (p-1)^2, not two
         free = [others[j] for j in free_at]
+        w = np.zeros((len(others), len(free)), dtype=schur.dtype)
+        w[free_at, np.arange(len(free))] = 1
+        for j in reversed(range(len(leads))):
+            k = leads[j]
+            w[k] = -(schur[j, k + 1 :, None] * w[k + 1 :] % prime).sum(0) % prime
         v = np.zeros((ncols, len(free)), dtype=schur.dtype)
-        v[free, np.arange(len(free))] = 1
-        v[lead_cols] = -schur[: len(leads), free_at] % prime
+        v[others] = w
         for c in sorted(pivot_rows, reverse=True):
             (_, lead), *tail = pivot_rows[c]
             if tail:
                 cols, values = zip(*tail)
-                # reduced before the sum and again before the inverse: int64 holds one (p-1)^2, not two
                 total = (np.array(values, dtype=v.dtype)[:, None] * v[list(cols)] % prime).sum(0) % prime
                 v[c] = -total * pow(lead, -1, prime) % prime
         block = v[pivots]
@@ -337,9 +347,3 @@ def integer_kernel(rows: list[Row], ncols: int, p: int) -> tuple[list[int], list
             hadamard2 = prod(n for n in norms[:ncols] if n)
         if modulus > 2 * hadamard2:
             raise RuntimeError(f"kernel lift failed its check past 2*H^2 = {2 * hadamard2}")
-
-
-def rank_q_certified(rows: list[Row], ncols: int) -> int:
-    """Exact rank over Q of ncols-column sparse integer rows: the pivot
-    count of integer_kernel."""
-    return len(integer_kernel(rows, ncols, 0)[0])

@@ -427,8 +427,9 @@ def mat_vec(m: Matrix, v: list[Scalar]) -> list[Scalar]:
 def rank_int_exact(rows: list[list[int]]) -> int:
     """Exact rank over Q of an integer matrix, fraction-free elimination.
 
-    The oracle for linalg.rank_q_certified.  Row contents are stripped by
-    gcd after each update to keep entries small.
+    The oracle for the exact rank over Q, linalg.rank_mod_p_int(rows, 0).
+    Row contents are stripped by gcd after each update to keep entries
+    small.
     """
     a = [list(row) for row in rows]
     nrows = len(a)
@@ -715,16 +716,16 @@ def is_smooth_reference(f: Polynomial, t_max: int | None = None) -> bool:
 
     The walk up to the old cap (n+2)(d-1) - n, which has no proof of its
     own when char | d but lies at or above the proven one: it probes the
-    CI degree mod jacobian.PROBE_PRIME (read at call time), scans rational
+    CI degree mod linalg.PROBE_PRIME (read at call time), scans rational
     points, then walks h_t.  Over Q a Gotzmann pair h_{t-1} = h_t is
     confirmed by exact ranks at t-1 and at t, and the cap by an exact rank
     at the cap.  A t_max replaces the cap.
     """
-    from hypersect import jacobian, linalg
+    from hypersect import linalg
     from hypersect.jacobian import _macaulay_rows, _spanning_generators
 
-    def rank_q(rows, cols, probe_rank):
-        return probe_rank if probe_rank == len(rows) else linalg.rank_q_certified(rows, cols)
+    def rank_q(rows, probe_rank):
+        return probe_rank if probe_rank == len(rows) else linalg.rank_mod_p_int(rows, 0)
 
     d = require_homogeneous(f, 1, "hypersurface form")
     if f.nvars < 2:
@@ -740,7 +741,7 @@ def is_smooth_reference(f: Polynomial, t_max: int | None = None) -> bool:
     gens = _spanning_generators(f)
     if not gens:
         return False
-    probe = p or jacobian.PROBE_PRIME
+    probe = p or linalg.PROBE_PRIME
     expected_full = max((n + 1) * (d - 2) + 1, d - 1, 0)
     probed = None
     if expected_full <= cap:
@@ -770,8 +771,8 @@ def is_smooth_reference(f: Polynomial, t_max: int | None = None) -> bool:
                 return False
             if h_exact_prev is None:
                 cols_prev = len(monomial_basis(f.nvars, t - 1))
-                h_exact_prev = cols_prev - rank_q(rows_prev, cols_prev, rank_prev)
-            h_exact = len(basis) - rank_q(rows, len(basis), rank)
+                h_exact_prev = cols_prev - rank_q(rows_prev, rank_prev)
+            h_exact = len(basis) - rank_q(rows, rank)
             if h_exact_prev == 0 or h_exact == 0:
                 return True
             if h_exact_prev == h_exact:
@@ -780,7 +781,7 @@ def is_smooth_reference(f: Polynomial, t_max: int | None = None) -> bool:
     if p or rows_prev is None or h_exact_prev is not None:
         return False
     cols = len(monomial_basis(f.nvars, cap))
-    return rank_q(rows_prev, cols, rank_prev) == cols
+    return rank_q(rows_prev, rank_prev) == cols
 
 
 @dataclass

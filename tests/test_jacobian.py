@@ -461,30 +461,38 @@ def _walk_grid(seed, fields):
 def test_small_probe_prime_keeps_every_verdict(monkeypatch):
     """A probe prime of 2, 3 or 5 drops many ranks (3 kills every partial of
     the Fermat cubic), so over Q the probe of the cap piece often falls
-    short.  The exact rank of the same rows must give back the verdict of
-    the real probe: full pieces that only the probe missed, and singular
-    forms."""
+    short.  The exact rank of the same rows, one rank_mod_p_int call at
+    the cap width whose kernel lift starts at the probe prime and goes on
+    to further primes, must give back the verdict of the real probe: full
+    pieces that only the probe missed, and singular forms."""
     forms = list(_walk_grid(91, [Q]))
     wanted = [is_smooth(f) for f in forms]
     assert set(wanted) == {True, False}
-    widths = []
-    real_exact = linalg.rank_q_certified
+    widths, primes = [], []
+    real_rank, real_split = linalg.rank_mod_p_int, linalg._split
 
-    def exact_spy(rows, ncols):
-        widths.append(ncols)
-        return real_exact(rows, ncols)
+    def rank_spy(rows, p, stop_at=None):
+        widths.append((p, stop_at))
+        return real_rank(rows, p, stop_at)
 
-    monkeypatch.setattr(linalg, "rank_q_certified", exact_spy)
+    def split_spy(rows, ncols, p, stop_at=None):
+        primes.append(p)
+        return real_split(rows, ncols, p, stop_at)
+
+    monkeypatch.setattr(linalg, "rank_mod_p_int", rank_spy)
+    monkeypatch.setattr(linalg, "_split", split_spy)
     paths = set()
     for f, want in zip(forms, wanted):
         cap_width = len(monomial_basis(f.nvars, default_degree_cap(f.nvars, f.degree())))
         for q in (2, 3, 5):
-            monkeypatch.setattr(jacobian, "PROBE_PRIME", q)
+            monkeypatch.setattr(linalg, "PROBE_PRIME", q)
             widths.clear()
+            primes.clear()
             assert is_smooth(f) == want, (f.to_text(), q)
-            assert widths in ([], [cap_width]), (f.to_text(), q, widths)
-            paths.add((want, "cap" if widths else "probe"))
-    assert {(True, "probe"), (True, "cap"), (False, "cap")} <= paths
+            assert widths in ([], [(0, cap_width)]), (f.to_text(), q, widths)
+            assert primes[:1] == ([q] if widths else []), (f.to_text(), q, primes)
+            paths.add((want, "lift" if len(primes) > 1 else "probe"))
+    assert {(True, "probe"), (True, "lift"), (False, "lift")} <= paths
 
 
 def test_twenty_bit_probe_prime_keeps_every_verdict(monkeypatch):
@@ -498,7 +506,7 @@ def test_twenty_bit_probe_prime_keeps_every_verdict(monkeypatch):
     forms = [(f, t_max) for f in forms for t_max in (None, rng.randint(0, 8))]
     verdicts = {}
     for q in (2**31 - 1, PROBE_PRIME):
-        monkeypatch.setattr(jacobian, "PROBE_PRIME", q)
+        monkeypatch.setattr(linalg, "PROBE_PRIME", q)
         verdicts[q] = [is_smooth(f, t_max) for f, t_max in forms]
     assert verdicts[PROBE_PRIME] == verdicts[2**31 - 1]
     assert set(verdicts[PROBE_PRIME]) == {True, False}
@@ -553,7 +561,7 @@ def test_one_piece_agrees_with_the_walk_reference(monkeypatch):
     forms = [(f, t_max) for f in forms for t_max in (None, rng.randint(0, 8))]
     seen = Counter()
     for q in (PROBE_PRIME, 2**31 - 1, 2, 3, 5):
-        monkeypatch.setattr(jacobian, "PROBE_PRIME", q)
+        monkeypatch.setattr(linalg, "PROBE_PRIME", q)
         for f, t_max in forms:
             want = is_smooth_reference(f, t_max)
             assert is_smooth(f, t_max) == want, (f.to_text(), q, t_max)
@@ -566,7 +574,7 @@ def test_one_piece_agrees_with_the_walk_reference(monkeypatch):
             raw = {m: c.value for m, c in f.terms.items()}
             if find_singular_point(raw, f.nvars, p) is not None:
                 assert not is_smooth(f), f.to_text()
-    monkeypatch.setattr(jacobian, "PROBE_PRIME", 2)
+    monkeypatch.setattr(linalg, "PROBE_PRIME", 2)
     for text in PINNED_SMOOTH:
         assert is_smooth(parse_poly(text, 3, Q)), text
 
@@ -574,34 +582,36 @@ def test_one_piece_agrees_with_the_walk_reference(monkeypatch):
 def test_is_smooth_builds_one_piece_at_the_cap(monkeypatch):
     """One is_smooth call builds one graded piece, at the proven cap, or at
     t_max when that is lower; a t_max above the cap builds the cap degree
-    and gives the verdict of no t_max.  It ranks that piece mod p at most
-    once, forward with stop_at, and over Q runs at most one exact rank,
-    only when the probe fell short; over F_p never."""
-    builds, probes, exact = [], [], []
-    real_rows, real_rank = jacobian._macaulay_rows, linalg.rank_mod_p_int
-    real_exact = linalg.rank_q_certified
+    and gives the verdict of no t_max.  Whenever the piece has as many rows
+    as columns it ranks them exactly once, rank_mod_p_int over the field
+    with stop_at at the width (the benchmark's trace counts this probe),
+    and never otherwise.  The first split is mod p, or mod the probe prime
+    over Q; only over Q, and only when that split fell short, does the
+    kernel lift split again."""
+    builds, probes, splits = [], [], []
+    real_rows, real_rank, real_split = jacobian._macaulay_rows, linalg.rank_mod_p_int, linalg._split
 
     def rows_spy(gens, degree):
         basis, rows = real_rows(gens, degree)
-        builds.append((degree, len(basis)))
+        builds.append((degree, len(basis), len(rows)))
         return basis, rows
 
     def rank_spy(rows, p, stop_at=None):
-        rank = real_rank(rows, p, stop_at)
-        probes.append((stop_at, rank))
-        return rank
+        probes.append((p, stop_at))
+        return real_rank(rows, p, stop_at)
 
-    def exact_spy(rows, ncols):
-        exact.append(ncols)
-        return real_exact(rows, ncols)
+    def split_spy(rows, ncols, p, stop_at=None):
+        split = real_split(rows, ncols, p, stop_at)
+        splits.append((p, len(split[0]) + len(split[3])))
+        return split
 
     monkeypatch.setattr(jacobian, "_macaulay_rows", rows_spy)
     monkeypatch.setattr(linalg, "rank_mod_p_int", rank_spy)
-    monkeypatch.setattr(linalg, "rank_q_certified", exact_spy)
+    monkeypatch.setattr(linalg, "_split", split_spy)
     fields = [Q, make_field(2), make_field(7), make_field(101)]
     exact_runs = 0
     for q in (PROBE_PRIME, 2**31 - 1, 3):
-        monkeypatch.setattr(jacobian, "PROBE_PRIME", q)
+        monkeypatch.setattr(linalg, "PROBE_PRIME", q)
         for f in list(_walk_grid(92, fields)) + list(_widened_grid(95)):
             p, d = f.field.characteristic, f.degree()
             cap = default_degree_cap(f.nvars, d, p)
@@ -609,17 +619,42 @@ def test_is_smooth_builds_one_piece_at_the_cap(monkeypatch):
             for t_max in (None, cap, cap + 1, 10 * cap + 7, cap - 1):
                 builds.clear()
                 probes.clear()
-                exact.clear()
+                splits.clear()
                 verdicts.add(is_smooth(f, t_max))
                 degree = cap if t_max is None else min(t_max, cap)
-                assert [t for t, _ in builds] == [degree], (f.to_text(), q, t_max, builds)
-                width = builds[0][1]
-                assert len(probes) <= 1 and all(stop_at == width for stop_at, _ in probes)
-                assert len(exact) <= 1 and not (p and exact)
-                if exact:
-                    assert exact == [width] and probes and probes[0][1] < width
+                assert [t for t, _, _ in builds] == [degree], (f.to_text(), q, t_max, builds)
+                _, width, nrows = builds[0]
+                assert probes == ([(p, width)] if nrows >= width else []), (f.to_text(), q, t_max, probes)
+                assert [prime for prime, _ in splits[:1]] == ([p or q] if probes else [])
+                if len(splits) > 1:
+                    assert not p and splits[0][1] < width
                 if t_max != cap - 1:
                     assert len(verdicts) == 1, (f.to_text(), q, t_max)
-                exact_runs += len(exact)
+                exact_runs += not p and bool(splits) and splits[0][1] < width
     assert exact_runs > 0
+
+
+def test_is_smooth_over_q_eliminates_its_piece_once(monkeypatch):
+    """Over Q the probe's elimination is also the first prime of the kernel
+    lift: on the planted nodes (3,3) and (3,4) and on cyclic Fermat (3,4),
+    all singular, and on smooth Fermat and cyclic Fermat, is_smooth splits
+    its cap rows exactly once, mod PROBE_PRIME."""
+    primes = []
+    real_split = linalg._split
+
+    def split_spy(rows, ncols, p, stop_at=None):
+        primes.append(p)
+        return real_split(rows, ncols, p, stop_at)
+
+    monkeypatch.setattr(linalg, "_split", split_spy)
+    singular = [
+        parse_poly("x0*x1^2 + x0*x2^2 + x0*x3^2 + x1^3 + x2^3 + x3^3", 4, Q),
+        parse_poly("x0^2*x1^2 + x0^2*x2^2 + x0^2*x3^2 + x1^4 + x2^4 + x3^4", 4, Q),
+        cyclic_fermat(3, 4, Q),
+    ]
+    smooth = [fermat(3, 3, Q), fermat(3, 4, Q), cyclic_fermat(4, 3, Q)]
+    for f, want in [(f, False) for f in singular] + [(f, True) for f in smooth]:
+        primes.clear()
+        assert is_smooth(f) is want, f.to_text()
+        assert primes == [PROBE_PRIME], (f.to_text(), primes)
 

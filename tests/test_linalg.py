@@ -11,7 +11,7 @@ import pytest
 from hypersect import HypersectError, SingularMatrix, make_field
 from hypersect import linalg
 from hypersect.fields import _is_prime
-from hypersect.linalg import PROBE_PRIME, rank_mod_p_int, rank_q_certified
+from hypersect.linalg import PROBE_PRIME, rank_mod_p_int
 from helpers import (
     FIELDS,
     Matrix,
@@ -192,7 +192,7 @@ def test_integer_rank_helpers_agree_with_matrix_rank():
         width = max(len(r) for r in rows)
         rows = [r + [0] * (width - len(r)) for r in rows]
         assert rank_int_exact(rows) == _reference_rank(Q, rows)
-        assert rank_q_certified(sparse_rows(rows), width) == _reference_rank(Q, rows)
+        assert rank_mod_p_int(sparse_rows(rows), 0) == _reference_rank(Q, rows)
         for p in (2, 3, 5, 101):
             fp = make_field(p)
             assert rank_mod_p_int(sparse_rows(rows), p) == _reference_rank(fp, rows)
@@ -342,10 +342,9 @@ def _block(rows, p):
 
 
 def _check_eliminate(rows, p, stop_at, want, want_pivots):
-    """The column loop, forward with stop_at and reduced, against the
-    Python-int Gauss-Jordan oracle's (want, want_pivots): its pivots, its
-    reduced form as the reduced result, the same row space forward,
-    residues throughout."""
+    """The column loop, with stop_at, against the Python-int Gauss-Jordan
+    oracle's (want, want_pivots): its pivots, the same row space, residues
+    throughout."""
     field = make_field(p)
     a = _block(rows, p)
     pivots = linalg._eliminate(a, p, stop_at)
@@ -355,38 +354,31 @@ def _check_eliminate(rows, p, stop_at, want, want_pivots):
     for i, c in enumerate(pivots):
         assert a[i, c] == 1 and not a[i, :c].any() and not a[i + 1 :, c].any()
     assert rref_reference(Matrix.from_rows(field, a.tolist())) == (want, want_pivots)
-    a = _block(rows, p)
-    assert linalg._eliminate(a, p, reduced=True) == want_pivots
-    assert Matrix.from_rows(field, a.tolist()) == want, (rows, p)
 
 
 def _check_split(rows, p, stop_at, want, want_pivots):
     """The split of sparse rows against the oracle's (want, want_pivots):
-    its rank, and its Schur block, reduced or forward, as the oracle's
-    reduced rows that lead off the pivot columns, on the other columns."""
+    its rank, and its Schur block as the oracle's reduced rows that lead
+    off the pivot columns, on the other columns."""
     field = make_field(p)
     ncols = len(rows[0])
-    for reduced in (False, True):
-        pivots, others, schur, leads = linalg._split(sparse_rows(rows), ncols, p, stop_at, reduced)
-        rank = len(pivots) + len(leads)
-        assert all(0 <= x < p for x in schur.flat)
-        if stop_at is not None:
-            assert min(rank, stop_at) == min(len(want_pivots), stop_at), (rows, p, stop_at)
-            continue
-        assert sorted([*pivots, *(others[j] for j in leads)]) == want_pivots, (rows, p)
-        tail = [[want.at(i, c) for c in others] for i, c in enumerate(want_pivots) if c not in pivots]
-        got = Matrix.from_rows(field, schur.tolist()) if len(schur) else Matrix.zero(field, 0, len(others))
-        if reduced:
-            assert got.row_lists()[: len(leads)] == tail and not schur[len(leads) :].any()
-        else:
-            assert rref_reference(got)[0].row_lists()[: len(tail)] == tail
+    pivots, others, schur, leads = linalg._split(sparse_rows(rows), ncols, p, stop_at)
+    rank = len(pivots) + len(leads)
+    assert all(0 <= x < p for x in schur.flat)
+    if stop_at is not None:
+        assert min(rank, stop_at) == min(len(want_pivots), stop_at), (rows, p, stop_at)
+        return
+    assert sorted([*pivots, *(others[j] for j in leads)]) == want_pivots, (rows, p)
+    tail = [[want.at(i, c) for c in others] for i, c in enumerate(want_pivots) if c not in pivots]
+    got = Matrix.from_rows(field, schur.tolist()) if len(schur) else Matrix.zero(field, 0, len(others))
+    assert rref_reference(got)[0].row_lists()[: len(tail)] == tail
 
 
 def test_delayed_reduction_matches_python_int_oracle():
     """_eliminate and _split, with the % p delayed at the 20-bit prime and
     the small ones and kept at 2^31 - 1 and past it, give the oracle's
-    pivots and residues, forward with stop_at and reduced, on a seeded grid
-    with rank-deficient blocks and zero columns."""
+    pivots and residues, with and without stop_at, on a seeded grid with
+    rank-deficient blocks and zero columns."""
     rng = random.Random(88)
     for p in DELAY_PRIMES:
         assert linalg._delays(np.zeros((1, 30), dtype=np.int64), p) == (p < 2**31 - 1)
@@ -431,13 +423,14 @@ def test_delayed_reduction_at_its_bound():
 
 
 def _spied_rank(monkeypatch, rows):
-    """rank_q_certified(rows), the pivot list found at each prime, and every
+    """The exact rank of rows over Q, the pivot count of integer_kernel on
+    all their columns, the pivot list found at each prime, and every
     vector list the exact check accepted."""
     pivot_lists, accepted = [], []
     real_split, real_check = linalg._split, linalg._annihilates
 
-    def split_spy(rows_, ncols, p, stop_at=None, reduced=False):
-        split = real_split(rows_, ncols, p, stop_at, reduced)
+    def split_spy(rows_, ncols, p, stop_at=None):
+        split = real_split(rows_, ncols, p, stop_at)
         pivot_rows, others, _, leads = split
         pivot_lists.append(sorted([*pivot_rows, *(others[j] for j in leads)]))
         return split
@@ -451,18 +444,18 @@ def _spied_rank(monkeypatch, rows):
     monkeypatch.setattr(linalg, "_split", split_spy)
     monkeypatch.setattr(linalg, "_annihilates", check_spy)
     try:
-        return rank_q_certified(sparse_rows(rows), len(rows[0])), pivot_lists, accepted
+        return len(linalg.integer_kernel(sparse_rows(rows), len(rows[0]), 0)[0]), pivot_lists, accepted
     finally:
         monkeypatch.undo()
 
 
 def _check_certified(monkeypatch, rows):
-    """The certified rank equals the fraction-free oracle, and the accepted
-    vectors are, checked anew, cols - rank independent integer vectors
-    with A*v = 0."""
+    """The certified rank, and rank_mod_p_int(rows, 0), equal the
+    fraction-free oracle, and the accepted vectors are, checked anew,
+    cols - rank independent integer vectors with A*v = 0."""
     got, pivot_lists, accepted = _spied_rank(monkeypatch, rows)
     want = rank_int_exact(rows)
-    assert got == want, rows
+    assert got == want == rank_mod_p_int(sparse_rows(rows), 0), rows
     ncols = len(rows[0])
     assert len(accepted) <= 1
     if accepted:
@@ -535,17 +528,18 @@ def test_rank_q_certified_lifts_large_kernels_by_crt(monkeypatch):
 
 
 def test_rank_q_certified_discards_unlucky_primes(monkeypatch):
-    """A column scaled by the first prime makes that prime unlucky: lower
-    rank, or the same rank with a later pivot list.  Its kernel fails the
-    exact check and the next prime replaces it.  A column scaled by the
-    second prime, met after a good first prime, is skipped outright.  The
-    good primes alone then lift the kernel: entries 0 and -1 need one;
-    1/p0 needs a modulus past 2*p0^2, three; 3^30/p1 past 2*3^60, four."""
-    p0, p1 = linalg._LIFT_PRIMES[:2]
+    """A column scaled by the first prime, the probe prime, makes that
+    prime unlucky: lower rank, or the same rank with a later pivot list.
+    Its kernel fails the exact check and the next prime replaces it.  A
+    column scaled by the second prime, met after a good first prime, is
+    skipped outright.  The good primes alone then lift the kernel: entries
+    0 and -1 need one; 1/p0 needs a modulus past 2*p0^2, two 31-bit
+    primes; 3^30/p1 past 2*3^60, p0 and three 31-bit primes."""
+    p0, p1 = PROBE_PRIME, linalg._LIFT_PRIMES[0]
     lower_rank = [[p0, 0, 0], [0, 1, 1], [0, 1, 1]]
     assert _check_certified(monkeypatch, lower_rank) == [[1], [0, 1]]
     later_pivots = [[p0, 1, 1], [2 * p0, 2, 2]]
-    assert _check_certified(monkeypatch, later_pivots) == [[1], [0], [0], [0]]
+    assert _check_certified(monkeypatch, later_pivots) == [[1], [0], [0]]
     b, c = 2**40 + 15, 3**30
     skipped = [[p1, b, c], [2 * p1, 2 * b, 2 * c], [0, 0, 0]]
     assert _check_certified(monkeypatch, skipped) == [[0], [1], [0], [0], [0]]
@@ -566,13 +560,16 @@ def test_lift_primes_run_down_the_31_bit_primes_then_up():
 
 
 def test_rank_q_certified_past_int64_primes(monkeypatch):
-    """Primes from 2^31 up run the reduced elimination and the CRT on
-    Python ints; the ranks still match the oracle."""
+    """Primes from 2^31 up run the elimination, the back substitution and
+    the CRT on Python ints; the ranks still match the oracle.  The probe
+    prime is set to the first of them, which the lift then does not try
+    twice."""
     rng = random.Random(78)
     for first in (2**31 + 11, 2**61 - 1):
+        monkeypatch.setattr(linalg, "PROBE_PRIME", first)
         monkeypatch.setattr(linalg, "_LIFT_PRIMES", (first,))
         for rows in itertools.islice(_shaped_grid(rng, lambda: rng.randint(-(10**6), 10**6)), 0, None, 3):
-            assert rank_q_certified(sparse_rows(rows), len(rows[0])) == rank_int_exact(rows)
+            assert rank_mod_p_int(sparse_rows(rows), 0) == rank_int_exact(rows)
 
 
 def test_lift_raises_instead_of_looping_when_checks_keep_failing(monkeypatch):
@@ -620,12 +617,12 @@ def test_rank_q_certified_eliminates_only_the_schur_block(monkeypatch):
     shapes = []
     real_eliminate = linalg._eliminate
 
-    def eliminate_spy(a, p, stop_at=None, reduced=False):
+    def eliminate_spy(a, p, stop_at=None):
         shapes.append(a.shape)
-        return real_eliminate(a, p, stop_at, reduced)
+        return real_eliminate(a, p, stop_at)
 
     monkeypatch.setattr(linalg, "_eliminate", eliminate_spy)
-    assert rank_q_certified(rows, len(basis)) == 1139
+    assert rank_mod_p_int(rows, 0) == 1139
     assert shapes and all(nrows <= 370 and ncols <= 160 for nrows, ncols in shapes)
 
 
@@ -643,15 +640,49 @@ def _check_rref(m):
     return len(pivots) < min(m.rows, m.cols)
 
 
+def _schur_grid(rng, p):
+    """Integer rows whose pivot split mod p (the probe prime over Q) leaves
+    a Schur block of rank 2 or 3 with free columns: a pivot row leading at
+    column 0 and one leading further on, and rows that lead at 0 too but
+    differ from +-the first by random combinations of 2 or 3 random rows."""
+    draw = (lambda: rng.randrange(-p, p)) if p else (lambda: rng.randint(-9, 9))
+    for _ in range(24):
+        ncols = rng.randint(6, 9)
+        first = [1] + [draw() for _ in range(ncols - 1)]
+        lead = rng.randrange(1, ncols - 1)
+        second = [0] * lead + [1] + [draw() for _ in range(ncols - lead - 1)]
+        base = [[0] + [draw() for _ in range(ncols - 1)] for _ in range(rng.randint(2, 3))]
+        rows = [first, second]
+        for _ in range(len(base) + rng.randint(0, 2)):
+            coeffs, sign = [rng.randint(-3, 3) for _ in base], rng.choice((1, -1))
+            rows.append([sign * x + sum(k * b[c] for k, b in zip(coeffs, base)) for c, x in enumerate(first)])
+        yield ncols, rows
+
+
+def _back_substitutes_through_schur_rows(ncols, rows, p):
+    """Whether the split of rows mod p (the probe prime over Q) has two
+    Schur rows or more, one with a nonzero entry at a later Schur row's
+    lead and one at a free column."""
+    _, others, schur, leads = linalg._split(sparse_rows(rows), ncols, p or PROBE_PRIME)
+    free_at = set(range(len(others))) - set(leads)
+    return (
+        len(leads) >= 2
+        and any(schur[j, k] for j in range(len(leads)) for k in leads[j + 1 :])
+        and any(schur[j, k] for j in range(len(leads)) for k in free_at)
+    )
+
+
 def test_rref_matches_gauss_jordan_oracle():
-    """Every test field, 2^31 - 1 and two primes past the int64 path, and Q
-    with numerators and denominators past 2^63; square, wide and tall
-    shapes, zero rows, all zero, planted rank deficiency, 0 x k and k x 0,
-    and the pivot split's grid (over Q taken at the first lift prime).
-    The kernel basis is checked on every one of them too."""
+    """Every test field, the probe prime, 2^31 - 1 and two primes past the
+    int64 path, and Q with numerators and denominators past 2^63; square,
+    wide and tall shapes, zero rows, all zero, planted rank deficiency,
+    0 x k and k x 0, the pivot split's grid (over Q taken at the first lift
+    prime and at the probe prime), and blocks whose kernel vectors come by
+    back substitution through two Schur rows or more.  The kernel basis is
+    checked on every one of them too."""
     rng = random.Random(79)
     huge = (2**63, -(2**63) - 1, 2**64 + 3, 10**20)
-    fields = FIELDS + [make_field(p) for p in (2**31 - 1, 2**31 + 11, 2**61 - 1)]
+    fields = FIELDS + [make_field(p) for p in (PROBE_PRIME, 2**31 - 1, 2**31 + 11, 2**61 - 1)]
     for field in fields:
         p = field.characteristic
         if p:
@@ -667,8 +698,14 @@ def test_rref_matches_gauss_jordan_oracle():
             for rows in _shaped_grid(rng, draw):
                 deficient += _check_rref(Matrix.from_rows(field, rows))
         assert deficient >= 20
-        for ncols, rows in _split_grid(rng, p or linalg._LIFT_PRIMES[0]):
+        for q in (p,) if p else (linalg._LIFT_PRIMES[0], PROBE_PRIME):
+            for ncols, rows in _split_grid(rng, q):
+                _check_rref(Matrix.from_sparse(field, ncols, sparse_rows(rows)))
+        through_schur = 0
+        for ncols, rows in _schur_grid(rng, p):
             _check_rref(Matrix.from_sparse(field, ncols, sparse_rows(rows)))
+            through_schur += _back_substitutes_through_schur_rows(ncols, rows, p)
+        assert through_schur >= 6, (p, through_schur)
         for k in (0, 1, 3):
             _check_rref(Matrix.zero(field, 0, k))
             _check_rref(Matrix.zero(field, k, 0))
@@ -680,9 +717,9 @@ def test_rref_over_q_lifts_entries_past_one_prime(monkeypatch):
     moduli = []
     real_split = linalg._split
 
-    def split_spy(rows, ncols, p, stop_at=None, reduced=False):
+    def split_spy(rows, ncols, p, stop_at=None):
         moduli.append(p)
-        return real_split(rows, ncols, p, stop_at, reduced)
+        return real_split(rows, ncols, p, stop_at)
 
     m = Matrix.from_rows(Q, [[72576216, 79460669, 3, 0], [5605858, 0, 1, 4674157]])
     monkeypatch.setattr(linalg, "_split", split_spy)
