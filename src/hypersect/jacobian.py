@@ -224,17 +224,23 @@ def is_smooth(f: Polynomial, t_max: int | None = None) -> bool:
     otherwise one exact rank of its rows over the field decides
     (linalg.rank_mod_p_int, stopping at the full rank).
     """
-    d = require_homogeneous(f, 1, "hypersurface form")
+    return _is_smooth(f, _spanning_generators(f), t_max)
+
+
+def _is_smooth(f: Polynomial, generators: list[Polynomial], t_max: int | None = None) -> bool:
+    """is_smooth(f, t_max) given generators = _spanning_generators(f),
+    which checked that f is a nonzero form of positive degree; a caller
+    that also needs the generators builds them once."""
     if f.nvars < 2:
         raise NotHomogeneous("need at least two variables for a projective hypersurface")
     p = f.field.characteristic
-    cap = default_degree_cap(f.nvars, d, p)
+    cap = default_degree_cap(f.nvars, f.degree(), p)
     if t_max is not None:
         if t_max < 0:
             return False
         cap = min(cap, t_max)
     # never empty: all partials vanish only when char | d, and then f is kept
-    basis, rows = _macaulay_rows(_spanning_generators(f), cap)
+    basis, rows = _macaulay_rows(generators, cap)
     if len(rows) < len(basis):
         return False
     return linalg.rank_mod_p_int(rows, p, stop_at=len(basis)) == len(basis)

@@ -3,20 +3,26 @@
 An integer matrix is a list of sparse rows, each a list of (column, value)
 pairs in ascending column order.  There is one elimination, a pivot split
 (Faugere-Lachartre) run forward: the rows with distinct leading columns
-stay sparse as pivots, and a vectorized column loop mod p brings only the
-dense block they leave to echelon form (int64 for p < 2^31, Python ints
-above).  The split's clearing and the column loop delay their % p where
-int64 allows it (_delays: ncols*(p-1)^2 < 2^62, after FFLAS-FFPACK): an
-update only subtracts, and entries are reduced when their column is
-searched for a pivot, when their row becomes the pivot row, and once at
-the end.  Every block delays at the probe prime, the largest prime below
-2^20; at the 31-bit lift primes every update is reduced.  The rank mod p
-is the split's pivot count, stopping early.  Back substitution through
-the echelon rows gives the one kernel primitive, integer_kernel: the
-residues over F_p, and over Q vectors lifted from several primes, the
-probe prime first, and verified exactly over Z, so the exact rank over Q
-rests on checked vectors, not on a prime.  Every result is a deterministic
-function of the input.  No floating point anywhere.
+stay sparse as pivots and clear their columns in the dense block of the
+other rows level by level, all pivots of a level at once, and a
+vectorized column loop mod p brings the Schur complement they leave to
+echelon form (int64 for p < 2^31, Python ints above).  The split's
+clearing and the column loop delay their % p where int64 allows it
+(_delays: ncols*(p-1)^2 < 2^62, after FFLAS-FFPACK): an update only
+subtracts, and entries are reduced when their column is searched for a
+pivot, when their row becomes the pivot row, and once at the end.  Every
+block delays at the probe prime, the largest prime below 2^20; at the
+31-bit lift primes every update is reduced.  Blocks wider than
+_PANEL_CROSSOVER go in panels of _PANEL columns when _PANEL*(p-1)^2 <
+2^53 (_panels): the loop on the panel, then one float64 matrix product
+for the columns past it, which carries only integers below 2^53 and so
+is exact (proof in _eliminate).  The rank mod p is the split's pivot
+count, stopping early.  Back substitution through the echelon rows gives
+the one kernel primitive, integer_kernel: the residues over F_p, and over
+Q vectors lifted from several primes, the probe prime first, and
+verified exactly over Z, so the exact rank over Q rests on checked
+vectors, not on a prime.  Every result is a deterministic function of
+the input, the same with or without panels.
 """
 
 from __future__ import annotations
@@ -37,6 +43,13 @@ PROBE_PRIME = 1_048_573
 
 _INT64_PRIME_LIMIT = 2**31  # below it (p-1)^2 + p stays inside int64
 
+# _eliminate runs blocks wider than _PANEL_CROSSOVER columns in panels of
+# _PANEL columns (measured, see _panels)
+_PANEL = 32
+_PANEL_CROSSOVER = 192
+_CHUNK = 1 << 14  # entries per scatter in _split, float64 entries per product in _trailing
+_BLOCK = 1 << 18  # entries of one dense block in _split, 2 MiB of int64
+
 
 def _delays(a: np.ndarray, p: int) -> bool:
     """Whether updates of the block a mod p may skip their % p: an int64
@@ -44,6 +57,22 @@ def _delays(a: np.ndarray, p: int) -> bool:
     block under 2^22 columns at the probe prime; at the 31-bit lift primes
     and for Python-int blocks every update is reduced."""
     return a.dtype == np.int64 and a.shape[1] * (p - 1) ** 2 < 2**62
+
+
+def _panels(a: np.ndarray, p: int) -> bool:
+    """Whether _eliminate runs the block a mod p in float64 GEMM panels: a
+    delaying block wider than _PANEL_CROSSOVER columns with
+    _PANEL*(p-1)^2 < 2^53 (proof in _eliminate), so p <= 16,777,213.
+
+    Measured on one core of a shared 2-core Xeon VM, at the probe prime:
+    the 492 x 340 Schur block of a dense (3,5) probe takes 48-62 ms in
+    the loop and 17-20 ms in panels.  The benchmark's blocks of 86 to 140
+    columns go either way by up to 20% (192 x 136: 3.9 ms in the loop,
+    4.6 in panels; 414 x 126: 7.2 and 6.2).  Random 1.45n x n blocks break
+    even near n = 100 and gain 1.4x at n = 192.  So the loop keeps every
+    block up to 192 columns, among them all blocks of certify and of the
+    exact ranks over Q in the benchmark."""
+    return a.shape[1] > _PANEL_CROSSOVER and _delays(a, p) and _PANEL * (p - 1) ** 2 < 2**53
 
 
 def _eliminate(a: np.ndarray, p: int, stop_at: int | None = None) -> list[int]:
@@ -56,47 +85,129 @@ def _eliminate(a: np.ndarray, p: int, stop_at: int | None = None) -> list[int]:
     before any pivot when stop_at <= 0.  On return every entry is a
     residue in [0, p).
 
+    The columns go in panels: of _PANEL columns when _panels, else one
+    panel of the whole block.  In a panel the column loop clears each
+    pivot's column on the panel's columns only, and keeps each factor in
+    place of the entry it cleared (the multiplier) until the panel ends.
+    The pivot row is scaled from the panel's first column on, so its
+    trailing part (past the panel) is its scaled value before the panel,
+    and its multipliers are scaled too.  When the panel ends, _trailing
+    applies its k pivots to the columns past it: the pivot rows' final
+    trailing parts E solve E_j = D_j - sum_(i<j) N_ji*E_i, with D the
+    scaled trailing parts and N the scaled multipliers, a strictly lower
+    triangle, so E = (I+N)^-1 D, and (I+N)^-1 = sum_t (-N)^t = prod_s
+    (I + (-N)^(2^s)) over 2^s < k, as N^k = 0.  Each row below then takes
+    sum_i f_i*E_i, f its multipliers: one product below -= L21 @ E.  Then
+    the multipliers are zeroed.  Every row ends as the same combination of
+    the input rows as in the loop, so pivots and residues are the loop's
+    exactly.
+
     Delayed reduction (Dumas-Giorgi-Pernet, FFLAS-FFPACK): when _delays,
     an update only subtracts factor * pivot row, with no % p.  The column
     searched for a pivot is reduced first, so the pivot and the factors
     are residues, and so is the pivot row once scaled; the block is
     reduced once at the end.  No overflow: every entry starts in [0, p),
     a reduction brings it back there, and an update subtracts a product
-    of two residues, at most (p-1)^2.  An entry takes one update per pivot,
+    of two residues, at most (p-1)^2.  An entry takes one product per pivot,
     so at most ncols, and stays in [-ncols*(p-1)^2, p), inside int64 since
     ncols*(p-1)^2 < 2^62.  Every step agrees mod p with the reduced one,
     so the pivots, found on reduced columns, and the final residues are
-    those of reducing every update.
+    those of reducing every update.  A panel's product subtracts one
+    product per pivot of the panel, so the count holds there too.
+
+    Why the panels' float64 products are exact.  Every operand is a
+    residue: the multipliers, E and the powers of -N are reduced.  A
+    product of two k-column operands, k <= _PANEL, sums k products of two
+    residues, each at most (p-1)^2, so every partial sum, in whatever
+    order and with or without fused multiply-adds, is an integer of size
+    at most _PANEL*(p-1)^2 < 2^53, which float64 holds exactly.  The int64
+    products of k x k matrices in (I+N)^-1 are under the same bound.
     """
     nrows, ncols = a.shape
     limit = nrows if stop_at is None else max(min(stop_at, nrows), 0)
     delay = _delays(a, p)
+    panels = _panels(a, p)
+    width = _PANEL if panels else max(ncols, 1)
     pivots: list[int] = []
-    for c in range(ncols):
-        r = len(pivots)
-        if r == limit:
-            break
-        if delay:
-            a[r:, c] %= p
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        pr = r + int(nz[0])
-        if pr != r:
-            a[[r, pr]] = a[[pr, r]]
-        inv = pow(int(a[r, c]), -1, p)
-        a[r, c:] = a[r, c:] % p * inv % p
-        idx = r + 1 + np.nonzero(a[r + 1 :, c])[0]
-        if idx.size:
-            update = a[idx, c][:, None] * a[r, c:]
+    for c0 in range(0, ncols, width):
+        c1, r0 = min(c0 + width, ncols), len(pivots)
+        for c in range(c0, c1):
+            r = len(pivots)
+            if r == limit:
+                break
             if delay:
-                a[idx, c:] -= update
-            else:
-                a[idx, c:] = (a[idx, c:] - update) % p
-        pivots.append(c)
+                a[r:, c] %= p
+            nz = np.nonzero(a[r:, c])[0]
+            if nz.size == 0:
+                continue
+            pr = r + int(nz[0])
+            if pr != r:
+                a[[r, pr]] = a[[pr, r]]
+            inv = pow(int(a[r, c]), -1, p)
+            start = c0 if panels else c  # a panel scales its multipliers too
+            a[r, start:] = a[r, start:] % p * inv % p
+            idx = r + 1 + np.nonzero(a[r + 1 :, c])[0]
+            if idx.size:
+                lo = c + 1 if panels else c  # a panel keeps each factor in place of the entry it clears
+                update = a[idx, c][:, None] * a[r, lo:c1]
+                if delay:
+                    a[idx, lo:c1] -= update
+                else:
+                    a[idx, lo:c1] = (a[idx, lo:c1] - update) % p
+            pivots.append(c)
+        new = pivots[r0:]
+        if panels and new:
+            if c1 < ncols:
+                _trailing(a, p, r0, new, c1)
+            a[r0:, new] = np.triu(a[r0:, new])  # zero the multipliers
+        if len(pivots) == limit:
+            break
     if delay:
         a %= p
     return pivots
+
+
+def _trailing(a: np.ndarray, p: int, r0: int, cols: list[int], c1: int) -> None:
+    """Apply a panel's pivots, rows r0.. at columns cols, to the columns
+    from c1 on (the panel step of _eliminate, proofs there)."""
+    k = len(cols)
+    x = -np.tril(a[r0 : r0 + k, cols], -1) % p  # -N
+    inverse = np.eye(k, dtype=np.int64) + x
+    for _ in range(1, (k - 1).bit_length()):
+        x = x @ x % p
+        inverse = inverse @ (np.eye(k, dtype=np.int64) + x) % p
+    d = a[r0 : r0 + k, c1:]
+    d[:] = (inverse.astype(np.float64) @ d.astype(np.float64)).astype(np.int64) % p  # E
+    e = d.astype(np.float64)
+    step = max(_CHUNK // e.shape[1], 1)  # rows per product
+    for start in range(r0 + k, a.shape[0], step):
+        rows = slice(start, start + step)
+        a[rows, c1:] -= (a[rows, cols].astype(np.float64) @ e).astype(np.int64)
+
+
+def _levels(pivots: dict[int, Row], order: list[int], width: int) -> list[np.ndarray]:
+    """The pivots level by level, each level in pieces of at most width,
+    as arrays of positions in order, the pivot columns ascending.  A
+    pivot's level is one more than the highest level of a pivot row with
+    an entry at its column, 0 if there is none.  Such a row leads before
+    the column, so one pass over the pivot rows in column order finds
+    every level, each entry looked at once."""
+    level = dict.fromkeys(order, 0)
+    for c in order:
+        above = level[c] + 1
+        for col, _ in itertools.islice(pivots[c], 1, None):
+            if level.get(col, above) < above:  # non-pivot columns are skipped
+                level[col] = above
+    level = np.array(list(level.values()))
+    by_level = np.argsort(level, kind="stable")
+    bounds = itertools.pairwise(itertools.accumulate(np.bincount(level).tolist(), initial=0))
+    return [by_level[i : min(i + width, hi)] for lo, hi in bounds for i in range(lo, hi, width)]
+
+
+def _entries(rows: list[Row], dtype) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The lengths of nonempty sparse rows, and their columns and values, row after row."""
+    cols, values = zip(*itertools.chain.from_iterable(rows))
+    return np.array([len(row) for row in rows]), np.array(cols, dtype=np.intp), np.array(values, dtype=dtype)
 
 
 def _split(rows: list[Row], ncols: int, p: int, stop_at: int | None = None):
@@ -106,33 +217,55 @@ def _split(rows: list[Row], ncols: int, p: int, stop_at: int | None = None):
     are dropped, so every row leads with a unit.  Of the rows leading at
     the same column the sparsest is a pivot, the first on a tie; the k
     pivots stay sparse and are never changed.  The other m rows go into
-    one dense m x ncols block (int64 below 2^31, Python ints above), the
-    only dense array built from sparse rows.  For each pivot column in
-    ascending order, multiples of its pivot row clear that column in the
-    block, one vectorized update per pivot, its % p delayed as in
-    _eliminate (each entry takes at most one update per pivot column) and
-    the block reduced once it is handed on.  The column loop then brings
-    the block on the non-pivot columns, the Schur complement, to echelon
-    form, stopping once k plus its rank reaches stop_at.  With no
-    non-pivot column or no other row there is no block.
+    dense blocks of ncols columns (int64 below 2^31, Python ints above),
+    as many rows at a time as fit in _BLOCK entries, the only dense arrays
+    built from sparse rows.  Multiples of the pivot rows clear the pivot
+    columns in each block, level by level (_levels): a pivot's level is
+    one more than the highest level of a pivot row with an entry at its
+    column, 0 if there is none.  The pivots of one level clear the block
+    together, in pieces whose columns hold at most _CHUNK entries of it:
+    one gather of a piece's columns, reduced, gives its factors, and each
+    factor times its pivot row's tail is subtracted by one scatter per
+    chunk of about _CHUNK entries.  Products are reduced only when the
+    block does not delay (_delays).  Each block's non-pivot columns go
+    into the m-row Schur complement, reduced once all are in, and the
+    column loop brings it to echelon form, stopping once k plus its rank
+    reaches stop_at.  With no non-pivot column or no other row there is
+    no block.
 
     Returns (pivots, others, schur, leads): pivots maps each pivot column
     to its row of residues; others lists the non-pivot columns, schur is
     the eliminated complement on them (no rows if nothing was left) and
     leads the positions in others of its pivots.
 
+    Why the levels clear the block.  A pivot row with an entry at the
+    column of another pivot leads before it, and that pivot's level is
+    higher than its own.  So the pivot rows that change a pivot's column
+    are all of lower levels.  When its level comes, they have all been
+    applied and no later one touches the column: the factors read then
+    are final, the same as clearing the pivots one at a time in column
+    order, and the pivots of one level, which change none of each other's
+    columns, can clear together.  Afterwards the block is zero mod p on
+    every pivot column.  The pivot columns are never read again, so a
+    pivot row's lead, which only zeroes its own column, is left out of
+    the update.  No overflow: an entry takes at most one product per
+    pivot, so the delayed-reduction bound of _eliminate holds; without
+    delay each product is reduced, and k products of at most p-1 fit in
+    int64 for p < 2^31.
+
     Why the rank is k plus the rank of the Schur complement.  The pivot
     rows lead at distinct columns, so on the pivot columns, in order, they
     form a triangular matrix with units on its diagonal: they are
     independent.  Subtracting multiples of pivot rows from the other rows
-    keeps the row space and so the rank.  A pivot column is cleared after
-    every earlier one, by a row zero before its own column, so each
-    update keeps the columns already cleared at zero, and afterwards the
-    block is zero on every pivot column.  In a vanishing combination of
-    pivot rows and block rows the pivot rows then combine to zero on the
-    pivot columns, where the triangle is invertible, so their part is
-    zero: the rank is k plus the rank of the block, which lives on the
-    non-pivot columns.
+    keeps the row space and so the rank, and the block ends zero on every
+    pivot column.  In a vanishing combination of pivot rows and block rows
+    the pivot rows then combine to zero on the pivot columns, where the
+    triangle is invertible, so their part is zero: the rank is k plus the
+    rank of the block, which lives on the non-pivot columns.  The cleared
+    rows are unique, as the multiples that zero the pivot columns are
+    fixed by the triangle, so the levels give the residues of clearing one
+    pivot at a time, and each row is cleared on its own, so splitting the
+    rows into blocks changes none of them.
     """
     dtype = np.int64 if p < _INT64_PRIME_LIMIT else object
     pivots: dict[int, Row] = {}
@@ -150,31 +283,42 @@ def _split(rows: list[Row], ncols: int, p: int, stop_at: int | None = None):
     limit = None if stop_at is None else stop_at - len(pivots)
     if not (rest and others) or (limit is not None and limit <= 0):
         return pivots, others, np.zeros((0, len(others)), dtype=dtype), []
-    # column-major for the pivot updates, which read columns; the column
-    # loop gathers rows, so the Schur complement is copied row-major
-    block = np.zeros((len(rest), ncols), dtype=dtype, order="F")
-    at = np.repeat(np.arange(len(rest)), [len(row) for row in rest])
-    block[at, [c for row in rest for c, _ in row]] = [x for row in rest for _, x in row]
-    delay = _delays(block, p)
-    # the pivot rows' columns and values, built once, row after row
     order = sorted(pivots)
-    entries = np.array([e for c in order for e in pivots[c]], dtype=dtype)
-    cols, values = entries[:, 0].astype(np.intp), entries[:, 1]
-    bounds = itertools.pairwise(itertools.accumulate((len(pivots[c]) for c in order), initial=0))
-    for c, (start, end) in zip(order, bounds):
-        column = block[:, c] % p if delay else block[:, c]
-        hit = column.nonzero()[0]
-        if hit.size:
-            factors = column[hit] * pow(int(values[start]), -1, p) % p
-            update = factors[:, None] * values[start:end]
-            at = hit[:, None], cols[start:end]
-            if delay:
-                block[at] -= update
-            else:
-                block[at] = (block[at] - update) % p
-    schur = np.ascontiguousarray(block[:, others])
-    if delay:
-        schur %= p
+    inverses = np.array([pow(pivots[c][0][1], -1, p) for c in order], dtype=dtype)
+    lengths, cols, values = _entries([pivots[c] for c in order], dtype)
+    starts = np.cumsum(lengths) - lengths
+    step = max(_CHUNK // int(lengths.max()), 1)  # (row, pivot) pairs per scatter
+    height = min(max(_BLOCK // ncols, 1), len(rest))  # rows per dense block
+    levels = _levels(pivots, order, max(_CHUNK // height, 1))
+    order = np.array(order)
+    schur = np.empty((len(rest), len(others)), dtype=dtype)
+    for top in range(0, len(rest), height):
+        # column-major for the levels, which gather columns; the column
+        # loop gathers rows, so the Schur complement is kept row-major
+        m = min(height, len(rest) - top)
+        block = np.zeros((m, ncols), dtype=dtype, order="F")
+        row_lengths, row_cols, row_values = _entries(rest[top : top + m], dtype)
+        block[np.repeat(np.arange(m), row_lengths), row_cols] = row_values
+        delay = _delays(block, p)
+        flat = block.T.reshape(-1)  # entry (i, c) at c*m + i
+        for at in levels:
+            column = block[:, order[at]]
+            column %= p
+            hit, j = np.nonzero(column)
+            source = at[j]
+            factors = column[hit, j] * inverses[source] % p
+            for lo in range(0, hit.size, step):
+                piv = source[lo : lo + step]
+                count = lengths[piv] - 1  # each pivot row's tail, past its lead
+                pair = np.repeat(np.arange(count.size), count)
+                entry = np.arange(pair.size) + (starts[piv] + 1 + count - np.cumsum(count))[pair]
+                update = factors[lo : lo + step][pair] * values[entry]
+                if not delay:
+                    update %= p
+                np.subtract.at(flat, cols[entry] * m + hit[lo : lo + step][pair], update)
+        schur[top : top + m] = block[:, others]
+    del block, flat  # not kept while the complement is eliminated
+    schur %= p
     return pivots, others, schur, _eliminate(schur, p, limit)
 
 

@@ -34,7 +34,7 @@ from .errors import (
     ZeroHyperplane,
 )
 from .fields import FieldSpec, Scalar
-from .jacobian import _macaulay_rows, _spanning_generators, is_smooth
+from .jacobian import _is_smooth, _macaulay_rows, _spanning_generators, is_smooth
 from .poly import (
     Polynomial,
     linear_coefficients,
@@ -187,12 +187,15 @@ def criterion_kernel(
     """
     d, n = _check_criterion_domain(f)
     section = hyperplane.restrict(f)
-    if section.is_zero() or not is_smooth(section, t_max=t_max):
+    if section.is_zero():
+        return CriterionReport(hyperplane, CriterionStatus.SINGULAR_SECTION)
+    generators = _spanning_generators(section)  # built once, for the smoothness test and the matrix
+    if not _is_smooth(section, generators, t_max):
         return CriterionReport(hyperplane, CriterionStatus.SINGULAR_SECTION)
     q = hyperplane.restrict(partial_derivative(f, hyperplane.pivot))
     if q.is_zero():
         return CriterionReport(hyperplane, CriterionStatus.VACUOUS, criterion_form=q)
-    basis, rows = _macaulay_rows(_spanning_generators(section) + [q], d)
+    basis, rows = _macaulay_rows(generators + [q], d)
     m = len(rows) - n
     columns = [[] for _ in basis]  # the transpose: each entry bucketed on its column
     for i, row in enumerate(rows):

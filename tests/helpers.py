@@ -410,6 +410,53 @@ def rank_mod_p_dense(rows: list[list[int]], p: int, stop_at: int | None = None) 
     return len(_eliminate(a, p, stop_at))
 
 
+def split_reference(rows: list[linalg.Row], ncols: int, p: int, stop_at: int | None = None):
+    """linalg._split with its pivots applied one at a time: the oracle for
+    the level-scheduled clearing.
+
+    The same pivot choice, then for each pivot column in ascending order
+    one update of the dense block by the multiples of its pivot row, lead
+    included, delaying % p as linalg._delays allows; the Schur complement
+    goes through the same linalg._eliminate.  Returns the same
+    (pivots, others, schur, leads).
+    """
+    dtype = np.int64 if p < 2**31 else object
+    pivots: dict[int, linalg.Row] = {}
+    rest = []
+    for row in rows:
+        row = [(c, r) for c, x in row if (r := x % p)]
+        if not row:
+            continue
+        kept = pivots.setdefault(row[0][0], row)
+        if kept is not row:
+            if len(row) < len(kept):
+                pivots[row[0][0]], row = row, kept
+            rest.append(row)
+    others = [c for c in range(ncols) if c not in pivots]
+    limit = None if stop_at is None else stop_at - len(pivots)
+    if not (rest and others) or (limit is not None and limit <= 0):
+        return pivots, others, np.zeros((0, len(others)), dtype=dtype), []
+    block = np.zeros((len(rest), ncols), dtype=dtype)
+    for i, row in enumerate(rest):
+        for c, x in row:
+            block[i, c] = x
+    delay = linalg._delays(block, p)
+    for c in sorted(pivots):
+        column = block[:, c] % p if delay else block[:, c]
+        hit = column.nonzero()[0]
+        if hit.size:
+            cols, values = zip(*pivots[c])
+            factors = column[hit] * pow(values[0], -1, p) % p
+            update = factors[:, None] * np.array(values, dtype=dtype)
+            at = hit[:, None], list(cols)
+            if delay:
+                block[at] -= update
+            else:
+                block[at] = (block[at] - update) % p
+    schur = np.ascontiguousarray(block[:, others]) % p
+    return pivots, others, schur, linalg._eliminate(schur, p, limit)
+
+
 def mat_vec(m: Matrix, v: list[Scalar]) -> list[Scalar]:
     """m v over the matrix field."""
     if len(v) != m.cols:

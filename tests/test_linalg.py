@@ -29,6 +29,7 @@ from helpers import (
     rref,
     rref_reference,
     sparse_rows,
+    split_reference,
 )
 
 Q = make_field(0)
@@ -417,6 +418,195 @@ def test_delayed_reduction_at_its_bound():
             assert len(want[1]) == ncols - 1
             _check_eliminate(order, p, None, *want)
             _check_split(order, p, None, *want)
+
+
+# --- level-scheduled split and GEMM panels against the per-pivot loops -------
+
+PANEL_BOUND = 16_777_213  # the largest prime with 32*(p-1)^2 < 2^53
+BATCH_PRIMES = (2, 3, 101, PROBE_PRIME, PANEL_BOUND, 2**31 - 1, 2**31 + 11)
+
+
+def _level_grid(rng, p):
+    """Dense integer rows for the split: pivot rows with entries on later
+    pivot columns (chains of levels), other rows leading at the same
+    columns, planted integer combinations (rank deficiency), columns no
+    row touches, entries that are multiples of p or past 2^63; narrow ones,
+    and wide ones whose Schur complement is wider than the panel crossover."""
+    draws = (lambda: rng.randrange(-p, p), lambda: rng.choice((1, -1, p - 1, 2**64 + 1, rng.randrange(p))))
+    for wide in (False,) * 10 + (True,) * 2:
+        ncols = rng.randint(230, 260) if wide else rng.randint(2, 30)
+        live = sorted(rng.sample(range(ncols), ncols - ncols // 8))
+        leads = rng.sample(live, rng.randint(1, 40 if wide else max(len(live) // 2, 1)))
+        draw = rng.choice(draws)
+        rows = []
+        for lead in leads + [rng.choice(leads) for _ in range(rng.randint(0, 60 if wide else 12))]:
+            row = [0] * ncols
+            row[lead] = draw() % p or 1
+            later = [c for c in live if c > lead]
+            for c in rng.sample(later, min(len(later), rng.randint(0, 8))):
+                row[c] = draw()
+            rows.append(row)
+        for _ in range(rng.randint(0, 4)):
+            coeffs = [rng.randint(-2, 2) for _ in rows]
+            rows.append([sum(k * row[c] for k, row in zip(coeffs, rows)) for c in range(ncols)])
+        rows.append([0] * ncols)
+        rng.shuffle(rows)
+        yield ncols, rows
+
+
+def test_level_split_matches_the_per_pivot_oracle(monkeypatch):
+    """_split, clearing the pivots level by level, returns the same pivots,
+    non-pivot columns, Schur residues and leads as clearing them one at a
+    time (helpers.split_reference), for every stop_at kind, with the
+    default scatter chunks and blocks and, on narrow rows, chunks of 8
+    entries in blocks of 64, mod primes on both sides of the panel bound
+    and of 2^31.  The grid reaches 3 levels or more, rank-deficient
+    splits, and Schur blocks that run in panels."""
+    rng = random.Random(18)
+    depths, panels = [], set()
+    real_levels, real_trailing = linalg._levels, linalg._trailing
+
+    def levels_spy(*args):
+        levels = real_levels(*args)
+        depths.append(len(levels))
+        return levels
+
+    def trailing_spy(a, p, *args):
+        panels.add(p)
+        return real_trailing(a, p, *args)
+
+    monkeypatch.setattr(linalg, "_levels", levels_spy)
+    monkeypatch.setattr(linalg, "_trailing", trailing_spy)
+    sizes = (linalg._CHUNK, linalg._BLOCK), (8, 64)
+    for p in BATCH_PRIMES:
+        deficient = 0
+        for ncols, rows in _level_grid(rng, p):
+            sparse = sparse_rows(rows)
+            for stop_at in (None, 0, rng.randint(0, ncols), ncols):
+                want = split_reference(sparse, ncols, p, stop_at)
+                for chunk, block in sizes if ncols < 100 else sizes[:1]:
+                    monkeypatch.setattr(linalg, "_CHUNK", chunk)
+                    monkeypatch.setattr(linalg, "_BLOCK", block)
+                    got = linalg._split(sparse, ncols, p, stop_at)
+                    assert got[:2] == want[:2] and got[3] == want[3], (p, stop_at, rows)
+                    assert got[2].dtype == want[2].dtype and np.array_equal(got[2], want[2]), (p, stop_at, rows)
+            pivots, _, _, leads = want
+            deficient += len(pivots) + len(leads) < min(len(rows), ncols)
+        assert deficient >= 3, p
+    assert sum(depth >= 3 for depth in depths) >= 20
+    assert panels == {p for p in BATCH_PRIMES if p <= PANEL_BOUND}
+
+
+def test_split_holds_one_bounded_block_at_a_time(monkeypatch):
+    """The split never holds its whole m x ncols block: 300 other rows over
+    3,000 columns, 7.2 MB of int64, are cleared in blocks of at most
+    _BLOCK entries, so the memory traced during the split peaks under
+    7.2 MB, and no block is left when the column loop runs on the 300 x 10
+    Schur complement."""
+    import tracemalloc
+
+    ncols = 3000
+    rows = [[(c, 1), (ncols - 1 - c % 10, c + 1)] for c in range(ncols - 10)]
+    rows += [[(c, 2), (ncols - 1 - c % 7, 1)] for c in range(300)]
+    traced = []
+    real_eliminate = linalg._eliminate
+
+    def eliminate_spy(a, p, stop_at=None):
+        traced.append(tracemalloc.get_traced_memory()[0])
+        return real_eliminate(a, p, stop_at)
+
+    monkeypatch.setattr(linalg, "_eliminate", eliminate_spy)
+    tracemalloc.start()
+    try:
+        _, others, schur, _ = linalg._split(rows, ncols, 101)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert schur.shape == (300, len(others)) == (300, 10)
+    assert peak < 300 * ncols * 8
+    assert traced and traced[0] < linalg._BLOCK * 8
+
+
+def _wide_blocks(rng, p):
+    """Residue blocks wider than the panel crossover: random wide and tall,
+    entries from {0, 1, p-1}, and planted rank deficiency with zero rows
+    and zero columns, among them a run of 40 (a panel without a pivot)."""
+    def block(nrows, ncols, draw):
+        return np.array([[draw() for _ in range(ncols)] for _ in range(nrows)], dtype=object)
+
+    ncols = linalg._PANEL_CROSSOVER + rng.randint(1, 60)
+    yield block(40, ncols, lambda: rng.randrange(p))
+    yield block(ncols + 7, ncols, lambda: rng.choice((0, 1, p - 1)))
+    low = block(70, 12, lambda: rng.randrange(p)).dot(block(12, ncols, lambda: rng.randint(-2, 2))) % p
+    start = rng.randrange(ncols - 40)
+    low[:, start : start + 40] = 0
+    low[:, rng.sample(range(ncols), 9)] = 0
+    low[rng.sample(range(70), 5)] = 0
+    yield low
+
+
+def _column_loop(monkeypatch, a, p, stop_at=None):
+    """_eliminate on a copy of a with the crossover out of reach: the
+    column loop alone.  Returns the pivots and the copy."""
+    crossover = linalg._PANEL_CROSSOVER
+    monkeypatch.setattr(linalg, "_PANEL_CROSSOVER", 10**9)
+    a = a.copy()
+    pivots = linalg._eliminate(a, p, stop_at)
+    monkeypatch.setattr(linalg, "_PANEL_CROSSOVER", crossover)
+    return pivots, a
+
+
+def test_panels_match_the_column_loop(monkeypatch):
+    """_eliminate runs blocks wider than the crossover in panels exactly
+    where _panels admits them, p <= 16,777,213, and there gives the column
+    loop's pivots and final residues, for every stop_at kind, with the
+    default row chunks of the GEMM and with one row per product.  At the
+    31-bit primes, int64 and Python ints, it keeps the loop."""
+    rng = random.Random(32)
+    chunk, trailing = linalg._CHUNK, linalg._trailing
+    for p in BATCH_PRIMES:
+        for block in _wide_blocks(rng, p):
+            a = block.astype(np.int64 if p < 2**31 else object)
+            if not linalg._panels(a, p):
+                assert p > PANEL_BOUND
+                monkeypatch.setattr(linalg, "_trailing", None)  # a panel step would fail
+                linalg._eliminate(a[:40].copy(), p)
+                monkeypatch.setattr(linalg, "_trailing", trailing)
+                continue
+            for stop_at in (None, 0, rng.randint(0, a.shape[0]), a.shape[1]):
+                want = _column_loop(monkeypatch, a, p, stop_at)
+                for size in (chunk, 1):
+                    monkeypatch.setattr(linalg, "_CHUNK", size)
+                    got = a.copy()
+                    assert linalg._eliminate(got, p, stop_at) == want[0], (p, stop_at)
+                    assert np.array_equal(got, want[1]), (p, stop_at)
+
+
+def test_panels_at_their_bound(monkeypatch):
+    """16,777,213 is the largest prime with 32*(p-1)^2 < 2^53; panels run
+    there and not at the next prime.  The block: 32 unit pivot rows, whose
+    trailing entries are p-2 except one p-1 per column, over rows of
+    multipliers p-2.  Every entry of its first GEMM is then
+    31*(p-2)^2 + (p-2)*(p-1), odd, under 2^53 at the bound but over it at
+    the next prime, where float64 would round it.  At both primes the
+    result is the column loop's, so admitting the next prime fails here."""
+    block = np.zeros((1, linalg._PANEL_CROSSOVER + 1), dtype=np.int64)
+    assert linalg._panels(block, PANEL_BOUND)
+    assert not linalg._panels(block[:, 1:], PANEL_BOUND)
+    above = next(q for q in itertools.count(PANEL_BOUND + 1) if _is_prime(q))
+    assert not linalg._panels(block, above)
+    assert linalg._PANEL * (PANEL_BOUND - 1) ** 2 < 2**53 <= linalg._PANEL * (above - 1) ** 2
+    for p in (PANEL_BOUND, above):
+        trailing = np.full((32, 224), p - 2)
+        trailing[np.arange(224) % 32, np.arange(224)] = p - 1
+        top = np.hstack([np.eye(32, dtype=np.int64), trailing])
+        below = np.hstack([np.full((8, 32), p - 2), np.arange(8 * 224).reshape(8, 224) % p])
+        a = np.vstack([top, below])
+        assert (31 * (p - 2) ** 2 + (p - 2) * (p - 1) < 2**53) == (p == PANEL_BOUND)
+        want = _column_loop(monkeypatch, a, p)
+        got = a.copy()
+        assert linalg._eliminate(got, p) == want[0]
+        assert np.array_equal(got, want[1]), p
 
 
 # --- exact rank over Q from verified modular kernels -------------------------

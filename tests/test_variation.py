@@ -87,6 +87,7 @@ def test_criterion_kernel_rejects_hyperplane_of_other_ring(monkeypatch):
         raise AssertionError("elimination ran")
 
     monkeypatch.setattr(variation, "is_smooth", refuse)
+    monkeypatch.setattr(variation, "_is_smooth", refuse)
     monkeypatch.setattr(linalg, "_split", refuse)
     f = fermat(3, 3, Q)
     for nvars in (3, 5):
