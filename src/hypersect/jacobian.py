@@ -17,7 +17,11 @@ smooth exactly when it is full.
 Every matrix holds the monomial multiples of the generators in one degree,
 less those the leading-term (Koszul/F5) criterion shows redundant: fewer
 rows, same span.  Unless char | d, the rows drop f, which Euler's identity
-puts in the ideal of its partials (_spanning_generators).
+puts in the ideal of its partials (_spanning_generators).  The generators
+enter as integer forms, {monomial: int}: a Polynomial's through
+poly.integer_form, a hyperplane section's as the integer partials of its
+integer form (_integer_generators).  A nonzero constant per generator
+changes no span, so the two give the same ranks.
 
 Every piece is ranked exactly by one linalg.rank_mod_p_int call: mod p
 over F_p, and over Q (denominators cleared) the pivot count of the kernel
@@ -31,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, lcm
+from math import comb
 
 import numpy as np
 
@@ -42,6 +46,7 @@ from .poly import (
     Monomial,
     Polynomial,
     grlex_key,
+    integer_form,
     monomial_basis,
     partial_derivative,
     require_homogeneous,
@@ -60,6 +65,27 @@ def _spanning_generators(f: Polynomial) -> list[Polynomial]:
     d, p = f.degree(), f.field.characteristic
     skip_f = 1 if p == 0 or d % p else 0
     return [g for g in jacobian_generators(f)[skip_f:] if not g.is_zero()]
+
+
+def _integer_partial(form: dict[Monomial, int], index: int, p: int) -> dict[Monomial, int]:
+    """d form / d x_index of an integer form, residues over F_p, with no
+    zero coefficient stored."""
+    out = {}
+    for m, c in form.items():
+        if e := m[index]:
+            v = c * e % p if p else c * e
+            if v:
+                out[m[:index] + (e - 1,) + m[index + 1 :]] = v
+    return out
+
+
+def _integer_generators(form: dict[Monomial, int], degree: int, p: int) -> list[dict[Monomial, int]]:
+    """_spanning_generators of a nonzero integer form of the given degree,
+    residues over F_p: its nonzero partials, after the form itself when
+    char | d.  For any nonzero scale s, each is a nonzero constant times
+    the integer form of the matching generator of form/s."""
+    partials = (_integer_partial(form, i, p) for i in range(len(next(iter(form)))))
+    return ([form] if p and degree % p == 0 else []) + [g for g in partials if g]
 
 
 def default_degree_cap(nvars: int, degree: int, characteristic: int = 0) -> int:
@@ -129,14 +155,17 @@ def _tails(exponents: np.ndarray) -> np.ndarray:
 
 
 def _macaulay_rows(
-    generators: list[Polynomial], degree: int
+    generators: list[dict[Monomial, int]], degree: int
 ) -> tuple[list[Monomial], list[linalg.Row]]:
     """Degree-t monomial basis and sparse integer rows spanning the ideal's piece.
 
-    Row m*g_i holds m*g_i with g_i's denominators cleared, as (column,
-    value) pairs over the basis, columns ascending: the terms of g_i are
-    sorted grlex-descending once, multiplying by m keeps that order, and
-    the basis is grlex-descending.  Zero generators are skipped, and so is
+    The generators are homogeneous integer forms, {monomial: int}
+    (poly.integer_form of a Polynomial, or _integer_generators), at least
+    one of them nonzero.  Row m*g_i holds the coefficients of m*g_i as
+    (column, value) pairs over the basis, columns ascending: the terms of
+    g_i are sorted grlex-descending once, multiplying by m keeps that
+    order, and the basis is grlex-descending.  Zero generators are
+    skipped, and so is
     m*g_i when LT(g_j) divides m for some j < i (grlex leading terms; the
     Koszul/F5 criterion).  The span stays the
     same over any field: with u = m/LT(g_j) and c = LC(g_j),
@@ -154,22 +183,19 @@ def _macaulay_rows(
     count, and the column, is below the basis length, so int64 holds them
     for any number of variables.
     """
-    nvars = generators[0].nvars
+    nvars = len(next(m for g in generators for m in g))
     basis = list(map(tuple, _exponent_array(nvars, degree).tolist()))
     below = _below(nvars, degree)
     shared = np.arange(len(basis), dtype=object)  # one int object per column, for every row
     rows: list[linalg.Row] = []
     leads: list[Monomial] = []
     for g in generators:
-        if g.is_zero():
+        if not g:
             continue
-        e = g.degree()
-        if not g.is_homogeneous(e):
-            raise InhomogeneousGenerator(f"generator {g} is not homogeneous")
-        monos = sorted(g.terms, key=grlex_key, reverse=True)
+        monos = sorted(g, key=grlex_key, reverse=True)
+        e = sum(monos[0])
         if e <= degree:
-            scale = lcm(*(c.value.denominator for c in g.terms.values()))  # 1 over F_p
-            coeffs = [int(g.terms[mono].value * scale) for mono in monos]
+            coeffs = [g[mono] for mono in monos]
             multipliers = _exponent_array(nvars, degree - e)
             if leads:
                 divided = (multipliers[:, None, :] >= np.array(leads)).all(-1).any(-1)
@@ -194,8 +220,10 @@ def ideal_graded_dim(
     Generators of degree above t contribute nothing; zero generators are
     skipped.  field/nvars are only needed when the list is empty.  All
     generators must share one ring, the given field/nvars where given
-    (FieldMismatch, ArityMismatch otherwise).  The dimension is one exact
-    rank of the Macaulay rows, linalg.rank_mod_p_int over the field.
+    (FieldMismatch, ArityMismatch otherwise), and be homogeneous
+    (InhomogeneousGenerator).  The dimension is one exact rank of the
+    Macaulay rows of their integer forms, linalg.rank_mod_p_int over the
+    field.
     """
     if generators:
         field = generators[0].field if field is None else field
@@ -205,7 +233,9 @@ def ideal_graded_dim(
     ring = Polynomial.zero(field, nvars)
     for g in generators:
         ring._check(g)
-    live = [g for g in generators if not g.is_zero()]
+        if not g.is_homogeneous():
+            raise InhomogeneousGenerator(f"generator {g} is not homogeneous")
+    live = [integer_form(g) for g in generators if not g.is_zero()]
     basis, rows = _macaulay_rows(live, degree) if live else (monomial_basis(nvars, degree), [])
     return GradedDim(degree, basis, linalg.rank_mod_p_int(rows, field.characteristic))
 
@@ -224,17 +254,21 @@ def is_smooth(f: Polynomial, t_max: int | None = None) -> bool:
     otherwise one exact rank of its rows over the field decides
     (linalg.rank_mod_p_int, stopping at the full rank).
     """
-    return _is_smooth(f, _spanning_generators(f), t_max)
+    generators = [integer_form(g) for g in _spanning_generators(f)]
+    return _is_smooth(generators, f.nvars, f.degree(), f.field.characteristic, t_max)
 
 
-def _is_smooth(f: Polynomial, generators: list[Polynomial], t_max: int | None = None) -> bool:
-    """is_smooth(f, t_max) given generators = _spanning_generators(f),
-    which checked that f is a nonzero form of positive degree; a caller
-    that also needs the generators builds them once."""
-    if f.nvars < 2:
+def _is_smooth(
+    generators: list[dict[Monomial, int]], nvars: int, degree: int, p: int, t_max: int | None = None
+) -> bool:
+    """is_smooth of a nonzero degree-d form in nvars variables over the
+    field of characteristic p, given its Jacobian generators as integer
+    forms (_spanning_generators converted by poly.integer_form, or
+    _integer_generators): each a nonzero constant times one of those,
+    whose rows span the same piece."""
+    if nvars < 2:
         raise NotHomogeneous("need at least two variables for a projective hypersurface")
-    p = f.field.characteristic
-    cap = default_degree_cap(f.nvars, f.degree(), p)
+    cap = default_degree_cap(nvars, degree, p)
     if t_max is not None:
         if t_max < 0:
             return False

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Mapping
+from fractions import Fraction
 from functools import cache
 from itertools import chain
 from math import lcm
@@ -302,7 +303,8 @@ def substitute_linear(p: Polynomial, change: list[Polynomial]) -> Polynomial:
     images, linear forms that all live in one ring over p's field; the
     result lives in that ring.  Images in p's own ring are a change of
     variables: a LinearChange, checked invertible when built, or a plain
-    list.  Images in fewer variables restrict p (Hyperplane.restrict).
+    list.  Images in fewer variables restrict p to a linear subspace
+    (Hyperplane.restrict has its own integer engine).
     """
     if len(change) != p.nvars or any(g.nvars != change[0].nvars for g in change):
         rings = sorted({g.nvars for g in change})
@@ -323,6 +325,26 @@ def substitute_linear(p: Polynomial, change: list[Polynomial]) -> Polynomial:
         return term.terms.items()
 
     return _collect(p.field, nvars, chain.from_iterable(expand(m, c) for m, c in p.terms.items()))
+
+
+def denominator(p: Polynomial) -> int:
+    """The lcm of p's coefficient denominators: 1 over F_p and for 0."""
+    return lcm(*(c.value.denominator for c in p.terms.values()))
+
+
+def integer_form(p: Polynomial) -> dict[Monomial, int]:
+    """p times denominator(p), as a dict of int coefficients: cleared
+    numerators over Q, the residues themselves over F_p."""
+    scale = denominator(p)
+    return {m: c.value.numerator * (scale // c.value.denominator) for m, c in p.terms.items()}
+
+
+def from_integer_form(field: FieldSpec, nvars: int, form: dict[Monomial, int], scale: int = 1) -> Polynomial:
+    """The Polynomial form/scale, for int coefficients none of which is 0
+    in the field and a scale that is not."""
+    if scale == 1:
+        return Polynomial(field, nvars, {m: field.scalar(c) for m, c in form.items()})
+    return Polynomial(field, nvars, {m: field.scalar(Fraction(c, scale)) for m, c in form.items()})
 
 
 def linear_form(field: FieldSpec, coefficients) -> Polynomial:

@@ -15,10 +15,25 @@ section certifies that sections vary maximally in moduli near H.
 A zero kernel computed over Q or over F_p stays zero over every field
 extension (kernel dimension is a rank computation over the base field),
 so the positive certificate is sound over the algebraic closure.
+
+Each trial runs on integer forms, {monomial: int}: denominators cleared
+over Q, residues over F_p; Scalars appear only in the report.  With the
+hyperplane's coefficients c (c_j = 1), D the lcm of their denominators (1
+over F_p) and delta that of f's, the section enters as G = delta *
+D^d * f|H and the criterion form as delta * D^(d-1) * q, both restricted
+in ints (Hyperplane._restrict_forms).  The section's generators are G's
+integer partials, with G kept when char | d: each is a nonzero constant
+times the integer form of the matching generator of g, so the span of
+every graded piece, the smoothness rank and the pivot columns of the
+transposed criterion matrix are unchanged.  All n columns x_i*q share one
+scale, so the kernel vectors restricted to them change by one constant
+each, which _leading_one divides out: the kernel basis is the same.  The
+report's criterion form is the integer one divided by delta * D^(d-1).
 """
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -34,14 +49,16 @@ from .errors import (
     ZeroHyperplane,
 )
 from .fields import FieldSpec, Scalar
-from .jacobian import _is_smooth, _macaulay_rows, _spanning_generators, is_smooth
+from .jacobian import _integer_generators, _integer_partial, _is_smooth, _macaulay_rows, is_smooth
 from .poly import (
+    Monomial,
     Polynomial,
+    denominator,
+    from_integer_form,
+    integer_form,
     linear_coefficients,
     linear_form,
-    partial_derivative,
     require_homogeneous,
-    substitute_linear,
 )
 
 
@@ -52,7 +69,7 @@ class Hyperplane:
     forms compare equal.
     """
 
-    __slots__ = ("form", "pivot")
+    __slots__ = ("form", "pivot", "_coefficients")
 
     def __init__(self, form: Polynomial):
         if form.is_zero():
@@ -63,9 +80,12 @@ class Hyperplane:
         coeffs = linear_coefficients(form)
         pivot = next(i for i, c in enumerate(coeffs) if c)
         if coeffs[pivot] != form.field.one():
-            form = form.scale(coeffs[pivot].inv())
+            inverse = coeffs[pivot].inv()
+            form = form.scale(inverse)
+            coeffs = [c * inverse for c in coeffs]
         self.form = form
         self.pivot = pivot
+        self._coefficients = coeffs
 
     @classmethod
     def from_coefficients(cls, field: FieldSpec, coefficients) -> "Hyperplane":
@@ -80,7 +100,7 @@ class Hyperplane:
         return self.form.nvars
 
     def coefficients(self) -> list[Scalar]:
-        return linear_coefficients(self.form)
+        return list(self._coefficients)
 
     def restrict(self, p: Polynomial) -> Polynomial:
         """p restricted to the hyperplane, in its n section coordinates.
@@ -98,16 +118,56 @@ class Hyperplane:
         (df/dx_j) o phi, and restrict(df/dx_j) is the x0-partial of the
         moved form on x0 = 0, polynomial for polynomial: the criterion
         form.
+
+        p must share the hyperplane's ring (ArityMismatch, FieldMismatch).
+        The work is _restrict_forms' on p's integer form, divided back.
         """
-        field, j, n = self.form.field, self.pivot, self.nvars - 1
-        coeffs = self.coefficients()
-        rows = [[field.zero()] * n for _ in coeffs]
-        for i in range(self.nvars):
-            if i != j:
-                s = (j if i == 0 else i) - 1
-                rows[i][s] = field.one()
-                rows[j][s] = -coeffs[i]
-        return substitute_linear(p, [linear_form(field, row) for row in rows])
+        self.form._check(p)
+        degree = max(p.degree(), 0)
+        (restricted,), scale = self._restrict_forms((integer_form(p), degree))
+        return from_integer_form(p.field, self.nvars - 1, restricted, denominator(p) * scale**degree)
+
+    def _restrict_forms(self, *forms: tuple[dict[Monomial, int], int]) -> tuple[list[dict], int]:
+        """([R, ...], D), R = D^degree * form|H as an integer form in the n
+        section coordinates, for each (form, degree): an integer form of
+        degree at most degree, residues over F_p, and so is R.
+
+        D is the lcm of the coefficients' denominators, 1 over F_p, and a =
+        D*c are ints, so D*x_j becomes the integer linear form L = -sum_{i
+        != j} a_i y_{s(i)}.  A monomial x^m with k = m_j then gives
+        D^degree * x^m|H = D^(degree-k) * y^r * L^k, r the other exponents
+        in their slots s(i): one power of L per k, built once for all forms.
+        """
+        j, p, n = self.pivot, self.form.field.characteristic, self.nvars - 1
+        scale = denominator(self.form)
+        line = []
+        for i, c in enumerate(self._coefficients):
+            if i != j and c:
+                slot = (j if i == 0 else i) - 1
+                a = -c.value.numerator * (scale // c.value.denominator)
+                line.append((slot, a % p if p else a))
+        powers = [{(0,) * n: 1}]
+        for _ in range(max((m[j] for form, _ in forms for m in form), default=0)):
+            power: dict[Monomial, int] = {}
+            for m, c in powers[-1].items():
+                for slot, a in line:
+                    key = m[:slot] + (m[slot] + 1,) + m[slot + 1 :]
+                    power[key] = power.get(key, 0) + c * a
+            powers.append({m: c % p for m, c in power.items()} if p else power)
+        restricted = []
+        for form, degree in forms:
+            out: dict[Monomial, int] = {}
+            for m, c in form.items():
+                k = m[j]
+                rest = m[1:] if j == 0 else m[1:j] + (m[0],) + m[j + 1 :]
+                c *= scale ** (degree - k)
+                for mono, v in powers[k].items():
+                    key = tuple(map(operator.add, rest, mono))
+                    out[key] = out.get(key, 0) + c * v
+            if p:
+                out = {m: c % p for m, c in out.items()}
+            restricted.append({m: c for m, c in out.items() if c})
+        return restricted, scale
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Hyperplane) and self.form == other.form
@@ -167,10 +227,12 @@ def criterion_kernel(
     """Run the first-order criterion for f at one hyperplane.
 
     The section is hyperplane.restrict(f) and the criterion form q is
-    hyperplane.restrict(df/dx_pivot).  Reports SINGULAR_SECTION when the
-    section is not smooth, VACUOUS when q vanishes, and otherwise the
-    exact kernel of l -> class of q*l in the degree-d piece of the
-    section's Jacobian ring.
+    hyperplane.restrict(df/dx_pivot), both worked on as integer forms
+    scaled by nonzero constants (see the module docstring), after a check
+    that f shares the hyperplane's ring (ArityMismatch, FieldMismatch).
+    Reports SINGULAR_SECTION when the section is not smooth, VACUOUS when
+    q vanishes, and otherwise the exact kernel of l -> class of q*l in the
+    degree-d piece of the section's Jacobian ring.
 
     One integer Macaulay matrix serves it: the m rows spanning the degree-d
     piece J_d of the section's Jacobian ideal, then x_0*q, ..., x_{n-1}*q
@@ -186,22 +248,25 @@ def criterion_kernel(
     J_d, whatever rows span J_d.
     """
     d, n = _check_criterion_domain(f)
-    section = hyperplane.restrict(f)
-    if section.is_zero():
+    hyperplane.form._check(f)
+    p = f.field.characteristic
+    form = integer_form(f)
+    partial = _integer_partial(form, hyperplane.pivot, p)
+    (section, across), scale = hyperplane._restrict_forms((form, d), (partial, d - 1))
+    if not section:
         return CriterionReport(hyperplane, CriterionStatus.SINGULAR_SECTION)
-    generators = _spanning_generators(section)  # built once, for the smoothness test and the matrix
-    if not _is_smooth(section, generators, t_max):
+    generators = _integer_generators(section, d, p)  # built once, for the smoothness test and the matrix
+    if not _is_smooth(generators, n, d, p, t_max):
         return CriterionReport(hyperplane, CriterionStatus.SINGULAR_SECTION)
-    q = hyperplane.restrict(partial_derivative(f, hyperplane.pivot))
-    if q.is_zero():
-        return CriterionReport(hyperplane, CriterionStatus.VACUOUS, criterion_form=q)
-    basis, rows = _macaulay_rows(generators + [q], d)
+    if not across:
+        return CriterionReport(hyperplane, CriterionStatus.VACUOUS, criterion_form=Polynomial.zero(f.field, n))
+    basis, rows = _macaulay_rows(generators + [across], d)
     m = len(rows) - n
     columns = [[] for _ in basis]  # the transpose: each entry bucketed on its column
     for i, row in enumerate(rows):
         for c, x in row:
             columns[c].append((i, x))
-    pivots, free, vectors = linalg.integer_kernel(columns, len(rows), f.field.characteristic)
+    pivots, free, vectors = linalg.integer_kernel(columns, len(rows), p)
     kernel = [
         linear_form(f.field, _leading_one(f.field, [v.get(m + i, 0) for i in range(n)]))
         for fc, v in zip(free, vectors)
@@ -210,7 +275,7 @@ def criterion_kernel(
     return CriterionReport(
         hyperplane,
         CriterionStatus.COMPUTED,
-        criterion_form=q,
+        criterion_form=from_integer_form(f.field, n, across, denominator(f) * scale ** (d - 1)),
         kernel_basis=kernel,
         kernel_dim=len(kernel),
         graded_ideal_dim=sum(pc < m for pc in pivots),

@@ -30,6 +30,7 @@ from hypersect import (
 from hypersect import linalg
 from hypersect.poly import (
     grlex_key,
+    integer_form,
     linear_coefficients,
     linear_form,
     monomial_basis,
@@ -612,7 +613,7 @@ def graded_piece(generators: list[Polynomial], degree: int) -> GradedPiece:
     from hypersect.jacobian import _macaulay_rows
 
     live = [g for g in generators if not g.is_zero()]
-    basis, rows = _macaulay_rows(live, degree)
+    basis, rows = _macaulay_rows([integer_form(g) for g in live], degree)
     return GradedPiece.of_rows(live[0].field, degree, basis, rows)
 
 
@@ -786,13 +787,14 @@ def is_smooth_reference(f: Polynomial, t_max: int | None = None) -> bool:
         cap = max((n + 2) * (d - 1) - n, 0)
     p = f.field.characteristic
     gens = _spanning_generators(f)
+    forms = [integer_form(g) for g in gens]
     if not gens:
         return False
     probe = p or linalg.PROBE_PRIME
     expected_full = max((n + 1) * (d - 2) + 1, d - 1, 0)
     probed = None
     if expected_full <= cap:
-        basis, rows = _macaulay_rows(gens, expected_full)
+        basis, rows = _macaulay_rows(forms, expected_full)
         rank = None
         if len(rows) >= len(basis):
             rank = linalg.rank_mod_p_int(rows, probe, stop_at=len(basis))
@@ -806,7 +808,7 @@ def is_smooth_reference(f: Polynomial, t_max: int | None = None) -> bool:
         if t == expected_full and probed is not None:
             basis, rows, rank = probed
         else:
-            (basis, rows), rank = _macaulay_rows(gens, t), None
+            (basis, rows), rank = _macaulay_rows(forms, t), None
         if rank is None:
             rank = linalg.rank_mod_p_int(rows, probe) if rows else 0
         h = len(basis) - rank

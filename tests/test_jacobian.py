@@ -26,7 +26,7 @@ from hypersect.fields import _is_prime
 from hypersect.fixtures import cubic_threefold_example, cyclic_fermat, fermat
 from hypersect.jacobian import _macaulay_rows
 from hypersect.linalg import PROBE_PRIME, rank_mod_p_int
-from hypersect.poly import monomial_basis
+from hypersect.poly import integer_form, monomial_basis
 from gf_oracle import find_singular_point
 from helpers import (
     FIELDS,
@@ -350,7 +350,7 @@ def test_pruned_rows_without_f_keep_every_jacobian_rank():
         used = full[1:] if p == 0 or d % p else full
         char_divides += len(used) == len(full)
         for t in range(d - 1, f.nvars * (d - 2) + 2):
-            basis, rows = _macaulay_rows(used, t)
+            basis, rows = _macaulay_rows([integer_form(g) for g in used], t)
             ref_basis, ref_rows = unpruned_rows_reference(full, t)
             assert basis == ref_basis
             want = _exact_rank(sparse_rows(ref_rows), len(basis), field)
@@ -374,7 +374,7 @@ def test_pruning_keeps_span_for_any_generator_list():
             if all(g.is_zero() for g in gens):
                 continue
             for t in range(1, 5):
-                basis, rows = _macaulay_rows(gens, t)
+                basis, rows = _macaulay_rows([integer_form(g) for g in gens], t)
                 _, ref_rows = unpruned_rows_reference(gens, t)
                 ref_rows, ncols = sparse_rows(ref_rows), len(basis)
                 assert {tuple(r) for r in rows} <= {tuple(r) for r in ref_rows}
@@ -406,13 +406,13 @@ def test_numpy_rows_match_tuple_builder():
                     seen["zero"] += any(g.is_zero() for g in gens)
                     for t in range(-1, nvars * (d - 2) + 3):
                         seen["below"] += any(t < g.degree() for g in gens if not g.is_zero())
-                        got = _macaulay_rows(gens, t)
+                        got = _macaulay_rows([integer_form(g) for g in gens], t)
                         assert got == macaulay_rows_reference(gens, t), (field, gens, t)
     assert min(seen["f kept"], seen["zero"], seen["below"]) > 0, seen
     f = rand_nonzero_homogeneous(rng, Q, 40, 2, max_terms=30) + fermat(39, 2, Q)
     assert 3**40 > 2**63
     for t in (1, 2, 3):
-        assert _macaulay_rows(jacobian_generators(f), t) == macaulay_rows_reference(jacobian_generators(f), t)
+        assert _macaulay_rows([integer_form(g) for g in jacobian_generators(f)], t) == macaulay_rows_reference(jacobian_generators(f), t)
 
 
 def _reference_piece(generators, degree, field):

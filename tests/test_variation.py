@@ -4,6 +4,8 @@ import itertools
 import random
 import sys
 from collections import Counter
+from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -23,6 +25,7 @@ from hypersect import (
     ZeroHyperplane,
     certify_max_variation,
     criterion_kernel,
+    default_degree_cap,
     jacobian_generators,
     make_field,
     moduli_dim,
@@ -43,6 +46,7 @@ from helpers import (
     in_span,
     inverse_change,
     normalize_hyperplane,
+    rand_homogeneous,
     rand_nonzero_homogeneous,
     rand_nonzero_scalar,
     rand_scalar,
@@ -276,14 +280,15 @@ def _criterion_grid(seed):
 
 
 def _report_fields(rep):
-    return rep.status, rep.kernel_basis, rep.kernel_dim, rep.graded_ideal_dim
+    return rep.status, rep.criterion_form, rep.kernel_basis, rep.kernel_dim, rep.graded_ideal_dim
 
 
 def test_criterion_kernel_matches_graded_piece_oracle():
-    """Status, kernel basis, kernel dimension and graded ideal dimension
-    equal those of the Scalar path (GradedPiece.reduce on the full
-    Jacobian ideal, kernel read off the Gauss-Jordan oracle) on a seeded
-    grid, and on a basis over Q whose entries need a lift over 2 primes."""
+    """Status, criterion form, kernel basis, kernel dimension and graded
+    ideal dimension equal those of the Scalar path (GradedPiece.reduce on
+    the full Jacobian ideal, kernel read off the Gauss-Jordan oracle) on a
+    seeded grid, and on a basis over Q whose entries need a lift over 2
+    primes."""
     computed = Counter()
     for f, h in _criterion_grid(93):
         got = criterion_kernel(f, h)
@@ -348,6 +353,116 @@ def test_criterion_kernel_is_one_integer_kernel(monkeypatch):
         else:
             assert builds == []
     assert computed >= 30
+
+
+# --- the integer trial: scaled forms against the Scalar path ----------------
+
+_BIG_PRIMES = (2**31 - 1, 2**31 + 11, 4_294_967_291)
+
+
+def _cleared(hyperplane):
+    """The hyperplane's coefficients times the lcm of their denominators."""
+    scale = lcm(*(c.value.denominator for c in hyperplane.coefficients()))
+    return [c.value.numerator * (scale // c.value.denominator) for c in hyperplane.coefficients()]
+
+
+def _integer_trial_cases(seed):
+    """(label, f, hyperplane, t_max): forms with Fraction coefficients over
+    Q, at small hyperplanes and at hyperplanes whose cleared coefficients
+    pass 2^63; forms over F_(2^31+11); char | d, F_3 at d = 3 and 6 and
+    F_2 at d = 4.  A t_max below the section's cap on about half of those
+    at small hyperplanes (over Q a piece short of full there costs a
+    kernel lift, seconds at the large ones)."""
+    rng = random.Random(seed)
+    f3, f2, big = make_field(3), make_field(2), make_field(2**31 + 11)
+    groups = [
+        ("Q", Q, [fermat(n, d, Q) + rand_homogeneous(rng, Q, n + 1, d, max_terms=6)
+                  for n, d in ((3, 3), (3, 4), (4, 3))]),
+        ("2^31+11", big, [cyclic_fermat(3, 3, big), fermat(3, 4, big) + rand_homogeneous(rng, big, 4, 4)]),
+        ("F_3, d=3", f3, [cyclic_fermat(4, 3, f3), rand_nonzero_homogeneous(rng, f3, 4, 3, max_terms=12)]),
+        ("F_3, d=6", f3, [rand_nonzero_homogeneous(rng, f3, 4, 6, max_terms=24) for _ in range(2)]),
+        ("F_2, d=4", f2, [rand_nonzero_homogeneous(rng, f2, 4, 4, max_terms=16) for _ in range(2)]),
+    ]
+    for label, field, forms in groups:
+        for f in forms:
+            for k in range(8):
+                cap = default_degree_cap(f.nvars - 1, f.degree(), field.characteristic)
+                t_max = rng.choice([None, None, f.degree(), cap - 1])
+                if k < 2:
+                    hp = Hyperplane.coordinate(field, f.nvars, rng.randrange(f.nvars))
+                elif field == Q and k >= 5:
+                    coeffs = [Fraction(rng.randint(-9, 9) or 1, rng.choice(_BIG_PRIMES)) for _ in range(f.nvars)]
+                    coeffs[rng.randrange(f.nvars)] = Fraction(2**64 + rng.randint(0, 99), rng.randint(1, 9))
+                    hp, t_max = Hyperplane.from_coefficients(field, coeffs), None
+                else:
+                    hp = Hyperplane.from_coefficients(field, [rand_nonzero_scalar(rng, field) for _ in range(f.nvars)])
+                yield label, f, hp, t_max
+
+
+def test_integer_trial_matches_the_scalar_path():
+    """criterion_kernel, on integer forms, gives the report of
+    criterion_kernel_reference, criterion form included, and restrict
+    gives the sections of normalize_hyperplane, on a seeded grid over Q
+    with Fraction coefficients and cleared hyperplane coefficients past
+    2^63, over F_(2^31+11), and where char | d, with and without a t_max
+    below the cap."""
+    computed, below_cap, past_int64, fractional = Counter(), Counter(), 0, 0
+    for label, f, hp, t_max in _integer_trial_cases(101):
+        moved = normalize_hyperplane(f, hp)
+        assert hp.restrict(f) == set_var_zero(moved, 0), (f, hp)
+        assert hp.restrict(partial_derivative(f, hp.pivot)) == criterion_form(moved), (f, hp)
+        got = criterion_kernel(f, hp, t_max=t_max)
+        assert _report_fields(got) == _report_fields(criterion_kernel_reference(f, hp, t_max=t_max)), (f, hp, t_max)
+        computed[label] += got.status is CriterionStatus.COMPUTED
+        below_cap[label] += t_max is not None
+        past_int64 += got.status is CriterionStatus.COMPUTED and max(map(abs, _cleared(hp))) >= 2**63
+        fractional += f.field == Q and max(c.value.denominator for c in f.terms.values()) > 1
+    assert min(computed.values()) >= 2 and len(computed) == 5, computed
+    assert min(below_cap.values()) >= 2, below_cap
+    assert past_int64 >= 2 and fractional >= 16
+
+
+def test_certify_trial_runs_no_scalar_ring_map(monkeypatch):
+    """A certify trial restricts, differentiates and builds its matrices on
+    integer forms: with substitute_linear (at every binding in the
+    package), Polynomial.__mul__ and Polynomial.__pow__ raising,
+    certify_max_variation gives the same CertifyReport, and it calls
+    variation.criterion_kernel exactly once per trial."""
+    f5 = make_field(5)
+    fractional = Polynomial.from_terms(Q, 5, {(3, 0, 0, 0, 0): Fraction(1, 2), (0, 3, 0, 0, 0): 1,
+                                              (0, 0, 3, 0, 0): Fraction(-2, 3), (0, 0, 0, 3, 0): 1,
+                                              (0, 0, 0, 0, 3): Fraction(5, 7), (1, 1, 1, 0, 0): Fraction(1, 4)})
+    cases = [
+        (cubic_threefold_example(Q), ScanStrategy()),
+        (fermat(3, 3, f5), ScanStrategy(seed=1, trial_budget=16)),
+        (fractional, ScanStrategy(seed=2, trial_budget=12)),
+    ]
+    expected = [certify_max_variation(f, strategy) for f, strategy in cases]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Scalar polynomial arithmetic in a certify trial")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "hypersect" and hasattr(module, "substitute_linear"):
+            monkeypatch.setattr(module, "substitute_linear", refuse)
+    monkeypatch.setattr(Polynomial, "__mul__", refuse)
+    monkeypatch.setattr(Polynomial, "__pow__", refuse)
+    hyperplanes = []
+    real_kernel = variation.criterion_kernel
+
+    def kernel_spy(f, hyperplane, t_max=None):
+        hyperplanes.append(hyperplane)
+        return real_kernel(f, hyperplane, t_max=t_max)
+
+    monkeypatch.setattr(variation, "criterion_kernel", kernel_spy)
+    for (f, strategy), want in zip(cases, expected):
+        hyperplanes.clear()
+        got = certify_max_variation(f, strategy)
+        assert got == want, f
+        assert hyperplanes == [t.hyperplane for t in got.trials]
+    assert {t.status for rep in expected for t in rep.trials} == set(CriterionStatus)
+    with pytest.raises(AssertionError, match="Scalar polynomial"):
+        Hyperplane.coordinate(Q, 4, 0).restrict(fermat(3, 3, Q)) * Q.one()
 
 
 def test_first_order_term_factors_through_criterion_form():
