@@ -21,7 +21,11 @@ puts in the ideal of its partials (_spanning_generators).  The generators
 enter as integer forms, {monomial: int}: a Polynomial's through
 poly.integer_form, a hyperplane section's as the integer partials of its
 integer form (_integer_generators).  A nonzero constant per generator
-changes no span, so the two give the same ranks.
+changes no span, so the two give the same ranks.  No column is computed
+per matrix: the column of every product m*x^a of one shape (nvars, t,
+generator degree e) sits in one read-only table, cached by that shape
+alone and never by coefficients or leading terms (_column_table), and
+each matrix gathers its generators' columns from it.
 
 Every piece is ranked exactly by one linalg.rank_mod_p_int call: mod p
 over F_p, and over Q (denominators cleared) the pivot count of the kernel
@@ -35,6 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 from math import comb
 
 import numpy as np
@@ -45,7 +50,6 @@ from .fields import FieldSpec
 from .poly import (
     Monomial,
     Polynomial,
-    grlex_key,
     integer_form,
     monomial_basis,
     partial_derivative,
@@ -133,25 +137,44 @@ class GradedDim:
 
 
 @lru_cache(maxsize=64)
-def _exponent_array(nvars: int, degree: int) -> np.ndarray:
-    """monomial_basis(nvars, degree) as a read-only int64 array, a row per
-    monomial, built once per (nvars, degree) while it stays in the cache."""
+def _positions(nvars: int, degree: int) -> dict[Monomial, int]:
+    """Each degree-t monomial's column in the grlex-descending basis; the
+    keys, in order, are monomial_basis(nvars, degree)."""
+    return {m: i for i, m in enumerate(monomial_basis(nvars, degree))}
+
+
+def _tails(nvars: int, degree: int) -> np.ndarray:
+    """tails[j, i] = e_(i+1) + ... + e_(n-1) for the j-th monomial e of
+    monomial_basis(nvars, degree), for i < n-1."""
     exponents = np.array(monomial_basis(nvars, degree), dtype=np.int64).reshape(-1, nvars)
-    exponents.flags.writeable = False
-    return exponents
+    return degree - np.cumsum(exponents[:, :-1], axis=-1)
 
 
 @lru_cache(maxsize=64)
-def _below(nvars: int, degree: int) -> np.ndarray:
-    """below[k, s] = C(s+k-1, k), the count of monomials in k variables of
-    degree under s, for k < nvars and s <= degree."""
-    counts = [[comb(s + k - 1, s - 1) if s else 0 for s in range(degree + 1)] for k in range(nvars)]
-    return np.array(counts, dtype=np.int64)
+def _column_table(nvars: int, degree: int, e: int) -> np.ndarray:
+    """table[i, j] = the column of m_i*x^a_j in the degree-t basis, for
+    m_i the degree-(t-e) monomials and x^a_j the degree-e ones, both
+    grlex-descending: a read-only int64 array of
+    C(nvars-1+t-e, t-e) * C(nvars-1+e, e) entries, built once per
+    (nvars, t, e) while it stays in the cache.
 
-
-def _tails(exponents: np.ndarray) -> np.ndarray:
-    """tails[..., i] = e_(i+1) + ... + e_(n-1), for i < n-1."""
-    return exponents.sum(-1, keepdims=True) - np.cumsum(exponents[..., :-1], axis=-1)
+    A degree-t monomial x^b sits in the basis after those with the same
+    b_0..b_(i-1) and a larger b_i, for each i < n-1: C(T_i+k-1, k) of them,
+    with k = n-1-i later variables and T_i = b_(i+1) + ... + b_(n-1) the
+    degree they share.  So its column is the sum of those counts, and as
+    T_i(m*x^a) = T_i(m) + T_i(x^a) the whole table is a sum of n-1 lookups
+    in the counts.  Each count, and the column, is below the basis length,
+    so int64 holds them for any number of variables.
+    """
+    below = np.array(
+        [[comb(s + k - 1, s - 1) if s else 0 for s in range(degree + 1)] for k in range(nvars)], dtype=np.int64
+    )
+    m_tails, a_tails = _tails(nvars, degree - e), _tails(nvars, e)
+    table = np.zeros((len(m_tails), len(a_tails)), dtype=np.int64)
+    for i in range(nvars - 1):
+        table += below[nvars - 1 - i][m_tails[:, i, None] + a_tails[:, i]]
+    table.flags.writeable = False
+    return table
 
 
 def _macaulay_rows(
@@ -163,49 +186,45 @@ def _macaulay_rows(
     (poly.integer_form of a Polynomial, or _integer_generators), at least
     one of them nonzero.  Row m*g_i holds the coefficients of m*g_i as
     (column, value) pairs over the basis, columns ascending: the terms of
-    g_i are sorted grlex-descending once, multiplying by m keeps that
-    order, and the basis is grlex-descending.  Zero generators are
-    skipped, and so is
-    m*g_i when LT(g_j) divides m for some j < i (grlex leading terms; the
-    Koszul/F5 criterion).  The span stays the
+    g_i are sorted by their column in the grlex-descending degree-e basis,
+    multiplying by m keeps that order, and the degree-t basis is
+    grlex-descending too.  Zero generators are skipped, and so is
+    m*g_i when LT(g_j) divides m for some j < i (grlex leading terms, the
+    first in that order; the Koszul/F5 criterion).  The span stays the
     same over any field: with u = m/LT(g_j) and c = LC(g_j),
     m*g_i = (u*g_i/c)*g_j + (m - u*g_j/c)*g_i, rows of g_j plus rows of g_i
     at monomials below m; induct on (i, m).  Mod a prime where an LC
     vanishes the rank can only drop, so it still bounds the rank over Q.
+    A generator of degree above t has no multiplier, and its leading term
+    divides no multiplier of a later one (their degrees are at most t), so
+    it is skipped too.
 
-    The multipliers m of each generator come as one array, the criterion
-    as one mask over it.  A degree-t monomial e sits in the basis after
-    those with the same e_0..e_(i-1) and a larger e_i, for each i < n-1:
-    C(T_i+k-1, k) of them, with k = n-1-i later variables and T_i =
-    e_(i+1) + ... + e_(n-1) the degree they share (_below).  So its column
-    is the sum of those counts, and as T_i(m*x^a) = T_i(m) + T_i(x^a) the
-    columns of a whole generator are a sum of n-1 table lookups.  Each
-    count, and the column, is below the basis length, so int64 holds them
-    for any number of variables.
+    No column is computed here.  A generator's rows are the columns of its
+    terms in the per-shape _column_table(nvars, t, e), and the multipliers
+    that LT(g_j), of degree e_j, divides are the multiples u*LT(g_j): the
+    column of LT(g_j) in _column_table(nvars, t-e, e_j).  Each call
+    gathers from tables of C(nvars-1+t-e, t-e) * C(nvars-1+e, e) int64
+    entries per generator degree e.
     """
     nvars = len(next(m for g in generators for m in g))
-    basis = list(map(tuple, _exponent_array(nvars, degree).tolist()))
-    below = _below(nvars, degree)
+    basis = list(_positions(nvars, degree))
     shared = np.arange(len(basis), dtype=object)  # one int object per column, for every row
     rows: list[linalg.Row] = []
-    leads: list[Monomial] = []
+    leads: list[tuple[int, int]] = []  # (degree, column) of each leading term
     for g in generators:
-        if not g:
+        if not g or (e := sum(next(iter(g)))) > degree:
             continue
-        monos = sorted(g, key=grlex_key, reverse=True)
-        e = sum(monos[0])
-        if e <= degree:
-            coeffs = [g[mono] for mono in monos]
-            multipliers = _exponent_array(nvars, degree - e)
-            if leads:
-                divided = (multipliers[:, None, :] >= np.array(leads)).all(-1).any(-1)
-                multipliers = multipliers[~divided]
-            m_tails, g_tails = _tails(multipliers), _tails(np.array(monos, dtype=np.int64))
-            columns = np.zeros((len(multipliers), len(monos)), dtype=np.int64)
-            for i in range(nvars - 1):
-                columns += below[nvars - 1 - i][m_tails[:, i, None] + g_tails[:, i]]
-            rows.extend(list(zip(row, coeffs)) for row in shared[columns].tolist())
-        leads.append(monos[0])
+        index = _positions(nvars, e)
+        columns, coeffs = zip(*sorted((index[mono], c) for mono, c in g.items()))
+        table = _column_table(nvars, degree, e).take(columns, axis=1)
+        divisors = [(el, column) for el, column in leads if el <= degree - e]
+        if divisors:
+            keep = np.ones(len(table), dtype=bool)
+            for el, column in divisors:
+                keep[_column_table(nvars, degree - e, el)[:, column]] = False
+            table = table[keep]
+        rows.extend(map(list, map(zip, shared[table].tolist(), repeat(coeffs))))
+        leads.append((e, columns[0]))
     return basis, rows
 
 

@@ -3,7 +3,9 @@
 import random
 from collections import Counter
 from itertools import combinations_with_replacement
+from math import comb
 
+import numpy as np
 import pytest
 
 from hypersect import (
@@ -21,12 +23,13 @@ from hypersect import (
     parse_poly,
     substitute_linear,
 )
-from hypersect import jacobian, linalg
+from hypersect import jacobian, linalg, variation
 from hypersect.fields import _is_prime
 from hypersect.fixtures import cubic_threefold_example, cyclic_fermat, fermat
 from hypersect.jacobian import _macaulay_rows
 from hypersect.linalg import PROBE_PRIME, rank_mod_p_int
-from hypersect.poly import integer_form, monomial_basis
+from hypersect.poly import from_integer_form, integer_form, monomial_basis
+from hypersect.variation import Hyperplane, ScanStrategy, certify_max_variation
 from gf_oracle import find_singular_point
 from helpers import (
     FIELDS,
@@ -39,6 +42,7 @@ from helpers import (
     rand_homogeneous,
     rand_invertible,
     rand_nonzero_homogeneous,
+    rand_scalar,
     rank_int_exact,
     sparse_rows,
     unpruned_rows_reference,
@@ -413,6 +417,81 @@ def test_numpy_rows_match_tuple_builder():
     assert 3**40 > 2**63
     for t in (1, 2, 3):
         assert _macaulay_rows([integer_form(g) for g in jacobian_generators(f)], t) == macaulay_rows_reference(jacobian_generators(f), t)
+
+
+def test_numpy_rows_match_tuple_builder_on_certify_trials():
+    """The same equality on the generators a certify trial builds:
+    _integer_generators of a restricted form (ints over Q, residues over
+    F_2, F_5 and F_101, the section kept where char | d) in 3 to 5 section
+    variables, at t = d and at default_degree_cap, and at t = d with the
+    criterion form appended, as the criterion matrix has it.  The tuple
+    builder reads each form through from_integer_form."""
+    rng = random.Random(88)
+    seen = Counter()
+    grid = [(field, n, 3) for field in (Q, make_field(2), make_field(5), make_field(101)) for n in (3, 4, 5)]
+    grid += [(Q, 3, 4), (make_field(101), 4, 4), (make_field(2), 3, 4), (make_field(2), 4, 4), (make_field(5), 3, 5)]
+    for field, n, d in grid:
+        p = field.characteristic
+        for _ in range(2):
+            f = rand_nonzero_homogeneous(rng, field, n + 1, d, max_terms=8) + fermat(n, d, field)
+            hyperplane = Hyperplane.from_coefficients(field, [rand_scalar(rng, field) for _ in range(n)] + [field.one()])
+            form = integer_form(f)
+            partial = jacobian._integer_partial(form, hyperplane.pivot, p)
+            (section, across), _ = hyperplane._restrict_forms((form, d), (partial, d - 1))
+            if not section:
+                continue
+            gens = jacobian._integer_generators(section, d, p)
+            seen["kept"] += gens[0] is section
+            cases = [(gens, d), (gens, default_degree_cap(n, d, p))] + [(gens + [across], d)] * bool(across)
+            for forms, t in cases:
+                got = _macaulay_rows(forms, t)
+                want = macaulay_rows_reference([from_integer_form(field, n, g) for g in forms], t)
+                assert got == want, (field, n, d, forms, t)
+                seen[n] += 1
+    assert min(seen["kept"], seen[3], seen[4], seen[5]) > 0, seen
+
+
+def test_row_tables_are_keyed_by_shape_only(monkeypatch):
+    """A certify fills the column-table cache with exactly the
+    (nvars, t, e) shapes its Macaulay matrices use: (nvars, t, e) for
+    each generator of degree e <= t, and (nvars, t-e, e_j) for each earlier
+    leading term of degree e_j <= t-e, whose multiples it masks out.  Each
+    table is a read-only int64 array of C(nvars-1+t-e, t-e) *
+    C(nvars-1+e, e) entries.  A second certify with another seed, on other
+    hyperplanes, adds no entry and misses no lookup in any jacobian cache."""
+    shapes = set()
+    real_rows = jacobian._macaulay_rows
+
+    def rows_spy(gens, degree):
+        nvars = len(next(m for g in gens for m in g))
+        earlier = []
+        for e in (sum(next(iter(g))) for g in gens if g):
+            if e <= degree:
+                shapes.add((nvars, degree, e))
+                shapes.update((nvars, degree - e, ej) for ej in earlier if ej <= degree - e)
+                earlier.append(e)
+        return real_rows(gens, degree)
+
+    monkeypatch.setattr(jacobian, "_macaulay_rows", rows_spy)
+    monkeypatch.setattr(variation, "_macaulay_rows", rows_spy)
+    caches = (jacobian._column_table, jacobian._positions)
+    for cache in caches:
+        cache.cache_clear()
+    f = fermat(3, 3, Q)
+    first = certify_max_variation(f, ScanStrategy(seed=0, trial_budget=64))
+    table = jacobian._column_table.cache_info()
+    assert len(first.trials) == 64 and table.currsize == table.misses == len(shapes), (shapes, table)
+    for nvars, t, e in shapes:
+        entries = jacobian._column_table(nvars, t, e)
+        assert entries.dtype == np.int64 and not entries.flags.writeable
+        assert entries.size == comb(nvars - 1 + t - e, t - e) * comb(nvars - 1 + e, e)
+    assert jacobian._column_table.cache_info().misses == table.misses
+    before = [cache.cache_info() for cache in caches]
+    second = certify_max_variation(f, ScanStrategy(seed=1, trial_budget=64))
+    assert [t.hyperplane for t in second.trials] != [t.hyperplane for t in first.trials]
+    for cache, info in zip(caches, before):
+        after = cache.cache_info()
+        assert (after.currsize, after.misses) == (info.currsize, info.misses), (cache, info, after)
 
 
 def _reference_piece(generators, degree, field):
