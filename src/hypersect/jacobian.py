@@ -17,7 +17,14 @@ smooth exactly when it is full.
 Every matrix holds the monomial multiples of the generators in one degree,
 less those the leading-term (Koszul/F5) criterion shows redundant: fewer
 rows, same span.  Unless char | d, the rows drop f, which Euler's identity
-puts in the ideal of its partials (_spanning_generators).  The generators
+puts in the ideal of its partials (_spanning_generators).  Before the
+smoothness piece and ideal_graded_dim, each group of generators of one
+degree whose leading terms collide is replaced by its reduced row echelon
+form (_interreduce, as in Faugere's F4): the same span in that degree, so
+the same ideal and the same piece J_t for every t.  All partials of a
+dense form lead at x0^(d-1); interreduced, they lead at distinct
+monomials, so the pivot split finds sparse pivots for the multiples of
+each, and the dense block it leaves is far smaller.  The generators
 enter as integer forms, {monomial: int}: a Polynomial's through
 poly.integer_form, a hyperplane section's as the integer partials of its
 integer form (_integer_generators).  A nonzero constant per generator
@@ -40,7 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
-from math import comb
+from math import comb, gcd
 
 import numpy as np
 
@@ -228,6 +235,100 @@ def _macaulay_rows(
     return basis, rows
 
 
+def _interreduce(generators: list[dict[Monomial, int]], p: int) -> list[dict[Monomial, int]]:
+    """The nonzero homogeneous integer forms, with each degree group whose
+    leading terms collide replaced by its reduced row echelon form: the
+    same span in every degree, over the field of characteristic p, and
+    distinct leads in every group.
+
+    A degree group holds the forms of one degree (so f is a group of its
+    own beside its partials when char | d).  If the grlex leading terms of
+    a group are distinct it is kept: the same dicts, in the same order.
+    Otherwise its rows are the nonzero rows of the reduced echelon form of
+    its coefficient matrix, columns in grlex-descending order, rows in
+    pivot order: mod p over F_p, leads 1; exact over Q, each row scaled to
+    a primitive integer row with a positive lead (the RREF row, whose
+    denominators are cleared and content divided out).  A group's rows
+    stand where its first form stood; a form the others span drops out.
+    When no group collides the input list itself is returned.
+
+    Why ranks are kept.  Row operations keep a group's span, and over Q a
+    nonzero scale per row does too, so the groups span the same forms of
+    their degrees; the generators then span the same ideal, whose piece
+    J_t, spanned by the products m*g of every generator g with every
+    monomial m of degree t - deg g, is the same for every t.  The
+    Koszul/F5 mask of _macaulay_rows keeps the span for any generator
+    list, so the rows of the result span J_t too.  Why the result is
+    faster: _split makes a sparse pivot of one row per leading column, and
+    the partials of a dense form all lead at x0^(d-1), so only one
+    partial's multiples become pivots and the rest fill the dense Schur
+    block; distinct leads give every generator's multiples pivots, and the
+    mask drops the multiples of more leads.  The elimination here is of
+    one group, (n+1) x C(n+d-1, d-1) at most: small next to the matrix.
+    """
+    nvars = len(next(iter(generators[0])))
+    degrees = [sum(next(iter(g))) for g in generators]
+    groups: dict[int, list[dict[Monomial, int]]] = {}
+    for e, g in zip(degrees, generators):
+        groups.setdefault(e, []).append(g)
+    reduced = {}
+    for e, group in groups.items():
+        index = _positions(nvars, e)
+        if len({min(map(index.__getitem__, g)) for g in group}) < len(group):
+            reduced[e] = _reduced_echelon(group, index, p)
+    if not reduced:
+        return generators
+    out = []
+    for e, g in zip(degrees, generators):
+        if e not in reduced:
+            out.append(g)
+        else:
+            out += reduced[e]
+            reduced[e] = []  # the whole group stands at its first form
+    return out
+
+
+def _reduced_echelon(
+    group: list[dict[Monomial, int]], index: dict[Monomial, int], p: int
+) -> list[dict[Monomial, int]]:
+    """The nonzero rows of the reduced echelon form of forms of one degree,
+    columns in the order of index (their positions), rows in pivot order,
+    each _normalized.  A row is updated fraction-free, row*a - top*b for
+    the pivot row top with lead a, and normalized again: a nonzero scale
+    per row, so each final row is the normalized multiple of its RREF row,
+    which is unique."""
+    monos = sorted({m for g in group for m in g}, key=index.__getitem__)
+    rows = [_normalized([g.get(m, 0) for m in monos], p) for g in group]
+    rank = 0
+    for j in range(len(monos)):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][j]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = rows[rank]
+        for i, row in enumerate(rows):
+            if i != rank and (b := row[j]):
+                rows[i] = _normalized([top[j] * x - b * y for x, y in zip(row, top)], p)
+        rank += 1
+    return [{m: x for m, x in zip(monos, row) if x} for row in rows[:rank]]
+
+
+def _normalized(row: list[int], p: int) -> list[int]:
+    """The multiple of a row whose first nonzero entry is 1, as residues mod
+    a prime p; over Q (p = 0) the primitive integer multiple whose first
+    nonzero entry is positive.  A zero row stays zero."""
+    if p:
+        row = [x % p for x in row]
+    lead = next((x for x in row if x), 0)
+    if not lead:
+        return row
+    if p:
+        inverse = pow(lead, -1, p)
+        return [x * inverse % p for x in row]
+    content = gcd(*row) if lead > 0 else -gcd(*row)
+    return [x // content for x in row]
+
+
 def ideal_graded_dim(
     generators: list[Polynomial],
     degree: int,
@@ -241,8 +342,9 @@ def ideal_graded_dim(
     generators must share one ring, the given field/nvars where given
     (FieldMismatch, ArityMismatch otherwise), and be homogeneous
     (InhomogeneousGenerator).  The dimension is one exact rank of the
-    Macaulay rows of their integer forms, linalg.rank_mod_p_int over the
-    field.
+    Macaulay rows of their integer forms, interreduced as for is_smooth
+    (_interreduce keeps every graded piece), linalg.rank_mod_p_int over
+    the field.
     """
     if generators:
         field = generators[0].field if field is None else field
@@ -255,7 +357,10 @@ def ideal_graded_dim(
         if not g.is_homogeneous():
             raise InhomogeneousGenerator(f"generator {g} is not homogeneous")
     live = [integer_form(g) for g in generators if not g.is_zero()]
-    basis, rows = _macaulay_rows(live, degree) if live else (monomial_basis(nvars, degree), [])
+    if live:
+        basis, rows = _macaulay_rows(_interreduce(live, field.characteristic), degree)
+    else:
+        basis, rows = monomial_basis(nvars, degree), []
     return GradedDim(degree, basis, linalg.rank_mod_p_int(rows, field.characteristic))
 
 
@@ -269,9 +374,10 @@ def is_smooth(f: Polynomial, t_max: int | None = None) -> bool:
     lowers the degree; below the proven cap a False means "not full by
     t_max", not a proof of a singular point.
 
-    The piece is built once.  Fewer rows than columns cannot fill it;
-    otherwise one exact rank of its rows over the field decides
-    (linalg.rank_mod_p_int, stopping at the full rank).
+    The piece is built once, from the interreduced generators
+    (_interreduce), which span it as the generators do.  Fewer rows than
+    columns cannot fill it; otherwise one exact rank of its rows over the
+    field decides (linalg.rank_mod_p_int, stopping at the full rank).
     """
     generators = [integer_form(g) for g in _spanning_generators(f)]
     return _is_smooth(generators, f.nvars, f.degree(), f.field.characteristic, t_max)
@@ -284,7 +390,12 @@ def _is_smooth(
     field of characteristic p, given its Jacobian generators as integer
     forms (_spanning_generators converted by poly.integer_form, or
     _integer_generators): each a nonzero constant times one of those,
-    whose rows span the same piece."""
+    whose rows span the same piece.  The piece is built from
+    _interreduce of the generators: each degree group's span is kept, so
+    the ideal and its piece at every degree are too, and the Koszul/F5
+    mask keeps the span for any generator list.  Over Q the interreduced
+    rows are integer rows, so the probe mod linalg.PROBE_PRIME and the
+    kernel lift still share one set of rows and one forward pass."""
     if nvars < 2:
         raise NotHomogeneous("need at least two variables for a projective hypersurface")
     cap = default_degree_cap(nvars, degree, p)
@@ -293,7 +404,7 @@ def _is_smooth(
             return False
         cap = min(cap, t_max)
     # never empty: all partials vanish only when char | d, and then f is kept
-    basis, rows = _macaulay_rows(generators, cap)
+    basis, rows = _macaulay_rows(_interreduce(generators, p), cap)
     if len(rows) < len(basis):
         return False
     return linalg.rank_mod_p_int(rows, p, stop_at=len(basis)) == len(basis)

@@ -3,7 +3,7 @@
 import random
 from collections import Counter
 from itertools import combinations_with_replacement
-from math import comb
+from math import comb, gcd
 
 import numpy as np
 import pytest
@@ -15,6 +15,7 @@ from hypersect import (
     LinearChange,
     NotHomogeneous,
     Polynomial,
+    SingularMatrix,
     default_degree_cap,
     ideal_graded_dim,
     is_smooth,
@@ -30,7 +31,7 @@ from hypersect.jacobian import _macaulay_rows
 from hypersect.linalg import PROBE_PRIME, rank_mod_p_int
 from hypersect.poly import from_integer_form, integer_form, monomial_basis
 from hypersect.variation import Hyperplane, ScanStrategy, certify_max_variation
-from gf_oracle import find_singular_point
+from gf_oracle import _MAX_GRID, find_singular_point
 from helpers import (
     FIELDS,
     GradedPiece,
@@ -42,6 +43,7 @@ from helpers import (
     rand_homogeneous,
     rand_invertible,
     rand_nonzero_homogeneous,
+    rand_nonzero_scalar,
     rand_scalar,
     rank_int_exact,
     sparse_rows,
@@ -494,6 +496,208 @@ def test_row_tables_are_keyed_by_shape_only(monkeypatch):
         assert (after.currsize, after.misses) == (info.currsize, info.misses), (cache, info, after)
 
 
+# --- interreduction of equal-degree generators ------------------------------
+
+
+def _leads(forms):
+    """(degree, grlex leading monomial) of each nonzero integer form."""
+    out = []
+    for g in forms:
+        e = sum(next(iter(g)))
+        out.append((e, min(g, key=jacobian._positions(len(next(iter(g))), e).__getitem__)))
+    return out
+
+
+def _uncovered(nvars, degree, leads):
+    """How many degree-t monomials no lead divides: the columns the pivot
+    split leaves without a sparse pivot."""
+    return sum(
+        not any(all(a >= b for a, b in zip(m, lead)) for lead in leads)
+        for m in monomial_basis(nvars, degree)
+    )
+
+
+def test_interreduce_keeps_every_rank_and_separates_leads():
+    """_interreduce of seeded generator lists over Q, F_2, F_3, F_101 and
+    F_(2^31-1): the Jacobian generators of a dense form (f kept where
+    char | d), interleaved with a group of three equal forms of degree
+    d + 1 and a combination of two partials, which must drop out.  Leads
+    are distinct within each degree, and each degree keeps as many rows as
+    its group's rank.  A reduced row holds no other reduced row's lead; over
+    Q it is an integer row of content 1 with a positive lead, and mod p a
+    row of residues with lead 1.  The
+    Macaulay rows of the result have the rank of the raw list's in every
+    degree from 0 to default_degree_cap."""
+    rng = random.Random(97)
+    seen = Counter()
+    for field in (Q, make_field(2), make_field(3), make_field(101), make_field(2**31 - 1)):
+        p = field.characteristic
+        for nvars, d in ((3, 2), (3, 3), (3, 4), (4, 3), (3, 3)):
+            f = rand_nonzero_homogeneous(rng, field, nvars, d, max_terms=12)
+            gens = jacobian._spanning_generators(f)
+            partials = [g for g in gens if g.degree() == d - 1]
+            h = rand_nonzero_homogeneous(rng, field, nvars, d + 1, max_terms=5)
+            raw = gens[:1] + [h] + gens[1:] + [h, h]
+            if len(partials) > 1:
+                combo = partials[0] * rand_nonzero_scalar(rng, field) + partials[-1] * rand_nonzero_scalar(rng, field)
+                raw.insert(2, combo)
+            before = [integer_form(g) for g in raw if not g.is_zero()]
+            after = jacobian._interreduce(before, p)
+            leads = _leads(after)
+            assert len(set(leads)) == len(leads), (field, raw)
+            for e in {e for e, _ in leads}:
+                group = [g for g in before if sum(next(iter(g))) == e]
+                width = len(monomial_basis(nvars, e))
+                assert sum(le == e for le, _ in leads) == _exact_rank(_macaulay_rows(group, e)[1], width, field)
+            new_leads = {lead for row, (_, lead) in zip(after, leads) if not any(row is g for g in before)}
+            for row in after:
+                if any(row is g for g in before):
+                    continue
+                assert len(new_leads.intersection(row)) == 1, (field, row)  # reduced: no other row's lead
+                values = list(row.values())
+                lead = row[min(row, key=jacobian._positions(nvars, sum(next(iter(row)))).__getitem__)]
+                if p:
+                    assert lead == 1 and all(0 < v < p for v in values), (field, row)
+                else:
+                    assert all(type(v) is int for v in values) and lead > 0 and gcd(*values) == 1, row
+                seen["reduced"] += 1
+            seen["dropped"] += len(after) < len(before) - 2
+            seen["char | d"] += f in gens
+            for t in range(default_degree_cap(nvars, d, p) + 1):
+                basis, rows = _macaulay_rows(after, t)
+                _, raw_rows = _macaulay_rows(before, t)
+                assert _exact_rank(rows, len(basis), field) == _exact_rank(raw_rows, len(basis), field), (field, raw, t)
+    assert min(seen.values()) > 0 and len(seen) == 3, seen
+
+
+def test_interreduce_passes_distinct_leads_through(monkeypatch):
+    """Where the leads of every degree group are distinct, _interreduce
+    returns its input list itself, and is_smooth builds the rows of the
+    raw generators: planted nodes over Q, Fermat over Q and F_101, and
+    cyclic Fermat where char | d, whose d*x_i^(d-1) terms vanish.  Over Q
+    the first two partials of cyclic Fermat share x0^(d-1), so that group
+    is reduced, to distinct leads."""
+    built = []
+    real_rows = jacobian._macaulay_rows
+
+    def rows_spy(gens, degree):
+        built.append((gens, real_rows(gens, degree)))
+        return built[-1][1]
+
+    monkeypatch.setattr(jacobian, "_macaulay_rows", rows_spy)
+    f2, f3 = make_field(2), make_field(3)
+    cases = [
+        parse_poly("x0*x1^2 + x0*x2^2 + x0*x3^2 + x1^3 + x2^3 + x3^3", 4, Q),
+        parse_poly("x0^2*x1^2 + x0^2*x2^2 + x0^2*x3^2 + x1^4 + x2^4 + x3^4", 4, Q),
+        parse_poly("x0*x1^2 + x0*x2^2 + x0*x3^2 + x0*x4^2 + x1^3 + x2^3 + x3^3 + x4^3", 5, Q),
+        fermat(3, 4, Q),
+        fermat(4, 3, make_field(101)),
+        cyclic_fermat(3, 4, f2),
+        cyclic_fermat(3, 3, f3),
+        cyclic_fermat(4, 4, f2),
+    ]
+    for f in cases:
+        p = f.field.characteristic
+        gens = [integer_form(g) for g in jacobian._spanning_generators(f)]
+        assert jacobian._interreduce(gens, p) is gens, f.to_text()
+        built.clear()
+        is_smooth(f)
+        [(used, rows)] = built
+        assert used == gens and rows == real_rows(gens, default_degree_cap(f.nvars, f.degree(), p)), f.to_text()
+    for n, d in ((3, 4), (4, 3)):
+        gens = [integer_form(g) for g in jacobian._spanning_generators(cyclic_fermat(n, d, Q))]
+        leads = _leads(gens)
+        assert leads[0] == leads[1] == (d - 1, (d - 1,) + (0,) * n) and len(set(leads)) == len(leads) - 1
+        reduced = _leads(jacobian._interreduce(gens, 0))
+        assert len(reduced) == len(gens) and len(set(reduced)) == len(reduced)
+
+
+# The benchmark's dense(3,5) smoothness requests at seed 0 over Q and F_101:
+# sum_i c_i*x_i^5 under x_i -> sum_j M[i][j]*x_j, with entries in -2..2
+BENCH_DENSE_3_5 = [
+    (Q, [-2, 2, -3, 2], [[1, 0, 1, -1], [1, -1, 0, 2], [0, -2, 1, 1], [-1, 0, 2, -1]]),
+    (make_field(101), [13, 84, 85, 42], [[-2, -2, -2, 1], [0, 1, -1, 0], [-1, 0, -1, 0], [-2, 0, 0, -2]]),
+]
+
+
+def _dense_change(rng, f):
+    """f under a seeded invertible change x_i -> sum_j M[i][j]*x_j with
+    entries in -2..2, which makes the form and its partials dense."""
+    while True:
+        try:
+            change = LinearChange(f.field, [[rng.randint(-2, 2) for _ in range(f.nvars)] for _ in range(f.nvars)])
+        except SingularMatrix:
+            continue
+        return substitute_linear(f, change)
+
+
+def test_ideal_graded_dim_ranks_the_interreduced_rows(monkeypatch):
+    """ideal_graded_dim builds its rows from _interreduce of the integer
+    forms, as is_smooth does, and its dimension is still the rank of the
+    raw generators' rows: the full Jacobian generators of dense changes of
+    Fermat (3,4) over Q and F_7, in degrees d-1 to d+2."""
+    built = []
+    real_rows = jacobian._macaulay_rows
+
+    def rows_spy(gens, degree):
+        built.append(gens)
+        return real_rows(gens, degree)
+
+    monkeypatch.setattr(jacobian, "_macaulay_rows", rows_spy)
+    rng = random.Random(99)
+    for field in (Q, make_field(7)):
+        f = _dense_change(rng, fermat(3, 4, field))
+        gens = jacobian_generators(f)
+        raw = [integer_form(g) for g in gens]
+        for t in range(3, 7):
+            built.clear()
+            dim = ideal_graded_dim(gens, t)
+            assert built == [jacobian._interreduce(raw, field.characteristic)] and built[0] != raw
+            basis, rows = real_rows(raw, t)
+            assert dim.basis == basis and dim.dimension == _exact_rank(rows, len(basis), field), (field, t)
+
+
+def test_interreduced_dense_forms_leave_few_columns_without_a_pivot(monkeypatch):
+    """On the benchmark's dense(3,5) inputs, over Q and F_101, is_smooth's
+    one split leaves at most 150 of the 560 cap columns without a sparse
+    pivot (all partials of the raw form lead at x0^4, which leaves 340).
+    On seeded dense changes of Fermat (3,5) and (4,3) the count is the
+    number of cap monomials that no interreduced lead divides, and below
+    the count for x0^(d-1) alone wherever every raw partial leads there."""
+    splits = []
+    real_split = linalg._split
+
+    def split_spy(rows, ncols, p, stop_at=None):
+        split = real_split(rows, ncols, p, stop_at)
+        splits.append(len(split[1]))
+        return split
+
+    monkeypatch.setattr(linalg, "_split", split_spy)
+    for field, coefficients, matrix in BENCH_DENSE_3_5:
+        diagonal = Polynomial.from_terms(field, 4, {tuple(5 * (k == i) for k in range(4)): c for i, c in enumerate(coefficients)})
+        f = substitute_linear(diagonal, LinearChange(field, matrix))
+        splits.clear()
+        assert is_smooth(f)
+        assert len(splits) == 1 and splits[0] <= 150, (field, splits)
+        assert _uncovered(4, default_degree_cap(4, 5), [(5 - 1, 0, 0, 0)]) == 340
+    rng = random.Random(98)
+    shared = 0
+    for field in (Q, make_field(101)):
+        for n, d in ((3, 5), (4, 3)):
+            for _ in range(3):
+                f = _dense_change(rng, fermat(n, d, field))
+                gens = [integer_form(g) for g in jacobian._spanning_generators(f)]
+                cap = default_degree_cap(n + 1, d)
+                leads = [m for _, m in _leads(jacobian._interreduce(gens, field.characteristic))]
+                splits.clear()
+                assert is_smooth(f)
+                assert splits == [_uncovered(n + 1, cap, leads)], (f.to_text(), splits)
+                if {m for _, m in _leads(gens)} == {(d - 1,) + (0,) * n}:
+                    shared += 1
+                    assert splits[0] < _uncovered(n + 1, cap, [(d - 1,) + (0,) * n])
+    assert shared > 0
+
+
 def _reference_piece(generators, degree, field):
     basis, rows = unpruned_rows_reference(generators, degree)
     return GradedPiece.of_rows(field, degree, basis, sparse_rows(rows))
@@ -628,15 +832,45 @@ def _widened_grid(seed):
                 yield f
 
 
+def _dense_grid(seed):
+    """Dense changes (_dense_change) of smooth and line-singular forms over
+    Q, F_2, F_3, F_5 and F_7: Fermat, or where char | d (F_2 with d = 4,
+    F_3 with d = 3) the chain sum x_i^(d-1)*x_(i+1), indices mod nvars
+    (for three variables and d = 4 the Klein quartic, smooth over F_2); a
+    random form; and a form singular along x0 = x1 = 0.  Over Q, F_5 and
+    F_7 most have every partial leading at x0^(d-1)."""
+    rng = random.Random(seed)
+    for field in (Q, make_field(2), make_field(3), make_field(5), make_field(7)):
+        p = field.characteristic
+        for nvars, d in ((3, 3), (3, 4), (4, 3)):
+            if p and d % p == 0:
+                chain = [tuple(d - 1 if k == i else int(k == (i + 1) % nvars) for k in range(nvars)) for i in range(nvars)]
+                base = Polynomial.from_terms(field, nvars, dict.fromkeys(chain, 1))
+            else:
+                base = fermat(nvars - 1, d, field)
+            for f in (base, _random_form(rng, field, nvars, d, False), _line_singular_form(rng, field, nvars, d)):
+                if not f.is_zero():
+                    yield _dense_change(rng, f)
+
+
 def test_one_piece_agrees_with_the_walk_reference(monkeypatch):
     """is_smooth gives the verdict of the reference walk (old cap, rational
     point scan, Gotzmann pairs confirmed at both degrees) over Q, F_2, F_3,
     F_5 and F_7, under probe primes that drop ranks, with the default cap
-    and with a drawn one.  The grid has char | d and forms singular along
-    a line; a common zero the F_p^k point oracle finds means singular."""
+    and with a drawn one.  The grid has char | d, forms singular along a
+    line, and dense changes of both, whose interreduced partials are the
+    rows; a common zero the F_p^k point oracle finds means singular."""
     rng = random.Random(93)
     fields = [Q, make_field(2), make_field(3), make_field(5), make_field(7)]
-    forms = list(_walk_grid(93, fields)) + list(_widened_grid(94))
+    dense = list(_dense_grid(99))
+    reduced = Counter()
+    for f in dense:
+        gens = [integer_form(g) for g in jacobian._spanning_generators(f)]
+        reduced[f.field.characteristic] += jacobian._interreduce(gens, f.field.characteristic) is not gens
+    assert set(+reduced) == {0, 2, 3, 5, 7}, reduced
+    char_divides = [f for f in dense if f.field.characteristic and f.degree() % f.field.characteristic == 0]
+    assert {is_smooth(f) for f in char_divides} == {True, False}
+    forms = list(_walk_grid(93, fields)) + list(_widened_grid(94)) + dense
     forms = [(f, t_max) for f in forms for t_max in (None, rng.randint(0, 8))]
     seen = Counter()
     for q in (PROBE_PRIME, 2**31 - 1, 2, 3, 5):
@@ -651,7 +885,9 @@ def test_one_piece_agrees_with_the_walk_reference(monkeypatch):
         p = f.field.characteristic
         if p:
             raw = {m: c.value for m, c in f.terms.items()}
-            if find_singular_point(raw, f.nvars, p) is not None:
+            # the largest extension whose charts fit the oracle's grid
+            k = max(k for k in (1, 2, 3) if p ** (k * (f.nvars - 1)) <= _MAX_GRID)
+            if find_singular_point(raw, f.nvars, p, k) is not None:
                 assert not is_smooth(f), f.to_text()
     monkeypatch.setattr(linalg, "PROBE_PRIME", 2)
     for text in PINNED_SMOOTH:
