@@ -181,9 +181,9 @@ def _fixture_poly(options: argparse.Namespace, field: FieldSpec) -> Polynomial:
         args["a"] = [_fraction(text) for text in args["a"]]
     if "g" in args:
         ambient = parse_poly(_read_inline(args["g"]), 5, field)
-        if any(m[0] for m in ambient.terms):
+        if any(m[0] for m in ambient.numerators):
             raise UsageError("--g must involve only x1..x4")
-        args["g"] = Hyperplane.coordinate(field, 5, 0).restrict(ambient)
+        args["g"] = Polynomial(field, 4, {m[1:]: c for m, c in ambient.numerators.items()}, ambient.denominator)
     return build(**args, field=field)
 
 
@@ -248,7 +248,7 @@ def _run(options: argparse.Namespace) -> tuple[dict, dict, int]:
             "nvars": f.nvars,
             "degree": None if degree < 0 else degree,
             "homogeneous": f.is_homogeneous(),
-            "term_count": len(f.terms),
+            "term_count": len(f.numerators),
         }
         return request, result, 0
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from .errors import BadCharacteristic, DimensionTooSmall
 from .fields import FieldSpec
-from .poly import Polynomial, require_homogeneous, substitute_linear
+from .poly import Polynomial, require_homogeneous
 
 
 def _check_nd(n: int, d: int) -> None:
@@ -83,14 +83,10 @@ def cubic_threefold_normal_form(a, g: Polynomial, field: FieldSpec) -> Polynomia
         require_homogeneous(g, 3, "cubic part g")
         if g.degree() != 3:
             raise DimensionTooSmall("g must be a cubic form")
-    out = Polynomial.from_terms(field, 5, {(3, 0, 0, 0, 0): 1})
-    x0 = Polynomial.variable(field, 5, 0)
-    for i, c in enumerate(coeffs):
-        if not c:
-            continue
-        sq = tuple(2 if k == i + 1 else 0 for k in range(5))
-        out = out + (x0 * Polynomial.from_terms(field, 5, {sq: c}))
-    return out + substitute_linear(g, [Polynomial.variable(field, 5, i) for i in range(1, 5)])
+    squares = [((1,) + tuple(2 * (k == i) for k in range(4)), c) for i, c in enumerate(coeffs)]
+    shifted = {(0,) + m: c for m, c in g.numerators.items()}  # g on x1..x4
+    head = Polynomial.from_terms(field, 5, [((3, 0, 0, 0, 0), 1)] + squares)
+    return head + Polynomial(field, 5, shifted, g.denominator)
 
 
 FIXTURES = {

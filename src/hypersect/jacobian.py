@@ -17,7 +17,7 @@ smooth exactly when it is full.
 Every matrix holds the monomial multiples of the generators in one degree,
 less those the leading-term (Koszul/F5) criterion shows redundant: fewer
 rows, same span.  Unless char | d, the rows drop f, which Euler's identity
-puts in the ideal of its partials (_spanning_generators).  Before the
+puts in the ideal of its partials (_integer_generators).  Before the
 smoothness piece and ideal_graded_dim, each group of generators of one
 degree whose leading terms collide is replaced by its reduced row echelon
 form (_interreduce, as in Faugere's F4): the same span in that degree, so
@@ -25,14 +25,14 @@ the same ideal and the same piece J_t for every t.  All partials of a
 dense form lead at x0^(d-1); interreduced, they lead at distinct
 monomials, so the pivot split finds sparse pivots for the multiples of
 each, and the dense block it leaves is far smaller.  The generators
-enter as integer forms, {monomial: int}: a Polynomial's through
-poly.integer_form, a hyperplane section's as the integer partials of its
-integer form (_integer_generators).  A nonzero constant per generator
-changes no span, so the two give the same ranks.  No column is computed
-per matrix: the column of every product m*x^a of one shape (nvars, t,
-generator degree e) sits in one read-only table, cached by that shape
-alone and never by coefficients or leading terms (_column_table), and
-each matrix gathers its generators' columns from it.
+enter as integer forms, {monomial: int}: the numerators of a Polynomial,
+or the integer partials of a form's numerators (_integer_generators),
+each a nonzero constant times the generator it stands for, which changes
+no span and no rank.  No column is computed per matrix: the column of
+every product m*x^a of one shape (nvars, t, generator degree e) sits in
+one read-only table, cached by that shape alone and never by
+coefficients or leading terms (_column_table), and each matrix gathers
+its generators' columns from it.
 
 Every piece is ranked exactly by one linalg.rank_mod_p_int call: mod p
 over F_p, and over Q (denominators cleared) the pivot count of the kernel
@@ -57,7 +57,7 @@ from .fields import FieldSpec
 from .poly import (
     Monomial,
     Polynomial,
-    integer_form,
+    _integer_partial,
     monomial_basis,
     partial_derivative,
     require_homogeneous,
@@ -70,31 +70,13 @@ def jacobian_generators(f: Polynomial) -> list[Polynomial]:
     return [f] + [partial_derivative(f, i) for i in range(f.nvars)]
 
 
-def _spanning_generators(f: Polynomial) -> list[Polynomial]:
-    """The nonzero Jacobian generators of f, f dropped unless char | d
-    (Euler's sum_i x_i*df/dx_i = d*f puts f in the ideal of its partials)."""
-    d, p = f.degree(), f.field.characteristic
-    skip_f = 1 if p == 0 or d % p else 0
-    return [g for g in jacobian_generators(f)[skip_f:] if not g.is_zero()]
-
-
-def _integer_partial(form: dict[Monomial, int], index: int, p: int) -> dict[Monomial, int]:
-    """d form / d x_index of an integer form, residues over F_p, with no
-    zero coefficient stored."""
-    out = {}
-    for m, c in form.items():
-        if e := m[index]:
-            v = c * e % p if p else c * e
-            if v:
-                out[m[:index] + (e - 1,) + m[index + 1 :]] = v
-    return out
-
-
 def _integer_generators(form: dict[Monomial, int], degree: int, p: int) -> list[dict[Monomial, int]]:
-    """_spanning_generators of a nonzero integer form of the given degree,
-    residues over F_p: its nonzero partials, after the form itself when
-    char | d.  For any nonzero scale s, each is a nonzero constant times
-    the integer form of the matching generator of form/s."""
+    """The Jacobian generators of a nonzero integer form of the given
+    degree that span its ideal, residues over F_p: its nonzero partials,
+    after the form itself only when char | d (by Euler, sum_i x_i*df/dx_i =
+    d*f puts f in the ideal of its partials otherwise).  The numerators of
+    a Polynomial are one such form, and for any nonzero scale s each
+    generator is a nonzero constant times the matching one of form/s."""
     partials = (_integer_partial(form, i, p) for i in range(len(next(iter(form)))))
     return ([form] if p and degree % p == 0 else []) + [g for g in partials if g]
 
@@ -189,9 +171,10 @@ def _macaulay_rows(
 ) -> tuple[list[Monomial], list[linalg.Row]]:
     """Degree-t monomial basis and sparse integer rows spanning the ideal's piece.
 
-    The generators are homogeneous integer forms, {monomial: int}
-    (poly.integer_form of a Polynomial, or _integer_generators), at least
-    one of them nonzero.  Row m*g_i holds the coefficients of m*g_i as
+    The generators are homogeneous integer forms, {monomial: int}: the
+    numerators of Polynomials, whose one denominator only scales a row, or
+    _integer_generators of them; at least one is nonzero.  Over F_p they
+    are residues.  Row m*g_i holds the coefficients of m*g_i as
     (column, value) pairs over the basis, columns ascending: the terms of
     g_i are sorted by their column in the grlex-descending degree-e basis,
     multiplying by m keeps that order, and the degree-t basis is
@@ -356,7 +339,7 @@ def ideal_graded_dim(
         ring._check(g)
         if not g.is_homogeneous():
             raise InhomogeneousGenerator(f"generator {g} is not homogeneous")
-    live = [integer_form(g) for g in generators if not g.is_zero()]
+    live = [g.numerators for g in generators if g]
     if live:
         basis, rows = _macaulay_rows(_interreduce(live, field.characteristic), degree)
     else:
@@ -379,23 +362,23 @@ def is_smooth(f: Polynomial, t_max: int | None = None) -> bool:
     columns cannot fill it; otherwise one exact rank of its rows over the
     field decides (linalg.rank_mod_p_int, stopping at the full rank).
     """
-    generators = [integer_form(g) for g in _spanning_generators(f)]
-    return _is_smooth(generators, f.nvars, f.degree(), f.field.characteristic, t_max)
+    d, p = require_homogeneous(f, 1, "hypersurface form"), f.field.characteristic
+    return _is_smooth(_integer_generators(f.numerators, d, p), f.nvars, d, p, t_max)
 
 
 def _is_smooth(
     generators: list[dict[Monomial, int]], nvars: int, degree: int, p: int, t_max: int | None = None
 ) -> bool:
     """is_smooth of a nonzero degree-d form in nvars variables over the
-    field of characteristic p, given its Jacobian generators as integer
-    forms (_spanning_generators converted by poly.integer_form, or
-    _integer_generators): each a nonzero constant times one of those,
-    whose rows span the same piece.  The piece is built from
-    _interreduce of the generators: each degree group's span is kept, so
-    the ideal and its piece at every degree are too, and the Koszul/F5
-    mask keeps the span for any generator list.  Over Q the interreduced
-    rows are integer rows, so the probe mod linalg.PROBE_PRIME and the
-    kernel lift still share one set of rows and one forward pass."""
+    field of characteristic p, given _integer_generators of its
+    numerators, or of any nonzero multiple of them: each a nonzero
+    constant times a Jacobian generator, whose rows span the same piece.
+    The piece is built from _interreduce of the generators: each degree
+    group's span is kept, so the ideal and its piece at every degree are
+    too, and the Koszul/F5 mask keeps the span for any generator list.
+    Over Q the interreduced rows are integer rows, so the probe mod
+    linalg.PROBE_PRIME and the kernel lift still share one set of rows and
+    one forward pass."""
     if nvars < 2:
         raise NotHomogeneous("need at least two variables for a projective hypersurface")
     cap = default_degree_cap(nvars, degree, p)

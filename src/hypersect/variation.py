@@ -16,19 +16,15 @@ A zero kernel computed over Q or over F_p stays zero over every field
 extension (kernel dimension is a rank computation over the base field),
 so the positive certificate is sound over the algebraic closure.
 
-Each trial runs on integer forms, {monomial: int}: denominators cleared
-over Q, residues over F_p; Scalars appear only in the report.  With the
-hyperplane's coefficients c (c_j = 1), D the lcm of their denominators (1
-over F_p) and delta that of f's, the section enters as G = delta *
-D^d * f|H and the criterion form as delta * D^(d-1) * q, both restricted
-in ints (Hyperplane._restrict_forms).  The section's generators are G's
-integer partials, with G kept when char | d: each is a nonzero constant
-times the integer form of the matching generator of g, so the span of
-every graded piece, the smoothness rank and the pivot columns of the
-transposed criterion matrix are unchanged.  All n columns x_i*q share one
-scale, so the kernel vectors restricted to them change by one constant
-each, which _leading_one divides out: the kernel basis is the same.  The
-report's criterion form is the integer one divided by delta * D^(d-1).
+Each trial runs on integer forms, {monomial: int}: the numerators of the
+section g and of q, which Hyperplane.restrict computes in ints, residues
+over F_p.  The section's generators are the integer partials of its
+numerators, after the numerators themselves when char | d: each is a
+nonzero constant times the matching Jacobian generator of g, so the span
+of every graded piece, the smoothness rank and the pivot columns of the
+transposed criterion matrix are those of g's.  The kernel basis is read
+off the kernel vectors divided by their lead entries, so no constant
+survives into the report.
 """
 
 from __future__ import annotations
@@ -49,15 +45,14 @@ from .errors import (
     ZeroHyperplane,
 )
 from .fields import FieldSpec, Scalar
-from .jacobian import _integer_generators, _integer_partial, _is_smooth, _macaulay_rows, is_smooth
+from .jacobian import _integer_generators, _is_smooth, _macaulay_rows, is_smooth
 from .poly import (
     Monomial,
     Polynomial,
-    denominator,
-    from_integer_form,
-    integer_form,
+    _product,
     linear_coefficients,
     linear_form,
+    partial_derivative,
     require_homogeneous,
 )
 
@@ -69,7 +64,7 @@ class Hyperplane:
     forms compare equal.
     """
 
-    __slots__ = ("form", "pivot", "_coefficients")
+    __slots__ = ("form", "pivot")
 
     def __init__(self, form: Polynomial):
         if form.is_zero():
@@ -77,15 +72,11 @@ class Hyperplane:
         d = require_homogeneous(form, 1, "hyperplane form")
         if d != 1:
             raise NotHomogeneous(f"hyperplane form has degree {d}, need a linear form")
-        coeffs = linear_coefficients(form)
-        pivot = next(i for i, c in enumerate(coeffs) if c)
-        if coeffs[pivot] != form.field.one():
-            inverse = coeffs[pivot].inv()
-            form = form.scale(inverse)
-            coeffs = [c * inverse for c in coeffs]
+        lead = max(form.numerators)  # x_pivot: the lowest index is the grlex-largest
+        if form.numerators[lead] != form.denominator:
+            form = Polynomial.from_integers(form.field, form.nvars, form.numerators, form.numerators[lead])
         self.form = form
-        self.pivot = pivot
-        self._coefficients = coeffs
+        self.pivot = lead.index(1)
 
     @classmethod
     def from_coefficients(cls, field: FieldSpec, coefficients) -> "Hyperplane":
@@ -100,10 +91,10 @@ class Hyperplane:
         return self.form.nvars
 
     def coefficients(self) -> list[Scalar]:
-        return list(self._coefficients)
+        return linear_coefficients(self.form)
 
-    def restrict(self, p: Polynomial) -> Polynomial:
-        """p restricted to the hyperplane, in its n section coordinates.
+    def restrict(self, f: Polynomial) -> Polynomial:
+        """f restricted to the hyperplane, in its n section coordinates.
 
         With pivot j and coefficients c (c_j = 1) the hyperplane is
         x_j = -sum_{i != j} c_i x_i.  Every other x_i becomes one section
@@ -119,55 +110,34 @@ class Hyperplane:
         moved form on x0 = 0, polynomial for polynomial: the criterion
         form.
 
-        p must share the hyperplane's ring (ArityMismatch, FieldMismatch).
-        The work is _restrict_forms' on p's integer form, divided back.
+        The work is in ints.  The form's numerators a over its denominator
+        D (a_j = D, since c_j = 1) make D*x_j the integer linear form
+        L = -sum_{i != j} a_i y_{s(i)}.  With e the degree of f, a
+        numerator c of x^m with k = m_j then gives c * D^(e-k) * y^r * L^k,
+        r the other exponents in their slots s(i), over f's denominator
+        times D^e: one power of L per k.  f must share the hyperplane's
+        ring (ArityMismatch, FieldMismatch).
         """
-        self.form._check(p)
-        degree = max(p.degree(), 0)
-        (restricted,), scale = self._restrict_forms((integer_form(p), degree))
-        return from_integer_form(p.field, self.nvars - 1, restricted, denominator(p) * scale**degree)
-
-    def _restrict_forms(self, *forms: tuple[dict[Monomial, int], int]) -> tuple[list[dict], int]:
-        """([R, ...], D), R = D^degree * form|H as an integer form in the n
-        section coordinates, for each (form, degree): an integer form of
-        degree at most degree, residues over F_p, and so is R.
-
-        D is the lcm of the coefficients' denominators, 1 over F_p, and a =
-        D*c are ints, so D*x_j becomes the integer linear form L = -sum_{i
-        != j} a_i y_{s(i)}.  A monomial x^m with k = m_j then gives
-        D^degree * x^m|H = D^(degree-k) * y^r * L^k, r the other exponents
-        in their slots s(i): one power of L per k, built once for all forms.
-        """
-        j, p, n = self.pivot, self.form.field.characteristic, self.nvars - 1
-        scale = denominator(self.form)
-        line = []
-        for i, c in enumerate(self._coefficients):
-            if i != j and c:
+        self.form._check(f)
+        j, p, n = self.pivot, f.field.characteristic, self.nvars - 1
+        scale, degree = self.form.denominator, max(f.degree(), 0)
+        line = {}
+        for m, a in self.form.numerators.items():
+            if (i := m.index(1)) != j:
                 slot = (j if i == 0 else i) - 1
-                a = -c.value.numerator * (scale // c.value.denominator)
-                line.append((slot, a % p if p else a))
+                line[tuple(int(k == slot) for k in range(n))] = -a % p if p else -a
         powers = [{(0,) * n: 1}]
-        for _ in range(max((m[j] for form, _ in forms for m in form), default=0)):
-            power: dict[Monomial, int] = {}
-            for m, c in powers[-1].items():
-                for slot, a in line:
-                    key = m[:slot] + (m[slot] + 1,) + m[slot + 1 :]
-                    power[key] = power.get(key, 0) + c * a
-            powers.append({m: c % p for m, c in power.items()} if p else power)
-        restricted = []
-        for form, degree in forms:
-            out: dict[Monomial, int] = {}
-            for m, c in form.items():
-                k = m[j]
-                rest = m[1:] if j == 0 else m[1:j] + (m[0],) + m[j + 1 :]
-                c *= scale ** (degree - k)
-                for mono, v in powers[k].items():
-                    key = tuple(map(operator.add, rest, mono))
-                    out[key] = out.get(key, 0) + c * v
-            if p:
-                out = {m: c % p for m, c in out.items()}
-            restricted.append({m: c for m, c in out.items() if c})
-        return restricted, scale
+        for _ in range(max((m[j] for m in f.numerators), default=0)):
+            powers.append(_product(powers[-1], line, p))
+        out: dict[Monomial, int] = {}
+        for m, c in f.numerators.items():
+            k = m[j]
+            rest = m[1:] if j == 0 else m[1:j] + (m[0],) + m[j + 1 :]
+            c *= scale ** (degree - k)
+            for mono, v in powers[k].items():
+                key = tuple(map(operator.add, rest, mono))
+                out[key] = out.get(key, 0) + c * v
+        return Polynomial.from_integers(f.field, n, out, f.denominator * scale**degree)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Hyperplane) and self.form == other.form
@@ -215,23 +185,16 @@ def _check_criterion_domain(f: Polynomial) -> tuple[int, int]:
     return d, n
 
 
-def _leading_one(field: FieldSpec, entries: list[int]) -> list[Scalar]:
-    """The integer entries as Scalars, scaled so the first nonzero one is 1."""
-    lead = next(x for x in entries if x)
-    return [field.scalar(Fraction(x, lead)) for x in entries]
-
-
 def criterion_kernel(
     f: Polynomial, hyperplane: Hyperplane, t_max: int | None = None
 ) -> CriterionReport:
     """Run the first-order criterion for f at one hyperplane.
 
     The section is hyperplane.restrict(f) and the criterion form q is
-    hyperplane.restrict(df/dx_pivot), both worked on as integer forms
-    scaled by nonzero constants (see the module docstring), after a check
-    that f shares the hyperplane's ring (ArityMismatch, FieldMismatch).
-    Reports SINGULAR_SECTION when the section is not smooth, VACUOUS when
-    q vanishes, and otherwise the exact kernel of l -> class of q*l in the
+    hyperplane.restrict(df/dx_pivot); restrict checks that f shares the
+    hyperplane's ring (ArityMismatch, FieldMismatch).  Reports
+    SINGULAR_SECTION when the section is not smooth, VACUOUS when q
+    vanishes, and otherwise the exact kernel of l -> class of q*l in the
     degree-d piece of the section's Jacobian ring.
 
     One integer Macaulay matrix serves it: the m rows spanning the degree-d
@@ -248,34 +211,33 @@ def criterion_kernel(
     J_d, whatever rows span J_d.
     """
     d, n = _check_criterion_domain(f)
-    hyperplane.form._check(f)
-    p = f.field.characteristic
-    form = integer_form(f)
-    partial = _integer_partial(form, hyperplane.pivot, p)
-    (section, across), scale = hyperplane._restrict_forms((form, d), (partial, d - 1))
+    section = hyperplane.restrict(f)
     if not section:
         return CriterionReport(hyperplane, CriterionStatus.SINGULAR_SECTION)
-    generators = _integer_generators(section, d, p)  # built once, for the smoothness test and the matrix
+    p = f.field.characteristic
+    generators = _integer_generators(section.numerators, d, p)  # built once, for the smoothness test and the matrix
     if not _is_smooth(generators, n, d, p, t_max):
         return CriterionReport(hyperplane, CriterionStatus.SINGULAR_SECTION)
-    if not across:
-        return CriterionReport(hyperplane, CriterionStatus.VACUOUS, criterion_form=Polynomial.zero(f.field, n))
-    basis, rows = _macaulay_rows(generators + [across], d)
+    q = hyperplane.restrict(partial_derivative(f, hyperplane.pivot))
+    if not q:
+        return CriterionReport(hyperplane, CriterionStatus.VACUOUS, criterion_form=q)
+    basis, rows = _macaulay_rows(generators + [q.numerators], d)
     m = len(rows) - n
     columns = [[] for _ in basis]  # the transpose: each entry bucketed on its column
     for i, row in enumerate(rows):
         for c, x in row:
             columns[c].append((i, x))
     pivots, free, vectors = linalg.integer_kernel(columns, len(rows), p)
-    kernel = [
-        linear_form(f.field, _leading_one(f.field, [v.get(m + i, 0) for i in range(n)]))
-        for fc, v in zip(free, vectors)
-        if fc >= m
-    ]
+    units = [tuple(int(k == i) for k in range(n)) for i in range(n)]
+    kernel = []
+    for fc, v in zip(free, vectors):
+        if fc >= m:
+            entries = {u: x for i, u in enumerate(units) if (x := v.get(m + i))}
+            kernel.append(Polynomial.from_integers(f.field, n, entries, next(iter(entries.values()))))
     return CriterionReport(
         hyperplane,
         CriterionStatus.COMPUTED,
-        criterion_form=from_integer_form(f.field, n, across, denominator(f) * scale ** (d - 1)),
+        criterion_form=q,
         kernel_basis=kernel,
         kernel_dim=len(kernel),
         graded_ideal_dim=sum(pc < m for pc in pivots),

@@ -30,7 +30,6 @@ from hypersect import (
 from hypersect import linalg
 from hypersect.poly import (
     grlex_key,
-    integer_form,
     linear_coefficients,
     linear_form,
     monomial_basis,
@@ -38,7 +37,6 @@ from hypersect.poly import (
     require_homogeneous,
     substitute_linear,
 )
-from hypersect.variation import _leading_one
 
 FIELDS = [make_field(0), make_field(2), make_field(3), make_field(5), make_field(7), make_field(101)]
 
@@ -127,6 +125,12 @@ def _integer_rows(m: Matrix) -> list[linalg.Row]:
         scale = lcm(*(x.value.denominator for x in row))
         out.append([(c, x.value.numerator * (scale // x.value.denominator)) for c, x in enumerate(row) if x])
     return out
+
+
+def _leading_one(field: FieldSpec, entries: list[int]) -> list[Scalar]:
+    """The integer entries as Scalars, scaled so the first nonzero one is 1."""
+    lead = next(x for x in entries if x)
+    return [field.scalar(Fraction(x, lead)) for x in entries]
 
 
 def rref(m: Matrix) -> tuple[Matrix, list[int]]:
@@ -613,7 +617,7 @@ def graded_piece(generators: list[Polynomial], degree: int) -> GradedPiece:
     from hypersect.jacobian import _macaulay_rows
 
     live = [g for g in generators if not g.is_zero()]
-    basis, rows = _macaulay_rows([integer_form(g) for g in live], degree)
+    basis, rows = _macaulay_rows([g.numerators for g in live], degree)
     return GradedPiece.of_rows(live[0].field, degree, basis, rows)
 
 
@@ -629,7 +633,7 @@ def embed_shift(p: Polynomial, nvars: int, shift: int) -> Polynomial:
     pad_left = (0,) * shift
     pad_right = (0,) * (nvars - p.nvars - shift)
     terms = {pad_left + m + pad_right: c for m, c in p.terms.items()}
-    return Polynomial(p.field, nvars, terms)
+    return Polynomial.from_terms(p.field, nvars, terms)
 
 
 def set_var_zero(p: Polynomial, index: int) -> Polynomial:
@@ -646,7 +650,7 @@ def set_var_zero(p: Polynomial, index: int) -> Polynomial:
         if m[index]:
             continue
         terms[m[:index] + m[index + 1 :]] = c
-    return Polynomial(p.field, p.nvars - 1, terms)
+    return Polynomial.from_terms(p.field, p.nvars - 1, terms)
 
 
 def normalize_hyperplane(f: Polynomial, hyperplane) -> Polynomial:
@@ -770,7 +774,7 @@ def is_smooth_reference(f: Polynomial, t_max: int | None = None) -> bool:
     at the cap.  A t_max replaces the cap.
     """
     from hypersect import linalg
-    from hypersect.jacobian import _macaulay_rows, _spanning_generators
+    from hypersect.jacobian import _macaulay_rows, jacobian_generators
 
     def rank_q(rows, probe_rank):
         return probe_rank if probe_rank == len(rows) else linalg.rank_mod_p_int(rows, 0)
@@ -786,8 +790,8 @@ def is_smooth_reference(f: Polynomial, t_max: int | None = None) -> bool:
     else:
         cap = max((n + 2) * (d - 1) - n, 0)
     p = f.field.characteristic
-    gens = _spanning_generators(f)
-    forms = [integer_form(g) for g in gens]
+    gens = [g for g in jacobian_generators(f)[1 if p == 0 or d % p else 0 :] if g]  # f only when char | d
+    forms = [g.numerators for g in gens]
     if not gens:
         return False
     probe = p or linalg.PROBE_PRIME

@@ -22,6 +22,7 @@ from hypersect import (
     jacobian_generators,
     make_field,
     parse_poly,
+    partial_derivative,
     substitute_linear,
 )
 from hypersect import jacobian, linalg, variation
@@ -29,7 +30,7 @@ from hypersect.fields import _is_prime
 from hypersect.fixtures import cubic_threefold_example, cyclic_fermat, fermat
 from hypersect.jacobian import _macaulay_rows
 from hypersect.linalg import PROBE_PRIME, rank_mod_p_int
-from hypersect.poly import from_integer_form, integer_form, monomial_basis
+from hypersect.poly import monomial_basis
 from hypersect.variation import Hyperplane, ScanStrategy, certify_max_variation
 from gf_oracle import _MAX_GRID, find_singular_point
 from helpers import (
@@ -324,6 +325,11 @@ def _exact_rank(rows, ncols, field):
     return rank_int_exact(dense_rows(rows, ncols))
 
 
+def _generators(f):
+    """The integer Jacobian generators is_smooth ranks for f."""
+    return jacobian._integer_generators(f.numerators, f.degree(), f.field.characteristic)
+
+
 def _random_form(rng, field, nvars, d, singular):
     """A random form; singular ones vanish to order two at (1:0:...:0),
     because no monomial has x0-degree d or d - 1."""
@@ -356,7 +362,7 @@ def test_pruned_rows_without_f_keep_every_jacobian_rank():
         used = full[1:] if p == 0 or d % p else full
         char_divides += len(used) == len(full)
         for t in range(d - 1, f.nvars * (d - 2) + 2):
-            basis, rows = _macaulay_rows([integer_form(g) for g in used], t)
+            basis, rows = _macaulay_rows([g.numerators for g in used], t)
             ref_basis, ref_rows = unpruned_rows_reference(full, t)
             assert basis == ref_basis
             want = _exact_rank(sparse_rows(ref_rows), len(basis), field)
@@ -380,7 +386,7 @@ def test_pruning_keeps_span_for_any_generator_list():
             if all(g.is_zero() for g in gens):
                 continue
             for t in range(1, 5):
-                basis, rows = _macaulay_rows([integer_form(g) for g in gens], t)
+                basis, rows = _macaulay_rows([g.numerators for g in gens], t)
                 _, ref_rows = unpruned_rows_reference(gens, t)
                 ref_rows, ncols = sparse_rows(ref_rows), len(basis)
                 assert {tuple(r) for r in rows} <= {tuple(r) for r in ref_rows}
@@ -402,7 +408,7 @@ def test_numpy_rows_match_tuple_builder():
         for nvars, d in ((1, 3), (2, 2), (3, 2), (3, 3), (3, 4), (4, 2), (4, 3)):
             for _ in range(3):
                 f = rand_nonzero_homogeneous(rng, field, nvars, d, max_terms=8)
-                spanning = jacobian._spanning_generators(f)
+                spanning = [Polynomial.from_integers(field, nvars, g) for g in _generators(f)]
                 mixed = [rand_homogeneous(rng, field, nvars, rng.randint(0, 3)) for _ in range(3)]
                 mixed.insert(rng.randrange(4), Polynomial.zero(field, nvars))
                 for gens in (jacobian_generators(f), spanning, mixed):
@@ -412,13 +418,13 @@ def test_numpy_rows_match_tuple_builder():
                     seen["zero"] += any(g.is_zero() for g in gens)
                     for t in range(-1, nvars * (d - 2) + 3):
                         seen["below"] += any(t < g.degree() for g in gens if not g.is_zero())
-                        got = _macaulay_rows([integer_form(g) for g in gens], t)
+                        got = _macaulay_rows([g.numerators for g in gens], t)
                         assert got == macaulay_rows_reference(gens, t), (field, gens, t)
     assert min(seen["f kept"], seen["zero"], seen["below"]) > 0, seen
     f = rand_nonzero_homogeneous(rng, Q, 40, 2, max_terms=30) + fermat(39, 2, Q)
     assert 3**40 > 2**63
     for t in (1, 2, 3):
-        assert _macaulay_rows([integer_form(g) for g in jacobian_generators(f)], t) == macaulay_rows_reference(jacobian_generators(f), t)
+        assert _macaulay_rows([g.numerators for g in jacobian_generators(f)], t) == macaulay_rows_reference(jacobian_generators(f), t)
 
 
 def test_numpy_rows_match_tuple_builder_on_certify_trials():
@@ -427,7 +433,7 @@ def test_numpy_rows_match_tuple_builder_on_certify_trials():
     F_2, F_5 and F_101, the section kept where char | d) in 3 to 5 section
     variables, at t = d and at default_degree_cap, and at t = d with the
     criterion form appended, as the criterion matrix has it.  The tuple
-    builder reads each form through from_integer_form."""
+    builder reads each form through Polynomial.from_integers."""
     rng = random.Random(88)
     seen = Counter()
     grid = [(field, n, 3) for field in (Q, make_field(2), make_field(5), make_field(101)) for n in (3, 4, 5)]
@@ -437,9 +443,8 @@ def test_numpy_rows_match_tuple_builder_on_certify_trials():
         for _ in range(2):
             f = rand_nonzero_homogeneous(rng, field, n + 1, d, max_terms=8) + fermat(n, d, field)
             hyperplane = Hyperplane.from_coefficients(field, [rand_scalar(rng, field) for _ in range(n)] + [field.one()])
-            form = integer_form(f)
-            partial = jacobian._integer_partial(form, hyperplane.pivot, p)
-            (section, across), _ = hyperplane._restrict_forms((form, d), (partial, d - 1))
+            section = hyperplane.restrict(f).numerators
+            across = hyperplane.restrict(partial_derivative(f, hyperplane.pivot)).numerators
             if not section:
                 continue
             gens = jacobian._integer_generators(section, d, p)
@@ -447,7 +452,7 @@ def test_numpy_rows_match_tuple_builder_on_certify_trials():
             cases = [(gens, d), (gens, default_degree_cap(n, d, p))] + [(gens + [across], d)] * bool(across)
             for forms, t in cases:
                 got = _macaulay_rows(forms, t)
-                want = macaulay_rows_reference([from_integer_form(field, n, g) for g in forms], t)
+                want = macaulay_rows_reference([Polynomial.from_integers(field, n, g) for g in forms], t)
                 assert got == want, (field, n, d, forms, t)
                 seen[n] += 1
     assert min(seen["kept"], seen[3], seen[4], seen[5]) > 0, seen
@@ -534,14 +539,14 @@ def test_interreduce_keeps_every_rank_and_separates_leads():
         p = field.characteristic
         for nvars, d in ((3, 2), (3, 3), (3, 4), (4, 3), (3, 3)):
             f = rand_nonzero_homogeneous(rng, field, nvars, d, max_terms=12)
-            gens = jacobian._spanning_generators(f)
+            gens = [Polynomial.from_integers(field, nvars, g) for g in _generators(f)]
             partials = [g for g in gens if g.degree() == d - 1]
             h = rand_nonzero_homogeneous(rng, field, nvars, d + 1, max_terms=5)
             raw = gens[:1] + [h] + gens[1:] + [h, h]
             if len(partials) > 1:
                 combo = partials[0] * rand_nonzero_scalar(rng, field) + partials[-1] * rand_nonzero_scalar(rng, field)
                 raw.insert(2, combo)
-            before = [integer_form(g) for g in raw if not g.is_zero()]
+            before = [g.numerators for g in raw if not g.is_zero()]
             after = jacobian._interreduce(before, p)
             leads = _leads(after)
             assert len(set(leads)) == len(leads), (field, raw)
@@ -598,14 +603,14 @@ def test_interreduce_passes_distinct_leads_through(monkeypatch):
     ]
     for f in cases:
         p = f.field.characteristic
-        gens = [integer_form(g) for g in jacobian._spanning_generators(f)]
+        gens = _generators(f)
         assert jacobian._interreduce(gens, p) is gens, f.to_text()
         built.clear()
         is_smooth(f)
         [(used, rows)] = built
         assert used == gens and rows == real_rows(gens, default_degree_cap(f.nvars, f.degree(), p)), f.to_text()
     for n, d in ((3, 4), (4, 3)):
-        gens = [integer_form(g) for g in jacobian._spanning_generators(cyclic_fermat(n, d, Q))]
+        gens = _generators(cyclic_fermat(n, d, Q))
         leads = _leads(gens)
         assert leads[0] == leads[1] == (d - 1, (d - 1,) + (0,) * n) and len(set(leads)) == len(leads) - 1
         reduced = _leads(jacobian._interreduce(gens, 0))
@@ -648,7 +653,7 @@ def test_ideal_graded_dim_ranks_the_interreduced_rows(monkeypatch):
     for field in (Q, make_field(7)):
         f = _dense_change(rng, fermat(3, 4, field))
         gens = jacobian_generators(f)
-        raw = [integer_form(g) for g in gens]
+        raw = [g.numerators for g in gens]
         for t in range(3, 7):
             built.clear()
             dim = ideal_graded_dim(gens, t)
@@ -686,7 +691,7 @@ def test_interreduced_dense_forms_leave_few_columns_without_a_pivot(monkeypatch)
         for n, d in ((3, 5), (4, 3)):
             for _ in range(3):
                 f = _dense_change(rng, fermat(n, d, field))
-                gens = [integer_form(g) for g in jacobian._spanning_generators(f)]
+                gens = _generators(f)
                 cap = default_degree_cap(n + 1, d)
                 leads = [m for _, m in _leads(jacobian._interreduce(gens, field.characteristic))]
                 splits.clear()
@@ -865,7 +870,7 @@ def test_one_piece_agrees_with_the_walk_reference(monkeypatch):
     dense = list(_dense_grid(99))
     reduced = Counter()
     for f in dense:
-        gens = [integer_form(g) for g in jacobian._spanning_generators(f)]
+        gens = _generators(f)
         reduced[f.field.characteristic] += jacobian._interreduce(gens, f.field.characteristic) is not gens
     assert set(+reduced) == {0, 2, 3, 5, 7}, reduced
     char_divides = [f for f in dense if f.field.characteristic and f.degree() % f.field.characteristic == 0]

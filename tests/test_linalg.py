@@ -801,10 +801,8 @@ def test_rank_q_certified_eliminates_only_the_schur_block(monkeypatch):
     370 x 160, never the whole matrix."""
     from hypersect import jacobian
     from hypersect.fixtures import cyclic_fermat
-    from hypersect.poly import integer_form
-
-    gens = jacobian._spanning_generators(cyclic_fermat(3, 6, Q))
-    basis, rows = jacobian._macaulay_rows([integer_form(g) for g in gens], 17)
+    f = cyclic_fermat(3, 6, Q)
+    basis, rows = jacobian._macaulay_rows(jacobian._integer_generators(f.numerators, 6, 0), 17)
     assert (len(rows), len(basis), len({row[0][0] for row in rows})) == (1350, 1140, 980)
     shapes = []
     real_eliminate = linalg._eliminate

@@ -3,6 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import numpy as np
 import pytest
@@ -95,19 +96,35 @@ def test_from_terms_rejects_inexact_coefficients():
 
 def _assert_matches_raw(poly: Polynomial, raw: dict) -> None:
     """poly's terms are raw's values, each a nonzero Scalar of poly's field
-    holding a Fraction over Q and an int residue over F_p."""
+    holding a Fraction over Q and an int residue over F_p, and poly is
+    stored in its one canonical form: int numerators over the lcm of the
+    coefficients' denominators (1 over F_p), coprime to it taken together,
+    residues in [0, p) over F_p."""
     assert {m: c.value for m, c in poly.terms.items()} == raw
     value_type = int if poly.field.is_prime_field else Fraction
     for m, c in poly.terms.items():
         assert type(c) is Scalar and c.field == poly.field and c, (poly, m)
         assert type(c.value) is value_type and len(m) == poly.nvars, (poly, m)
+    p = poly.field.characteristic
+    assert poly.numerators.keys() == raw.keys() and all(type(c) is int and c for c in poly.numerators.values())
+    assert poly.denominator == (1 if p else lcm(*(v.denominator for v in raw.values())))
+    assert gcd(poly.denominator, *poly.numerators.values()) == 1, poly
+    assert not p or all(0 <= c < p for c in poly.numerators.values()), poly
+
+
+def _assert_same_storage(a: Polynomial, b: Polynomial) -> None:
+    """Two routes to one polynomial store the same numerators, denominator
+    and hash."""
+    assert (a.numerators, a.denominator, hash(a)) == (b.numerators, b.denominator, hash(b)), (a, b)
 
 
 def test_ring_operations_match_raw_value_reference():
     """Every operation that sums terms agrees with raw dicts of Fractions or
     residues and stores no zero coefficient: +, -, x, scale, **, the partial
     derivative, substitution (square and into fewer variables) and parsing
-    the printout.  b = c - a, so a + b cancels every term of a."""
+    the printout.  b = c - a, so a + b cancels every term of a.  Each
+    result is in canonical storage, and (a + b) - b and a.scale(s).scale(1/s)
+    store what a does."""
     rng = random.Random(14)
     for p in (0, 2, 3, 101, 2**31 + 11):
         field = make_field(p)
@@ -131,6 +148,9 @@ def test_ring_operations_match_raw_value_reference():
             _assert_matches_raw(a * b, raw_mul(ra, rb, p))
             s = rand_raw_value(rng, p)
             _assert_matches_raw(a.scale(field.scalar(s)), raw_collect(((m, v * s) for m, v in ra.items()), p))
+            _assert_same_storage((a + b) - b, a)
+            if field.scalar(s):
+                _assert_same_storage(a.scale(field.scalar(s)).scale(field.scalar(s).inv()), a)
             for e in range(4):
                 _assert_matches_raw(a**e, raw_pow(ra, e, 3, p))
             for i in range(3):
@@ -258,8 +278,8 @@ def test_substitute_refuses_images_of_other_rings():
 
 
 def test_normal_form_embeds_g_as_before():
-    """The normal-form fixture places g on x1..x4 through substitute_linear;
-    its bytes equal the padded-exponent embedding it replaced."""
+    """The normal-form fixture places g on x1..x4 by re-indexing its
+    numerators; its bytes equal the padded-exponent embedding."""
     g = parse_poly("x0^3 - 2*x0*x1*x3 + 1/2*x1^2*x2 + x2^3 - 5*x3^3", 4, Q)
     nf = cubic_threefold_normal_form([1, 2, Fraction(1, 3), -1], g, Q)
     zero_g = cubic_threefold_normal_form([1, 2, Fraction(1, 3), -1], Polynomial.zero(Q, 4), Q)
