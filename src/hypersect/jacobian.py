@@ -360,7 +360,7 @@ def is_smooth(f: Polynomial, t_max: int | None = None) -> bool:
     The piece is built once, from the interreduced generators
     (_interreduce), which span it as the generators do.  Fewer rows than
     columns cannot fill it; otherwise one exact rank of its rows over the
-    field decides (linalg.rank_mod_p_int, stopping at the full rank).
+    field decides (linalg.rank_mod_p_int, capped at the full width).
     """
     d, p = require_homogeneous(f, 1, "hypersurface form"), f.field.characteristic
     return _is_smooth(_integer_generators(f.numerators, d, p), f.nvars, d, p, t_max)

@@ -350,7 +350,7 @@ class LinearChange(list):
         if any(g.nvars != len(images) for g in images):
             raise ArityMismatch("linear change must be square")
         integer_rows = [sorted((m.index(1), c) for m, c in g.numerators.items()) for g in images]
-        if len(linalg.integer_kernel(integer_rows, len(images), field.characteristic)[0]) != len(images):
+        if linalg.rank_mod_p_int(integer_rows, field.characteristic) != len(images):
             raise SingularMatrix("linear change is not invertible")
         super().__init__(images)
 

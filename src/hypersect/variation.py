@@ -33,7 +33,7 @@ import operator
 import random
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
+from itertools import chain, count
 from math import comb
 
 from . import linalg
@@ -267,29 +267,18 @@ class CertifyReport:
     trial_budget: int
 
 
-def _random_scalar_raw(rng: random.Random, field: FieldSpec):
-    if field.is_prime_field:
-        return rng.randrange(field.characteristic)
-    return Fraction(rng.randint(-5, 5))
-
-
 def _hyperplane_schedule(field: FieldSpec, nvars: int, strategy: ScanStrategy):
-    one = field.one()
-    zero = field.zero()
-    for i in range(nvars):
-        yield Hyperplane.coordinate(field, nvars, i)
-    for i in range(1, nvars):
-        coeffs = [zero] * nvars
-        coeffs[0] = one
-        coeffs[i] = one
-        yield Hyperplane.from_coefficients(field, coeffs)
-    yield Hyperplane.from_coefficients(field, [field.scalar(i) if i else one for i in range(nvars)])
-    yield Hyperplane.from_coefficients(field, [one] * nvars)
+    """The trial hyperplanes, from integer coefficient rows: the coordinate
+    planes, x0 + x_i for each i, (1, 1, 2, 3, ...), all ones, then seeded
+    random rows, residues over F_p and integers in [-5, 5] over Q, with
+    all-zero draws skipped."""
+    p = field.characteristic
+    units = [tuple(int(k == i) for k in range(nvars)) for i in range(nvars)]
     rng = random.Random(strategy.seed)
-    while True:
-        coeffs = [field.scalar(_random_scalar_raw(rng, field)) for _ in range(nvars)]
-        if any(coeffs):
-            yield Hyperplane.from_coefficients(field, coeffs)
+    draws = (tuple(rng.randrange(p) if p else rng.randint(-5, 5) for _ in range(nvars)) for _ in count())
+    fixed = [*units, *((1, *unit[1:]) for unit in units[1:]), (1, *range(1, nvars)), (1,) * nvars]
+    for row in chain(fixed, filter(any, draws)):
+        yield Hyperplane(Polynomial.from_integers(field, nvars, dict(zip(units, row))))
 
 
 def certify_max_variation(

@@ -403,19 +403,19 @@ def dense_rows(rows: list[list[tuple[int, int]]], ncols: int) -> list[list[int]]
 
 def rank_mod_p_dense(rows: list[list[int]], p: int, stop_at: int | None = None) -> int:
     """Rank mod p of dense integer rows, all of them eliminated in one array
-    by the column loop (int64 below 2^31, Python ints above), stopping once
-    the rank reaches stop_at.  The oracle for the pivot split of
+    by the column loop (int64 below 2^31, Python ints above), then capped at
+    stop_at, 0 when stop_at <= 0.  The oracle for the pivot split of
     linalg.rank_mod_p_int."""
     from hypersect.linalg import _eliminate
 
     if not rows:
         return 0
     residues = [[x % p for x in row] for row in rows]
-    a = np.array(residues, dtype=np.int64 if p < 2**31 else object)
-    return len(_eliminate(a, p, stop_at))
+    rank = len(_eliminate(np.array(residues, dtype=np.int64 if p < 2**31 else object), p))
+    return rank if stop_at is None else max(min(rank, stop_at), 0)
 
 
-def split_reference(rows: list[linalg.Row], ncols: int, p: int, stop_at: int | None = None):
+def split_reference(rows: list[linalg.Row], ncols: int, p: int):
     """linalg._split with its pivots applied one at a time: the oracle for
     the level-scheduled clearing.
 
@@ -438,8 +438,7 @@ def split_reference(rows: list[linalg.Row], ncols: int, p: int, stop_at: int | N
                 pivots[row[0][0]], row = row, kept
             rest.append(row)
     others = [c for c in range(ncols) if c not in pivots]
-    limit = None if stop_at is None else stop_at - len(pivots)
-    if not (rest and others) or (limit is not None and limit <= 0):
+    if not (rest and others):
         return pivots, others, np.zeros((0, len(others)), dtype=dtype), []
     block = np.zeros((len(rest), ncols), dtype=dtype)
     for i, row in enumerate(rest):
@@ -459,7 +458,7 @@ def split_reference(rows: list[linalg.Row], ncols: int, p: int, stop_at: int | N
             else:
                 block[at] = (block[at] - update) % p
     schur = np.ascontiguousarray(block[:, others]) % p
-    return pivots, others, schur, linalg._eliminate(schur, p, limit)
+    return pivots, others, schur, linalg._eliminate(schur, p)
 
 
 def mat_vec(m: Matrix, v: list[Scalar]) -> list[Scalar]:

@@ -672,8 +672,8 @@ def test_interreduced_dense_forms_leave_few_columns_without_a_pivot(monkeypatch)
     splits = []
     real_split = linalg._split
 
-    def split_spy(rows, ncols, p, stop_at=None):
-        split = real_split(rows, ncols, p, stop_at)
+    def split_spy(rows, ncols, p):
+        split = real_split(rows, ncols, p)
         splits.append(len(split[1]))
         return split
 
@@ -763,9 +763,9 @@ def test_small_probe_prime_keeps_every_verdict(monkeypatch):
         widths.append((p, stop_at))
         return real_rank(rows, p, stop_at)
 
-    def split_spy(rows, ncols, p, stop_at=None):
+    def split_spy(rows, ncols, p):
         primes.append(p)
-        return real_split(rows, ncols, p, stop_at)
+        return real_split(rows, ncols, p)
 
     monkeypatch.setattr(linalg, "rank_mod_p_int", rank_spy)
     monkeypatch.setattr(linalg, "_split", split_spy)
@@ -920,8 +920,8 @@ def test_is_smooth_builds_one_piece_at_the_cap(monkeypatch):
         probes.append((p, stop_at))
         return real_rank(rows, p, stop_at)
 
-    def split_spy(rows, ncols, p, stop_at=None):
-        split = real_split(rows, ncols, p, stop_at)
+    def split_spy(rows, ncols, p):
+        split = real_split(rows, ncols, p)
         splits.append((p, len(split[0]) + len(split[3])))
         return split
 
@@ -962,9 +962,9 @@ def test_is_smooth_over_q_eliminates_its_piece_once(monkeypatch):
     primes = []
     real_split = linalg._split
 
-    def split_spy(rows, ncols, p, stop_at=None):
+    def split_spy(rows, ncols, p):
         primes.append(p)
-        return real_split(rows, ncols, p, stop_at)
+        return real_split(rows, ncols, p)
 
     monkeypatch.setattr(linalg, "_split", split_spy)
     singular = [

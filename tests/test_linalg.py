@@ -224,13 +224,15 @@ def _planted_rows(rng, ncols, draw):
 def test_rank_mod_large_prime_uses_python_path():
     """From 2^31 up rank_mod_p_int eliminates Python ints in an object
     array; checked against the Scalar Gauss-Jordan oracle over F_p, with
-    and without stop_at, just past the int64 limit and at a 61-bit prime."""
+    and without stop_at, just past the int64 limit and at a 61-bit prime,
+    and over Q (p = 0) on entries up to 2^64."""
     rng = random.Random(73)
-    for p in (2**31 + 11, 2**61 - 1):
+    for p in (2**31 + 11, 2**61 - 1, 0):
         fp = make_field(p)
+        bound = p or 2**64
         for _ in range(30):
             ncols = rng.randint(1, 6)
-            rows = _planted_rows(rng, ncols, lambda: rng.randrange(-p, p))
+            rows = _planted_rows(rng, ncols, lambda: rng.randrange(-bound, bound))
             expected = _reference_rank(fp, rows)
             assert rank_mod_p_int(sparse_rows(rows), p) == expected
             for stop_at in range(1, ncols + 1):
@@ -240,10 +242,11 @@ def test_rank_mod_large_prime_uses_python_path():
 def test_rank_mod_p_entries_beyond_int64():
     """Entries at and past +-2^63 do not fit the int64 array; they are
     reduced mod p first and the rank matches the Scalar Gauss-Jordan
-    oracle over F_p."""
+    oracle over F_p, and over Q (p = 0), where the kernel lift takes
+    them."""
     rng = random.Random(74)
     huge = (2**63, -(2**63) - 1, 10**20, -(10**40), 3 * PROBE_PRIME * 2**64)
-    for p in (3, 101, PROBE_PRIME):
+    for p in (3, 101, PROBE_PRIME, 0):
         fp = make_field(p)
         for _ in range(30):
             ncols = rng.randint(1, 5)
@@ -256,11 +259,10 @@ def test_rank_mod_p_entries_beyond_int64():
 
 
 def test_rank_mod_p_stop_at_zero_or_below_is_zero():
-    """A stop_at <= 0 asks for no pivot: the rank is 0, also on the column
-    loop alone, never the first pivot it would otherwise take."""
+    """A stop_at <= 0 asks for no pivot: the rank is 0, mod p and over Q."""
     for stop_at in (0, -3):
-        assert rank_mod_p_int([[(0, 1)], [(1, 1)]], 5, stop_at=stop_at) == 0
-        assert rank_mod_p_dense([[1, 0], [0, 1]], 5, stop_at=stop_at) == 0
+        for p in (5, 0):
+            assert rank_mod_p_int([[(0, 1)], [(1, 1)]], p, stop_at=stop_at) == 0
 
 
 def _split_grid(rng, p):
@@ -301,8 +303,8 @@ def _split_grid(rng, p):
 
 def test_pivot_split_matches_dense_rank_on_a_seeded_grid():
     """rank_mod_p_int on sparse rows equals the dense elimination of the
-    same rows, for every stop_at from None and 0 up to the column count,
-    mod primes on both sides of 2^31."""
+    same rows, capped at every stop_at from None and 0 up to the column
+    count, mod primes on both sides of 2^31."""
     rng = random.Random(80)
     deficient = 0
     for p in (2, 3, 101, 2**31 - 1, 2**31 + 11, 2**61 - 1):
@@ -311,7 +313,6 @@ def test_pivot_split_matches_dense_rank_on_a_seeded_grid():
             deficient += full < min(len(rows), ncols)
             for stop_at in (None, 0, *range(1, ncols + 1)):
                 want = rank_mod_p_dense(rows, p, stop_at)
-                assert want == (full if stop_at is None else min(full, stop_at))
                 assert rank_mod_p_int(sparse_rows(rows), p, stop_at) == want, (rows, p, stop_at)
     assert deficient >= 30
 
@@ -342,33 +343,27 @@ def _block(rows, p):
     return np.array(rows, dtype=np.int64 if p < 2**31 else object).reshape(len(rows), ncols)
 
 
-def _check_eliminate(rows, p, stop_at, want, want_pivots):
-    """The column loop, with stop_at, against the Python-int Gauss-Jordan
-    oracle's (want, want_pivots): its pivots, the same row space, residues
-    throughout."""
+def _check_eliminate(rows, p, want, want_pivots):
+    """The column loop against the Python-int Gauss-Jordan oracle's (want,
+    want_pivots): its pivots, the same row space, residues throughout."""
     field = make_field(p)
     a = _block(rows, p)
-    pivots = linalg._eliminate(a, p, stop_at)
-    limit = len(want_pivots) if stop_at is None else max(min(stop_at, len(want_pivots)), 0)
-    assert pivots == want_pivots[:limit], (rows, p, stop_at)
+    pivots = linalg._eliminate(a, p)
+    assert pivots == want_pivots, (rows, p)
     assert all(0 <= x < p for x in a.flat)
     for i, c in enumerate(pivots):
         assert a[i, c] == 1 and not a[i, :c].any() and not a[i + 1 :, c].any()
     assert rref_reference(Matrix.from_rows(field, a.tolist())) == (want, want_pivots)
 
 
-def _check_split(rows, p, stop_at, want, want_pivots):
+def _check_split(rows, p, want, want_pivots):
     """The split of sparse rows against the oracle's (want, want_pivots):
     its rank, and its Schur block as the oracle's reduced rows that lead
     off the pivot columns, on the other columns."""
     field = make_field(p)
     ncols = len(rows[0])
-    pivots, others, schur, leads = linalg._split(sparse_rows(rows), ncols, p, stop_at)
-    rank = len(pivots) + len(leads)
+    pivots, others, schur, leads = linalg._split(sparse_rows(rows), ncols, p)
     assert all(0 <= x < p for x in schur.flat)
-    if stop_at is not None:
-        assert min(rank, stop_at) == min(len(want_pivots), stop_at), (rows, p, stop_at)
-        return
     assert sorted([*pivots, *(others[j] for j in leads)]) == want_pivots, (rows, p)
     tail = [[want.at(i, c) for c in others] for i, c in enumerate(want_pivots) if c not in pivots]
     got = Matrix.from_rows(field, schur.tolist()) if len(schur) else Matrix.zero(field, 0, len(others))
@@ -378,17 +373,16 @@ def _check_split(rows, p, stop_at, want, want_pivots):
 def test_delayed_reduction_matches_python_int_oracle():
     """_eliminate and _split, with the % p delayed at the 20-bit prime and
     the small ones and kept at 2^31 - 1 and past it, give the oracle's
-    pivots and residues, with and without stop_at, on a seeded grid with
-    rank-deficient blocks and zero columns."""
+    pivots and residues on a seeded grid with rank-deficient blocks and
+    zero columns."""
     rng = random.Random(88)
     for p in DELAY_PRIMES:
         assert linalg._delays(np.zeros((1, 30), dtype=np.int64), p) == (p < 2**31 - 1)
         deficient = 0
         for rows in _residue_grid(rng, p):
             want = rref_reference(Matrix.from_rows(make_field(p), rows))
-            for stop_at in (None, rng.randint(0, len(rows[0]))):
-                _check_eliminate(rows, p, stop_at, *want)
-                _check_split(rows, p, stop_at, *want)
+            _check_eliminate(rows, p, *want)
+            _check_split(rows, p, *want)
             deficient += len(want[1]) < min(len(rows), len(rows[0]))
         assert deficient >= 10, p
 
@@ -416,8 +410,8 @@ def test_delayed_reduction_at_its_bound():
         for order in (rows, rows[::-1]):
             want = rref_reference(Matrix.from_rows(make_field(p), order))
             assert len(want[1]) == ncols - 1
-            _check_eliminate(order, p, None, *want)
-            _check_split(order, p, None, *want)
+            _check_eliminate(order, p, *want)
+            _check_split(order, p, *want)
 
 
 # --- level-scheduled split and GEMM panels against the per-pivot loops -------
@@ -457,11 +451,11 @@ def _level_grid(rng, p):
 def test_level_split_matches_the_per_pivot_oracle(monkeypatch):
     """_split, clearing the pivots level by level, returns the same pivots,
     non-pivot columns, Schur residues and leads as clearing them one at a
-    time (helpers.split_reference), for every stop_at kind, with the
-    default scatter chunks and blocks and, on narrow rows, chunks of 8
-    entries in blocks of 64, mod primes on both sides of the panel bound
-    and of 2^31.  The grid reaches 3 levels or more, rank-deficient
-    splits, and Schur blocks that run in panels."""
+    time (helpers.split_reference), with the default scatter chunks and
+    blocks and, on narrow rows, chunks of 8 entries in blocks of 64, mod
+    primes on both sides of the panel bound and of 2^31.  The grid reaches
+    3 levels or more, rank-deficient splits, and Schur blocks that run in
+    panels."""
     rng = random.Random(18)
     depths, panels = [], set()
     real_levels, real_trailing = linalg._levels, linalg._trailing
@@ -482,14 +476,13 @@ def test_level_split_matches_the_per_pivot_oracle(monkeypatch):
         deficient = 0
         for ncols, rows in _level_grid(rng, p):
             sparse = sparse_rows(rows)
-            for stop_at in (None, 0, rng.randint(0, ncols), ncols):
-                want = split_reference(sparse, ncols, p, stop_at)
-                for chunk, block in sizes if ncols < 100 else sizes[:1]:
-                    monkeypatch.setattr(linalg, "_CHUNK", chunk)
-                    monkeypatch.setattr(linalg, "_BLOCK", block)
-                    got = linalg._split(sparse, ncols, p, stop_at)
-                    assert got[:2] == want[:2] and got[3] == want[3], (p, stop_at, rows)
-                    assert got[2].dtype == want[2].dtype and np.array_equal(got[2], want[2]), (p, stop_at, rows)
+            want = split_reference(sparse, ncols, p)
+            for chunk, block in sizes if ncols < 100 else sizes[:1]:
+                monkeypatch.setattr(linalg, "_CHUNK", chunk)
+                monkeypatch.setattr(linalg, "_BLOCK", block)
+                got = linalg._split(sparse, ncols, p)
+                assert got[:2] == want[:2] and got[3] == want[3], (p, rows)
+                assert got[2].dtype == want[2].dtype and np.array_equal(got[2], want[2]), (p, rows)
             pivots, _, _, leads = want
             deficient += len(pivots) + len(leads) < min(len(rows), ncols)
         assert deficient >= 3, p
@@ -511,9 +504,9 @@ def test_split_holds_one_bounded_block_at_a_time(monkeypatch):
     traced = []
     real_eliminate = linalg._eliminate
 
-    def eliminate_spy(a, p, stop_at=None):
+    def eliminate_spy(a, p):
         traced.append(tracemalloc.get_traced_memory()[0])
-        return real_eliminate(a, p, stop_at)
+        return real_eliminate(a, p)
 
     monkeypatch.setattr(linalg, "_eliminate", eliminate_spy)
     tracemalloc.start()
@@ -545,13 +538,13 @@ def _wide_blocks(rng, p):
     yield low
 
 
-def _column_loop(monkeypatch, a, p, stop_at=None):
+def _column_loop(monkeypatch, a, p):
     """_eliminate on a copy of a with the crossover out of reach: the
     column loop alone.  Returns the pivots and the copy."""
     crossover = linalg._PANEL_CROSSOVER
     monkeypatch.setattr(linalg, "_PANEL_CROSSOVER", 10**9)
     a = a.copy()
-    pivots = linalg._eliminate(a, p, stop_at)
+    pivots = linalg._eliminate(a, p)
     monkeypatch.setattr(linalg, "_PANEL_CROSSOVER", crossover)
     return pivots, a
 
@@ -559,9 +552,9 @@ def _column_loop(monkeypatch, a, p, stop_at=None):
 def test_panels_match_the_column_loop(monkeypatch):
     """_eliminate runs blocks wider than the crossover in panels exactly
     where _panels admits them, p <= 16,777,213, and there gives the column
-    loop's pivots and final residues, for every stop_at kind, with the
-    default row chunks of the GEMM and with one row per product.  At the
-    31-bit primes, int64 and Python ints, it keeps the loop."""
+    loop's pivots and final residues, with the default row chunks of the
+    GEMM and with one row per product.  At the 31-bit primes, int64 and
+    Python ints, it keeps the loop."""
     rng = random.Random(32)
     chunk, trailing = linalg._CHUNK, linalg._trailing
     for p in BATCH_PRIMES:
@@ -573,13 +566,12 @@ def test_panels_match_the_column_loop(monkeypatch):
                 linalg._eliminate(a[:40].copy(), p)
                 monkeypatch.setattr(linalg, "_trailing", trailing)
                 continue
-            for stop_at in (None, 0, rng.randint(0, a.shape[0]), a.shape[1]):
-                want = _column_loop(monkeypatch, a, p, stop_at)
-                for size in (chunk, 1):
-                    monkeypatch.setattr(linalg, "_CHUNK", size)
-                    got = a.copy()
-                    assert linalg._eliminate(got, p, stop_at) == want[0], (p, stop_at)
-                    assert np.array_equal(got, want[1]), (p, stop_at)
+            want = _column_loop(monkeypatch, a, p)
+            for size in (chunk, 1):
+                monkeypatch.setattr(linalg, "_CHUNK", size)
+                got = a.copy()
+                assert linalg._eliminate(got, p) == want[0], p
+                assert np.array_equal(got, want[1]), p
 
 
 def test_panels_at_their_bound(monkeypatch):
@@ -619,8 +611,8 @@ def _spied_rank(monkeypatch, rows):
     pivot_lists, accepted = [], []
     real_split, real_check = linalg._split, linalg._annihilates
 
-    def split_spy(rows_, ncols, p, stop_at=None):
-        split = real_split(rows_, ncols, p, stop_at)
+    def split_spy(rows_, ncols, p):
+        split = real_split(rows_, ncols, p)
         pivot_rows, others, _, leads = split
         pivot_lists.append(sorted([*pivot_rows, *(others[j] for j in leads)]))
         return split
@@ -807,9 +799,9 @@ def test_rank_q_certified_eliminates_only_the_schur_block(monkeypatch):
     shapes = []
     real_eliminate = linalg._eliminate
 
-    def eliminate_spy(a, p, stop_at=None):
+    def eliminate_spy(a, p):
         shapes.append(a.shape)
-        return real_eliminate(a, p, stop_at)
+        return real_eliminate(a, p)
 
     monkeypatch.setattr(linalg, "_eliminate", eliminate_spy)
     assert rank_mod_p_int(rows, 0) == 1139
@@ -907,9 +899,9 @@ def test_rref_over_q_lifts_entries_past_one_prime(monkeypatch):
     moduli = []
     real_split = linalg._split
 
-    def split_spy(rows, ncols, p, stop_at=None):
+    def split_spy(rows, ncols, p):
         moduli.append(p)
-        return real_split(rows, ncols, p, stop_at)
+        return real_split(rows, ncols, p)
 
     m = Matrix.from_rows(Q, [[72576216, 79460669, 3, 0], [5605858, 0, 1, 4674157]])
     monkeypatch.setattr(linalg, "_split", split_spy)

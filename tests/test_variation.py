@@ -566,6 +566,24 @@ def test_certify_seed_changes_random_tail():
     assert forms_a != forms_b
 
 
+def test_schedule_texts_at_seed_7():
+    """The first 16 trial hyperplanes at seed 7 over F_3 in 5 variables and
+    over Q in 4, outside the golden corpus (seed 0).  Over F_3 the row
+    (1, 1, 2, 3, 4) reduces to x0 + x1 + 2*x2 + x4, its zero dropped."""
+    schedule = {
+        (3, 5): ["x0", "x1", "x2", "x3", "x4", "x0 + x1", "x0 + x2", "x0 + x3", "x0 + x4",
+                 "x0 + x1 + 2*x2 + x4", "x0 + x1 + x2 + x3 + x4", "x0 + x2 + 2*x3", "x1 + 2*x3 + x4",
+                 "x1", "x0 + x1", "x0 + 2*x1 + x3"],
+        (0, 4): ["x0", "x1", "x2", "x3", "x0 + x1", "x0 + x2", "x0 + x3", "x0 + x1 + 2*x2 + 3*x3",
+                 "x0 + x1 + x2 + x3", "x1 - 1/3*x2 - 5/3*x3", "x0 + 4/5*x1 - 3/5*x2 + 4/5*x3",
+                 "x1 - 5/4*x2 + 3/4*x3", "x0 + 5/2*x1 + 2*x2 - 1/2*x3", "x0 - 4*x1 - 2*x2 - 4*x3",
+                 "x0 + 1/3*x1 - 5/3*x2 + 4/3*x3", "x0 + 1/2*x1 - 5/4*x2 - 5/4*x3"],
+    }
+    for (p, nvars), want in schedule.items():
+        hyperplanes = variation._hyperplane_schedule(make_field(p), nvars, ScanStrategy(seed=7))
+        assert [str(h) for h in itertools.islice(hyperplanes, 16)] == want, (p, nvars)
+
+
 # --- surveys and moduli counts ----------------------------------------------
 
 def test_survey_coordinate_planes_of_displayed_cubic():
