@@ -231,9 +231,11 @@ def _interreduce(generators: list[dict[Monomial, int]], p: int) -> list[dict[Mon
     its coefficient matrix, columns in grlex-descending order, rows in
     pivot order: mod p over F_p, leads 1; exact over Q, each row scaled to
     a primitive integer row with a positive lead (the RREF row, whose
-    denominators are cleared and content divided out).  A group's rows
-    stand where its first form stood; a form the others span drops out.
-    When no group collides the input list itself is returned.
+    denominators are cleared and content divided out).  The groups are
+    concatenated in the order of their first forms, so a list whose groups
+    are contiguous (as _integer_generators makes them) keeps its order; a
+    form the others span drops out.  When no group collides the input list
+    itself is returned.
 
     Why ranks are kept.  Row operations keep a group's span, and over Q a
     nonzero scale per row does too, so the groups span the same forms of
@@ -250,25 +252,16 @@ def _interreduce(generators: list[dict[Monomial, int]], p: int) -> list[dict[Mon
     one group, (n+1) x C(n+d-1, d-1) at most: small next to the matrix.
     """
     nvars = len(next(iter(generators[0])))
-    degrees = [sum(next(iter(g))) for g in generators]
     groups: dict[int, list[dict[Monomial, int]]] = {}
-    for e, g in zip(degrees, generators):
-        groups.setdefault(e, []).append(g)
-    reduced = {}
+    for g in generators:
+        groups.setdefault(sum(next(iter(g))), []).append(g)
+    out, collided = [], False
     for e, group in groups.items():
         index = _positions(nvars, e)
         if len({min(map(index.__getitem__, g)) for g in group}) < len(group):
-            reduced[e] = _reduced_echelon(group, index, p)
-    if not reduced:
-        return generators
-    out = []
-    for e, g in zip(degrees, generators):
-        if e not in reduced:
-            out.append(g)
-        else:
-            out += reduced[e]
-            reduced[e] = []  # the whole group stands at its first form
-    return out
+            group, collided = _reduced_echelon(group, index, p), True
+        out += group
+    return out if collided else generators
 
 
 def _reduced_echelon(

@@ -10,7 +10,7 @@ residues in [0, p) and the denominator is 1.  Polynomial.from_integers
 makes that form, which is unique, so equality and hashing compare it as
 it is, and jacobian's Macaulay rows read the numerators directly.
 Scalars are made only at the edges: from_terms (and so parsing) takes
-them in, and terms, coefficient, sorted_terms and to_text give them out.
+them in, and terms, coefficient and to_text give them out.
 
 Monomials are ordered graded-lexicographically, degree first and then
 lexicographic on exponents, largest first.  That single order drives
@@ -208,12 +208,6 @@ class Polynomial:
     def coefficient(self, m: Monomial) -> Scalar:
         return self._scalar(self.numerators.get(tuple(m), 0))
 
-    def _sorted_numerators(self) -> list[tuple[Monomial, int]]:
-        return sorted(self.numerators.items(), key=lambda t: grlex_key(t[0]), reverse=True)
-
-    def sorted_terms(self) -> list[tuple[Monomial, Scalar]]:
-        return [(m, self._scalar(c)) for m, c in self._sorted_numerators()]
-
     # -- arithmetic -----------------------------------------------------
 
     def _check(self, other: "Polynomial") -> None:
@@ -287,7 +281,7 @@ class Polynomial:
         if not self.numerators:
             return "0"
         pieces = []
-        for m, c in self._sorted_numerators():
+        for m, c in sorted(self.numerators.items(), key=lambda t: grlex_key(t[0]), reverse=True):
             mono = monomial_text(m, var_start)
             mag = Fraction(abs(c), self.denominator)
             if not mono:

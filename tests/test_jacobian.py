@@ -617,6 +617,32 @@ def test_interreduce_passes_distinct_leads_through(monkeypatch):
         assert len(reduced) == len(gens) and len(set(reduced)) == len(reduced)
 
 
+def test_interreduce_concatenates_groups_in_order_of_first_form():
+    """[h1, g1, h2, g2] with cubics h1, h2 of distinct leads and quadrics
+    g1, g2 that both lead at x0^2: _interreduce passes h1 and h2 through and
+    puts the reduced quadrics after them, [h1, h2, *reduced g's].  The order
+    moves no graded piece: ideal_graded_dim of the list equals that of the
+    same list sorted by degree, and the raw rows' rank, in degrees 2 to 5."""
+    h1 = {(3, 0, 0): 1, (0, 3, 0): 1}
+    g1 = {(2, 0, 0): 1, (0, 1, 1): 1}
+    h2 = {(0, 2, 1): 1, (0, 0, 3): -1}
+    g2 = {(2, 0, 0): 2, (0, 0, 2): 1}
+    for field in (Q, make_field(101)):
+        p = field.characteristic
+        gens = [Polynomial.from_integers(field, 3, g) for g in (h1, g1, h2, g2)]
+        raw = [g.numerators for g in gens]
+        out = jacobian._interreduce(raw, p)
+        reduced = jacobian._reduced_echelon([raw[1], raw[3]], jacobian._positions(3, 2), p)
+        assert out[0] is raw[0] and out[1] is raw[2] and out[2:] == reduced, (field, out)
+        if not p:
+            assert reduced == [{(2, 0, 0): 2, (0, 0, 2): 1}, {(0, 1, 1): 2, (0, 0, 2): -1}]
+        for t in range(2, 6):
+            dim = ideal_graded_dim(gens, t)
+            assert dim == ideal_graded_dim(sorted(gens, key=Polynomial.degree), t), (field, t)
+            basis, rows = _macaulay_rows(raw, t)
+            assert dim.dimension == _exact_rank(rows, len(basis), field), (field, t)
+
+
 # The benchmark's dense(3,5) smoothness requests at seed 0 over Q and F_101:
 # sum_i c_i*x_i^5 under x_i -> sum_j M[i][j]*x_j, with entries in -2..2
 BENCH_DENSE_3_5 = [
