@@ -1,28 +1,22 @@
 """Exact linear algebra on sparse integer rows, over F_p or Q.
 
-An integer matrix is a list of sparse rows, each a list of (column, value)
-pairs in ascending column order.  There is one elimination, a pivot split
-(Faugere-Lachartre) run forward: the rows with distinct leading columns
-stay sparse as pivots and clear their columns in the dense block of the
-other rows level by level, all pivots of a level at once, and a
-vectorized column loop mod p brings the Schur complement they leave to
-echelon form (int64 for p < 2^31, Python ints above).  The split's
-clearing and the column loop delay their % p where int64 allows it
-(_delays: ncols*(p-1)^2 < 2^62, after FFLAS-FFPACK): an update only
-subtracts, and entries are reduced when their column is searched for a
-pivot, when their row becomes the pivot row, and once at the end.  Every
-block delays at the probe prime, the largest prime below 2^20; at the
-31-bit lift primes every update is reduced.  Blocks wider than
-_PANEL_CROSSOVER go in panels of _PANEL columns when _PANEL*(p-1)^2 <
-2^53 (_panels): the loop on the panel, then one float64 matrix product
-for the columns past it, which carries only integers below 2^53 and so
-is exact (proof in _eliminate).  The rank mod p is the split's pivot
-count.  Back substitution through the echelon rows gives
-the one kernel primitive, integer_kernel: the residues over F_p, and over
-Q vectors lifted from several primes, the probe prime first, and
-verified exactly over Z, so the exact rank over Q rests on checked
-vectors, not on a prime.  Every result is a deterministic function of
-the input, the same with or without panels.
+An integer matrix is one SparseRows: flat arrays of row lengths, int64
+columns and integer values (int64, or Python ints past it), as GBLA
+(Boyer-Eder-Faugere-Lachartre-Martani, ISSAC 2016) keeps its matrices;
+pair lists are converted once, where rank_mod_p_int and integer_kernel
+take them.  There is one elimination, a pivot split (Faugere-Lachartre)
+run forward in array operations: the sparsest row at each leading column
+is a pivot, the pivots clear their columns in dense blocks of the other
+rows level by level (_split), and a vectorized column loop mod p
+(_eliminate, int64 for p < 2^31) brings the Schur complement they leave
+to echelon form, delaying its % p where int64 allows (_delays, after
+FFLAS-FFPACK) and running wide blocks in exact float64 GEMM panels
+(_panels).  The rank mod p is the pivot count.  Back substitution through
+the echelon rows gives the one kernel primitive, integer_kernel: the
+residues over F_p, and over Q vectors lifted from several primes, the
+probe prime first, and verified exactly over Z, so the exact rank over Q
+rests on checked vectors, not on a prime.  Every result is a
+deterministic function of the input, the same with or without panels.
 """
 
 from __future__ import annotations
@@ -35,6 +29,60 @@ import numpy as np
 from .fields import _is_prime
 
 Row = list[tuple[int, int]]  # a sparse integer row: (column, value) pairs, columns ascending
+
+
+def integers(values) -> np.ndarray:
+    """Python ints as int64, or as Python ints when one passes int64."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+class SparseRows:
+    """Sparse integer rows over width columns as flat arrays, row after row:
+    lengths, int64 columns (ascending in each row) and values.  Read as a
+    sequence, a row is a list of (column, value) pairs."""
+
+    def __init__(self, lengths: np.ndarray, cols: np.ndarray, values: np.ndarray, width: int, starts=None):
+        self.lengths, self.cols, self.values, self.width = lengths, cols, values, width
+        self.starts = lengths.cumsum() - lengths if starts is None else starts
+
+    @classmethod
+    def of(cls, rows: SparseRows | list[Row], width: int | None = None) -> SparseRows:
+        """rows if they are SparseRows, else pair lists over width columns, by default past the last one."""
+        if isinstance(rows, SparseRows):
+            return rows
+        width = max((row[-1][0] + 1 for row in rows if row), default=0) if width is None else width
+        flat = list(itertools.chain.from_iterable(rows))
+        cols = np.array([c for c, _ in flat], dtype=np.int64)
+        return cls(np.array([len(row) for row in rows], dtype=np.int64), cols, integers([x for _, x in flat]), width)
+
+    def take(self, index: np.ndarray) -> SparseRows:
+        """The rows at index, in its order."""
+        lengths = self.lengths[index]
+        starts = lengths.cumsum() - lengths
+        shift = (self.starts[index] - starts).repeat(lengths)
+        entries = np.arange(shift.size) + shift
+        return SparseRows(lengths, self.cols[entries], self.values[entries], self.width, starts)
+
+    def transpose(self) -> SparseRows:
+        """The columns as rows, each column's entries in row order: one stable argsort."""
+        order = self.cols.argsort(kind="stable")
+        rows = np.arange(len(self)).repeat(self.lengths)[order]
+        return SparseRows(np.bincount(self.cols, minlength=self.width), rows, self.values[order], len(self))
+
+    def __len__(self) -> int:
+        return len(self.lengths)
+
+    def __getitem__(self, i: int) -> Row:
+        start, end = self.starts[i], self.starts[i] + self.lengths[i]
+        return list(zip(self.cols[start:end].tolist(), self.values[start:end].tolist()))
+
+    def __iter__(self):
+        pairs = list(zip(self.cols.tolist(), self.values.tolist()))
+        return (pairs[s : s + n] for s, n in zip(self.starts.tolist(), self.lengths.tolist()))
+
 
 # probe prime for rank lower bounds on integer matrices: full rank mod a
 # prime certifies full rank over Q, never the other way around.  The
@@ -64,14 +112,9 @@ def _panels(a: np.ndarray, p: int) -> bool:
     delaying block wider than _PANEL_CROSSOVER columns with
     _PANEL*(p-1)^2 < 2^53 (proof in _eliminate), so p <= 16,777,213.
 
-    Measured on one core of a shared 2-core Xeon VM, at the probe prime:
-    the 492 x 340 Schur block of a dense (3,5) probe takes 48-62 ms in
-    the loop and 17-20 ms in panels.  The benchmark's blocks of 86 to 140
-    columns go either way by up to 20% (192 x 136: 3.9 ms in the loop,
-    4.6 in panels; 414 x 126: 7.2 and 6.2).  Random 1.45n x n blocks break
-    even near n = 100 and gain 1.4x at n = 192.  So the loop keeps every
-    block up to 192 columns, among them all blocks of certify and of the
-    exact ranks over Q in the benchmark."""
+    Measured at the probe prime on one core of a shared 2-core Xeon VM
+    (ROADMAP, "Do not repeat"): random 1.45n x n blocks break even near
+    n = 100, so the loop keeps every block up to 192 columns."""
     return a.shape[1] > _PANEL_CROSSOVER and _delays(a, p) and _PANEL * (p - 1) ** 2 < 2**53
 
 
@@ -135,7 +178,7 @@ def _eliminate(a: np.ndarray, p: int) -> list[int]:
                 break
             if delay:
                 a[r:, c] %= p
-            nz = np.nonzero(a[r:, c])[0]
+            nz = a[r:, c].nonzero()[0]
             if nz.size == 0:
                 continue
             pr = r + int(nz[0])
@@ -144,7 +187,7 @@ def _eliminate(a: np.ndarray, p: int) -> list[int]:
             inv = pow(int(a[r, c]), -1, p)
             start = c0 if panels else c  # a panel scales its multipliers too
             a[r, start:] = a[r, start:] % p * inv % p
-            idx = r + 1 + np.nonzero(a[r + 1 :, c])[0]
+            idx = r + nz[1:]  # the rows below with an entry at c: the swap moved a zero
             if idx.size:
                 lo = c + 1 if panels else c  # a panel keeps each factor in place of the entry it clears
                 update = a[idx, c][:, None] * a[r, lo:c1]
@@ -183,131 +226,127 @@ def _trailing(a: np.ndarray, p: int, r0: int, cols: list[int], c1: int) -> None:
         a[rows, c1:] -= (a[rows, cols].astype(np.float64) @ e).astype(np.int64)
 
 
-def _levels(pivots: dict[int, Row], order: list[int], width: int) -> list[np.ndarray]:
-    """The pivots level by level, each level in pieces of at most width,
-    as arrays of positions in order, the pivot columns ascending.  A
-    pivot's level is one more than the highest level of a pivot row with
-    an entry at its column, 0 if there is none.  Such a row leads before
-    the column, so one pass over the pivot rows in column order finds
-    every level, each entry looked at once."""
-    level = dict.fromkeys(order, 0)
-    for c in order:
-        above = level[c] + 1
-        for col, _ in itertools.islice(pivots[c], 1, None):
-            if level.get(col, above) < above:  # non-pivot columns are skipped
-                level[col] = above
-    level = np.array(list(level.values()))
-    by_level = np.argsort(level, kind="stable")
+def _levels(pivots: SparseRows, width: int) -> list[np.ndarray]:
+    """The positions of the pivot rows (leads ascending) level by level, in
+    pieces of at most width.  A pivot's level is one more than the highest
+    level of a pivot row with an entry at its column, 0 if there is none;
+    such a row leads before it, so one pass over those entries finds all."""
+    at = np.zeros(pivots.width, dtype=np.int64)  # one past the position of the pivot at each column
+    at[pivots.cols[pivots.starts]] = np.arange(1, len(pivots) + 1)
+    source = np.arange(len(pivots)).repeat(pivots.lengths)
+    target = at[pivots.cols] - 1
+    edge = target > source  # an entry past its row's lead at a pivot column
+    level = [0] * len(pivots)
+    for i, j in zip(source[edge].tolist(), target[edge].tolist()):
+        if level[j] <= level[i]:
+            level[j] = level[i] + 1
+    level = np.array(level, dtype=np.int64)
+    by_level = level.argsort(kind="stable")
     bounds = itertools.pairwise(itertools.accumulate(np.bincount(level).tolist(), initial=0))
     return [by_level[i : min(i + width, hi)] for lo, hi in bounds for i in range(lo, hi, width)]
 
 
-def _entries(rows: list[Row], dtype) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The lengths of nonempty sparse rows, and their columns and values, row after row."""
-    cols, values = zip(*itertools.chain.from_iterable(rows))
-    return np.array([len(row) for row in rows]), np.array(cols, dtype=np.intp), np.array(values, dtype=dtype)
-
-
-def _split(rows: list[Row], ncols: int, p: int):
+def _split(rows: SparseRows, ncols: int, p: int):
     """The pivot split (Faugere-Lachartre) of ncols-column sparse integer rows mod p.
 
     Entries are any ints.  Each is reduced mod p first and zero residues
     are dropped, so every row leads with a unit.  Of the rows leading at
-    the same column the sparsest is a pivot, the first on a tie; the k
-    pivots stay sparse and are never changed.  The other m rows go into
-    dense blocks of ncols columns (int64 below 2^31, Python ints above),
-    as many rows at a time as fit in _BLOCK entries, the only dense arrays
-    built from sparse rows.  Multiples of the pivot rows clear the pivot
-    columns in each block, level by level (_levels): a pivot's level is
-    one more than the highest level of a pivot row with an entry at its
-    column, 0 if there is none.  The pivots of one level clear the block
-    together, in pieces whose columns hold at most _CHUNK entries of it:
-    one gather of a piece's columns, reduced, gives its factors, and each
-    factor times its pivot row's tail is subtracted by one scatter per
-    chunk of about _CHUNK entries.  Products are reduced only when the
-    block does not delay (_delays).  Each block's non-pivot columns go
-    into the m-row Schur complement, reduced once all are in, and the
-    column loop brings it to echelon form.  With no non-pivot column or
-    no other row there is no block.
+    the same column the sparsest is a pivot, the first on a tie (a stable
+    sort by lead, then running minima of the lengths); the k pivots stay
+    sparse and are never changed.  The other m rows keep the input order,
+    a pivot that a later, sparser row displaced standing where that row
+    stood, and go into dense blocks of ncols columns (int64 below 2^31,
+    Python ints above) of at most _BLOCK entries, the only dense arrays
+    built from sparse rows.  The pivots clear their columns in each block
+    level by level (_levels), those of one level together, by one gather
+    of their columns for the factors and scatters of about _CHUNK entries,
+    reduced only when the block does not delay (_delays).  The non-pivot
+    columns of the blocks form the m-row Schur complement, which the
+    column loop brings to echelon form.  With no non-pivot column or no
+    other row there is no block.
 
-    Returns (pivots, others, schur, leads): pivots maps each pivot column
-    to its row of residues; others lists the non-pivot columns, schur is
-    the eliminated complement on them (no rows if nothing was left) and
-    leads the positions in others of its pivots.
+    Returns (pivots, others, schur, leads): the k pivot rows of residues,
+    leads ascending; the non-pivot columns; the eliminated complement on
+    them (no rows if nothing was left); and the positions of its pivots.
 
-    Why the levels clear the block.  A pivot row with an entry at the
-    column of another pivot leads before it, and that pivot's level is
-    higher than its own.  So the pivot rows that change a pivot's column
-    are all of lower levels.  When its level comes, they have all been
-    applied and no later one touches the column: the factors read then
-    are final, the same as clearing the pivots one at a time in column
-    order, and the pivots of one level, which change none of each other's
-    columns, can clear together.  Afterwards the block is zero mod p on
-    every pivot column.  The pivot columns are never read again, so a
-    pivot row's lead, which only zeroes its own column, is left out of
-    the update.  No overflow: an entry takes at most one product per
-    pivot, so the delayed-reduction bound of _eliminate holds; without
-    delay each product is reduced, and k products of at most p-1 fit in
-    int64 for p < 2^31.
+    Why the levels clear the block.  A pivot row with an entry at another
+    pivot's column leads before it, and that pivot's level is higher, so
+    the rows that change a pivot's column all have lower levels: when its
+    level comes they have all been applied and none later touches the
+    column.  The factors read then are final, as when clearing one pivot
+    at a time in column order, and the pivots of one level, which change
+    none of each other's columns, clear together.  The block ends zero mod
+    p on every pivot column, which is never read again, so a pivot row's
+    lead is left out of the update.  No overflow: an entry takes at most
+    one product per pivot, so the delayed-reduction bound of _eliminate
+    holds; without delay each product is reduced, and k products of at
+    most p-1 fit in int64 for p < 2^31.
 
     Why the rank is k plus the rank of the Schur complement.  The pivot
-    rows lead at distinct columns, so on the pivot columns, in order, they
-    form a triangular matrix with units on its diagonal: they are
-    independent.  Subtracting multiples of pivot rows from the other rows
-    keeps the row space and so the rank, and the block ends zero on every
-    pivot column.  In a vanishing combination of pivot rows and block rows
-    the pivot rows then combine to zero on the pivot columns, where the
-    triangle is invertible, so their part is zero: the rank is k plus the
-    rank of the block, which lives on the non-pivot columns.  The cleared
-    rows are unique, as the multiples that zero the pivot columns are
-    fixed by the triangle, so the levels give the residues of clearing one
-    pivot at a time, and each row is cleared on its own, so splitting the
-    rows into blocks changes none of them.
+    rows lead at distinct columns, so on the pivot columns they form a
+    triangle with units on its diagonal: they are independent.
+    Subtracting multiples of them from the other rows keeps the row space,
+    and the block ends zero on every pivot column, so in a vanishing
+    combination of pivot and block rows the pivot rows' part is zero: the
+    rank is k plus the rank of the block, on the non-pivot columns.  The
+    cleared rows are unique, as the triangle fixes the multiples that zero
+    the pivot columns, so the levels give the residues of clearing one
+    pivot at a time, and splitting the rows into blocks changes none.
     """
     dtype = np.int64 if p < _INT64_PRIME_LIMIT else object
-    pivots: dict[int, Row] = {}
-    rest: list[Row] = []
-    for row in rows:
-        row = [(c, r) for c, x in row if (r := x % p)]
-        if not row:
-            continue
-        kept = pivots.setdefault(row[0][0], row)
-        if kept is not row:
-            if len(row) < len(kept):
-                pivots[row[0][0]], row = row, kept
-            rest.append(row)
-    others = [c for c in range(ncols) if c not in pivots]
-    if not (rest and others):
+    residues = rows.values % p
+    kept = residues != 0
+    if kept.all() and rows.lengths.all():
+        rows = SparseRows(rows.lengths, rows.cols, residues.astype(dtype, copy=False), ncols, rows.starts)
+    else:
+        counts = np.bincount(np.arange(len(rows)).repeat(rows.lengths)[kept], minlength=len(rows))
+        rows = SparseRows(counts[counts > 0], rows.cols[kept], residues[kept].astype(dtype), ncols)
+    # rows by lead, input order within a lead; running minima of the lengths (keys fall from lead to lead)
+    lead = rows.cols[rows.starts]
+    order = lead.argsort(kind="stable")
+    lead = lead[order]
+    first = lead != np.concatenate(([-1], lead[:-1]))
+    if first.all():  # distinct leads: every row is a pivot
+        pivots, rest = rows.take(order), order[:0]
+    else:
+        top = int(rows.lengths.max()) + 1
+        key = rows.lengths[order] - lead * top
+        sparsest = key < np.concatenate(([top], np.minimum.accumulate(key)[:-1]))
+        pivot = order[np.maximum.accumulate(np.where(sparsest, np.arange(len(key)), 0))]  # after each row
+        later = (~first).nonzero()[0]
+        rest = np.where(sparsest[later], pivot[later - 1], order[later])[order[later].argsort()]
+        heads = first.nonzero()[0]
+        pivots = rows.take(np.maximum.reduceat(pivot, heads))
+        lead = lead[heads]
+    others = (np.bincount(lead, minlength=ncols) == 0).nonzero()[0]
+    if not (rest.size and others.size):
         return pivots, others, np.zeros((0, len(others)), dtype=dtype), []
-    order = sorted(pivots)
-    inverses = np.array([pow(pivots[c][0][1], -1, p) for c in order], dtype=dtype)
-    lengths, cols, values = _entries([pivots[c] for c in order], dtype)
-    starts = np.cumsum(lengths) - lengths
+    lengths, starts, cols, values = pivots.lengths, pivots.starts, pivots.cols, pivots.values
+    inverses = np.array([pow(x, -1, p) for x in values[starts].tolist()], dtype=dtype)
     step = max(_CHUNK // int(lengths.max()), 1)  # (row, pivot) pairs per scatter
     height = min(max(_BLOCK // ncols, 1), len(rest))  # rows per dense block
-    levels = _levels(pivots, order, max(_CHUNK // height, 1))
-    order = np.array(order)
+    levels = _levels(pivots, max(_CHUNK // height, 1))
     schur = np.empty((len(rest), len(others)), dtype=dtype)
     for top in range(0, len(rest), height):
         # column-major for the levels, which gather columns; the column
         # loop gathers rows, so the Schur complement is kept row-major
         m = min(height, len(rest) - top)
         block = np.zeros((m, ncols), dtype=dtype, order="F")
-        row_lengths, row_cols, row_values = _entries(rest[top : top + m], dtype)
-        block[np.repeat(np.arange(m), row_lengths), row_cols] = row_values
+        part = rows.take(rest[top : top + m])
+        block[np.arange(m).repeat(part.lengths), part.cols] = part.values
         delay = _delays(block, p)
         flat = block.T.reshape(-1)  # entry (i, c) at c*m + i
         for at in levels:
-            column = block[:, order[at]]
+            column = block[:, lead[at]]
             column %= p
-            hit, j = np.nonzero(column)
+            hit, j = column.nonzero()
             source = at[j]
             factors = column[hit, j] * inverses[source] % p
             for lo in range(0, hit.size, step):
                 piv = source[lo : lo + step]
                 count = lengths[piv] - 1  # each pivot row's tail, past its lead
-                pair = np.repeat(np.arange(count.size), count)
-                entry = np.arange(pair.size) + (starts[piv] + 1 + count - np.cumsum(count))[pair]
+                pair = np.arange(count.size).repeat(count)
+                entry = np.arange(pair.size) + (starts[piv] + 1 + count - count.cumsum())[pair]
                 update = factors[lo : lo + step][pair] * values[entry]
                 if not delay:
                     update %= p
@@ -318,20 +357,20 @@ def _split(rows: list[Row], ncols: int, p: int):
     return pivots, others, schur, _eliminate(schur, p)
 
 
-def rank_mod_p_int(rows: list[Row], p: int, stop_at: int | None = None) -> int:
-    """Rank of sparse integer rows mod a prime p or, for p = 0, over Q: the
-    pivot count of their split, or of integer_kernel, exact.  The whole
-    rank is computed and then capped at stop_at, so a smaller result is
-    the whole rank; a stop_at <= 0 gives 0.  Callers pass stop_at as the
-    width they test for (a probe), which the benchmark's trace counts."""
+def rank_mod_p_int(rows: SparseRows | list[Row], p: int, stop_at: int | None = None) -> int:
+    """Rank of sparse integer rows mod a prime p or, for p = 0, over Q (the
+    pivot count of their split, or of integer_kernel), capped at stop_at:
+    a smaller result is the whole rank, and a stop_at <= 0 gives 0.
+    Callers pass stop_at as the width they probe for, which the
+    benchmark's trace counts."""
     if stop_at is not None and stop_at <= 0:
         return 0
-    ncols = max((row[-1][0] + 1 for row in rows if row), default=0)
+    rows = SparseRows.of(rows)
     if p:
-        pivots, _, _, leads = _split(rows, ncols, p)
+        pivots, _, _, leads = _split(rows, rows.width, p)
         rank = len(pivots) + len(leads)
     else:
-        rank = len(integer_kernel(rows, ncols, 0)[0])
+        rank = len(integer_kernel(rows, rows.width, 0)[0])
     return rank if stop_at is None else min(rank, stop_at)
 
 
@@ -384,31 +423,31 @@ def _lift_kernel(residues: np.ndarray, modulus: int, pivots: list[int], free: li
     return vectors
 
 
-def _annihilates(rows: list[Row], vectors: list[dict[int, int]]) -> bool:
-    """Whether row * v = 0 over Z for every row and every sparse vector v
-    {column: value}, in exact Python ints from the rows themselves."""
-    return not any(sum(x * v.get(c, 0) for c, x in row) for v in vectors for row in rows)
+def _annihilates(rows: SparseRows, vectors: list[dict[int, int]]) -> bool:
+    """Whether A*V = 0 over Z, for A the rows and V the sparse vectors
+    {column: value} as columns: one exact product in Python ints."""
+    v = np.zeros((rows.width, len(vectors)), dtype=object)
+    for k, vector in enumerate(vectors):
+        v[list(vector), k] = list(vector.values())
+    return not np.add.reduceat(rows.values[:, None] * v[rows.cols], rows.starts[rows.lengths > 0]).any()
 
 
-def integer_kernel(rows: list[Row], ncols: int, p: int) -> tuple[list[int], list[int], list[dict[int, int]]]:
+def integer_kernel(rows: SparseRows | list, ncols: int, p: int) -> tuple[list[int], list[int], list[dict[int, int]]]:
     """Pivots, free columns and a kernel basis of ncols-column sparse integer
     rows over F_p or, for p = 0, Q.
 
     The basis holds one integer vector {column: value} per free column,
     nonzero there and zero at the other free columns.  Mod a prime the
-    forward split gives the rank r_p, the pivots and the echelon rows, the
-    sparse pivot rows and the Schur rows.  For each of the k = cols - r_p
-    free columns, back substitution through them, last pivot first, gives
-    a kernel vector mod the prime, 1 there and 0 at the other free columns.
-    They match Gauss-Jordan: the echelon rows lead at the columns that
-    raise the rank of those before them, the pivots of the reduced form,
-    and a kernel vector is fixed by its free entries, so these are the
-    reduced form's vectors, minus its free columns at the pivots.  Over
-    F_p these residues are the answer.  Over Q the primes are the probe
-    prime, then down from 2^31 - 1, none tried twice; residues of primes
-    with the same (rank, pivots) are combined by CRT, lifted by rational
-    reconstruction (Wang-Guy-Davenport 1982; Monagan, ISSAC 2004), cleared
-    of denominators and checked, A*v = 0, exactly over Z.
+    split gives the rank r_p and the echelon rows, sparse pivot rows and
+    Schur rows, and back substitution through them, last pivot first,
+    gives a kernel vector per free column, 1 there and 0 at the others.
+    These are Gauss-Jordan's: the echelon rows lead at the columns that
+    raise the rank of those before them, and a kernel vector is fixed by
+    its free entries.  Over F_p these residues are the answer.  Over Q the
+    primes are the probe prime, then down from 2^31 - 1, none tried twice;
+    residues of primes with the same (rank, pivots) are combined by CRT,
+    lifted by rational reconstruction (Wang-Guy-Davenport 1982; Monagan,
+    ISSAC 2004), cleared of denominators and checked, A*v = 0, over Z.
 
     Why the answer over Q is exact.  r_p <= rank_Q for every prime, as a
     minor that is nonzero mod p is nonzero over Z, so a prime with no free
@@ -440,11 +479,13 @@ def integer_kernel(rows: list[Row], ncols: int, p: int) -> tuple[list[int], list
     a defect here, and raises RuntimeError rather than trying primes
     forever.  H^2 is computed only once a check has failed.
     """
+    rows = SparseRows.of(rows, ncols)
     kept = residues = modulus = hadamard2 = None
     lift = itertools.chain(_LIFT_PRIMES, _primes_from(_LIFT_PRIMES[-1] - 2))
     for prime in (p,) if p else itertools.chain((PROBE_PRIME,), (q for q in lift if q != PROBE_PRIME)):
         pivot_rows, others, schur, leads = _split(rows, ncols, prime)
-        pivots = sorted([*pivot_rows, *(others[j] for j in leads)])
+        lead = pivot_rows.cols[pivot_rows.starts]
+        pivots = sorted([*lead.tolist(), *others[leads].tolist()])
         free_at = sorted(set(range(len(others))) - set(leads))
         if not free_at:
             return pivots, [], []
@@ -454,20 +495,18 @@ def integer_kernel(rows: list[Row], ncols: int, p: int) -> tuple[list[int], list
         # back substitution, last pivot first: the Schur rows, which lead with 1,
         # on the other columns, then the sparse pivot rows; each product is
         # reduced before the sum, as int64 holds one (p-1)^2, not two
-        free = [others[j] for j in free_at]
+        free = others[free_at].tolist()
         w = np.zeros((len(others), len(free)), dtype=schur.dtype)
         w[free_at, np.arange(len(free))] = 1
-        for j in reversed(range(len(leads))):
-            k = leads[j]
+        for j, k in reversed(list(enumerate(leads))):
             w[k] = -(schur[j, k + 1 :, None] * w[k + 1 :] % prime).sum(0) % prime
         v = np.zeros((ncols, len(free)), dtype=schur.dtype)
         v[others] = w
-        for c in sorted(pivot_rows, reverse=True):
-            (_, lead), *tail = pivot_rows[c]
-            if tail:
-                cols, values = zip(*tail)
-                total = (np.array(values, dtype=v.dtype)[:, None] * v[list(cols)] % prime).sum(0) % prime
-                v[c] = -total * pow(lead, -1, prime) % prime
+        cols, values, ends = pivot_rows.cols, pivot_rows.values, (pivot_rows.starts + pivot_rows.lengths).tolist()
+        for c, start, end in reversed(list(zip(lead.tolist(), pivot_rows.starts.tolist(), ends))):
+            if end - start > 1:
+                total = (values[start + 1 : end, None] * v[cols[start + 1 : end]] % prime).sum(0) % prime
+                v[c] = -total * pow(int(values[start]), -1, prime) % prime
         block = v[pivots]
         if p:
             return pivots, free, [
@@ -484,7 +523,8 @@ def integer_kernel(rows: list[Row], ncols: int, p: int) -> tuple[list[int], list
         if vectors is not None and _annihilates(rows, vectors):
             return pivots, free, vectors
         if hadamard2 is None:
-            norms = sorted((sum(x * x for _, x in row) for row in rows), reverse=True)
+            norms = np.add.reduceat(rows.values.astype(object) ** 2, rows.starts[rows.lengths > 0])
+            norms = sorted(norms.tolist(), reverse=True)
             hadamard2 = prod(n for n in norms[:ncols] if n)
         if modulus > 2 * hadamard2:
             raise RuntimeError(f"kernel lift failed its check past 2*H^2 = {2 * hadamard2}")

@@ -423,7 +423,8 @@ def split_reference(rows: list[linalg.Row], ncols: int, p: int):
     one update of the dense block by the multiples of its pivot row, lead
     included, delaying % p as linalg._delays allows; the Schur complement
     goes through the same linalg._eliminate.  Returns the same
-    (pivots, others, schur, leads).
+    (pivots, others, schur, leads), the pivot rows and the non-pivot
+    columns as lists.
     """
     dtype = np.int64 if p < 2**31 else object
     pivots: dict[int, linalg.Row] = {}
@@ -439,7 +440,7 @@ def split_reference(rows: list[linalg.Row], ncols: int, p: int):
             rest.append(row)
     others = [c for c in range(ncols) if c not in pivots]
     if not (rest and others):
-        return pivots, others, np.zeros((0, len(others)), dtype=dtype), []
+        return [pivots[c] for c in sorted(pivots)], others, np.zeros((0, len(others)), dtype=dtype), []
     block = np.zeros((len(rest), ncols), dtype=dtype)
     for i, row in enumerate(rest):
         for c, x in row:
@@ -458,7 +459,14 @@ def split_reference(rows: list[linalg.Row], ncols: int, p: int):
             else:
                 block[at] = (block[at] - update) % p
     schur = np.ascontiguousarray(block[:, others]) % p
-    return pivots, others, schur, linalg._eliminate(schur, p)
+    return [pivots[c] for c in sorted(pivots)], others, schur, linalg._eliminate(schur, p)
+
+
+def split_pivots(split) -> list[int]:
+    """The pivot columns of a linalg._split result, ascending: the leads of
+    its pivot rows and the Schur pivots."""
+    pivots, others, _, leads = split
+    return sorted([row[0][0] for row in pivots] + [int(others[j]) for j in leads])
 
 
 def mat_vec(m: Matrix, v: list[Scalar]) -> list[Scalar]:

@@ -3,12 +3,13 @@
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from hypersect import HypersectError, SingularMatrix, make_field
+from hypersect import HypersectError, SingularMatrix, ideal_graded_dim, make_field, parse_poly
 from hypersect import linalg
 from hypersect.fields import _is_prime
 from hypersect.linalg import PROBE_PRIME, rank_mod_p_int
@@ -29,6 +30,7 @@ from helpers import (
     rref,
     rref_reference,
     sparse_rows,
+    split_pivots,
     split_reference,
 )
 
@@ -317,6 +319,53 @@ def test_pivot_split_matches_dense_rank_on_a_seeded_grid():
     assert deficient >= 30
 
 
+def _displaces(rows, p):
+    """Whether a later, sparser row displaces the pivot of its leading
+    column mod p: the case that places the displaced pivot among the other
+    rows where the displacing row stood."""
+    kept = {}
+    for row in rows:
+        row = [(c, x) for c, x in row if x % p]
+        if row and len(row) < len(kept.setdefault(row[0][0], row)):
+            return True
+    return False
+
+
+def test_pair_lists_and_sparse_rows_agree():
+    """rank_mod_p_int, with and without stop_at, and integer_kernel give
+    the same answers on pair lists and on the SparseRows made of them, mod
+    primes on both sides of 2^31 and over Q, and the split's Schur rows
+    keep the per-row oracle's order.  The grid (_split_grid) has entries
+    past 2^63, rows that are all zero mod p, empty rows and repeated leads
+    where a later, sparser row displaces the pivot; the empty matrix, a
+    matrix of one empty row and an ideal piece with no row come with it."""
+    rng = random.Random(81)
+    seen = Counter()
+    for p in (2, 101, PROBE_PRIME, 2**31 - 1, 2**31 + 11):
+        for ncols, dense in _split_grid(rng, p):
+            rows = sparse_rows(dense)
+            sparse = linalg.SparseRows.of(rows, ncols)
+            assert len(sparse) == len(rows) and list(sparse) == rows and all(sparse[i] == r for i, r in enumerate(rows))
+            seen["past int64"] += sparse.values.dtype == object
+            seen["zero mod p"] += any(row and not any(x % p for _, x in row) for row in rows)
+            seen["displaced"] += _displaces(rows, p)
+            for q in (p, 0):
+                for stop_at in (None, 1, ncols):
+                    assert rank_mod_p_int(rows, q, stop_at) == rank_mod_p_int(sparse, q, stop_at), (rows, q)
+                assert linalg.integer_kernel(rows, ncols, q) == linalg.integer_kernel(sparse, ncols, q), (rows, q)
+            got, want = linalg._split(sparse, ncols, p), split_reference(rows, ncols, p)
+            assert (list(got[0]), got[1].tolist(), got[2].tolist(), got[3]) == (want[0], want[1], want[2].tolist(), want[3])
+    assert min(seen["past int64"], seen["zero mod p"], seen["displaced"]) > 0, seen
+    for rows, ncols in (([], 0), ([], 4), ([[]], 3)):
+        sparse = linalg.SparseRows.of(rows, ncols)
+        assert list(sparse) == rows and sparse.width == ncols
+        for q in (0, 101):
+            assert rank_mod_p_int(rows, q) == rank_mod_p_int(sparse, q) == 0
+            assert linalg.integer_kernel(sparse, ncols, q) == ([], list(range(ncols)), [{c: 1} for c in range(ncols)])
+    assert linalg.integer_kernel([[]], 3, 0) == ([], [0, 1, 2], [{0: 1}, {1: 1}, {2: 1}])
+    assert ideal_graded_dim([parse_poly("x0^3 + x1^3 + x2^3", 3, Q)], 2).dimension == 0
+
+
 # --- delayed reduction in the column loop and the split ----------------------
 
 DELAY_PRIMES = (2, 3, 101, PROBE_PRIME, 2**31 - 1, 2**31 + 11)
@@ -362,10 +411,12 @@ def _check_split(rows, p, want, want_pivots):
     off the pivot columns, on the other columns."""
     field = make_field(p)
     ncols = len(rows[0])
-    pivots, others, schur, leads = linalg._split(sparse_rows(rows), ncols, p)
+    split = linalg._split(linalg.SparseRows.of(sparse_rows(rows), ncols), ncols, p)
+    pivots, others, schur, leads = split
     assert all(0 <= x < p for x in schur.flat)
-    assert sorted([*pivots, *(others[j] for j in leads)]) == want_pivots, (rows, p)
-    tail = [[want.at(i, c) for c in others] for i, c in enumerate(want_pivots) if c not in pivots]
+    assert split_pivots(split) == want_pivots, (rows, p)
+    sparse = {row[0][0] for row in pivots}
+    tail = [[want.at(i, c) for c in others] for i, c in enumerate(want_pivots) if c not in sparse]
     got = Matrix.from_rows(field, schur.tolist()) if len(schur) else Matrix.zero(field, 0, len(others))
     assert rref_reference(got)[0].row_lists()[: len(tail)] == tail
 
@@ -480,8 +531,8 @@ def test_level_split_matches_the_per_pivot_oracle(monkeypatch):
             for chunk, block in sizes if ncols < 100 else sizes[:1]:
                 monkeypatch.setattr(linalg, "_CHUNK", chunk)
                 monkeypatch.setattr(linalg, "_BLOCK", block)
-                got = linalg._split(sparse, ncols, p)
-                assert got[:2] == want[:2] and got[3] == want[3], (p, rows)
+                got = linalg._split(linalg.SparseRows.of(sparse, ncols), ncols, p)
+                assert (list(got[0]), got[1].tolist(), got[3]) == (want[0], want[1], want[3]), (p, rows)
                 assert got[2].dtype == want[2].dtype and np.array_equal(got[2], want[2]), (p, rows)
             pivots, _, _, leads = want
             deficient += len(pivots) + len(leads) < min(len(rows), ncols)
@@ -511,7 +562,7 @@ def test_split_holds_one_bounded_block_at_a_time(monkeypatch):
     monkeypatch.setattr(linalg, "_eliminate", eliminate_spy)
     tracemalloc.start()
     try:
-        _, others, schur, _ = linalg._split(rows, ncols, 101)
+        _, others, schur, _ = linalg._split(linalg.SparseRows.of(rows), ncols, 101)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -613,8 +664,7 @@ def _spied_rank(monkeypatch, rows):
 
     def split_spy(rows_, ncols, p):
         split = real_split(rows_, ncols, p)
-        pivot_rows, others, _, leads = split
-        pivot_lists.append(sorted([*pivot_rows, *(others[j] for j in leads)]))
+        pivot_lists.append(split_pivots(split))
         return split
 
     def check_spy(rows_, vectors):
@@ -845,7 +895,7 @@ def _back_substitutes_through_schur_rows(ncols, rows, p):
     """Whether the split of rows mod p (the probe prime over Q) has two
     Schur rows or more, one with a nonzero entry at a later Schur row's
     lead and one at a free column."""
-    _, others, schur, leads = linalg._split(sparse_rows(rows), ncols, p or PROBE_PRIME)
+    _, others, schur, leads = linalg._split(linalg.SparseRows.of(sparse_rows(rows), ncols), ncols, p or PROBE_PRIME)
     free_at = set(range(len(others))) - set(leads)
     return (
         len(leads) >= 2
