@@ -3,30 +3,43 @@
 For a form f of degree d in x0..xn the Jacobian ideal is generated by f
 together with all first partials.  The projective hypersurface f = 0 is
 smooth over the algebraic closure exactly when that ideal is irrelevant,
-i.e. when some graded piece fills the whole space of forms of its degree:
-a rank condition over the base field, so it is insensitive to field
-extension and can be decided here exactly.  Fullness is monotone in the
-degree, and a smooth f fills by a proven degree, (n+1)(d-2) + 1, one more
-when char | d (default_degree_cap has both proofs), so the one piece at
-that degree decides: f is smooth exactly when it is full.
+i.e. when some graded piece fills the whole space of forms of its degree.
+Fullness of a graded piece is a rank condition on a matrix defined over
+the base field, so it is insensitive to field extension and can be decided
+here exactly.
+
+Fullness is monotone in the degree: a full piece stays full after
+multiplying by the variables.  And a smooth f fills by a proven degree,
+(n+1)(d-2) + 1, one more when char | d (default_degree_cap has both
+proofs).  So one graded piece, at that degree, decides smoothness: f is
+smooth exactly when it is full.
 
 Every matrix holds the monomial multiples of the generators in one degree,
-less those the leading-term (Koszul/F5) criterion shows redundant, as one
-linalg.SparseRows gathered from read-only column tables cached by shape
-alone (_macaulay_rows, _column_table).  The generators are integer forms,
-{monomial: int}, each a nonzero constant times the generator it stands
-for; unless char | d they drop f, which Euler's identity puts in the ideal
-of its partials (_integer_generators).  Before the smoothness piece and
-ideal_graded_dim, each degree group whose leading terms collide is
-replaced by its reduced row echelon form (_interreduce, as in Faugere's
-F4): the same ideal, and leads that are distinct, so the pivot split
-finds sparse pivots for the multiples of every generator.
+less those the leading-term (Koszul/F5) criterion shows redundant: fewer
+rows, same span.  Unless char | d, the rows drop f, which Euler's identity
+puts in the ideal of its partials (_integer_generators).  Before the
+smoothness piece and ideal_graded_dim, each group of generators of one
+degree whose leading terms collide is replaced by its reduced row echelon
+form (_interreduce, as in Faugere's F4): the same span in that degree, so
+the same ideal and the same piece J_t for every t.  All partials of a
+dense form lead at x0^(d-1); interreduced, they lead at distinct
+monomials, so the pivot split finds sparse pivots for the multiples of
+each, and the dense block it leaves is far smaller.  The generators
+enter as integer forms, {monomial: int}: the numerators of a Polynomial,
+or the integer partials of a form's numerators (_integer_generators),
+each a nonzero constant times the generator it stands for, which changes
+no span and no rank.  No column is computed per matrix: the column of
+every product m*x^a of one shape (nvars, t, generator degree e) sits in
+one read-only table, cached by that shape alone and never by
+coefficients or leading terms (_column_table), and each matrix gathers
+its generators' columns from it.
 
 Every piece is ranked exactly by one linalg.rank_mod_p_int call: mod p
-over F_p, and over Q the pivot count of the kernel lift, whose first
-prime is linalg.PROBE_PRIME.  Full rank mod that prime proves full rank
-over Q after one elimination; short of full, the kernel vectors are
-lifted to Q and verified over Z, so every returned verdict is exact.
+over F_p, and over Q (denominators cleared) the pivot count of the kernel
+lift, whose first prime is linalg.PROBE_PRIME.  Full rank mod that prime
+proves full rank over Q after one elimination; short of full, the kernel
+vectors are lifted to Q and verified over Z, so a "not smooth" over Q
+rests on checked kernel vectors and every returned verdict is exact.
 """
 
 from __future__ import annotations
@@ -152,30 +165,36 @@ def _column_table(nvars: int, degree: int, e: int) -> np.ndarray:
     return table
 
 
-def _macaulay_rows(generators: list[dict[Monomial, int]], degree: int) -> tuple[list[Monomial], linalg.SparseRows]:
-    """Degree-t monomial basis and the sparse integer rows spanning the ideal's piece.
+def _macaulay_rows(
+    generators: list[dict[Monomial, int]], degree: int
+) -> tuple[list[Monomial], linalg.SparseRows]:
+    """Degree-t monomial basis and sparse integer rows spanning the ideal's piece.
 
     The generators are homogeneous integer forms, {monomial: int}: the
     numerators of Polynomials, whose one denominator only scales a row, or
-    _integer_generators of them (residues over F_p); at least one is
-    nonzero.  The rows are one linalg.SparseRows over the basis: row m*g_i
-    holds the coefficients of m*g_i, columns ascending, as g_i's terms are
-    sorted by column in the grlex-descending degree-e basis and
-    multiplying by m keeps that order.  Zero generators are skipped, and so
-    is m*g_i when LT(g_j) divides m for some j < i (grlex leading terms;
-    the Koszul/F5 criterion).  The span stays the same over any field:
-    with u = m/LT(g_j) and c = LC(g_j),
+    _integer_generators of them; at least one is nonzero.  Over F_p they
+    are residues.  The rows are one linalg.SparseRows over the basis: row
+    m*g_i holds the coefficients of m*g_i, columns ascending, as the terms of
+    g_i are sorted by their column in the grlex-descending degree-e basis,
+    multiplying by m keeps that order, and the degree-t basis is
+    grlex-descending too.  Zero generators are skipped, and so is
+    m*g_i when LT(g_j) divides m for some j < i (grlex leading terms, the
+    first in that order; the Koszul/F5 criterion).  The span stays the
+    same over any field: with u = m/LT(g_j) and c = LC(g_j),
     m*g_i = (u*g_i/c)*g_j + (m - u*g_j/c)*g_i, rows of g_j plus rows of g_i
     at monomials below m; induct on (i, m).  Mod a prime where an LC
     vanishes the rank can only drop, so it still bounds the rank over Q.
     A generator of degree above t has no multiplier, and its leading term
-    divides no multiplier of a later one (of degree at most t), so it is
-    skipped too.
+    divides no multiplier of a later one (their degrees are at most t), so
+    it is skipped too.
 
-    No column is computed and no Python object made per entry: a
-    generator's rows are its terms' columns in _column_table(nvars, t, e)
-    with its coefficients, and the multipliers that LT(g_j) divides are
-    the column of LT(g_j) in _column_table(nvars, t-e, e_j).
+    No column is computed here and no Python object is made per entry.  A
+    generator's rows are the columns of its terms in the per-shape
+    _column_table(nvars, t, e), with its coefficients, and the multipliers
+    that LT(g_j), of degree e_j, divides are the multiples u*LT(g_j): the
+    column of LT(g_j) in _column_table(nvars, t-e, e_j).  Each call
+    gathers from tables of C(nvars-1+t-e, t-e) * C(nvars-1+e, e) int64
+    entries per generator degree e.
     """
     nvars = len(next(m for g in generators for m in g))
     basis = list(_positions(nvars, degree))
@@ -207,23 +226,32 @@ def _interreduce(generators: list[dict[Monomial, int]], p: int) -> list[dict[Mon
     same span in every degree, over the field of characteristic p, and
     distinct leads in every group.
 
-    A degree group holds the forms of one degree (f is a group of its own
-    beside its partials when char | d).  A group whose grlex leading terms
-    are distinct is kept as it is; any other becomes the nonzero rows of
-    its reduced echelon form, columns grlex-descending, rows in pivot
-    order (_reduced_echelon), and a form the others span drops out.  The
-    groups are concatenated in the order of their first forms, so
-    contiguous groups (as _integer_generators makes them) keep their
-    order; when no group collides the input list itself is returned.
+    A degree group holds the forms of one degree (so f is a group of its
+    own beside its partials when char | d).  If the grlex leading terms of
+    a group are distinct it is kept: the same dicts, in the same order.
+    Otherwise its rows are the nonzero rows of the reduced echelon form of
+    its coefficient matrix, columns in grlex-descending order, rows in
+    pivot order: mod p over F_p, leads 1; exact over Q, each row scaled to
+    a primitive integer row with a positive lead (the RREF row, whose
+    denominators are cleared and content divided out).  The groups are
+    concatenated in the order of their first forms, so a list whose groups
+    are contiguous (as _integer_generators makes them) keeps its order; a
+    form the others span drops out.  When no group collides the input list
+    itself is returned.
 
-    Why ranks are kept.  Row operations, and over Q a nonzero scale per
-    row, keep a group's span, so the generators span the same ideal, whose
-    piece J_t, spanned by the products m*g of every generator g with every
-    monomial m of degree t - deg g, is the same for every t; the Koszul/F5
-    mask of _macaulay_rows keeps the span for any generator list.  Why it pays: a dense
-    form's partials all lead at x0^(d-1), so the split would make pivots
-    of one partial's multiples only.  The elimination here is of one
-    group, (n+1) x C(n+d-1, d-1) at most: small next to the matrix.
+    Why ranks are kept.  Row operations keep a group's span, and over Q a
+    nonzero scale per row does too, so the groups span the same forms of
+    their degrees; the generators then span the same ideal, whose piece
+    J_t, spanned by the products m*g of every generator g with every
+    monomial m of degree t - deg g, is the same for every t.  The
+    Koszul/F5 mask of _macaulay_rows keeps the span for any generator
+    list, so the rows of the result span J_t too.  Why the result is
+    faster: _split makes a sparse pivot of one row per leading column, and
+    the partials of a dense form all lead at x0^(d-1), so only one
+    partial's multiples become pivots and the rest fill the dense Schur
+    block; distinct leads give every generator's multiples pivots, and the
+    mask drops the multiples of more leads.  The elimination here is of
+    one group, (n+1) x C(n+d-1, d-1) at most: small next to the matrix.
     """
     nvars = len(next(iter(generators[0])))
     groups: dict[int, list[dict[Monomial, int]]] = {}
@@ -291,9 +319,10 @@ def ideal_graded_dim(
     skipped.  field/nvars are only needed when the list is empty.  All
     generators must share one ring, the given field/nvars where given
     (FieldMismatch, ArityMismatch otherwise), and be homogeneous
-    (InhomogeneousGenerator).  The dimension is one exact rank over the
-    field of the Macaulay rows of their integer forms, interreduced as for
-    is_smooth (_interreduce keeps every graded piece).
+    (InhomogeneousGenerator).  The dimension is one exact rank of the
+    Macaulay rows of their integer forms, interreduced as for is_smooth
+    (_interreduce keeps every graded piece), linalg.rank_mod_p_int over
+    the field.
     """
     if generators:
         field = generators[0].field if field is None else field
@@ -323,9 +352,10 @@ def is_smooth(f: Polynomial, t_max: int | None = None) -> bool:
     lowers the degree; below the proven cap a False means "not full by
     t_max", not a proof of a singular point.
 
-    The piece is built once (_is_smooth).  Fewer rows than columns cannot
-    fill it; otherwise one exact rank of its rows over the field decides
-    (linalg.rank_mod_p_int, capped at the full width).
+    The piece is built once, from the interreduced generators
+    (_interreduce), which span it as the generators do.  Fewer rows than
+    columns cannot fill it; otherwise one exact rank of its rows over the
+    field decides (linalg.rank_mod_p_int, capped at the full width).
     """
     d, p = require_homogeneous(f, 1, "hypersurface form"), f.field.characteristic
     return _is_smooth(_integer_generators(f.numerators, d, p), f.nvars, d, p, t_max)
@@ -337,10 +367,13 @@ def _is_smooth(
     """is_smooth of a nonzero degree-d form in nvars variables over the
     field of characteristic p, given _integer_generators of its
     numerators, or of any nonzero multiple of them: each a nonzero
-    constant times a Jacobian generator, whose rows span the same piece,
-    as do those of _interreduce.  Over Q the interreduced rows are integer
-    rows, so the probe mod linalg.PROBE_PRIME is also the first prime of
-    the kernel lift: one set of rows, one forward pass."""
+    constant times a Jacobian generator, whose rows span the same piece.
+    The piece is built from _interreduce of the generators: each degree
+    group's span is kept, so the ideal and its piece at every degree are
+    too, and the Koszul/F5 mask keeps the span for any generator list.
+    Over Q the interreduced rows are integer rows, so the probe mod
+    linalg.PROBE_PRIME and the kernel lift still share one set of rows and
+    one forward pass."""
     if nvars < 2:
         raise NotHomogeneous("need at least two variables for a projective hypersurface")
     cap = default_degree_cap(nvars, degree, p)

@@ -1,22 +1,31 @@
 """Exact linear algebra on sparse integer rows, over F_p or Q.
 
 An integer matrix is one SparseRows: flat arrays of row lengths, int64
-columns and integer values (int64, or Python ints past it), as GBLA
-(Boyer-Eder-Faugere-Lachartre-Martani, ISSAC 2016) keeps its matrices;
-pair lists are converted once, where rank_mod_p_int and integer_kernel
-take them.  There is one elimination, a pivot split (Faugere-Lachartre)
-run forward in array operations: the sparsest row at each leading column
-is a pivot, the pivots clear their columns in dense blocks of the other
-rows level by level (_split), and a vectorized column loop mod p
-(_eliminate, int64 for p < 2^31) brings the Schur complement they leave
-to echelon form, delaying its % p where int64 allows (_delays, after
-FFLAS-FFPACK) and running wide blocks in exact float64 GEMM panels
-(_panels).  The rank mod p is the pivot count.  Back substitution through
-the echelon rows gives the one kernel primitive, integer_kernel: the
-residues over F_p, and over Q vectors lifted from several primes, the
-probe prime first, and verified exactly over Z, so the exact rank over Q
-rests on checked vectors, not on a prime.  Every result is a
-deterministic function of the input, the same with or without panels.
+columns, ascending in each row, and values (int64, or Python ints past
+it), as GBLA (Boyer-Eder-Faugere-Lachartre-Martani, ISSAC 2016) keeps its
+matrices.  Pair lists, each row a list of (column, value) pairs, are
+converted once, where rank_mod_p_int and integer_kernel take them.  There
+is one elimination, a pivot split (Faugere-Lachartre) run forward on the
+arrays: the rows with distinct leading columns stay sparse as pivots and
+clear their columns in the dense block of the other rows level by level,
+all pivots of a level at once, and a vectorized column loop mod p brings
+the Schur complement they leave to echelon form (int64 for p < 2^31, Python ints above).  The split's
+clearing and the column loop delay their % p where int64 allows it
+(_delays: ncols*(p-1)^2 < 2^62, after FFLAS-FFPACK): an update only
+subtracts, and entries are reduced when their column is searched for a
+pivot, when their row becomes the pivot row, and once at the end.  Every
+block delays at the probe prime, the largest prime below 2^20; at the
+31-bit lift primes every update is reduced.  Blocks wider than
+_PANEL_CROSSOVER go in panels of _PANEL columns when _PANEL*(p-1)^2 <
+2^53 (_panels): the loop on the panel, then one float64 matrix product
+for the columns past it, which carries only integers below 2^53 and so
+is exact (proof in _eliminate).  The rank mod p is the split's pivot
+count.  Back substitution through the echelon rows gives
+the one kernel primitive, integer_kernel: the residues over F_p, and over
+Q vectors lifted from several primes, the probe prime first, and
+verified exactly over Z, so the exact rank over Q rests on checked
+vectors, not on a prime.  Every result is a deterministic function of
+the input, the same with or without panels.
 """
 
 from __future__ import annotations
@@ -52,10 +61,12 @@ class SparseRows:
     def of(cls, rows: SparseRows | list[Row], width: int | None = None) -> SparseRows:
         """rows if they are SparseRows, else pair lists over width columns, by default past the last one."""
         if isinstance(rows, SparseRows):
+            if width not in (None, rows.width):
+                raise ValueError(f"rows over {rows.width} columns, not {width}")
             return rows
-        width = max((row[-1][0] + 1 for row in rows if row), default=0) if width is None else width
         flat = list(itertools.chain.from_iterable(rows))
         cols = np.array([c for c, _ in flat], dtype=np.int64)
+        width = int(cols.max(initial=-1)) + 1 if width is None else width
         return cls(np.array([len(row) for row in rows], dtype=np.int64), cols, integers([x for _, x in flat]), width)
 
     def take(self, index: np.ndarray) -> SparseRows:
@@ -112,9 +123,14 @@ def _panels(a: np.ndarray, p: int) -> bool:
     delaying block wider than _PANEL_CROSSOVER columns with
     _PANEL*(p-1)^2 < 2^53 (proof in _eliminate), so p <= 16,777,213.
 
-    Measured at the probe prime on one core of a shared 2-core Xeon VM
-    (ROADMAP, "Do not repeat"): random 1.45n x n blocks break even near
-    n = 100, so the loop keeps every block up to 192 columns."""
+    Measured on one core of a shared 2-core Xeon VM, at the probe prime:
+    the 492 x 340 Schur block of a dense (3,5) probe takes 48-62 ms in
+    the loop and 17-20 ms in panels.  The benchmark's blocks of 86 to 140
+    columns go either way by up to 20% (192 x 136: 3.9 ms in the loop,
+    4.6 in panels; 414 x 126: 7.2 and 6.2).  Random 1.45n x n blocks break
+    even near n = 100 and gain 1.4x at n = 192.  So the loop keeps every
+    block up to 192 columns, among them all blocks of certify and of the
+    exact ranks over Q in the benchmark."""
     return a.shape[1] > _PANEL_CROSSOVER and _delays(a, p) and _PANEL * (p - 1) ** 2 < 2**53
 
 
@@ -255,52 +271,60 @@ def _split(rows: SparseRows, ncols: int, p: int):
     sort by lead, then running minima of the lengths); the k pivots stay
     sparse and are never changed.  The other m rows keep the input order,
     a pivot that a later, sparser row displaced standing where that row
-    stood, and go into dense blocks of ncols columns (int64 below 2^31,
-    Python ints above) of at most _BLOCK entries, the only dense arrays
-    built from sparse rows.  The pivots clear their columns in each block
-    level by level (_levels), those of one level together, by one gather
-    of their columns for the factors and scatters of about _CHUNK entries,
-    reduced only when the block does not delay (_delays).  The non-pivot
-    columns of the blocks form the m-row Schur complement, which the
-    column loop brings to echelon form.  With no non-pivot column or no
-    other row there is no block.
+    stood, and go into dense blocks of ncols columns (int64 below 2^31, Python ints above),
+    as many rows at a time as fit in _BLOCK entries, the only dense arrays
+    built from sparse rows.  Multiples of the pivot rows clear the pivot
+    columns in each block, level by level (_levels): a pivot's level is
+    one more than the highest level of a pivot row with an entry at its
+    column, 0 if there is none.  The pivots of one level clear the block
+    together, in pieces whose columns hold at most _CHUNK entries of it:
+    one gather of a piece's columns, reduced, gives its factors, and each
+    factor times its pivot row's tail is subtracted by one scatter per
+    chunk of about _CHUNK entries.  Products are reduced only when the
+    block does not delay (_delays).  Each block's non-pivot columns go
+    into the m-row Schur complement, reduced once all are in, and the
+    column loop brings it to echelon form.  With no non-pivot column or
+    no other row there is no block.
 
-    Returns (pivots, others, schur, leads): the k pivot rows of residues,
-    leads ascending; the non-pivot columns; the eliminated complement on
-    them (no rows if nothing was left); and the positions of its pivots.
+    Returns (pivots, others, schur, leads): pivots holds the pivot rows of
+    residues, leads ascending, as SparseRows; others lists the non-pivot columns, schur is
+    the eliminated complement on them (no rows if nothing was left) and
+    leads the positions in others of its pivots.
 
-    Why the levels clear the block.  A pivot row with an entry at another
-    pivot's column leads before it, and that pivot's level is higher, so
-    the rows that change a pivot's column all have lower levels: when its
-    level comes they have all been applied and none later touches the
-    column.  The factors read then are final, as when clearing one pivot
-    at a time in column order, and the pivots of one level, which change
-    none of each other's columns, clear together.  The block ends zero mod
-    p on every pivot column, which is never read again, so a pivot row's
-    lead is left out of the update.  No overflow: an entry takes at most
-    one product per pivot, so the delayed-reduction bound of _eliminate
-    holds; without delay each product is reduced, and k products of at
-    most p-1 fit in int64 for p < 2^31.
+    Why the levels clear the block.  A pivot row with an entry at the
+    column of another pivot leads before it, and that pivot's level is
+    higher than its own.  So the pivot rows that change a pivot's column
+    are all of lower levels.  When its level comes, they have all been
+    applied and no later one touches the column: the factors read then
+    are final, the same as clearing the pivots one at a time in column
+    order, and the pivots of one level, which change none of each other's
+    columns, can clear together.  Afterwards the block is zero mod p on
+    every pivot column.  The pivot columns are never read again, so a
+    pivot row's lead, which only zeroes its own column, is left out of
+    the update.  No overflow: an entry takes at most one product per
+    pivot, so the delayed-reduction bound of _eliminate holds; without
+    delay each product is reduced, and k products of at most p-1 fit in
+    int64 for p < 2^31.
 
     Why the rank is k plus the rank of the Schur complement.  The pivot
-    rows lead at distinct columns, so on the pivot columns they form a
-    triangle with units on its diagonal: they are independent.
-    Subtracting multiples of them from the other rows keeps the row space,
-    and the block ends zero on every pivot column, so in a vanishing
-    combination of pivot and block rows the pivot rows' part is zero: the
-    rank is k plus the rank of the block, on the non-pivot columns.  The
-    cleared rows are unique, as the triangle fixes the multiples that zero
-    the pivot columns, so the levels give the residues of clearing one
-    pivot at a time, and splitting the rows into blocks changes none.
+    rows lead at distinct columns, so on the pivot columns, in order, they
+    form a triangular matrix with units on its diagonal: they are
+    independent.  Subtracting multiples of pivot rows from the other rows
+    keeps the row space and so the rank, and the block ends zero on every
+    pivot column.  In a vanishing combination of pivot rows and block rows
+    the pivot rows then combine to zero on the pivot columns, where the
+    triangle is invertible, so their part is zero: the rank is k plus the
+    rank of the block, which lives on the non-pivot columns.  The cleared
+    rows are unique, as the multiples that zero the pivot columns are
+    fixed by the triangle, so the levels give the residues of clearing one
+    pivot at a time, and each row is cleared on its own, so splitting the
+    rows into blocks changes none of them.
     """
     dtype = np.int64 if p < _INT64_PRIME_LIMIT else object
     residues = rows.values % p
     kept = residues != 0
-    if kept.all() and rows.lengths.all():
-        rows = SparseRows(rows.lengths, rows.cols, residues.astype(dtype, copy=False), ncols, rows.starts)
-    else:
-        counts = np.bincount(np.arange(len(rows)).repeat(rows.lengths)[kept], minlength=len(rows))
-        rows = SparseRows(counts[counts > 0], rows.cols[kept], residues[kept].astype(dtype), ncols)
+    counts = np.bincount(np.arange(len(rows)).repeat(rows.lengths)[kept], minlength=len(rows))
+    rows = SparseRows(counts[counts > 0], rows.cols[kept], residues[kept].astype(dtype), ncols)
     # rows by lead, input order within a lead; running minima of the lengths (keys fall from lead to lead)
     lead = rows.cols[rows.starts]
     order = lead.argsort(kind="stable")
@@ -358,14 +382,16 @@ def _split(rows: SparseRows, ncols: int, p: int):
 
 
 def rank_mod_p_int(rows: SparseRows | list[Row], p: int, stop_at: int | None = None) -> int:
-    """Rank of sparse integer rows mod a prime p or, for p = 0, over Q (the
-    pivot count of their split, or of integer_kernel), capped at stop_at:
-    a smaller result is the whole rank, and a stop_at <= 0 gives 0.
-    Callers pass stop_at as the width they probe for, which the
-    benchmark's trace counts."""
+    """Rank of sparse integer rows mod a prime p or, for p = 0, over Q: the
+    pivot count of their split, or of integer_kernel, exact.  The whole
+    rank is computed and then capped at stop_at, so a smaller result is
+    the whole rank; a stop_at <= 0 gives 0.  Callers pass stop_at as the
+    width they test for (a probe), which the benchmark's trace counts."""
     if stop_at is not None and stop_at <= 0:
         return 0
     rows = SparseRows.of(rows)
+    # no rank changes past the last column with an entry, and those columns would cost work
+    rows = SparseRows(rows.lengths, rows.cols, rows.values, int(rows.cols.max(initial=-1)) + 1, rows.starts)
     if p:
         pivots, _, _, leads = _split(rows, rows.width, p)
         rank = len(pivots) + len(leads)
@@ -424,12 +450,16 @@ def _lift_kernel(residues: np.ndarray, modulus: int, pivots: list[int], free: li
 
 
 def _annihilates(rows: SparseRows, vectors: list[dict[int, int]]) -> bool:
-    """Whether A*V = 0 over Z, for A the rows and V the sparse vectors
-    {column: value} as columns: one exact product in Python ints."""
-    v = np.zeros((rows.width, len(vectors)), dtype=object)
-    for k, vector in enumerate(vectors):
-        v[list(vector), k] = list(vector.values())
-    return not np.add.reduceat(rows.values[:, None] * v[rows.cols], rows.starts[rows.lengths > 0]).any()
+    """Whether row * v = 0 over Z for every row and every sparse vector v
+    {column: value}, in exact Python ints from the rows themselves, one
+    vector at a time."""
+    heads = rows.starts[rows.lengths > 0]
+    for vector in vectors:
+        v = np.zeros(rows.width, dtype=object)
+        v[list(vector)] = list(vector.values())
+        if np.add.reduceat(rows.values * v[rows.cols], heads).any():
+            return False
+    return True
 
 
 def integer_kernel(rows: SparseRows | list, ncols: int, p: int) -> tuple[list[int], list[int], list[dict[int, int]]]:
@@ -438,16 +468,19 @@ def integer_kernel(rows: SparseRows | list, ncols: int, p: int) -> tuple[list[in
 
     The basis holds one integer vector {column: value} per free column,
     nonzero there and zero at the other free columns.  Mod a prime the
-    split gives the rank r_p and the echelon rows, sparse pivot rows and
-    Schur rows, and back substitution through them, last pivot first,
-    gives a kernel vector per free column, 1 there and 0 at the others.
-    These are Gauss-Jordan's: the echelon rows lead at the columns that
-    raise the rank of those before them, and a kernel vector is fixed by
-    its free entries.  Over F_p these residues are the answer.  Over Q the
-    primes are the probe prime, then down from 2^31 - 1, none tried twice;
-    residues of primes with the same (rank, pivots) are combined by CRT,
-    lifted by rational reconstruction (Wang-Guy-Davenport 1982; Monagan,
-    ISSAC 2004), cleared of denominators and checked, A*v = 0, over Z.
+    forward split gives the rank r_p, the pivots and the echelon rows, the
+    sparse pivot rows and the Schur rows.  For each of the k = cols - r_p
+    free columns, back substitution through them, last pivot first, gives
+    a kernel vector mod the prime, 1 there and 0 at the other free columns.
+    They match Gauss-Jordan: the echelon rows lead at the columns that
+    raise the rank of those before them, the pivots of the reduced form,
+    and a kernel vector is fixed by its free entries, so these are the
+    reduced form's vectors, minus its free columns at the pivots.  Over
+    F_p these residues are the answer.  Over Q the primes are the probe
+    prime, then down from 2^31 - 1, none tried twice; residues of primes
+    with the same (rank, pivots) are combined by CRT, lifted by rational
+    reconstruction (Wang-Guy-Davenport 1982; Monagan, ISSAC 2004), cleared
+    of denominators and checked, A*v = 0, exactly over Z.
 
     Why the answer over Q is exact.  r_p <= rank_Q for every prime, as a
     minor that is nonzero mod p is nonzero over Z, so a prime with no free
@@ -498,7 +531,8 @@ def integer_kernel(rows: SparseRows | list, ncols: int, p: int) -> tuple[list[in
         free = others[free_at].tolist()
         w = np.zeros((len(others), len(free)), dtype=schur.dtype)
         w[free_at, np.arange(len(free))] = 1
-        for j, k in reversed(list(enumerate(leads))):
+        for j in reversed(range(len(leads))):
+            k = leads[j]
             w[k] = -(schur[j, k + 1 :, None] * w[k + 1 :] % prime).sum(0) % prime
         v = np.zeros((ncols, len(free)), dtype=schur.dtype)
         v[others] = w

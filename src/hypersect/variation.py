@@ -16,12 +16,15 @@ A zero kernel computed over Q or over F_p stays zero over every field
 extension (kernel dimension is a rank computation over the base field),
 so the positive certificate is sound over the algebraic closure.
 
-Each trial runs on integer forms, {monomial: int}: the numerators of g
-and q, which Hyperplane.restrict computes in ints, and their
-_integer_generators, each a nonzero constant times the matching Jacobian
-generator of g, which changes no span, rank or pivot column.  The kernel
-basis is read off the kernel vectors divided by their lead entries, so
-no constant survives into the report.
+Each trial runs on integer forms, {monomial: int}: the numerators of the
+section g and of q, which Hyperplane.restrict computes in ints, residues
+over F_p.  The section's generators are the integer partials of its
+numerators, after the numerators themselves when char | d: each is a
+nonzero constant times the matching Jacobian generator of g, so the span
+of every graded piece, the smoothness rank and the pivot columns of the
+transposed criterion matrix are those of g's.  The kernel basis is read
+off the kernel vectors divided by their lead entries, so no constant
+survives into the report.
 """
 
 from __future__ import annotations
@@ -182,7 +185,9 @@ def _check_criterion_domain(f: Polynomial) -> tuple[int, int]:
     return d, n
 
 
-def criterion_kernel(f: Polynomial, hyperplane: Hyperplane, t_max: int | None = None) -> CriterionReport:
+def criterion_kernel(
+    f: Polynomial, hyperplane: Hyperplane, t_max: int | None = None
+) -> CriterionReport:
     """Run the first-order criterion for f at one hyperplane.
 
     The section is hyperplane.restrict(f) and the criterion form q is
@@ -196,14 +201,15 @@ def criterion_kernel(f: Polynomial, hyperplane: Hyperplane, t_max: int | None = 
     piece J_d of the section's Jacobian ideal, then x_0*q, ..., x_{n-1}*q
     (never pruned: no generator of degree >= 2 has a leading term dividing
     a linear monomial).  integer_kernel runs on its transpose, one stable
-    argsort of the columns.  Pivots below m count dim J_d.  Column fc >= m
-    is free exactly when x_{fc-m}*q lies in J_d plus the span of the
-    earlier q columns, and its kernel vector, restricted to the last n
-    coordinates, is a form l with q*l in J_d, nonzero at x_{fc-m} and 0 at
-    the other free q columns.  These forms span the criterion kernel; a
-    kernel member is fixed by its coefficients at the free columns, so the
-    basis, scaled to leading coefficient 1, does not depend on which rows
-    span J_d.
+    argsort of the entries by column (linalg.SparseRows.transpose).  Pivots
+    below m count dim J_d.  Column fc >= m is free exactly when x_{fc-m}*q
+    lies in J_d plus the span of the earlier q columns, and its kernel
+    vector, restricted to the last n coordinates, is a form l with q*l in
+    J_d, nonzero at x_{fc-m} and 0 at the other free q columns.  These
+    forms span the criterion kernel.  A kernel member is fixed by its
+    coefficients at the free columns, so, scaled to leading coefficient 1,
+    they are the basis kernel_basis reads off the residues of x_i*q modulo
+    J_d, whatever rows span J_d.
     """
     d, n = _check_criterion_domain(f)
     section = hyperplane.restrict(f)

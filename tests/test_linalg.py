@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -364,6 +365,47 @@ def test_pair_lists_and_sparse_rows_agree():
             assert linalg.integer_kernel(sparse, ncols, q) == ([], list(range(ncols)), [{c: 1} for c in range(ncols)])
     assert linalg.integer_kernel([[]], 3, 0) == ([], [0, 1, 2], [{0: 1}, {1: 1}, {2: 1}])
     assert ideal_graded_dim([parse_poly("x0^3 + x1^3 + x2^3", 3, Q)], 2).dimension == 0
+
+
+def test_sparse_rows_carry_one_width(monkeypatch):
+    """integer_kernel refuses SparseRows over another number of columns
+    than it is given, and rank_mod_p_int eliminates only up to the last
+    column with an entry, as it does for pair lists: columns past it change
+    no rank, and over Q each would be one more free column to lift."""
+    rows = [[(0, 2), (3, 4)], [(1, 3), (3, 6)]]
+    sparse = linalg.SparseRows.of(rows, 9)
+    with pytest.raises(ValueError):
+        linalg.integer_kernel(sparse, 4, 0)
+    widths = []
+    real_split = linalg._split
+
+    def spy(rows_, ncols, p):
+        widths.append(ncols)
+        return real_split(rows_, ncols, p)
+
+    monkeypatch.setattr(linalg, "_split", spy)
+    for p in (0, 3, 101):
+        widths.clear()
+        assert rank_mod_p_int(sparse, p) == rank_mod_p_int(rows, p) == 2 - (p == 3)
+        assert set(widths) == {4}, (p, widths)
+
+
+def test_kernel_check_holds_one_vector_at_a_time():
+    """_annihilates checks A*v = 0 one vector at a time: for k vectors over
+    nnz entries it holds O(nnz) Python ints, not the nnz x k of one product
+    (about 24 MiB here), and it finds a vector that fails."""
+    n = 10_000
+    rows = linalg.SparseRows.of([[(2 * i, 1), (2 * i + 1, -1)] for i in range(n)], 2 * n)
+    ones = dict.fromkeys(range(2 * n), 1)
+    tracemalloc.start()
+    try:
+        assert linalg._annihilates(rows, [ones] * 50)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, peak
+    assert not linalg._annihilates(rows, [ones, ones | {5: 2}])
+    assert linalg._annihilates(linalg.SparseRows.of([[]], 2), [{0: 1}])
 
 
 # --- delayed reduction in the column loop and the split ----------------------

@@ -19,9 +19,18 @@ def test_one_traced_probe_smooth_pass_keeps_the_trace_contract(monkeypatch):
     """One traced pass of probe-smooth at seed 0: no trace gap, the golden
     stdout bytes and exit codes, 14 rank_mod_p_int calls (one probe per
     request) and 61,527 nonzeros counted through the pair view."""
-    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.setattr(sys, "path", [str(PERFBENCH), *sys.path])  # run.import_cli adds to it too
     for name in ("run", "spans", "workloads", "reference"):
         monkeypatch.delitem(sys.modules, name, raising=False)
+    try:
+        _check_one_traced_pass()
+    finally:  # the perfbench modules, imported under generic names, leave with the test
+        for name, module in list(sys.modules.items()):
+            if Path(getattr(module, "__file__", None) or "/").parent == PERFBENCH:
+                del sys.modules[name]
+
+
+def _check_one_traced_pass():
     import run
     import spans
     import workloads
