@@ -154,7 +154,8 @@ def _inline_nvars(text: str, override: int | None) -> int:
     if override is None:
         return least
     if override < least:
-        raise UsageError(f"--nvars {override} is below the highest variable index used")
+        needs = f"at least {least} variable{'s' * (least > 1)}" + (f" for x{least - 1}" if used else "")
+        raise UsageError(f"--nvars {override} is too few: the polynomial needs {needs}")
     return override
 
 

@@ -400,6 +400,15 @@ def rank_mod_p_int(rows: SparseRows | list[Row], p: int, stop_at: int | None = N
     return rank if stop_at is None else min(rank, stop_at)
 
 
+def pivot_columns(rows: SparseRows, p: int) -> list[int]:
+    """The pivot columns of sparse integer rows mod a prime p, ascending,
+    off one split: the columns that raise the rank mod p of the columns
+    before them.  How many fall below a column c is the rank mod p of the
+    first c columns; all of them are the rank mod p."""
+    pivot_rows, others, _, leads = _split(rows, rows.width, p)
+    return sorted([*pivot_rows.cols[pivot_rows.starts].tolist(), *others[leads].tolist()])
+
+
 def _primes_from(q: int):
     """Primes down from odd q through the 31-bit ones, then up from 2^31: no end."""
     for c in itertools.chain(range(q, 2**30, -2), itertools.count(2**31 + 1, 2)):

@@ -29,8 +29,10 @@ survives into the report.
 
 from __future__ import annotations
 
+import dataclasses
 import operator
 import random
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, count
@@ -158,21 +160,41 @@ class CriterionStatus(str, Enum):
     COMPUTED = "computed"
 
 
+class _OnFirstRead:
+    """CriterionReport.kernel_basis: the basis given to the constructor or,
+    when the report holds a lift, the lift's result, computed on the first
+    read and kept."""
+
+    def __get__(self, report, owner=None):
+        if report is None:
+            return None  # the field's default
+        if report._lift is not None:
+            report._basis, report._lift = report._lift(), None
+        return report._basis
+
+    def __set__(self, report, value):
+        report._basis, report._lift = value, None
+
+
 @dataclass
 class CriterionReport:
     """Outcome of the first-order criterion at one hyperplane.
 
     kernel fields are populated only when status is COMPUTED; the kernel
     basis vectors are linear forms in the n section variables, normalized
-    with leading coefficient 1.
+    with leading coefficient 1.  criterion_kernel may leave the basis to
+    be lifted on the first read of kernel_basis, by _lift, which takes no
+    part in comparisons or repr; these read kernel_basis, and so lift it.
+    kernel_dim and graded_ideal_dim are exact either way.
     """
 
     hyperplane: Hyperplane
     status: CriterionStatus
     criterion_form: Polynomial | None = None
-    kernel_basis: list[Polynomial] | None = None
+    kernel_basis: list[Polynomial] | None = _OnFirstRead()
     kernel_dim: int | None = None
     graded_ideal_dim: int | None = None
+    _lift: Callable[[], list[Polynomial]] | None = dataclasses.field(default=None, init=False, compare=False, repr=False)
 
 
 def _check_criterion_domain(f: Polynomial) -> tuple[int, int]:
@@ -197,19 +219,58 @@ def criterion_kernel(
     vanishes, and otherwise the exact kernel of l -> class of q*l in the
     degree-d piece of the section's Jacobian ring.
 
+    What the kernel measures (Carlson-Griffiths, 1980).  A first-order
+    change g + e*h of the section's form g is induced by a linear change
+    of its n coordinates exactly when h = sum a_ij x_i dg/dx_j, that is
+    when h lies in J_d, the degree-d piece of the Jacobian ideal: J_d is
+    the tangent space to g's orbit under GL_n.  So (R/J)_d, R the
+    polynomial ring, is the tangent space at the section to the moduli of
+    degree-d forms in n variables, and class of q*l in it is the
+    first-order change of moduli as the hyperplane moves along l.  The
+    kernel is the directions along which the section's moduli do not
+    move to first order.
+
     One integer Macaulay matrix serves it: the m rows spanning the degree-d
     piece J_d of the section's Jacobian ideal, then x_0*q, ..., x_{n-1}*q
     (never pruned: no generator of degree >= 2 has a leading term dividing
-    a linear monomial).  integer_kernel runs on its transpose, one stable
-    argsort of the entries by column (linalg.SparseRows.transpose).  Pivots
-    below m count dim J_d.  Column fc >= m is free exactly when x_{fc-m}*q
-    lies in J_d plus the span of the earlier q columns, and its kernel
-    vector, restricted to the last n coordinates, is a form l with q*l in
-    J_d, nonzero at x_{fc-m} and 0 at the other free q columns.  These
-    forms span the criterion kernel.  A kernel member is fixed by its
-    coefficients at the free columns, so, scaled to leading coefficient 1,
-    they are the basis kernel_basis reads off the residues of x_i*q modulo
-    J_d, whatever rows span J_d.
+    a linear monomial), over the N = dim R_d monomials of degree d.  Its
+    transpose, one stable argsort of the entries by column
+    (linalg.SparseRows.transpose), is split once, mod p over F_p and mod
+    linalg.PROBE_PRIME over Q (linalg.pivot_columns).  The g pivots below
+    m count dim J_d, and the kernel has one vector per free column fc >= m:
+    fc is free exactly when x_{fc-m}*q lies in J_d plus the span of the
+    earlier q columns, so with r pivots in all, kernel_dim = n - (r - g).
+
+    Why one prime fixes both over Q.  A minor that is nonzero mod p is
+    nonzero over Z, so every rank mod p is at most the rank over Q, and
+    g <= g_Q, r <= r_Q for the ranks over Q of the first m columns and of
+    all.  Counting bounds them from above: g_Q <= min(m, N), and
+    r_Q <= min(N, g_Q + n), as the n q columns add at most n.  When
+    g = min(m, N), then g_Q = g; when also r = min(N, g + n), then r_Q = r,
+    and kernel_dim and graded_ideal_dim over Q are those mod the prime,
+    with no lift.  The proof does not use smoothness, but smoothness is
+    why the rule holds so often: the partials of a smooth section, of
+    degree d-1 >= 2, form a regular sequence, whose syzygies are Koszul
+    and so not linear, so its m = n^2 rows are independent over Q and mod
+    all but finitely many primes, and then the rule asks only that the q
+    columns reach the rank the count allows, kernel_dim = max(n - (N -
+    n^2), 0): maximal variation, as N - n^2 is the moduli count.
+    Otherwise, over Q, the verified multi-prime linalg.integer_kernel
+    computes the ranks and the basis at once.
+
+    The basis.  Column fc's kernel vector, restricted to the last n
+    coordinates, is a form l with q*l in J_d, nonzero at x_{fc-m} and 0 at
+    the other free q columns.  These forms span the criterion kernel.  A
+    kernel member is fixed by its coefficients at the free columns, so,
+    scaled to leading coefficient 1, they are the basis kernel_basis reads
+    off the residues of x_i*q modulo J_d, whatever rows span J_d.  When the
+    ranks came off one split, the basis is lifted by integer_kernel only
+    when kernel_basis is first read, which certify never does.
+
+    Over Q and over its algebraic closure the answer is the same: a rank
+    is the size of the largest nonzero minor, and a minor of a rational
+    matrix is one rational number whichever field holds it, so the ranks,
+    the kernel dimension and a basis over Q stay those over any extension.
     """
     d, n = _check_criterion_domain(f)
     section = hyperplane.restrict(f)
@@ -223,22 +284,39 @@ def criterion_kernel(
     if not q:
         return CriterionReport(hyperplane, CriterionStatus.VACUOUS, criterion_form=q)
     basis, rows = _macaulay_rows(generators + [q.numerators], d)
-    m = len(rows) - n
-    pivots, free, vectors = linalg.integer_kernel(rows.transpose(), len(rows), p)
-    units = [tuple(int(k == i) for k in range(n)) for i in range(n)]
-    kernel = []
-    for fc, v in zip(free, vectors):
-        if fc >= m:
-            entries = {u: x for i, u in enumerate(units) if (x := v.get(m + i))}
-            kernel.append(Polynomial.from_integers(f.field, n, entries, next(iter(entries.values()))))
+    m, matrix = len(rows) - n, rows.transpose()
+    pivots = linalg.pivot_columns(matrix, p or linalg.PROBE_PRIME)
+    g, r = sum(pc < m for pc in pivots), len(pivots)
+    if p or (g == min(m, len(basis)) and r == min(len(basis), g + n)):
+        report = CriterionReport(
+            hyperplane, CriterionStatus.COMPUTED, criterion_form=q, kernel_dim=n - (r - g), graded_ideal_dim=g
+        )
+        report._lift = lambda: _lifted_kernel(matrix, m, f.field)[1]
+        return report
+    g, kernel = _lifted_kernel(matrix, m, f.field)
     return CriterionReport(
         hyperplane,
         CriterionStatus.COMPUTED,
         criterion_form=q,
         kernel_basis=kernel,
         kernel_dim=len(kernel),
-        graded_ideal_dim=sum(pc < m for pc in pivots),
+        graded_ideal_dim=g,
     )
+
+
+def _lifted_kernel(matrix: linalg.SparseRows, m: int, field: FieldSpec) -> tuple[int, list[Polynomial]]:
+    """dim J_d and the criterion kernel basis, off linalg.integer_kernel of
+    the transposed criterion matrix: m columns spanning J_d, then the n
+    columns x_i*q (criterion_kernel)."""
+    n = matrix.width - m
+    pivots, free, vectors = linalg.integer_kernel(matrix, matrix.width, field.characteristic)
+    units = [tuple(int(k == i) for k in range(n)) for i in range(n)]
+    kernel = []
+    for fc, v in zip(free, vectors):
+        if fc >= m:
+            entries = {u: x for i, u in enumerate(units) if (x := v.get(m + i))}
+            kernel.append(Polynomial.from_integers(field, n, entries, next(iter(entries.values()))))
+    return sum(pc < m for pc in pivots), kernel
 
 
 class CertifyVerdict(str, Enum):

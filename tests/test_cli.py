@@ -319,6 +319,22 @@ def test_bad_a_value_names_the_typed_text(capsys, value):
     assert err.startswith(f"error[UsageError]: bad --a value '{value}'")
 
 
+@pytest.mark.parametrize(
+    "text, nvars, message",
+    [
+        ("x0^3", "0", "--nvars 0 is too few: the polynomial needs at least 1 variable for x0"),
+        ("x0^3", "-1", "--nvars -1 is too few: the polynomial needs at least 1 variable for x0"),
+        ("x0 + x5", "2", "--nvars 2 is too few: the polynomial needs at least 6 variables for x5"),
+        ("1", "0", "--nvars 0 is too few: the polynomial needs at least 1 variable"),
+    ],
+)
+def test_too_few_nvars_names_the_count_needed(capsys, text, nvars, message):
+    exit_code, payload, err = run_json(capsys, "smooth", "--char", "0", "--nvars", nvars, "--f", text)
+    assert exit_code == 2
+    assert payload["error"] == {"code": "UsageError", "message": message}
+    assert err.startswith(f"error[UsageError]: {message}")
+
+
 def test_parser_reuse_leaks_no_state(capsys):
     # one parser serves every request in the process
     args = ("survey", "--fixture", "cubic-threefold", "--char", "0")

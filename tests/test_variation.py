@@ -322,9 +322,11 @@ def test_criterion_kernel_oracle_runs_no_integer_kernel(monkeypatch):
 def test_criterion_kernel_is_one_integer_kernel(monkeypatch):
     """One criterion makes one Macaulay matrix at degree d and one kernel
     call on it, and no Scalar elimination: the package has no rref,
-    kernel_basis or GradedPiece.  Only the criterion's own kernel calls
-    count: over Q the section's is_smooth runs integer_kernel too, as its
-    exact rank."""
+    kernel_basis or GradedPiece.  The kernel call runs inside
+    criterion_kernel only over Q when one split does not fix the ranks,
+    and otherwise on the first read of kernel_basis, once.  Only the
+    criterion's own kernel calls count: over Q the section's is_smooth
+    runs integer_kernel too, as its exact rank."""
     builds, kernels = [], []
     real_rows, real_kernel = variation._macaulay_rows, linalg.integer_kernel
 
@@ -341,7 +343,7 @@ def test_criterion_kernel_is_one_integer_kernel(monkeypatch):
     monkeypatch.setattr(linalg, "integer_kernel", kernel_spy)
     assert not hasattr(linalg, "rref") and not hasattr(linalg, "kernel_basis")
     assert not hasattr(jacobian, "GradedPiece")
-    computed = 0
+    computed, deferred = 0, 0
     for f, h in itertools.islice(_criterion_grid(94), 0, None, 4):
         builds.clear()
         kernels.clear()
@@ -349,10 +351,104 @@ def test_criterion_kernel_is_one_integer_kernel(monkeypatch):
         if rep.status is CriterionStatus.COMPUTED:
             computed += 1
             assert builds == [f.degree()], (f, h)
-            assert kernels == [f.field.characteristic], (f, h)
+            assert not kernels or kernels == [0] == [f.field.characteristic], (f, h)
+            deferred += not kernels
+            for _ in range(2):
+                assert len(rep.kernel_basis) == rep.kernel_dim
+                assert kernels == [f.field.characteristic], (f, h)
         else:
             assert builds == []
-    assert computed >= 30
+    assert computed >= 30 and deferred >= 20
+
+
+def _pinned_grid(seed):
+    """Forms over Q at n = 3..4, d = 3..5: Fermat, cyclic Fermat, the cubic
+    threefold and seeded sparse perturbations of Fermat, each at the first
+    2n + 4 hyperplanes of its certify schedule (coordinate planes, small
+    sums, seeded random rows), plus Fermat (3,3)'s kernel-3 plane x1 - x3
+    (trial 39 of certify at seed 0)."""
+    rng = random.Random(seed)
+    forms = [fermat(n, d, Q) for n, d in ((3, 3), (3, 4), (3, 5), (4, 3))]
+    forms += [cyclic_fermat(3, 3, Q), cyclic_fermat(4, 3, Q), cubic_threefold_example(Q)]
+    forms += [fermat(n, d, Q) + rand_homogeneous(rng, Q, n + 1, d, max_terms=4)
+              for n, d in ((3, 3), (3, 4), (3, 5), (4, 3), (4, 4))]
+    for f in forms:
+        schedule = variation._hyperplane_schedule(Q, f.nvars, ScanStrategy(seed=seed))
+        for h in itertools.islice(schedule, 2 * f.nvars + 2):
+            yield f, h
+    yield fermat(3, 3, Q), Hyperplane.from_coefficients(Q, [0, 1, 0, -1])
+
+
+def test_ranks_from_one_prime_match_the_lifted_kernel():
+    """Over Q, kernel_dim and graded_ideal_dim taken off one split at the
+    probe prime, and kernel_basis lifted on its first read, equal the
+    Scalar oracle's on a seeded grid.  The grid holds trials the count
+    pins (a lift is left for the first read), unpinned ones (the basis
+    is already there: the threefold's x0, kernel 2 where n - moduli = 0,
+    and Fermat (3,3)'s kernel-3 plane) and certifying ones (kernel 0)."""
+    seen = Counter()
+    for f, h in _pinned_grid(3):
+        got = criterion_kernel(f, h)
+        if got.status is not CriterionStatus.COMPUTED:
+            continue
+        pinned = got._lift is not None
+        assert _report_fields(got) == _report_fields(criterion_kernel_reference(f, h)), (f, h)
+        assert got._lift is None  # the basis is kept after its first read
+        seen["pinned" if pinned else "unpinned"] += 1
+        seen["certifying"] += got.kernel_dim == 0
+        if not pinned and h == Hyperplane.coordinate(Q, 5, 0) and f == cubic_threefold_example(Q):
+            seen["threefold x0"] += got.kernel_dim == 2
+        if not pinned and f == fermat(3, 3, Q):
+            seen["fermat(3,3) kernel 3"] += got.kernel_dim == 3
+    assert seen["pinned"] >= 40 and seen["unpinned"] >= 15 and seen["certifying"] >= 30, seen
+    assert seen["threefold x0"] == 1 and seen["fermat(3,3) kernel 3"] >= 1, seen
+
+
+def test_certify_lifts_only_unpinned_kernels(monkeypatch):
+    """certify on Fermat (3,3) over Q, seed 0, budget 64: each of the 53
+    trials the count pins costs one split of its criterion matrix and no
+    integer_kernel; only the kernel-3 trial lifts its kernel.  Reading
+    kernel_basis afterwards lifts each pinned basis once, equal to the
+    Scalar oracle's.  Only the criterion's splits count, not those of the
+    section's smoothness test."""
+    f = fermat(3, 3, Q)
+    trials, in_kernel = [], []
+    real_criterion, real_split, real_kernel = variation.criterion_kernel, linalg._split, linalg.integer_kernel
+
+    def criterion_spy(f, hyperplane, t_max=None):
+        trials.append(Counter())
+        return real_criterion(f, hyperplane, t_max=t_max)
+
+    def split_spy(rows, ncols, p):
+        if in_kernel or sys._getframe(2).f_globals is vars(variation):  # pivot_columns, called from variation
+            trials[-1]["splits"] += 1
+        return real_split(rows, ncols, p)
+
+    def kernel_spy(rows, ncols, p):
+        if sys._getframe(1).f_globals is not vars(variation):
+            return real_kernel(rows, ncols, p)
+        trials[-1]["kernels"] += 1
+        in_kernel.append(p)
+        try:
+            return real_kernel(rows, ncols, p)
+        finally:
+            in_kernel.pop()
+
+    monkeypatch.setattr(variation, "criterion_kernel", criterion_spy)
+    monkeypatch.setattr(linalg, "_split", split_spy)
+    monkeypatch.setattr(linalg, "integer_kernel", kernel_spy)
+    report = certify_max_variation(f, ScanStrategy(seed=0, trial_budget=64))
+    computed = [(t, c) for t, c in zip(report.trials, trials) if t.status is CriterionStatus.COMPUTED]
+    pinned = [c for t, c in computed if t.kernel_dim == 2]
+    unpinned = [(t, c) for t, c in computed if t.kernel_dim != 2]
+    assert len(trials) == 64 and len(pinned) == 53
+    assert all(c == Counter(splits=1) for c in pinned)
+    assert [(str(t.hyperplane), t.kernel_dim, c["kernels"]) for t, c in unpinned] == [("x1 - x3", 3, 1)]
+    assert unpinned[0][1]["splits"] >= 2  # its probe split, then the lift's own
+    trials.append(Counter())  # the reads below
+    for t, _ in computed:
+        assert t.kernel_basis == criterion_kernel_reference(f, t.hyperplane).kernel_basis
+    assert trials[-1]["kernels"] == 53
 
 
 # --- the integer trial: scaled forms against the Scalar path ----------------
