@@ -18,6 +18,7 @@ from .errors import (
     InhomogeneousGenerator,
     NotHomogeneous,
     ParseError,
+    ResourceLimit,
     SingularInput,
     SingularMatrix,
     UnknownVariable,
@@ -79,6 +80,7 @@ __all__ = [
     "NotHomogeneous",
     "ParseError",
     "Polynomial",
+    "ResourceLimit",
     "Scalar",
     "ScanStrategy",
     "SingularInput",

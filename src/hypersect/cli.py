@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import cache, partial
 
 from . import fixtures
-from .errors import HypersectError, UsageError
+from .errors import HypersectError, ResourceLimit, UsageError
 from .fields import FieldSpec, make_field
 from .jacobian import is_smooth
 from .parsing import parse_poly
@@ -234,7 +234,15 @@ def _run(options: argparse.Namespace) -> tuple[dict, dict, int]:
     command = options.command
     if command == "moduli-dim":
         request = {"d": options.d, "n": options.n}
-        return request, {"m": moduli_dim(options.d, options.n)}, 0
+        m = moduli_dim(options.d, options.n)
+        try:
+            str(m)
+        except ValueError as exc:  # past the interpreter's int-to-str digit limit, which stays as it is
+            raise ResourceLimit(
+                f"moduli_dim({options.d}, {options.n}) has more than {sys.get_int_max_str_digits()} digits,"
+                " the most this interpreter prints of one integer"
+            ) from exc
+        return request, {"m": m}, 0
 
     field = make_field(options.char)
     f, fixture_name = _source_poly(options, field)

@@ -81,5 +81,10 @@ class BadCharacteristic(HypersectError):
     """A fixture or operation is restricted to particular characteristics."""
 
 
+class ResourceLimit(HypersectError):
+    """A request's answer exceeds a limit of the running process, such as
+    the number of digits Python converts from one integer to text."""
+
+
 class UsageError(HypersectError):
     """Malformed command-line request."""

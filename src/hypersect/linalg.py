@@ -21,7 +21,10 @@ _PANEL_CROSSOVER go in panels of _PANEL columns when _PANEL*(p-1)^2 <
 for the columns past it, which carries only integers below 2^53 and so
 is exact (proof in _eliminate).  The rank mod p is the split's pivot
 count.  Back substitution through the echelon rows gives
-the one kernel primitive, integer_kernel: the residues over F_p, and over
+the one kernel primitive, integer_kernel: the Schur rows one at a time,
+then the sparse pivot rows one array step per piece of a level, the
+levels of the split's clearing walked from the highest down (Anderson-
+Saad level scheduling).  It gives the residues over F_p, and over
 Q vectors lifted from several primes, the probe prime first, and
 verified exactly over Z, so the exact rank over Q rests on checked
 vectors, not on a prime.  Every result is a deterministic function of
@@ -106,7 +109,9 @@ _INT64_PRIME_LIMIT = 2**31  # below it (p-1)^2 + p stays inside int64
 # _PANEL columns (measured, see _panels)
 _PANEL = 32
 _PANEL_CROSSOVER = 192
-_CHUNK = 1 << 14  # entries per scatter in _split, float64 entries per product in _trailing
+# entries per scatter in _split, float64 entries per product in _trailing,
+# products per step of integer_kernel's back substitution
+_CHUNK = 1 << 14
 _BLOCK = 1 << 18  # entries of one dense block in _split, 2 MiB of int64
 
 
@@ -479,8 +484,16 @@ def integer_kernel(rows: SparseRows | list, ncols: int, p: int) -> tuple[list[in
     nonzero there and zero at the other free columns.  Mod a prime the
     forward split gives the rank r_p, the pivots and the echelon rows, the
     sparse pivot rows and the Schur rows.  For each of the k = cols - r_p
-    free columns, back substitution through them, last pivot first, gives
-    a kernel vector mod the prime, 1 there and 0 at the other free columns.
+    free columns, back substitution through them gives a kernel vector mod
+    the prime, 1 there and 0 at the other free columns: the Schur rows one
+    at a time, last pivot first, fix the entries on the non-pivot columns;
+    then each sparse pivot row fixes the entry at its lead, minus its tail
+    (the entries past the lead) times the vector, divided by its lead
+    entry.  Those rows go level by level (_levels), from the highest level
+    down, all rows of one piece of a level in one array step: gather their
+    tails, multiply by the vector's entries there, reduce each product,
+    sum each row, and scale by the leads' inverses.  A piece holds at most
+    _CHUNK tail entries times free columns, unless one row's tail does.
     They match Gauss-Jordan: the echelon rows lead at the columns that
     raise the rank of those before them, the pivots of the reduced form,
     and a kernel vector is fixed by its free entries, so these are the
@@ -490,6 +503,16 @@ def integer_kernel(rows: SparseRows | list, ncols: int, p: int) -> tuple[list[in
     with the same (rank, pivots) are combined by CRT, lifted by rational
     reconstruction (Wang-Guy-Davenport 1982; Monagan, ISSAC 2004), cleared
     of denominators and checked, A*v = 0, exactly over Z.
+
+    Why the levels may go in reverse.  A tail entry of a pivot row sits on
+    a non-pivot column, fixed before any pivot row is read, or on the lead
+    of another pivot row.  That row leads later, and its level is strictly
+    higher: a pivot's level is one more than the highest level of a pivot
+    row with an entry at its column.  So once the levels above one are
+    done, every entry a row of that level reads is final, and the rows of
+    one level read none of each other's leads.  Each lead's entry is then
+    the one value its row fixes, the same, residue for residue, as going
+    through the rows one at a time, last lead first.
 
     Why the answer over Q is exact.  r_p <= rank_Q for every prime, as a
     minor that is nonzero mod p is nonzero over Z, so a prime with no free
@@ -534,9 +557,9 @@ def integer_kernel(rows: SparseRows | list, ncols: int, p: int) -> tuple[list[in
         key = (-len(pivots), pivots)  # smaller is better: higher rank, then earlier pivots
         if kept is not None and key > kept:
             continue
-        # back substitution, last pivot first: the Schur rows, which lead with 1,
-        # on the other columns, then the sparse pivot rows; each product is
-        # reduced before the sum, as int64 holds one (p-1)^2, not two
+        # back substitution: the Schur rows, which lead with 1, on the other
+        # columns, then the sparse pivot rows; each product is reduced before
+        # the sum, as int64 holds one (p-1)^2, not two
         free = others[free_at].tolist()
         w = np.zeros((len(others), len(free)), dtype=schur.dtype)
         w[free_at, np.arange(len(free))] = 1
@@ -545,11 +568,20 @@ def integer_kernel(rows: SparseRows | list, ncols: int, p: int) -> tuple[list[in
             w[k] = -(schur[j, k + 1 :, None] * w[k + 1 :] % prime).sum(0) % prime
         v = np.zeros((ncols, len(free)), dtype=schur.dtype)
         v[others] = w
-        cols, values, ends = pivot_rows.cols, pivot_rows.values, (pivot_rows.starts + pivot_rows.lengths).tolist()
-        for c, start, end in reversed(list(zip(lead.tolist(), pivot_rows.starts.tolist(), ends))):
-            if end - start > 1:
-                total = (values[start + 1 : end, None] * v[cols[start + 1 : end]] % prime).sum(0) % prime
-                v[c] = -total * pow(int(values[start]), -1, prime) % prime
+        lengths, starts, cols, values = pivot_rows.lengths, pivot_rows.starts, pivot_rows.cols, pivot_rows.values
+        tailed = lengths > 1  # a pivot row without a tail leaves 0 at its lead
+        if tailed.any():
+            width = max(_CHUNK // (int(lengths.max() - 1) * len(free)), 1)  # rows per piece
+            for at in reversed(_levels(pivot_rows, width)):
+                at = at[tailed[at]]
+                if not at.size:
+                    continue
+                count = lengths[at] - 1
+                bounds = count.cumsum() - count
+                entry = np.arange(count.sum()) + (starts[at] + 1 - bounds).repeat(count)
+                total = np.add.reduceat(values[entry, None] * v[cols[entry]] % prime, bounds) % prime
+                inverses = np.array([pow(x, -1, prime) for x in values[starts[at]].tolist()], dtype=v.dtype)
+                v[lead[at]] = -total * inverses[:, None] % prime
         block = v[pivots]
         if p:
             return pivots, free, [

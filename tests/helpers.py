@@ -462,6 +462,43 @@ def split_reference(rows: list[linalg.Row], ncols: int, p: int):
     return [pivots[c] for c in sorted(pivots)], others, schur, linalg._eliminate(schur, p)
 
 
+def back_substitute_reference(rows: list[linalg.Row], ncols: int, p: int):
+    """linalg.integer_kernel mod a prime p with its sparse pivot rows
+    back-substituted one at a time, last pivot first: the oracle for the
+    level-scheduled back substitution.
+
+    The same split (linalg._split) and the same Schur rows loop, then for
+    each sparse pivot row, leads descending, the value at its lead is
+    minus its tail times the vector, divided by its lead entry, each
+    product reduced before the sum.  Returns the same (pivots, free,
+    vectors).
+    """
+    pivot_rows, others, schur, leads = linalg._split(linalg.SparseRows.of(rows, ncols), ncols, p)
+    lead = pivot_rows.cols[pivot_rows.starts]
+    pivots = sorted([*lead.tolist(), *others[leads].tolist()])
+    free_at = sorted(set(range(len(others))) - set(leads))
+    if not free_at:
+        return pivots, [], []
+    free = others[free_at].tolist()
+    w = np.zeros((len(others), len(free)), dtype=schur.dtype)
+    w[free_at, np.arange(len(free))] = 1
+    for j in reversed(range(len(leads))):
+        k = leads[j]
+        w[k] = -(schur[j, k + 1 :, None] * w[k + 1 :] % p).sum(0) % p
+    v = np.zeros((ncols, len(free)), dtype=schur.dtype)
+    v[others] = w
+    cols, values, ends = pivot_rows.cols, pivot_rows.values, (pivot_rows.starts + pivot_rows.lengths).tolist()
+    for c, start, end in reversed(list(zip(lead.tolist(), pivot_rows.starts.tolist(), ends))):
+        if end - start > 1:
+            total = (values[start + 1 : end, None] * v[cols[start + 1 : end]] % p).sum(0) % p
+            v[c] = -total * pow(int(values[start]), -1, p) % p
+    block = v[pivots]
+    return pivots, free, [
+        {fc: 1} | {pivots[i]: int(block[i, k]) for i in np.flatnonzero(block[:, k]).tolist()}
+        for k, fc in enumerate(free)
+    ]
+
+
 def split_pivots(split) -> list[int]:
     """The pivot columns of a linalg._split result, ascending: the leads of
     its pivot rows and the Schur pivots."""

@@ -309,6 +309,25 @@ def test_error_paths_emit_json_and_exit_two(capsys, argv, code):
     assert err.startswith(f"error[{code}]")
 
 
+@pytest.mark.parametrize("flags", [(), ("--json",)])
+def test_moduli_dim_past_the_digit_limit_is_a_typed_error(capsys, flags):
+    """C(200000, 100000) has over 60,000 digits, past the 4,300 that Python
+    converts from one integer to text by default: a typed ResourceLimit
+    and exit 2, with or without --json, not a traceback, and the
+    process-wide limit stays as it was."""
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out, err = run(capsys, "moduli-dim", "--d", "100000", "--n", "100000", *flags)
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(previous)
+    assert code == 2
+    message = "moduli_dim(100000, 100000) has more than 4300 digits, the most this interpreter prints of one integer"
+    assert err == f"error[ResourceLimit]: {message}\n"
+    assert (json.loads(out)["error"] if flags else out) == ({"code": "ResourceLimit", "message": message} if flags else "")
+
+
 @pytest.mark.parametrize("value", ["1/0", "abc"])
 def test_bad_a_value_names_the_typed_text(capsys, value):
     argv = ("fixture", "--char", "0", "--fixture", "cubic-threefold-normal-form",

@@ -17,6 +17,7 @@ from hypersect.linalg import PROBE_PRIME, rank_mod_p_int
 from helpers import (
     FIELDS,
     Matrix,
+    back_substitute_reference,
     in_span,
     invert,
     kernel_basis,
@@ -692,6 +693,94 @@ def test_panels_at_their_bound(monkeypatch):
         got = a.copy()
         assert linalg._eliminate(got, p) == want[0]
         assert np.array_equal(got, want[1]), p
+
+
+# --- level-scheduled back substitution against the per-row loop --------------
+
+
+def _chain_grid(rng, p):
+    """Integer rows whose sparse pivot rows chain: row i leads at column i
+    with an entry at column i+1, so a chain of length L takes L levels.
+    Beside them, pivot rows without a tail, tails on several columns past
+    the chain, rows leading at a chain column that go to the Schur block,
+    and entries past 2^63."""
+    def draw():
+        x = rng.choice((rng.randrange(1, p), p - 1, rng.choice((1, -1)) * rng.randint(2**63, 2**70)))
+        return x if x % p else 1
+
+    for length in (1, 3, 12, 50, 75):
+        single, rest = rng.randint(0, 4), rng.randint(1, 8)
+        ncols = length + single + rest
+        tail = range(length, ncols)
+        rows = [[(length + j, draw())] for j in range(single)]
+        for i in range(length):
+            later = rng.sample(tail, rng.randint(0, min(3, len(tail))))
+            rows.append(sorted({i: draw(), **({i + 1: draw()} if i + 1 < length else {}), **{c: draw() for c in later}}.items()))
+        for _ in range(rng.randint(0, rest - 1)):  # denser than the chain rows, so never their pivot
+            lead = rng.randrange(length)
+            rows.append([(lead, draw())] + [(c, draw()) for c in range(lead + 1, ncols) if rng.random() < 0.7])
+        rng.shuffle(rows)
+        yield ncols, rows
+
+
+def test_level_back_substitution_matches_the_per_row_oracle(monkeypatch):
+    """integer_kernel, back-substituting the sparse pivot rows level by
+    level from the highest, returns the same pivots, free columns and
+    vectors as the per-row loop (helpers.back_substitute_reference), mod
+    primes on both sides of 2^31, int64 and Python-int blocks.  Over Q its
+    lifted vectors, scaled to 1 at their free column, are the loop's
+    residues at the probe prime wherever that prime gives the pivots over
+    Q.  The grid reaches chains of 50 levels and more, pivot rows without
+    a tail, several free columns and entries past 2^63."""
+    rng = random.Random(27)
+    depths, seen = [], Counter()
+    real_levels = linalg._levels
+
+    def levels_spy(*args):
+        levels = real_levels(*args)
+        depths.append(len(levels))
+        return levels
+
+    monkeypatch.setattr(linalg, "_levels", levels_spy)
+    for p in DELAY_PRIMES:
+        for ncols, rows in itertools.chain(_chain_grid(rng, p), ((n, sparse_rows(r)) for n, r in _level_grid(rng, p))):
+            want = back_substitute_reference(rows, ncols, p)
+            assert linalg.integer_kernel(rows, ncols, p) == want, (p, rows)
+            seen["free >= 3"] += len(want[1]) >= 3
+            seen["no tail"] += any(len([x for _, x in row if x % p]) == 1 for row in rows)
+            seen["past int64"] += any(abs(x) >= 2**63 for row in rows for _, x in row)
+            if p == PROBE_PRIME:
+                pivots, free, vectors = linalg.integer_kernel(rows, ncols, 0)
+                if pivots == want[0]:
+                    seen["over Q"] += 1
+                    for fc, vector, residues in zip(free, vectors, want[2]):
+                        scale = pow(vector[fc], -1, p)
+                        assert {c: r for c, x in vector.items() if (r := x * scale % p)} == residues, rows
+    assert max(depths) >= 50
+    assert min(seen.values()) > 0 and seen["over Q"] >= 10, seen
+
+
+def test_back_substitution_holds_one_bounded_piece_at_a_time():
+    """The back substitution multiplies one piece of a level at a time, of
+    at most _CHUNK tail entries times free columns: 1,000 pivot rows with
+    20 tail entries each on 128 free columns make one level of 20,000
+    tail entries, whose 2.56 M products at once would take 20 MB of int64
+    (and as much again for their gathered operands).  The memory traced
+    through integer_kernel, whose vectors hold 20,000 entries, peaks under
+    8 MiB, and the vectors are the per-row loop's."""
+    npivots, nfree, p = 1000, 128, 101
+    rng = random.Random(9)
+    rows = [[(i, 1 + i % 7)] + [(npivots + c, rng.randint(1, 100)) for c in sorted(rng.sample(range(nfree), 20))]
+            for i in range(npivots)]
+    sparse = linalg.SparseRows.of(rows, npivots + nfree)
+    tracemalloc.start()
+    try:
+        got = linalg.integer_kernel(sparse, npivots + nfree, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
+    assert len(got[1]) == nfree and got == back_substitute_reference(rows, npivots + nfree, p)
 
 
 # --- exact rank over Q from verified modular kernels -------------------------
