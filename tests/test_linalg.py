@@ -714,8 +714,10 @@ def _chain_grid(rng, p):
         tail = range(length, ncols)
         rows = [[(length + j, draw())] for j in range(single)]
         for i in range(length):
-            later = rng.sample(tail, rng.randint(0, min(3, len(tail))))
-            rows.append(sorted({i: draw(), **({i + 1: draw()} if i + 1 < length else {}), **{c: draw() for c in later}}.items()))
+            row = {i: draw(), **{c: draw() for c in rng.sample(tail, rng.randint(0, min(3, len(tail))))}}
+            if i + 1 < length:
+                row[i + 1] = draw()
+            rows.append(sorted(row.items()))
         for _ in range(rng.randint(0, rest - 1)):  # denser than the chain rows, so never their pivot
             lead = rng.randrange(length)
             rows.append([(lead, draw())] + [(c, draw()) for c in range(lead + 1, ncols) if rng.random() < 0.7])
