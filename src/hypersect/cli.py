@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import math
 import re
 import sys
 import time
@@ -229,20 +230,43 @@ def _certify_payload(report: CertifyReport) -> dict:
     }
 
 
+def _digits_past(d: int, n: int, limit: int) -> bool:
+    """Whether moduli_dim(d, n), d >= 3 and n >= 1, has more than limit
+    decimal digits by a lower bound, without computing it; False when
+    limit is 0 (no limit) or the bound does not settle it.
+
+    With t = min(d, n), C(n+d, d) = prod_(i<t) (n+d-i)/(t-i) >= ((n+d)/t)^t
+    >= 2^t, as each factor is at least (n+d)/t >= 2.  A bound on
+    log10 C(n+d, d) past limit + 2, with float error far below 0.01, gives
+    C(n+d, d) > 10^641, as limit is at least 640.  Then (n+1)^2 is below
+    C(n+d, d)/10: it is at most 10^640 when n+1 <= 10^320, and otherwise
+    C(n+d, d) >= C(n+3, 3) >= (n+1)^3/6.  So the count C(n+d, d) - (n+1)^2
+    is above 0.9*C(n+d, d) > 10^(limit+1): more than limit digits.
+    """
+    if not limit:
+        return False
+    t = min(d, n)
+    if t > 4 * limit:  # 2^t > 10^(1.2*limit)
+        return True
+    return t * (math.log10(n + d) - math.log10(t)) > limit + 2
+
+
 def _run(options: argparse.Namespace) -> tuple[dict, dict, int]:
     """Returns (request echo, result payload, exit code)."""
     command = options.command
     if command == "moduli-dim":
-        request = {"d": options.d, "n": options.n}
-        m = moduli_dim(options.d, options.n)
+        d, n, limit = options.d, options.n, sys.get_int_max_str_digits()
+        unprintable = ResourceLimit(
+            f"moduli_dim({d}, {n}) has more than {limit} digits, the most this interpreter prints of one integer"
+        )
+        if d >= 3 and n >= 1 and _digits_past(d, n, limit):  # after moduli_dim's own checks
+            raise unprintable
+        m = moduli_dim(d, n)
         try:
             str(m)
         except ValueError as exc:  # past the interpreter's int-to-str digit limit, which stays as it is
-            raise ResourceLimit(
-                f"moduli_dim({options.d}, {options.n}) has more than {sys.get_int_max_str_digits()} digits,"
-                " the most this interpreter prints of one integer"
-            ) from exc
-        return request, {"m": m}, 0
+            raise unprintable from exc
+        return {"d": d, "n": n}, {"m": m}, 0
 
     field = make_field(options.char)
     f, fixture_name = _source_poly(options, field)

@@ -82,8 +82,9 @@ class BadCharacteristic(HypersectError):
 
 
 class ResourceLimit(HypersectError):
-    """A request's answer exceeds a limit of the running process, such as
-    the number of digits Python converts from one integer to text."""
+    """A request exceeds a limit of the running process or machine, such as
+    the number of digits Python converts from one integer to text, or the
+    physical memory a graded piece's monomials would take."""
 
 
 class UsageError(HypersectError):

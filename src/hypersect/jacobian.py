@@ -44,6 +44,8 @@ rests on checked kernel vectors and every returned verdict is exact.
 
 from __future__ import annotations
 
+import os
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, gcd
@@ -51,7 +53,7 @@ from math import comb, gcd
 import numpy as np
 
 from . import linalg
-from .errors import InhomogeneousGenerator, NotHomogeneous
+from .errors import InhomogeneousGenerator, NotHomogeneous, ResourceLimit
 from .fields import FieldSpec
 from .poly import (
     Monomial,
@@ -127,8 +129,29 @@ class GradedDim:
 @lru_cache(maxsize=64)
 def _positions(nvars: int, degree: int) -> dict[Monomial, int]:
     """Each degree-t monomial's column in the grlex-descending basis; the
-    keys, in order, are monomial_basis(nvars, degree)."""
+    keys, in order, are monomial_basis(nvars, degree).  _require_memory
+    first refuses a basis that cannot be listed."""
+    _require_memory(nvars, degree)
     return {m: i for i, m in enumerate(monomial_basis(nvars, degree))}
+
+
+def _require_memory(nvars: int, degree: int) -> None:
+    """Raise ResourceLimit when the degree-t monomials in nvars variables
+    cannot be listed in this machine's physical memory, where os.sysconf
+    reports it.  There are C(nvars-1+t, t) of them, counted with one
+    binomial, and each takes at least one tuple of nvars ints and one list
+    slot: a lower bound, which leaves out the ints and any dict, so a
+    basis that fits is never refused."""
+    try:
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, OSError, ValueError):
+        return
+    slot = sys.getsizeof((0,)) - sys.getsizeof(())
+    if degree >= 0 and comb(nvars - 1 + degree, degree) * (sys.getsizeof(()) + slot * (nvars + 1)) > memory:
+        raise ResourceLimit(
+            f"the degree-{degree} monomials in {nvars} variables need more than the {memory} bytes"
+            " of this machine's physical memory"
+        )
 
 
 def _tails(nvars: int, degree: int) -> np.ndarray:

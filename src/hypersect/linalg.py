@@ -59,6 +59,7 @@ class SparseRows:
     def __init__(self, lengths: np.ndarray, cols: np.ndarray, values: np.ndarray, width: int, starts=None):
         self.lengths, self.cols, self.values, self.width = lengths, cols, values, width
         self.starts = lengths.cumsum() - lengths if starts is None else starts
+        self._by_level = None  # _levels(self), once levels() needs it; set here so all instances keep one layout
 
     @classmethod
     def of(cls, rows: SparseRows | list[Row], width: int | None = None) -> SparseRows:
@@ -85,6 +86,13 @@ class SparseRows:
         order = self.cols.argsort(kind="stable")
         rows = np.arange(len(self)).repeat(self.lengths)[order]
         return SparseRows(np.bincount(self.cols, minlength=self.width), rows, self.values[order], len(self))
+
+    def levels(self, width: int) -> list[np.ndarray]:
+        """_levels of these rows as pivot rows, computed on the first call and
+        kept, each level cut into pieces of at most width positions."""
+        if self._by_level is None:
+            self._by_level = _levels(self)
+        return [at[i : i + width] for at in self._by_level for i in range(0, len(at), width)]
 
     def __len__(self) -> int:
         return len(self.lengths)
@@ -247,9 +255,9 @@ def _trailing(a: np.ndarray, p: int, r0: int, cols: list[int], c1: int) -> None:
         a[rows, c1:] -= (a[rows, cols].astype(np.float64) @ e).astype(np.int64)
 
 
-def _levels(pivots: SparseRows, width: int) -> list[np.ndarray]:
-    """The positions of the pivot rows (leads ascending) level by level, in
-    pieces of at most width.  A pivot's level is one more than the highest
+def _levels(pivots: SparseRows) -> list[np.ndarray]:
+    """The positions of the pivot rows (leads ascending) level by level,
+    ascending in each level.  A pivot's level is one more than the highest
     level of a pivot row with an entry at its column, 0 if there is none;
     such a row leads before it, so one pass over those entries finds all."""
     at = np.zeros(pivots.width, dtype=np.int64)  # one past the position of the pivot at each column
@@ -264,7 +272,7 @@ def _levels(pivots: SparseRows, width: int) -> list[np.ndarray]:
     level = np.array(level, dtype=np.int64)
     by_level = level.argsort(kind="stable")
     bounds = itertools.pairwise(itertools.accumulate(np.bincount(level).tolist(), initial=0))
-    return [by_level[i : min(i + width, hi)] for lo, hi in bounds for i in range(lo, hi, width)]
+    return [by_level[lo:hi] for lo, hi in bounds]
 
 
 def _split(rows: SparseRows, ncols: int, p: int):
@@ -279,7 +287,7 @@ def _split(rows: SparseRows, ncols: int, p: int):
     stood, and go into dense blocks of ncols columns (int64 below 2^31, Python ints above),
     as many rows at a time as fit in _BLOCK entries, the only dense arrays
     built from sparse rows.  Multiples of the pivot rows clear the pivot
-    columns in each block, level by level (_levels): a pivot's level is
+    columns in each block, level by level (pivots.levels): a pivot's level is
     one more than the highest level of a pivot row with an entry at its
     column, 0 if there is none.  The pivots of one level clear the block
     together, in pieces whose columns hold at most _CHUNK entries of it:
@@ -354,7 +362,7 @@ def _split(rows: SparseRows, ncols: int, p: int):
     inverses = np.array([pow(x, -1, p) for x in values[starts].tolist()], dtype=dtype)
     step = max(_CHUNK // int(lengths.max()), 1)  # (row, pivot) pairs per scatter
     height = min(max(_BLOCK // ncols, 1), len(rest))  # rows per dense block
-    levels = _levels(pivots, max(_CHUNK // height, 1))
+    levels = pivots.levels(max(_CHUNK // height, 1))
     schur = np.empty((len(rest), len(others)), dtype=dtype)
     for top in range(0, len(rest), height):
         # column-major for the levels, which gather columns; the column
@@ -403,15 +411,6 @@ def rank_mod_p_int(rows: SparseRows | list[Row], p: int, stop_at: int | None = N
     else:
         rank = len(integer_kernel(rows, rows.width, 0)[0])
     return rank if stop_at is None else min(rank, stop_at)
-
-
-def pivot_columns(rows: SparseRows, p: int) -> list[int]:
-    """The pivot columns of sparse integer rows mod a prime p, ascending,
-    off one split: the columns that raise the rank mod p of the columns
-    before them.  How many fall below a column c is the rank mod p of the
-    first c columns; all of them are the rank mod p."""
-    pivot_rows, others, _, leads = _split(rows, rows.width, p)
-    return sorted([*pivot_rows.cols[pivot_rows.starts].tolist(), *others[leads].tolist()])
 
 
 def _primes_from(q: int):
@@ -489,11 +488,12 @@ def integer_kernel(rows: SparseRows | list, ncols: int, p: int) -> tuple[list[in
     at a time, last pivot first, fix the entries on the non-pivot columns;
     then each sparse pivot row fixes the entry at its lead, minus its tail
     (the entries past the lead) times the vector, divided by its lead
-    entry.  Those rows go level by level (_levels), from the highest level
-    down, all rows of one piece of a level in one array step: gather their
-    tails, multiply by the vector's entries there, reduce each product,
-    sum each row, and scale by the leads' inverses.  A piece holds at most
-    _CHUNK tail entries times free columns, unless one row's tail does.
+    entry.  Those rows go by the levels of the split's clearing, from the
+    highest down, all rows of one piece of a level in one array step:
+    gather their tails, multiply by the vector's entries there, reduce
+    each product, sum each row, and scale by the leads' inverses.  A piece
+    holds at most _CHUNK tail entries times free columns, unless one row's
+    tail does.
     They match Gauss-Jordan: the echelon rows lead at the columns that
     raise the rank of those before them, the pivots of the reduced form,
     and a kernel vector is fixed by its free entries, so these are the
@@ -543,7 +543,17 @@ def integer_kernel(rows: SparseRows | list, ncols: int, p: int) -> tuple[list[in
     end, so this point is always reached; a check failing past it proves
     a defect here, and raises RuntimeError rather than trying primes
     forever.  H^2 is computed only once a check has failed.
+
+    It runs in _kernel_steps, which yields the pivots of its first split
+    (the ranks mod p, or PROBE_PRIME over Q) and pauses; resumed, it goes
+    on from that split, the lift's first prime, to this result.
     """
+    _, result = _kernel_steps(rows, ncols, p)
+    return result
+
+
+def _kernel_steps(rows: SparseRows | list, ncols: int, p: int):
+    """integer_kernel in two steps: yields the pivots of its first split, then its result."""
     rows = SparseRows.of(rows, ncols)
     kept = residues = modulus = hadamard2 = None
     lift = itertools.chain(_LIFT_PRIMES, _primes_from(_LIFT_PRIMES[-1] - 2))
@@ -551,9 +561,12 @@ def integer_kernel(rows: SparseRows | list, ncols: int, p: int) -> tuple[list[in
         pivot_rows, others, schur, leads = _split(rows, ncols, prime)
         lead = pivot_rows.cols[pivot_rows.starts]
         pivots = sorted([*lead.tolist(), *others[leads].tolist()])
+        if kept is None:  # the first split: its back substitution sets kept
+            yield pivots
         free_at = sorted(set(range(len(others))) - set(leads))
         if not free_at:
-            return pivots, [], []
+            yield pivots, [], []
+            return
         key = (-len(pivots), pivots)  # smaller is better: higher rank, then earlier pivots
         if kept is not None and key > kept:
             continue
@@ -572,7 +585,7 @@ def integer_kernel(rows: SparseRows | list, ncols: int, p: int) -> tuple[list[in
         tailed = lengths > 1  # a pivot row without a tail leaves 0 at its lead
         if tailed.any():
             width = max(_CHUNK // (int(lengths.max() - 1) * len(free)), 1)  # rows per piece
-            for at in reversed(_levels(pivot_rows, width)):
+            for at in reversed(pivot_rows.levels(width)):
                 at = at[tailed[at]]
                 if not at.size:
                     continue
@@ -584,10 +597,11 @@ def integer_kernel(rows: SparseRows | list, ncols: int, p: int) -> tuple[list[in
                 v[lead[at]] = -total * inverses[:, None] % prime
         block = v[pivots]
         if p:
-            return pivots, free, [
+            yield pivots, free, [
                 {fc: 1} | {pivots[i]: int(block[i, k]) for i in np.flatnonzero(block[:, k]).tolist()}
                 for k, fc in enumerate(free)
             ]
+            return
         if kept is None or key < kept:
             kept, residues, modulus = key, block, prime
         else:
@@ -596,7 +610,8 @@ def integer_kernel(rows: SparseRows | list, ncols: int, p: int) -> tuple[list[in
             modulus *= prime
         vectors = _lift_kernel(residues, modulus, pivots, free)
         if vectors is not None and _annihilates(rows, vectors):
-            return pivots, free, vectors
+            yield pivots, free, vectors
+            return
         if hadamard2 is None:
             norms = np.add.reduceat(rows.values.astype(object) ** 2, rows.starts[rows.lengths > 0])
             norms = sorted(norms.tolist(), reverse=True)

@@ -236,7 +236,7 @@ def criterion_kernel(
     a linear monomial), over the N = dim R_d monomials of degree d.  Its
     transpose, one stable argsort of the entries by column
     (linalg.SparseRows.transpose), is split once, mod p over F_p and mod
-    linalg.PROBE_PRIME over Q (linalg.pivot_columns).  The g pivots below
+    linalg.PROBE_PRIME over Q (linalg._kernel_steps).  The g pivots below
     m count dim J_d, and the kernel has one vector per free column fc >= m:
     fc is free exactly when x_{fc-m}*q lies in J_d plus the span of the
     earlier q columns, so with r pivots in all, kernel_dim = n - (r - g).
@@ -255,8 +255,8 @@ def criterion_kernel(
     all but finitely many primes, and then the rule asks only that the q
     columns reach the rank the count allows, kernel_dim = max(n - (N -
     n^2), 0): maximal variation, as N - n^2 is the moduli count.
-    Otherwise, over Q, the verified multi-prime linalg.integer_kernel
-    computes the ranks and the basis at once.
+    Otherwise, over Q, the steps resume from that split: the verified
+    multi-prime lift computes the ranks and the basis at once.
 
     The basis.  Column fc's kernel vector, restricted to the last n
     coordinates, is a form l with q*l in J_d, nonzero at x_{fc-m} and 0 at
@@ -264,8 +264,8 @@ def criterion_kernel(
     kernel member is fixed by its coefficients at the free columns, so,
     scaled to leading coefficient 1, they are the basis kernel_basis reads
     off the residues of x_i*q modulo J_d, whatever rows span J_d.  When the
-    ranks came off one split, the basis is lifted by integer_kernel only
-    when kernel_basis is first read, which certify never does.
+    ranks came off one split, the steps resume only when kernel_basis is
+    first read, which certify never does.
 
     Over Q and over its algebraic closure the answer is the same: a rank
     is the size of the largest nonzero minor, and a minor of a rational
@@ -285,15 +285,16 @@ def criterion_kernel(
         return CriterionReport(hyperplane, CriterionStatus.VACUOUS, criterion_form=q)
     basis, rows = _macaulay_rows(generators + [q.numerators], d)
     m, matrix = len(rows) - n, rows.transpose()
-    pivots = linalg.pivot_columns(matrix, p or linalg.PROBE_PRIME)
+    steps = linalg._kernel_steps(matrix, matrix.width, p)
+    pivots = next(steps)
     g, r = sum(pc < m for pc in pivots), len(pivots)
     if p or (g == min(m, len(basis)) and r == min(len(basis), g + n)):
         report = CriterionReport(
             hyperplane, CriterionStatus.COMPUTED, criterion_form=q, kernel_dim=n - (r - g), graded_ideal_dim=g
         )
-        report._lift = lambda: _lifted_kernel(matrix, m, f.field)[1]
+        report._lift = lambda: _kernel_forms(next(steps), m, n, f.field)[1]
         return report
-    g, kernel = _lifted_kernel(matrix, m, f.field)
+    g, kernel = _kernel_forms(next(steps), m, n, f.field)
     return CriterionReport(
         hyperplane,
         CriterionStatus.COMPUTED,
@@ -304,12 +305,11 @@ def criterion_kernel(
     )
 
 
-def _lifted_kernel(matrix: linalg.SparseRows, m: int, field: FieldSpec) -> tuple[int, list[Polynomial]]:
-    """dim J_d and the criterion kernel basis, off linalg.integer_kernel of
-    the transposed criterion matrix: m columns spanning J_d, then the n
-    columns x_i*q (criterion_kernel)."""
-    n = matrix.width - m
-    pivots, free, vectors = linalg.integer_kernel(matrix, matrix.width, field.characteristic)
+def _kernel_forms(lifted, m: int, n: int, field: FieldSpec) -> tuple[int, list[Polynomial]]:
+    """dim J_d and the criterion kernel basis, off the integer_kernel result
+    (pivots, free columns, vectors) of the transposed criterion matrix: m
+    columns spanning J_d, then the n columns x_i*q (criterion_kernel)."""
+    pivots, free, vectors = lifted
     units = [tuple(int(k == i) for k in range(n)) for i in range(n)]
     kernel = []
     for fc, v in zip(free, vectors):

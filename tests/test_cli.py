@@ -2,10 +2,12 @@
 
 import io
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -326,6 +328,46 @@ def test_moduli_dim_past_the_digit_limit_is_a_typed_error(capsys, flags):
     message = "moduli_dim(100000, 100000) has more than 4300 digits, the most this interpreter prints of one integer"
     assert err == f"error[ResourceLimit]: {message}\n"
     assert (json.loads(out)["error"] if flags else out) == ({"code": "ResourceLimit", "message": message} if flags else "")
+
+
+def test_moduli_dim_past_the_digit_limit_refuses_at_once(capsys):
+    """moduli_dim(10^6, 10^6), C(2,000,000, 1,000,000) less (n+1)^2, has
+    about 600,000 digits: its lower bound refuses it within a second,
+    without computing it, while the checks of d and n come first and a
+    count near the limit is computed and printed exactly."""
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        started = time.perf_counter()
+        code, payload, _ = run_json(capsys, "moduli-dim", "--d", "1000000", "--n", "1000000")
+        elapsed = time.perf_counter() - started
+        degree_first = run_json(capsys, "moduli-dim", "--d", "2", "--n", "10" * 1000)
+        dimension_first = run_json(capsys, "moduli-dim", "--d", "10" * 1000, "--n", "0")
+        near = run_json(capsys, "moduli-dim", "--d", "4000", "--n", "4000")  # 2,407 digits
+        sys.set_int_max_str_digits(0)
+        unlimited = run_json(capsys, "moduli-dim", "--d", "3", "--n", "1" + "0" * 4998 + "1")
+    finally:
+        sys.set_int_max_str_digits(previous)
+    assert code == 2 and elapsed < 1.0, elapsed
+    assert payload["error"]["code"] == "ResourceLimit"
+    assert degree_first[1]["error"]["code"] == "DegreeTooSmall"
+    assert dimension_first[1]["error"]["code"] == "DimensionTooSmall"
+    assert near[0] == 0 and near[1]["result"]["m"] == math.comb(8000, 4000) - 4001**2
+    n = 10**4999 + 1
+    assert unlimited[0] == 0 and unlimited[1]["result"]["m"] == math.comb(n + 3, 3) - (n + 1) ** 2
+
+
+def test_smooth_refuses_a_piece_past_physical_memory(capsys):
+    """x0^3 + x1^3 in 100 variables: the cap piece has C(200, 101), about
+    9.0e58, monomials, which no machine lists, so is_smooth refuses it
+    with ResourceLimit and exit 2 within two seconds instead of
+    enumerating them."""
+    started = time.perf_counter()
+    code, payload, err = run_json(capsys, "smooth", "--char", "0", "--f", "x0^3 + x1^3", "--nvars", "100")
+    assert time.perf_counter() - started < 2.0
+    assert code == 2 and payload["error"]["code"] == "ResourceLimit"
+    assert payload["error"]["message"].startswith("the degree-101 monomials in 100 variables need more than")
+    assert err.startswith("error[ResourceLimit]")
 
 
 @pytest.mark.parametrize("value", ["1/0", "abc"])

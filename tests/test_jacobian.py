@@ -1,6 +1,8 @@
 """Jacobian ideal, graded dimensions, and the smoothness decision."""
 
+import os
 import random
+import sys
 from collections import Counter
 from itertools import combinations_with_replacement
 from math import comb, gcd
@@ -15,6 +17,7 @@ from hypersect import (
     LinearChange,
     NotHomogeneous,
     Polynomial,
+    ResourceLimit,
     SingularMatrix,
     default_degree_cap,
     ideal_graded_dim,
@@ -1006,3 +1009,52 @@ def test_is_smooth_over_q_eliminates_its_piece_once(monkeypatch):
         assert is_smooth(f) is want, f.to_text()
         assert primes == [PROBE_PRIME], (f.to_text(), primes)
 
+
+def test_one_level_schedule_per_split(monkeypatch):
+    """The clearing of a split and the back substitution of its kernel cut
+    their pieces from one level schedule of the pivot rows: on a (3,6)
+    form over Q singular along x0 = x1 = 0, is_smooth splits its cap piece
+    at two primes, each with a dense block to clear and free columns to
+    back-substitute, and computes the levels at most once per split."""
+    counts = Counter()
+
+    def spy(name):
+        real = getattr(linalg, name)
+
+        def call(*args):
+            counts[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(linalg, name, call)
+
+    for name in ("_levels", "_split", "_eliminate"):
+        spy(name)
+    f = parse_poly("x0^2*x2^4 + x1^2*x3^4 + x0*x1*x2^3*x3 + x0^2*x3^4 + x1^2*x2^4", 4, Q)
+    assert all(m[0] + m[1] >= 2 for m in f.numerators)
+    assert not is_smooth(f)
+    assert counts["_split"] == counts["_eliminate"] == 2, counts
+    assert 1 <= counts["_levels"] <= counts["_split"], counts
+
+
+def test_a_basis_past_physical_memory_is_refused(monkeypatch):
+    """_require_memory refuses the degree-t monomials in nvars variables
+    exactly when C(nvars-1+t, t) tuples of nvars ints, with one list slot
+    each, pass the physical memory os.sysconf reports, and refuses nothing
+    where it reports none.  Under the figure of the host that runs it, the
+    (5,6) perturbation's cap piece, 142,506 columns in 6 variables, fits."""
+    count = comb(6 - 1 + 25, 25)
+    assert count == 142_506 and default_degree_cap(6, 6) == 25
+    need = count * (sys.getsizeof((0,) * 6) + sys.getsizeof([0]) - sys.getsizeof([]))
+    jacobian._require_memory(6, 25)
+    monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": need}.__getitem__)
+    jacobian._require_memory(6, 25)
+    jacobian._require_memory(6, -1)  # an empty basis
+    monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": need - 1}.__getitem__)
+    with pytest.raises(ResourceLimit, match=f"degree-25 monomials in 6 variables need more than the {need - 1} bytes"):
+        jacobian._require_memory(6, 25)
+
+    def unknown(name):
+        raise ValueError(name)
+
+    monkeypatch.setattr(os, "sysconf", unknown)
+    jacobian._require_memory(100, 101)

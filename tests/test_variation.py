@@ -319,46 +319,116 @@ def test_criterion_kernel_oracle_runs_no_integer_kernel(monkeypatch):
     assert computed >= 100
 
 
+class _SplitSpy:
+    """Counts linalg._split calls by (rows object, prime), and records the
+    criterion matrices: the results of SparseRows.transpose, which only
+    criterion_kernel calls.  The counter holds every rows object it saw,
+    so no two of them share an identity."""
+
+    def __init__(self, monkeypatch):
+        self.counts, self.matrices = Counter(), []
+        real_transpose, real_split = linalg.SparseRows.transpose, linalg._split
+
+        def transpose_spy(rows):
+            self.matrices.append(real_transpose(rows))
+            return self.matrices[-1]
+
+        def split_spy(rows, ncols, p):
+            self.counts[rows, p] += 1
+            return real_split(rows, ncols, p)
+
+        monkeypatch.setattr(linalg.SparseRows, "transpose", transpose_spy)
+        monkeypatch.setattr(linalg, "_split", split_spy)
+
+    def of(self, matrix) -> int:
+        """How often matrix was split, at any prime."""
+        return sum(n for (rows, _), n in self.counts.items() if rows is matrix)
+
+    def alone(self, matrix, p: int) -> int:
+        """How often integer_kernel, over the field of characteristic p,
+        splits a copy of matrix on its own."""
+        copy = linalg.SparseRows(matrix.lengths, matrix.cols, matrix.values, matrix.width)
+        linalg.integer_kernel(copy, copy.width, p)
+        return self.of(copy)
+
+
 def test_criterion_kernel_is_one_integer_kernel(monkeypatch):
     """One criterion makes one Macaulay matrix at degree d and one kernel
-    call on it, and no Scalar elimination: the package has no rref,
-    kernel_basis or GradedPiece.  The kernel call runs inside
-    criterion_kernel only over Q when one split does not fix the ranks,
-    and otherwise on the first read of kernel_basis, once.  Only the
-    criterion's own kernel calls count: over Q the section's is_smooth
-    runs integer_kernel too, as its exact rank."""
-    builds, kernels = [], []
-    real_rows, real_kernel = variation._macaulay_rows, linalg.integer_kernel
+    computation on it (linalg._kernel_steps, which integer_kernel runs to
+    the end), and no Scalar elimination: the package has no rref,
+    kernel_basis or GradedPiece.  Its first split gives the ranks; in all
+    the criterion matrix is split exactly as often as integer_kernel
+    splits it on its own.  Inside criterion_kernel that is once when the
+    split fixes the ranks (always over F_p) and every split otherwise;
+    the first read of kernel_basis makes the rest, and a second read
+    none.  Only the criterion's own matrix counts: over Q the section's
+    is_smooth runs integer_kernel too, as its exact rank."""
+    builds, steps = [], []
+    real_rows, real_steps = variation._macaulay_rows, linalg._kernel_steps
 
     def rows_spy(gens, degree):
         builds.append(degree)
         return real_rows(gens, degree)
 
-    def kernel_spy(rows, ncols, p):
-        if sys._getframe(1).f_globals is vars(variation):
-            kernels.append(p)
-        return real_kernel(rows, ncols, p)
+    def steps_spy(rows, ncols, p):
+        steps.append(rows)
+        return real_steps(rows, ncols, p)
 
     monkeypatch.setattr(variation, "_macaulay_rows", rows_spy)
-    monkeypatch.setattr(linalg, "integer_kernel", kernel_spy)
+    monkeypatch.setattr(linalg, "_kernel_steps", steps_spy)
+    splits = _SplitSpy(monkeypatch)
     assert not hasattr(linalg, "rref") and not hasattr(linalg, "kernel_basis")
-    assert not hasattr(jacobian, "GradedPiece")
-    computed, deferred = 0, 0
+    assert not hasattr(jacobian, "GradedPiece") and not hasattr(linalg, "pivot_columns")
+    seen = Counter()
     for f, h in itertools.islice(_criterion_grid(94), 0, None, 4):
         builds.clear()
-        kernels.clear()
+        splits.matrices.clear()
+        rep = criterion_kernel(f, h)
+        if rep.status is not CriterionStatus.COMPUTED:
+            assert builds == [] and splits.matrices == []
+            continue
+        (matrix,) = splits.matrices
+        assert builds == [f.degree()], (f, h)
+        assert [rows for rows in steps if rows is matrix] == [matrix], (f, h)
+        pinned, before = rep._lift is not None, splits.of(matrix)
+        want = splits.alone(matrix, f.field.characteristic)
+        assert before == (1 if pinned else want), (f, h, before, want)
+        for _ in range(2):
+            assert len(rep.kernel_basis) == rep.kernel_dim
+            assert splits.of(matrix) == want, (f, h)
+        seen["pinned" if pinned else "unpinned"] += 1
+        seen["over Q, lifted at more primes"] += not f.field.characteristic and want > 1
+    assert seen["pinned"] >= 40 and seen["unpinned"] >= 1 and seen["over Q, lifted at more primes"] >= 3, seen
+
+
+def test_no_criterion_matrix_is_split_twice_at_one_prime(monkeypatch):
+    """Over Q on _pinned_grid and over F_3, F_5, F_101 and a prime past
+    2^31 on the criterion grid, with kernel_basis read never or twice, and
+    through certify on the cubic threefold over Q at seed 0: no rows are
+    split twice at one prime, criterion matrices and the sections' cap
+    pieces alike.  The threefold's certify splits each of its 5 criterion
+    matrices once, at the probe prime, though the count pins only the
+    last (kernel 0): the other 4 (kernel 2) lift at that one prime.  So
+    the request splits 15 times in all."""
+    cases = list(_pinned_grid(3)) + [(f, h) for f, h in _criterion_grid(95) if f.field.characteristic]
+    splits = _SplitSpy(monkeypatch)
+    computed = Counter()
+    for i, (f, h) in enumerate(cases):
         rep = criterion_kernel(f, h)
         if rep.status is CriterionStatus.COMPUTED:
-            computed += 1
-            assert builds == [f.degree()], (f, h)
-            assert not kernels or kernels == [0] == [f.field.characteristic], (f, h)
-            deferred += not kernels
-            for _ in range(2):
+            computed[f.field.characteristic] += 1
+            for _ in range(2 * (i % 2)):
                 assert len(rep.kernel_basis) == rep.kernel_dim
-                assert kernels == [f.field.characteristic], (f, h)
-        else:
-            assert builds == []
-    assert computed >= 30 and deferred >= 20
+    assert set(splits.counts.values()) == {1}
+    assert len(splits.matrices) == sum(computed.values()) and computed[0] >= 60 and len(computed) == 5, computed
+    splits.counts.clear()
+    splits.matrices.clear()
+    report = certify_max_variation(cubic_threefold_example(Q), ScanStrategy(seed=0))
+    assert report.verdict is CertifyVerdict.CERTIFIED and len(splits.matrices) == 5
+    assert set(splits.counts.values()) == {1}
+    assert [t._lift is None for t in report.trials if t.kernel_dim is not None] == [True] * 4 + [False]
+    assert [splits.of(matrix) for matrix in splits.matrices] == [1] * 5
+    assert sum(splits.counts.values()) == 15
 
 
 def _pinned_grid(seed):
@@ -406,49 +476,28 @@ def test_ranks_from_one_prime_match_the_lifted_kernel():
 
 def test_certify_lifts_only_unpinned_kernels(monkeypatch):
     """certify on Fermat (3,3) over Q, seed 0, budget 64: each of the 53
-    trials the count pins costs one split of its criterion matrix and no
-    integer_kernel; only the kernel-3 trial lifts its kernel.  Reading
-    kernel_basis afterwards lifts each pinned basis once, equal to the
-    Scalar oracle's.  Only the criterion's splits count, not those of the
-    section's smoothness test."""
+    trials the count pins splits its criterion matrix once, the first step
+    of its kernel computation, and lifts nothing; only the kernel-3 trial
+    lifts its kernel, from that same split, at one prime, as integer_kernel
+    does on its own.  Reading kernel_basis afterwards resumes each pinned
+    computation once, so every matrix ends split as often as integer_kernel
+    splits it, each prime once, and the bases equal the Scalar oracle's.
+    Only the criterion's splits count, not those of the section's
+    smoothness test."""
     f = fermat(3, 3, Q)
-    trials, in_kernel = [], []
-    real_criterion, real_split, real_kernel = variation.criterion_kernel, linalg._split, linalg.integer_kernel
-
-    def criterion_spy(f, hyperplane, t_max=None):
-        trials.append(Counter())
-        return real_criterion(f, hyperplane, t_max=t_max)
-
-    def split_spy(rows, ncols, p):
-        if in_kernel or sys._getframe(2).f_globals is vars(variation):  # pivot_columns, called from variation
-            trials[-1]["splits"] += 1
-        return real_split(rows, ncols, p)
-
-    def kernel_spy(rows, ncols, p):
-        if sys._getframe(1).f_globals is not vars(variation):
-            return real_kernel(rows, ncols, p)
-        trials[-1]["kernels"] += 1
-        in_kernel.append(p)
-        try:
-            return real_kernel(rows, ncols, p)
-        finally:
-            in_kernel.pop()
-
-    monkeypatch.setattr(variation, "criterion_kernel", criterion_spy)
-    monkeypatch.setattr(linalg, "_split", split_spy)
-    monkeypatch.setattr(linalg, "integer_kernel", kernel_spy)
+    splits = _SplitSpy(monkeypatch)
     report = certify_max_variation(f, ScanStrategy(seed=0, trial_budget=64))
-    computed = [(t, c) for t, c in zip(report.trials, trials) if t.status is CriterionStatus.COMPUTED]
-    pinned = [c for t, c in computed if t.kernel_dim == 2]
-    unpinned = [(t, c) for t, c in computed if t.kernel_dim != 2]
-    assert len(trials) == 64 and len(pinned) == 53
-    assert all(c == Counter(splits=1) for c in pinned)
-    assert [(str(t.hyperplane), t.kernel_dim, c["kernels"]) for t, c in unpinned] == [("x1 - x3", 3, 1)]
-    assert unpinned[0][1]["splits"] >= 2  # its probe split, then the lift's own
-    trials.append(Counter())  # the reads below
-    for t, _ in computed:
+    computed = [t for t in report.trials if t.status is CriterionStatus.COMPUTED]
+    assert len(report.trials) == 64 and len(splits.matrices) == len(computed)
+    trials = list(zip(computed, splits.matrices))
+    pinned = [(t, matrix) for t, matrix in trials if t.kernel_dim == 2]
+    assert len(pinned) == 53 and all(t._lift is not None and splits.of(matrix) == 1 for t, matrix in pinned)
+    unpinned = [(str(t.hyperplane), t.kernel_dim, t._lift, splits.of(m)) for t, m in trials if t.kernel_dim != 2]
+    assert unpinned == [("x1 - x3", 3, None, 1)]
+    for t, matrix in trials:
         assert t.kernel_basis == criterion_kernel_reference(f, t.hyperplane).kernel_basis
-    assert trials[-1]["kernels"] == 53
+        assert splits.of(matrix) == splits.alone(matrix, 0)
+    assert set(splits.counts.values()) == {1}
 
 
 # --- the integer trial: scaled forms against the Scalar path ----------------
