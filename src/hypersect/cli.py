@@ -255,7 +255,8 @@ def _run(options: argparse.Namespace) -> tuple[dict, dict, int]:
     """Returns (request echo, result payload, exit code)."""
     command = options.command
     if command == "moduli-dim":
-        d, n, limit = options.d, options.n, sys.get_int_max_str_digits()
+        # before Python 3.10.7 there is no int-to-str digit limit: read it as 0, no limit
+        d, n, limit = options.d, options.n, getattr(sys, "get_int_max_str_digits", lambda: 0)()
         unprintable = ResourceLimit(
             f"moduli_dim({d}, {n}) has more than {limit} digits, the most this interpreter prints of one integer"
         )

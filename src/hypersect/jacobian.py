@@ -142,16 +142,23 @@ def _require_memory(nvars: int, degree: int) -> None:
     binomial, and each takes at least one tuple of nvars ints and one list
     slot: a lower bound, which leaves out the ints and any dict, so a
     basis that fits is never refused."""
-    try:
-        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, OSError, ValueError):
+    memory = _physical_memory()
+    if memory is None or degree < 0:
         return
     slot = sys.getsizeof((0,)) - sys.getsizeof(())
-    if degree >= 0 and comb(nvars - 1 + degree, degree) * (sys.getsizeof(()) + slot * (nvars + 1)) > memory:
+    if comb(nvars - 1 + degree, degree) * (sys.getsizeof(()) + slot * (nvars + 1)) > memory:
         raise ResourceLimit(
             f"the degree-{degree} monomials in {nvars} variables need more than the {memory} bytes"
             " of this machine's physical memory"
         )
+
+
+def _physical_memory() -> int | None:
+    """This machine's physical memory in bytes, or None where os.sysconf does not report it."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, OSError, ValueError):
+        return None
 
 
 def _tails(nvars: int, degree: int) -> np.ndarray:
@@ -176,7 +183,17 @@ def _column_table(nvars: int, degree: int, e: int) -> np.ndarray:
     T_i(m*x^a) = T_i(m) + T_i(x^a) the whole table is a sum of n-1 lookups
     in the counts.  Each count, and the column, is below the basis length,
     so int64 holds them for any number of variables.
+
+    A table whose 8-byte entries pass the physical memory os.sysconf
+    reports is refused with ResourceLimit before anything is allocated.
     """
+    shape = comb(nvars - 1 + degree - e, degree - e), comb(nvars - 1 + e, e)
+    memory = _physical_memory()
+    if memory is not None and 8 * shape[0] * shape[1] > memory:
+        raise ResourceLimit(
+            f"the {shape[0]} x {shape[1]} column table of degree {degree} in {nvars} variables needs more than"
+            f" the {memory} bytes of this machine's physical memory"
+        )
     below = np.array(
         [[comb(s + k - 1, s - 1) if s else 0 for s in range(degree + 1)] for k in range(nvars)], dtype=np.int64
     )

@@ -14,8 +14,8 @@ clearing and the column loop delay their % p where int64 allows it
 (_delays: ncols*(p-1)^2 < 2^62, after FFLAS-FFPACK): an update only
 subtracts, and entries are reduced when their column is searched for a
 pivot, when their row becomes the pivot row, and once at the end.  Every
-block delays at the probe prime, the largest prime below 2^20; at the
-31-bit lift primes every update is reduced.  Blocks wider than
+block delays at the probe prime, the largest prime below 2^20, and at
+each prime below it, where the lift over Q goes on.  Blocks wider than
 _PANEL_CROSSOVER go in panels of _PANEL columns when _PANEL*(p-1)^2 <
 2^53 (_panels): the loop on the panel, then one float64 matrix product
 for the columns past it, which carries only integers below 2^53 and so
@@ -126,8 +126,8 @@ _BLOCK = 1 << 18  # entries of one dense block in _split, 2 MiB of int64
 def _delays(a: np.ndarray, p: int) -> bool:
     """Whether updates of the block a mod p may skip their % p: an int64
     block with ncols*(p-1)^2 < 2^62 (proof in _eliminate).  True for any
-    block under 2^22 columns at the probe prime; at the 31-bit lift primes
-    and for Python-int blocks every update is reduced."""
+    block under 2^22 columns at the probe prime and every prime below it;
+    in Python-int blocks every update is reduced."""
     return a.dtype == np.int64 and a.shape[1] * (p - 1) ** 2 < 2**62
 
 
@@ -413,15 +413,11 @@ def rank_mod_p_int(rows: SparseRows | list[Row], p: int, stop_at: int | None = N
     return rank if stop_at is None else min(rank, stop_at)
 
 
-def _primes_from(q: int):
-    """Primes down from odd q through the 31-bit ones, then up from 2^31: no end."""
-    for c in itertools.chain(range(q, 2**30, -2), itertools.count(2**31 + 1, 2)):
+def _primes_below(q: int):
+    """The primes below q, descending, then those above q, ascending: every prime but q once, no end."""
+    for c in itertools.chain(range(q - 1, 1, -1), itertools.count(q + 1)):
         if _is_prime(c):
             yield c
-
-
-# the first primes the kernel lift over Q tries after the probe prime, found once at import
-_LIFT_PRIMES = tuple(itertools.islice(_primes_from(2**31 - 1), 8))
 
 
 def _rational(u: int, m: int, bound: int) -> tuple[int, int] | None:
@@ -499,10 +495,11 @@ def integer_kernel(rows: SparseRows | list, ncols: int, p: int) -> tuple[list[in
     and a kernel vector is fixed by its free entries, so these are the
     reduced form's vectors, minus its free columns at the pivots.  Over
     F_p these residues are the answer.  Over Q the primes are the probe
-    prime, then down from 2^31 - 1, none tried twice; residues of primes
-    with the same (rank, pivots) are combined by CRT, lifted by rational
-    reconstruction (Wang-Guy-Davenport 1982; Monagan, ISSAC 2004), cleared
-    of denominators and checked, A*v = 0, exactly over Z.
+    prime, then the primes below it, descending, then those above it, none
+    tried twice (_primes_below); residues of primes with the same (rank,
+    pivots) are combined by CRT, lifted by rational reconstruction
+    (Wang-Guy-Davenport 1982; Monagan, ISSAC 2004), cleared of
+    denominators and checked, A*v = 0, exactly over Z.
 
     Why the levels may go in reverse.  A tail entry of a pivot row sits on
     a non-pivot column, fixed before any pivot row is read, or on the lead
@@ -556,8 +553,7 @@ def _kernel_steps(rows: SparseRows | list, ncols: int, p: int):
     """integer_kernel in two steps: yields the pivots of its first split, then its result."""
     rows = SparseRows.of(rows, ncols)
     kept = residues = modulus = hadamard2 = None
-    lift = itertools.chain(_LIFT_PRIMES, _primes_from(_LIFT_PRIMES[-1] - 2))
-    for prime in (p,) if p else itertools.chain((PROBE_PRIME,), (q for q in lift if q != PROBE_PRIME)):
+    for prime in (p,) if p else itertools.chain((PROBE_PRIME,), _primes_below(PROBE_PRIME)):
         pivot_rows, others, schur, leads = _split(rows, ncols, prime)
         lead = pivot_rows.cols[pivot_rows.starts]
         pivots = sorted([*lead.tolist(), *others[leads].tolist()])

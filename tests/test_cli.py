@@ -357,6 +357,17 @@ def test_moduli_dim_past_the_digit_limit_refuses_at_once(capsys):
     assert unlimited[0] == 0 and unlimited[1]["result"]["m"] == math.comb(n + 3, 3) - (n + 1) ** 2
 
 
+def test_moduli_dim_without_the_digit_limit_function(capsys, monkeypatch):
+    """Python before 3.10.7 has no sys.get_int_max_str_digits and no digit
+    limit: moduli-dim reads the limit as 0 and computes exactly."""
+    monkeypatch.delattr(sys, "get_int_max_str_digits")
+    code, payload, _ = run_json(capsys, "moduli-dim", "--d", "3", "--n", "2")
+    assert code == 0 and payload["result"] == {"m": 1}
+    code, payload, _ = run_json(capsys, "moduli-dim", "--d", "4000", "--n", "4000")  # 2,407 digits
+    assert code == 0 and payload["result"]["m"] == math.comb(8000, 4000) - 4001**2
+    assert run_json(capsys, "moduli-dim", "--d", "2", "--n", "3")[1]["error"]["code"] == "DegreeTooSmall"
+
+
 def test_smooth_refuses_a_piece_past_physical_memory(capsys):
     """x0^3 + x1^3 in 100 variables: the cap piece has C(200, 101), about
     9.0e58, monomials, which no machine lists, so is_smooth refuses it

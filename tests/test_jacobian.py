@@ -1036,6 +1036,51 @@ def test_one_level_schedule_per_split(monkeypatch):
     assert 1 <= counts["_levels"] <= counts["_split"], counts
 
 
+def test_the_lift_over_q_walks_one_descending_prime_sequence(monkeypatch):
+    """Over Q the kernel lift splits at the probe prime, then at the primes
+    below it in turn: on a (3,5) form singular along x0 = x1 = 0, every
+    monomial with e0 + e1 >= 2, is_smooth is False after splits whose
+    primes start at PROBE_PRIME, strictly descend and so never repeat."""
+    rng = random.Random(0)
+    terms = {m: rng.randint(1, 9) for m in monomial_basis(4, 5) if m[0] + m[1] >= 2}
+    f = Polynomial.from_terms(Q, 4, terms)
+    primes = []
+    real_split = linalg._split
+
+    def split_spy(rows, ncols, p):
+        primes.append(p)
+        return real_split(rows, ncols, p)
+
+    monkeypatch.setattr(linalg, "_split", split_spy)
+    assert not is_smooth(f)
+    assert primes[0] == PROBE_PRIME and len(primes) >= 2, primes
+    assert all(p > q for p, q in zip(primes, primes[1:])), primes
+    assert primes == [PROBE_PRIME] + [q for q in range(PROBE_PRIME - 1, primes[-1] - 1, -1) if _is_prime(q)]
+
+
+def test_a_column_table_past_physical_memory_is_refused(monkeypatch):
+    """_column_table refuses a table of C(nvars-1+t-e, t-e) * C(nvars-1+e, e)
+    int64 entries exactly when their 8 bytes each pass the physical memory
+    os.sysconf reports, before allocating it.  x0^40000 + x1^40000 mod 101
+    has cap t = 79,997 and one generator degree, 39,999: a 39,999 x 40,000
+    table, 12.8 GB, which is_smooth refuses on a 7 GiB machine."""
+    table = jacobian._column_table.__wrapped__  # past the cache, so the guard runs each time
+    need = 8 * comb(3 - 1 + 6 - 2, 6 - 2) * comb(3 - 1 + 2, 2)
+    monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": need - 1}.__getitem__)
+    message = "the 15 x 6 column table of degree 6 in 3 variables needs more than the {} bytes"
+    with pytest.raises(ResourceLimit, match=message.format(need - 1)):
+        table(3, 6, 2)
+    monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": need}.__getitem__)
+    assert table(3, 6, 2).shape == (15, 6)
+    seven_gib = 7 * 2**30
+    monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": seven_gib // 4096}.__getitem__)
+    f = parse_poly("x0^40000 + x1^40000", 2, make_field(101))
+    assert default_degree_cap(2, 40000, 101) == 79_997
+    message = "the 39999 x 40000 column table of degree 79997 in 2 variables needs more than the {} bytes"
+    with pytest.raises(ResourceLimit, match=message.format(seven_gib)):
+        is_smooth(f)
+
+
 def test_a_basis_past_physical_memory_is_refused(monkeypatch):
     """_require_memory refuses the degree-t monomials in nvars variables
     exactly when C(nvars-1+t, t) tuples of nvars ints, with one list slot

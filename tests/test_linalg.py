@@ -897,42 +897,48 @@ def test_rank_q_certified_discards_unlucky_primes(monkeypatch):
     prime unlucky: lower rank, or the same rank with a later pivot list.
     Its kernel fails the exact check and the next prime replaces it.  A
     column scaled by the second prime, met after a good first prime, is
-    skipped outright.  The good primes alone then lift the kernel: entries
-    0 and -1 need one; 1/p0 needs a modulus past 2*p0^2, two 31-bit
-    primes; 3^30/p1 past 2*3^60, p0 and three 31-bit primes."""
-    p0, p1 = PROBE_PRIME, linalg._LIFT_PRIMES[0]
+    skipped outright.  The good primes alone then lift the kernel, each of
+    them a 20-bit prime below p0: entries 0 and -1 need one; 1/p0 needs a
+    modulus past 2*p0^2 > 2^41, three of them; 3^30/p1 past 2*3^60 > 2^96,
+    p0 and four more."""
+    p0, p1 = PROBE_PRIME, 1_048_571
     lower_rank = [[p0, 0, 0], [0, 1, 1], [0, 1, 1]]
     assert _check_certified(monkeypatch, lower_rank) == [[1], [0, 1]]
     later_pivots = [[p0, 1, 1], [2 * p0, 2, 2]]
-    assert _check_certified(monkeypatch, later_pivots) == [[1], [0], [0]]
+    assert _check_certified(monkeypatch, later_pivots) == [[1], [0], [0], [0]]
     b, c = 2**40 + 15, 3**30
     skipped = [[p1, b, c], [2 * p1, 2 * b, 2 * c], [0, 0, 0]]
-    assert _check_certified(monkeypatch, skipped) == [[0], [1], [0], [0], [0]]
+    assert _check_certified(monkeypatch, skipped) == [[0], [1], [0], [0], [0], [0]]
 
 
-def test_lift_primes_run_down_the_31_bit_primes_then_up():
-    """The sequence starts at 2^31 - 1 and lists every prime below it in
-    turn (checked by trial division); past 2^30 it goes on above 2^31."""
+def test_lift_primes_run_down_from_the_probe_prime_then_up():
+    """After the probe prime the lift lists every prime below it in turn,
+    descending, then every prime above it, ascending (checked by trial
+    division), for the probe prime and for the small and past-int64 ones
+    the tests set it to."""
     def by_trial(n):
         return n > 1 and all(n % k for k in range(2, math.isqrt(n) + 1))
 
-    seq = list(itertools.islice(linalg._primes_from(2**31 - 1), 10))
-    assert seq[: len(linalg._LIFT_PRIMES)] == list(linalg._LIFT_PRIMES)
-    assert seq == [n for n in range(2**31 - 1, seq[-1] - 1, -1) if by_trial(n)]
-    tail = list(itertools.islice(linalg._primes_from(2**30 + 1), 3))
-    assert tail[0] > 2**31 and all(by_trial(n) for n in tail)
+    seq = list(itertools.islice(linalg._primes_below(PROBE_PRIME), 10))
+    assert seq == [n for n in range(PROBE_PRIME - 1, seq[-1] - 1, -1) if by_trial(n)]
+    assert seq[0] == 1_048_571
+    for q in (2, 3, 5, 13, 2**31 + 11):
+        below = (n for n in range(q - 1, 1, -1) if by_trial(n))
+        above = (n for n in itertools.count(q + 1) if by_trial(n))
+        want = list(itertools.islice(itertools.chain(below, above), 12))
+        assert list(itertools.islice(linalg._primes_below(q), 12)) == want, q
+    assert list(itertools.islice(linalg._primes_below(13), 8)) == [11, 7, 5, 3, 2, 17, 19, 23]
     assert [_is_prime(n) for n in range(-3, 200)] == [by_trial(n) for n in range(-3, 200)]
 
 
 def test_rank_q_certified_past_int64_primes(monkeypatch):
     """Primes from 2^31 up run the elimination, the back substitution and
     the CRT on Python ints; the ranks still match the oracle.  The probe
-    prime is set to the first of them, which the lift then does not try
-    twice."""
+    prime is set to one of them, and the lift goes on with the primes
+    below it, never trying it twice."""
     rng = random.Random(78)
     for first in (2**31 + 11, 2**61 - 1):
         monkeypatch.setattr(linalg, "PROBE_PRIME", first)
-        monkeypatch.setattr(linalg, "_LIFT_PRIMES", (first,))
         for rows in itertools.islice(_shaped_grid(rng, lambda: rng.randint(-(10**6), 10**6)), 0, None, 3):
             assert rank_mod_p_int(sparse_rows(rows), 0) == rank_int_exact(rows)
 
@@ -1041,10 +1047,10 @@ def test_rref_matches_gauss_jordan_oracle():
     """Every test field, the probe prime, 2^31 - 1 and two primes past the
     int64 path, and Q with numerators and denominators past 2^63; square,
     wide and tall shapes, zero rows, all zero, planted rank deficiency,
-    0 x k and k x 0, the pivot split's grid (over Q taken at the first lift
-    prime and at the probe prime), and blocks whose kernel vectors come by
-    back substitution through two Schur rows or more.  The kernel basis is
-    checked on every one of them too."""
+    0 x k and k x 0, the pivot split's grid (over Q taken at the lift's
+    second prime and at the probe prime), and blocks whose kernel vectors
+    come by back substitution through two Schur rows or more.  The kernel
+    basis is checked on every one of them too."""
     rng = random.Random(79)
     huge = (2**63, -(2**63) - 1, 2**64 + 3, 10**20)
     fields = FIELDS + [make_field(p) for p in (PROBE_PRIME, 2**31 - 1, 2**31 + 11, 2**61 - 1)]
@@ -1063,7 +1069,7 @@ def test_rref_matches_gauss_jordan_oracle():
             for rows in _shaped_grid(rng, draw):
                 deficient += _check_rref(Matrix.from_rows(field, rows))
         assert deficient >= 20
-        for q in (p,) if p else (linalg._LIFT_PRIMES[0], PROBE_PRIME):
+        for q in (p,) if p else (next(linalg._primes_below(PROBE_PRIME)), PROBE_PRIME):
             for ncols, rows in _split_grid(rng, q):
                 _check_rref(Matrix.from_sparse(field, ncols, sparse_rows(rows)))
         through_schur = 0
