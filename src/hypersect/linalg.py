@@ -280,11 +280,10 @@ def _split(rows: SparseRows, ncols: int, p: int):
 
     Entries are any ints.  Each is reduced mod p first and zero residues
     are dropped, so every row leads with a unit.  Of the rows leading at
-    the same column the sparsest is a pivot, the first on a tie (a stable
-    sort by lead, then running minima of the lengths); the k pivots stay
-    sparse and are never changed.  The other m rows keep the input order,
-    a pivot that a later, sparser row displaced standing where that row
-    stood, and go into dense blocks of ncols columns (int64 below 2^31, Python ints above),
+    the same column the sparsest is a pivot, the first on a tie: one
+    stable sort of the rows by (lead, length) puts it first among them.
+    The k pivots stay sparse and are never changed.  The other m rows, in
+    the sort's order, go into dense blocks of ncols columns (int64 below 2^31, Python ints above),
     as many rows at a time as fit in _BLOCK entries, the only dense arrays
     built from sparse rows.  Multiples of the pivot rows clear the pivot
     columns in each block, level by level (pivots.levels): a pivot's level is
@@ -332,29 +331,27 @@ def _split(rows: SparseRows, ncols: int, p: int):
     fixed by the triangle, so the levels give the residues of clearing one
     pivot at a time, and each row is cleared on its own, so splitting the
     rows into blocks changes none of them.
+
+    Why the order of the other rows changes no result.  The pivot rows
+    are chosen by lead and length alone.  The leads of the column loop
+    are the column rank profile of the Schur complement, the columns that
+    raise the rank of those before them, and ranks do not depend on row
+    order.  A kernel vector is fixed by its free entries, so back
+    substitution through the echelon rows gives the same residues
+    whatever rows they are.  Only the echelon rows of schur follow the
+    order.
     """
     dtype = np.int64 if p < _INT64_PRIME_LIMIT else object
     residues = rows.values % p
     kept = residues != 0
     counts = np.bincount(np.arange(len(rows)).repeat(rows.lengths)[kept], minlength=len(rows))
     rows = SparseRows(counts[counts > 0], rows.cols[kept], residues[kept].astype(dtype), ncols)
-    # rows by lead, input order within a lead; running minima of the lengths (keys fall from lead to lead)
+    # rows by (lead, length), input order on a tie; the first row of each lead is its pivot
     lead = rows.cols[rows.starts]
-    order = lead.argsort(kind="stable")
+    order = (lead * (int(rows.lengths.max(initial=0)) + 1) + rows.lengths).argsort(kind="stable")
     lead = lead[order]
     first = lead != np.concatenate(([-1], lead[:-1]))
-    if first.all():  # distinct leads: every row is a pivot
-        pivots, rest = rows.take(order), order[:0]
-    else:
-        top = int(rows.lengths.max()) + 1
-        key = rows.lengths[order] - lead * top
-        sparsest = key < np.concatenate(([top], np.minimum.accumulate(key)[:-1]))
-        pivot = order[np.maximum.accumulate(np.where(sparsest, np.arange(len(key)), 0))]  # after each row
-        later = (~first).nonzero()[0]
-        rest = np.where(sparsest[later], pivot[later - 1], order[later])[order[later].argsort()]
-        heads = first.nonzero()[0]
-        pivots = rows.take(np.maximum.reduceat(pivot, heads))
-        lead = lead[heads]
+    pivots, rest, lead = rows.take(order[first]), order[~first], lead[first]
     others = (np.bincount(lead, minlength=ncols) == 0).nonzero()[0]
     if not (rest.size and others.size):
         return pivots, others, np.zeros((0, len(others)), dtype=dtype), []

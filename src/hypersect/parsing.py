@@ -17,10 +17,12 @@ field, so '5' over F_3 means 2 and '1/2' over F_7 means 4.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 
-from .errors import DivisionByZero, ParseError, UnknownVariable
+from .errors import DivisionByZero, ParseError, ResourceLimit, UnknownVariable
 from .fields import FieldSpec, Scalar
+from .jacobian import _physical_memory
 from .poly import Monomial, Polynomial
 
 _TOKEN = re.compile(r"\s*(?:(x[0-9]+)|([0-9]+)|([+\-*/^])|(\S))")
@@ -140,7 +142,17 @@ class _Parser:
 
 
 def parse_poly(text: str, nvars: int, field: FieldSpec) -> Polynomial:
-    """Parse polynomial text into canonical form; ParseError has a position."""
+    """Parse polynomial text into canonical form; ParseError has a position.
+
+    Each term is read into a list of nvars exponents and kept as a tuple
+    of them: ResourceLimit, before anything is allocated, when that list
+    and tuple alone pass the physical memory os.sysconf reports."""
     if nvars < 1:
         raise ParseError("need at least one variable", None)
+    memory = _physical_memory()
+    slot = sys.getsizeof((0,)) - sys.getsizeof(())
+    if memory is not None and sys.getsizeof([]) + sys.getsizeof(()) + 2 * slot * nvars > memory:
+        raise ResourceLimit(
+            f"a term in {nvars} variables needs more than the {memory} bytes of this machine's physical memory"
+        )
     return _Parser(text, nvars, field).parse()

@@ -22,6 +22,7 @@ Variables are x0..x{nvars-1}.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from collections.abc import Mapping
 from fractions import Fraction
@@ -50,18 +51,22 @@ def grlex_key(m: Monomial):
 def monomial_basis(nvars: int, degree: int) -> list[Monomial]:
     """All monomials of the given total degree, grlex-descending.
 
-    The list has length C(nvars-1+degree, degree).
+    The list has length C(nvars-1+degree, degree).  A monomial is fixed by
+    its partial sums e_0, e_0+e_1, ..., e_0+...+e_(n-2), any nondecreasing
+    n-1 numbers in 0..degree, and combinations_with_replacement lists those
+    in lexicographic order, which is grlex-ascending on the monomials.  So
+    the list is built with no recursion and n steps per monomial, whatever
+    the number of variables or the degree, and then reversed.
     """
     if nvars < 1:
         raise ArityMismatch("need at least one variable")
     if degree < 0:
         return []
-    if nvars == 1:
-        return [(degree,)]
-    out = []
-    for e in range(degree, -1, -1):
-        for rest in monomial_basis(nvars - 1, degree - e):
-            out.append((e,) + rest)
+    out = [
+        tuple(map(operator.sub, (*sums, degree), (0, *sums)))
+        for sums in itertools.combinations_with_replacement(range(degree + 1), nvars - 1)
+    ]
+    out.reverse()
     return out
 
 

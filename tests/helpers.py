@@ -419,24 +419,21 @@ def split_reference(rows: list[linalg.Row], ncols: int, p: int):
     """linalg._split with its pivots applied one at a time: the oracle for
     the level-scheduled clearing.
 
-    The same pivot choice, then for each pivot column in ascending order
-    one update of the dense block by the multiples of its pivot row, lead
+    The same pivot choice: the rows of residues sorted by (lead, length),
+    stably, the first row of each lead its pivot and the others in the
+    sort's order.  Then for each pivot column in ascending order one
+    update of the dense block by the multiples of its pivot row, lead
     included, delaying % p as linalg._delays allows; the Schur complement
     goes through the same linalg._eliminate.  Returns the same
     (pivots, others, schur, leads), the pivot rows and the non-pivot
     columns as lists.
     """
     dtype = np.int64 if p < 2**31 else object
+    residues = [[(c, x % p) for c, x in row if x % p] for row in rows]
     pivots: dict[int, linalg.Row] = {}
     rest = []
-    for row in rows:
-        row = [(c, r) for c, x in row if (r := x % p)]
-        if not row:
-            continue
-        kept = pivots.setdefault(row[0][0], row)
-        if kept is not row:
-            if len(row) < len(kept):
-                pivots[row[0][0]], row = row, kept
+    for row in sorted(filter(None, residues), key=lambda row: (row[0][0], len(row))):
+        if pivots.setdefault(row[0][0], row) is not row:
             rest.append(row)
     others = [c for c in range(ncols) if c not in pivots]
     if not (rest and others):

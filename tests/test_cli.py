@@ -381,6 +381,27 @@ def test_smooth_refuses_a_piece_past_physical_memory(capsys):
     assert err.startswith("error[ResourceLimit]")
 
 
+def test_smooth_takes_thousands_of_variables(capsys):
+    """x1999 is a hyperplane of P^1999, so smooth: its monomial bases of
+    2,000 variables, past the interpreter's recursion limit, are listed
+    without recursion."""
+    code, payload, err = run_json(capsys, "smooth", "--char", "0", "--f", "x1999")
+    assert (code, payload["result"], payload["request"]["nvars"]) == (0, {"smooth": True}, 2000)
+    assert "Traceback" not in err
+
+
+def test_parse_refuses_a_term_past_physical_memory(capsys):
+    """--nvars 10^12 asks for a term of 10^12 exponents, 8 TB as a list
+    alone: parse refuses it with ResourceLimit and exit 2 at once, before
+    the parser allocates it."""
+    started = time.perf_counter()
+    code, payload, err = run_json(capsys, "parse", "--char", "0", "--f", "x0", "--nvars", "1000000000000")
+    assert time.perf_counter() - started < 1.0
+    assert code == 2 and payload["error"]["code"] == "ResourceLimit"
+    assert payload["error"]["message"].startswith("a term in 1000000000000 variables needs more than")
+    assert err.startswith("error[ResourceLimit]") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("value", ["1/0", "abc"])
 def test_bad_a_value_names_the_typed_text(capsys, value):
     argv = ("fixture", "--char", "0", "--fixture", "cubic-threefold-normal-form",

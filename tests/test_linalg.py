@@ -322,9 +322,8 @@ def test_pivot_split_matches_dense_rank_on_a_seeded_grid():
 
 
 def _displaces(rows, p):
-    """Whether a later, sparser row displaces the pivot of its leading
-    column mod p: the case that places the displaced pivot among the other
-    rows where the displacing row stood."""
+    """Whether a later, sparser row displaces the first row leading at its
+    column mod p as the pivot there."""
     kept = {}
     for row in rows:
         row = [(c, x) for c, x in row if x % p]
@@ -336,8 +335,8 @@ def _displaces(rows, p):
 def test_pair_lists_and_sparse_rows_agree():
     """rank_mod_p_int, with and without stop_at, and integer_kernel give
     the same answers on pair lists and on the SparseRows made of them, mod
-    primes on both sides of 2^31 and over Q, and the split's Schur rows
-    keep the per-row oracle's order.  The grid (_split_grid) has entries
+    primes on both sides of 2^31 and over Q, and the split matches the
+    per-row oracle, Schur rows included.  The grid (_split_grid) has entries
     past 2^63, rows that are all zero mod p, empty rows and repeated leads
     where a later, sparser row displaces the pivot; the empty matrix, a
     matrix of one empty row and an ideal piece with no row come with it."""
@@ -366,6 +365,28 @@ def test_pair_lists_and_sparse_rows_agree():
             assert linalg.integer_kernel(sparse, ncols, q) == ([], list(range(ncols)), [{c: 1} for c in range(ncols)])
     assert linalg.integer_kernel([[]], 3, 0) == ([], [0, 1, 2], [{0: 1}, {1: 1}, {2: 1}])
     assert ideal_graded_dim([parse_poly("x0^3 + x1^3 + x2^3", 3, Q)], 2).dimension == 0
+
+
+def test_split_picks_pivots_by_one_sort():
+    """_split sorts the rows of residues by (lead, length), stably: the
+    first row of each lead is its pivot, the sparsest, the first on a tie,
+    and the other rows form the Schur complement in the sort's order.  So
+    a later, sparser row displaces the first row leading at its column,
+    and the displaced row follows a row of its lead as sparse as the
+    pivot, which the column loop then takes as its first pivot row.  A
+    split of no rows, or of rows all zero mod p, has no pivot and no
+    Schur row; with distinct leads every row is a pivot."""
+    p = 101
+    a, d, b, c = [(0, 1), (1, 1), (2, 1)], [(1, 1), (3, 1)], [(0, 2), (2, 3)], [(0, 1), (3, 5)]
+    pivots, others, schur, leads = linalg._split(linalg.SparseRows.of([a, d, b, c], 4), 4, p)
+    assert (list(pivots), others.tolist(), leads) == ([b, d], [2, 3], [0, 1])
+    # c - b/2 = (-3/2, 5) on columns 2 and 3 leads, scaled to 1; then a - b/2 - d
+    assert schur.tolist() == [[1, -10 * pow(3, -1, p) % p], [0, 1]]
+    for rows in ([], [[]], [[(0, p), (2, 2 * p)]]):
+        pivots, others, schur, leads = linalg._split(linalg.SparseRows.of(rows, 3), 3, p)
+        assert (len(pivots), others.tolist(), schur.shape, leads) == (0, [0, 1, 2], (0, 3), [])
+    pivots, others, schur, leads = linalg._split(linalg.SparseRows.of([d, b], 4), 4, p)
+    assert (list(pivots), others.tolist(), schur.shape, leads) == ([b, d], [2, 3], (0, 2), [])
 
 
 def test_sparse_rows_carry_one_width(monkeypatch):
@@ -1017,7 +1038,7 @@ def _schur_grid(rng, p):
     column 0 and one leading further on, and rows that lead at 0 too but
     differ from +-the first by random combinations of 2 or 3 random rows."""
     draw = (lambda: rng.randrange(-p, p)) if p else (lambda: rng.randint(-9, 9))
-    for _ in range(24):
+    for _ in range(40):
         ncols = rng.randint(6, 9)
         first = [1] + [draw() for _ in range(ncols - 1)]
         lead = rng.randrange(1, ncols - 1)

@@ -1,10 +1,12 @@
 """Text grammar for polynomials: happy paths and error positions."""
 
+import os
 import random
+import sys
 
 import pytest
 
-from hypersect import ParseError, UnknownVariable, make_field, parse_poly
+from hypersect import ParseError, ResourceLimit, UnknownVariable, make_field, parse_poly
 from helpers import FIELDS, rand_poly
 
 Q = make_field(0)
@@ -107,3 +109,22 @@ def test_round_trip_shifted_variables():
         from helpers import embed_shift
 
         assert parse_poly(shifted, 4, Q) == embed_shift(p, 4, 1)
+
+
+def test_a_term_past_physical_memory_is_refused(monkeypatch):
+    """parse_poly refuses nvars exactly when one term's list and tuple of
+    nvars exponents pass the physical memory os.sysconf reports, before
+    parsing, and refuses nothing where it reports none."""
+    slot = sys.getsizeof((0,)) - sys.getsizeof(())
+    need = sys.getsizeof([]) + sys.getsizeof(()) + 2 * slot * 50
+    monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": need}.__getitem__)
+    assert parse_poly("x49", 50, Q).degree() == 1
+    monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": need - 1}.__getitem__)
+    with pytest.raises(ResourceLimit, match=f"a term in 50 variables needs more than the {need - 1} bytes"):
+        parse_poly("x49", 50, Q)
+
+    def unknown(name):
+        raise ValueError(name)
+
+    monkeypatch.setattr(os, "sysconf", unknown)
+    assert parse_poly("x49", 50, Q).degree() == 1

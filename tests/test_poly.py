@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -361,6 +362,25 @@ def test_monomial_basis_grlex_sorted():
             keys = [grlex_key(m) for m in basis]
             assert keys == sorted(keys, reverse=True)
             assert len(set(basis)) == len(basis)
+
+
+def test_monomial_basis_keeps_the_recursive_order_past_the_recursion_limit():
+    """monomial_basis lists the monomials in the order of the recursion on
+    the first exponent, from the degree down, with no recursion of its
+    own: 500 variables past the interpreter's recursion limit give those
+    variables in order, and one monomial of degree 0."""
+
+    def recursive(nvars, degree):
+        if nvars == 1:
+            return [(degree,)]
+        return [(e,) + rest for e in range(degree, -1, -1) for rest in recursive(nvars - 1, degree - e)]
+
+    for nvars in range(1, 7):
+        for degree in range(-1, 7):
+            assert monomial_basis(nvars, degree) == (recursive(nvars, degree) if degree >= 0 else []), (nvars, degree)
+    nvars = sys.getrecursionlimit() + 500
+    assert monomial_basis(nvars, 1) == [tuple(int(i == j) for i in range(nvars)) for j in range(nvars)]
+    assert monomial_basis(nvars, 0) == [(0,) * nvars]
 
 
 def test_degree_and_homogeneity():
