@@ -1,9 +1,16 @@
-"""Exception types shared across the library.
+"""Exception types shared across the library, and its one memory budget.
 
 Every error raised deliberately by hypersect derives from HypersectError,
 so callers (and the CLI) can catch one base class and map each condition
 to a stable code: the class name.
 """
+
+import os
+
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
 
 
 class HypersectError(Exception):
@@ -84,7 +91,22 @@ class BadCharacteristic(HypersectError):
 class ResourceLimit(HypersectError):
     """A request exceeds a limit of the running process or machine, such as
     the number of digits Python converts from one integer to text, or the
-    physical memory a graded piece's monomials would take."""
+    memory budget (require_memory) a term, a list or a table would pass."""
+
+
+def require_memory(nbytes: int, what: str) -> None:
+    """Raise ResourceLimit when nbytes, a lower bound on what `what` takes,
+    passes the memory budget: the smaller of the physical memory os.sysconf
+    reports and the soft RLIMIT_AS address-space limit, of those known."""
+    limits = []
+    try:
+        limits.append(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))
+    except (AttributeError, OSError, ValueError):
+        pass
+    if resource is not None and (soft := resource.getrlimit(resource.RLIMIT_AS)[0]) != resource.RLIM_INFINITY:
+        limits.append(soft)
+    if limits and nbytes > min(limits):
+        raise ResourceLimit(f"{what} needs more than the {min(limits)} bytes of this process's memory budget")
 
 
 class UsageError(HypersectError):

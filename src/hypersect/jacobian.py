@@ -44,8 +44,6 @@ rests on checked kernel vectors and every returned verdict is exact.
 
 from __future__ import annotations
 
-import os
-import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, gcd
@@ -53,7 +51,7 @@ from math import comb, gcd
 import numpy as np
 
 from . import linalg
-from .errors import InhomogeneousGenerator, NotHomogeneous, ResourceLimit
+from .errors import InhomogeneousGenerator, NotHomogeneous, require_memory
 from .fields import FieldSpec
 from .poly import (
     Monomial,
@@ -119,7 +117,8 @@ def default_degree_cap(nvars: int, degree: int, characteristic: int = 0) -> int:
 @dataclass(frozen=True)
 class GradedDim:
     """Degree-t piece of a homogeneous ideal: the degree-t monomials
-    (grlex descending) and the exact dimension of the piece in their span."""
+    (grlex descending), the one listing of a piece's monomials (the rows
+    only count them), and the exact dimension of the piece in their span."""
 
     degree: int
     basis: list[Monomial]
@@ -128,37 +127,10 @@ class GradedDim:
 
 @lru_cache(maxsize=64)
 def _positions(nvars: int, degree: int) -> dict[Monomial, int]:
-    """Each degree-t monomial's column in the grlex-descending basis; the
-    keys, in order, are monomial_basis(nvars, degree).  _require_memory
-    first refuses a basis that cannot be listed."""
-    _require_memory(nvars, degree)
+    """Each degree-e monomial's column in the grlex-descending basis, read at
+    generator degrees only; the keys, in order, are monomial_basis(nvars,
+    degree), which refuses a basis past the memory budget."""
     return {m: i for i, m in enumerate(monomial_basis(nvars, degree))}
-
-
-def _require_memory(nvars: int, degree: int) -> None:
-    """Raise ResourceLimit when the degree-t monomials in nvars variables
-    cannot be listed in this machine's physical memory, where os.sysconf
-    reports it.  There are C(nvars-1+t, t) of them, counted with one
-    binomial, and each takes at least one tuple of nvars ints and one list
-    slot: a lower bound, which leaves out the ints and any dict, so a
-    basis that fits is never refused."""
-    memory = _physical_memory()
-    if memory is None or degree < 0:
-        return
-    slot = sys.getsizeof((0,)) - sys.getsizeof(())
-    if comb(nvars - 1 + degree, degree) * (sys.getsizeof(()) + slot * (nvars + 1)) > memory:
-        raise ResourceLimit(
-            f"the degree-{degree} monomials in {nvars} variables need more than the {memory} bytes"
-            " of this machine's physical memory"
-        )
-
-
-def _physical_memory() -> int | None:
-    """This machine's physical memory in bytes, or None where os.sysconf does not report it."""
-    try:
-        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, OSError, ValueError):
-        return None
 
 
 def _tails(nvars: int, degree: int) -> np.ndarray:
@@ -184,16 +156,13 @@ def _column_table(nvars: int, degree: int, e: int) -> np.ndarray:
     in the counts.  Each count, and the column, is below the basis length,
     so int64 holds them for any number of variables.
 
-    A table whose 8-byte entries pass the physical memory os.sysconf
-    reports is refused with ResourceLimit before anything is allocated.
+    The build peaks at three tables of 8-byte entries (the index sum, the
+    gathered counts and the table), and is refused with ResourceLimit
+    before anything is allocated when that passes the memory budget.
     """
     shape = comb(nvars - 1 + degree - e, degree - e), comb(nvars - 1 + e, e)
-    memory = _physical_memory()
-    if memory is not None and 8 * shape[0] * shape[1] > memory:
-        raise ResourceLimit(
-            f"the {shape[0]} x {shape[1]} column table of degree {degree} in {nvars} variables needs more than"
-            f" the {memory} bytes of this machine's physical memory"
-        )
+    what = f"building the {shape[0]} x {shape[1]} column table of degree {degree} in {nvars} variables"
+    require_memory(3 * 8 * shape[0] * shape[1], what)
     below = np.array(
         [[comb(s + k - 1, s - 1) if s else 0 for s in range(degree + 1)] for k in range(nvars)], dtype=np.int64
     )
@@ -205,19 +174,18 @@ def _column_table(nvars: int, degree: int, e: int) -> np.ndarray:
     return table
 
 
-def _macaulay_rows(
-    generators: list[dict[Monomial, int]], degree: int
-) -> tuple[list[Monomial], linalg.SparseRows]:
-    """Degree-t monomial basis and sparse integer rows spanning the ideal's piece.
+def _macaulay_rows(generators: list[dict[Monomial, int]], degree: int) -> linalg.SparseRows:
+    """Sparse integer rows spanning the ideal's degree-t piece.
 
     The generators are homogeneous integer forms, {monomial: int}: the
     numerators of Polynomials, whose one denominator only scales a row, or
     _integer_generators of them; at least one is nonzero.  Over F_p they
-    are residues.  The rows are one linalg.SparseRows over the basis: row
-    m*g_i holds the coefficients of m*g_i, columns ascending, as the terms of
-    g_i are sorted by their column in the grlex-descending degree-e basis,
-    multiplying by m keeps that order, and the degree-t basis is
-    grlex-descending too.  Zero generators are skipped, and so is
+    are residues.  The rows are one linalg.SparseRows over the degree-t
+    basis, counted and never listed: width C(nvars-1+t, t), 0 below degree
+    0.  Row m*g_i holds the coefficients of m*g_i, columns ascending, as
+    the terms of g_i are sorted by their column in the grlex-descending
+    degree-e basis, multiplying by m keeps that order, and the degree-t
+    basis is grlex-descending too.  Zero generators are skipped, and so is
     m*g_i when LT(g_j) divides m for some j < i (grlex leading terms, the
     first in that order; the Koszul/F5 criterion).  The span stays the
     same over any field: with u = m/LT(g_j) and c = LC(g_j),
@@ -237,7 +205,6 @@ def _macaulay_rows(
     entries per generator degree e.
     """
     nvars = len(next(m for g in generators for m in g))
-    basis = list(_positions(nvars, degree))
     # each generator's rows (columns, values), after an empty block for a piece with no row; each lead (degree, column)
     tables, values, leads = [np.zeros((0, 0), dtype=np.int64)], [np.zeros((0, 0), dtype=np.int64)], []
     for g in generators:
@@ -257,7 +224,7 @@ def _macaulay_rows(
         leads.append((e, columns[0]))
     lengths = np.array([t.shape[1] for t in tables]).repeat([len(t) for t in tables])
     cols, values = (np.concatenate(x, axis=None) for x in (tables, values))
-    return basis, linalg.SparseRows(lengths, cols, values, len(basis))
+    return linalg.SparseRows(lengths, cols, values, comb(nvars - 1 + degree, degree) if degree >= 0 else 0)
 
 
 def _interreduce(generators: list[dict[Monomial, int]], p: int) -> list[dict[Monomial, int]]:
@@ -293,29 +260,25 @@ def _interreduce(generators: list[dict[Monomial, int]], p: int) -> list[dict[Mon
     mask drops the multiples of more leads.  The elimination here is of
     one group, (n+1) x C(n+d-1, d-1) at most: small next to the matrix.
     """
-    nvars = len(next(iter(generators[0])))
     groups: dict[int, list[dict[Monomial, int]]] = {}
     for g in generators:
         groups.setdefault(sum(next(iter(g))), []).append(g)
     out, collided = [], False
-    for e, group in groups.items():
-        index = _positions(nvars, e)
-        if len({min(map(index.__getitem__, g)) for g in group}) < len(group):
-            group, collided = _reduced_echelon(group, index, p), True
+    for group in groups.values():
+        if len({max(g) for g in group}) < len(group):  # in one degree the grlex lead is the largest tuple
+            group, collided = _reduced_echelon(group, p), True
         out += group
     return out if collided else generators
 
 
-def _reduced_echelon(
-    group: list[dict[Monomial, int]], index: dict[Monomial, int], p: int
-) -> list[dict[Monomial, int]]:
+def _reduced_echelon(group: list[dict[Monomial, int]], p: int) -> list[dict[Monomial, int]]:
     """The nonzero rows of the reduced echelon form of forms of one degree,
-    columns in the order of index (their positions), rows in pivot order,
-    each _normalized.  A row is updated fraction-free, row*a - top*b for
-    the pivot row top with lead a, and normalized again: a nonzero scale
-    per row, so each final row is the normalized multiple of its RREF row,
-    which is unique."""
-    monos = sorted({m for g in group for m in g}, key=index.__getitem__)
+    columns grlex-descending (in one degree, the tuples in reverse order),
+    rows in pivot order, each _normalized.  A row is updated fraction-free,
+    row*a - top*b for the pivot row top with lead a, and normalized again:
+    a nonzero scale per row, so each final row is the normalized multiple
+    of its RREF row, which is unique."""
+    monos = sorted({m for g in group for m in g}, reverse=True)
     rows = [_normalized([g.get(m, 0) for m in monos], p) for g in group]
     rank = 0
     for j in range(len(monos)):
@@ -374,12 +337,10 @@ def ideal_graded_dim(
         ring._check(g)
         if not g.is_homogeneous():
             raise InhomogeneousGenerator(f"generator {g} is not homogeneous")
-    live = [g.numerators for g in generators if g]
-    if live:
-        basis, rows = _macaulay_rows(_interreduce(live, field.characteristic), degree)
-    else:
-        basis, rows = monomial_basis(nvars, degree), []
-    return GradedDim(degree, basis, linalg.rank_mod_p_int(rows, field.characteristic))
+    live, p = [g.numerators for g in generators if g], field.characteristic
+    basis = monomial_basis(nvars, degree)  # refused past the memory budget before any row is built
+    rows = _macaulay_rows(_interreduce(live, p), degree) if live else []
+    return GradedDim(degree, basis, linalg.rank_mod_p_int(rows, p))
 
 
 def is_smooth(f: Polynomial, t_max: int | None = None) -> bool:
@@ -422,7 +383,7 @@ def _is_smooth(
             return False
         cap = min(cap, t_max)
     # never empty: all partials vanish only when char | d, and then f is kept
-    basis, rows = _macaulay_rows(_interreduce(generators, p), cap)
-    if len(rows) < len(basis):
+    rows = _macaulay_rows(_interreduce(generators, p), cap)
+    if len(rows) < rows.width:
         return False
-    return linalg.rank_mod_p_int(rows, p, stop_at=len(basis)) == len(basis)
+    return linalg.rank_mod_p_int(rows, p, stop_at=rows.width) == rows.width

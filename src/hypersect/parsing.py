@@ -20,9 +20,8 @@ import re
 import sys
 from fractions import Fraction
 
-from .errors import DivisionByZero, ParseError, ResourceLimit, UnknownVariable
+from .errors import DivisionByZero, ParseError, UnknownVariable, require_memory
 from .fields import FieldSpec, Scalar
-from .jacobian import _physical_memory
 from .poly import Monomial, Polynomial
 
 _TOKEN = re.compile(r"\s*(?:(x[0-9]+)|([0-9]+)|([+\-*/^])|(\S))")
@@ -146,13 +145,9 @@ def parse_poly(text: str, nvars: int, field: FieldSpec) -> Polynomial:
 
     Each term is read into a list of nvars exponents and kept as a tuple
     of them: ResourceLimit, before anything is allocated, when that list
-    and tuple alone pass the physical memory os.sysconf reports."""
+    and tuple alone pass the memory budget (require_memory)."""
     if nvars < 1:
         raise ParseError("need at least one variable", None)
-    memory = _physical_memory()
     slot = sys.getsizeof((0,)) - sys.getsizeof(())
-    if memory is not None and sys.getsizeof([]) + sys.getsizeof(()) + 2 * slot * nvars > memory:
-        raise ResourceLimit(
-            f"a term in {nvars} variables needs more than the {memory} bytes of this machine's physical memory"
-        )
+    require_memory(sys.getsizeof([]) + sys.getsizeof(()) + 2 * slot * nvars, f"a term in {nvars} variables")
     return _Parser(text, nvars, field).parse()

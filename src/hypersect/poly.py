@@ -24,10 +24,11 @@ from __future__ import annotations
 
 import itertools
 import operator
+import sys
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import cache
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 from . import linalg
 from .errors import (
@@ -37,6 +38,7 @@ from .errors import (
     IndexOutOfRange,
     NotHomogeneous,
     SingularMatrix,
+    require_memory,
 )
 from .fields import FieldSpec, Scalar
 
@@ -56,12 +58,17 @@ def monomial_basis(nvars: int, degree: int) -> list[Monomial]:
     n-1 numbers in 0..degree, and combinations_with_replacement lists those
     in lexicographic order, which is grlex-ascending on the monomials.  So
     the list is built with no recursion and n steps per monomial, whatever
-    the number of variables or the degree, and then reversed.
+    the number of variables or the degree, and then reversed.  Every list
+    of monomials is made here, and refused with ResourceLimit before it is
+    when its slots and tuples alone pass the memory budget (require_memory).
     """
     if nvars < 1:
         raise ArityMismatch("need at least one variable")
     if degree < 0:
         return []
+    slot = sys.getsizeof((0,)) - sys.getsizeof(())
+    bound = comb(nvars - 1 + degree, degree) * (sys.getsizeof(()) + slot * (nvars + 1))
+    require_memory(bound, f"listing the degree-{degree} monomials in {nvars} variables")
     out = [
         tuple(map(operator.sub, (*sums, degree), (0, *sums)))
         for sums in itertools.combinations_with_replacement(range(degree + 1), nvars - 1)

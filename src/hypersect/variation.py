@@ -283,12 +283,12 @@ def criterion_kernel(
     q = hyperplane.restrict(partial_derivative(f, hyperplane.pivot))
     if not q:
         return CriterionReport(hyperplane, CriterionStatus.VACUOUS, criterion_form=q)
-    basis, rows = _macaulay_rows(generators + [q.numerators], d)
+    rows = _macaulay_rows(generators + [q.numerators], d)
     m, matrix = len(rows) - n, rows.transpose()
     steps = linalg._kernel_steps(matrix, matrix.width, p)
     pivots = next(steps)
     g, r = sum(pc < m for pc in pivots), len(pivots)
-    if p or (g == min(m, len(basis)) and r == min(len(basis), g + n)):
+    if p or (g == min(m, rows.width) and r == min(rows.width, g + n)):
         report = CriterionReport(
             hyperplane, CriterionStatus.COMPUTED, criterion_form=q, kernel_dim=n - (r - g), graded_ideal_dim=g
         )

@@ -658,8 +658,8 @@ def graded_piece(generators: list[Polynomial], degree: int) -> GradedPiece:
     from hypersect.jacobian import _macaulay_rows
 
     live = [g for g in generators if not g.is_zero()]
-    basis, rows = _macaulay_rows([g.numerators for g in live], degree)
-    return GradedPiece.of_rows(live[0].field, degree, basis, rows)
+    rows = _macaulay_rows([g.numerators for g in live], degree)
+    return GradedPiece.of_rows(live[0].field, degree, monomial_basis(live[0].nvars, degree), rows)
 
 
 # -- the normalize path: the section and criterion form through a full
@@ -839,24 +839,24 @@ def is_smooth_reference(f: Polynomial, t_max: int | None = None) -> bool:
     expected_full = max((n + 1) * (d - 2) + 1, d - 1, 0)
     probed = None
     if expected_full <= cap:
-        basis, rows = _macaulay_rows(forms, expected_full)
+        rows = _macaulay_rows(forms, expected_full)
         rank = None
-        if len(rows) >= len(basis):
-            rank = linalg.rank_mod_p_int(rows, probe, stop_at=len(basis))
-        probed = basis, rows, rank
-        if rank == len(basis):
+        if len(rows) >= rows.width:
+            rank = linalg.rank_mod_p_int(rows, probe, stop_at=rows.width)
+        probed = rows, rank
+        if rank == rows.width:
             return True
     if f.field.is_prime_field and _rational_singular_point(gens, f.field, f.nvars):
         return False
     h_prev = rows_prev = rank_prev = h_exact_prev = None
     for t in range(max(d - 1, 0), cap + 1):
         if t == expected_full and probed is not None:
-            basis, rows, rank = probed
+            rows, rank = probed
         else:
-            (basis, rows), rank = _macaulay_rows(forms, t), None
+            rows, rank = _macaulay_rows(forms, t), None
         if rank is None:
             rank = linalg.rank_mod_p_int(rows, probe) if rows else 0
-        h = len(basis) - rank
+        h = rows.width - rank
         if h == 0:
             return True
         h_exact = None
@@ -866,7 +866,7 @@ def is_smooth_reference(f: Polynomial, t_max: int | None = None) -> bool:
             if h_exact_prev is None:
                 cols_prev = len(monomial_basis(f.nvars, t - 1))
                 h_exact_prev = cols_prev - rank_q(rows_prev, rank_prev)
-            h_exact = len(basis) - rank_q(rows, rank)
+            h_exact = rows.width - rank_q(rows, rank)
             if h_exact_prev == 0 or h_exact == 0:
                 return True
             if h_exact_prev == h_exact:

@@ -370,14 +370,17 @@ def test_moduli_dim_without_the_digit_limit_function(capsys, monkeypatch):
 
 def test_smooth_refuses_a_piece_past_physical_memory(capsys):
     """x0^3 + x1^3 in 100 variables: the cap piece has C(200, 101), about
-    9.0e58, monomials, which no machine lists, so is_smooth refuses it
-    with ResourceLimit and exit 2 within two seconds instead of
-    enumerating them."""
+    9.0e58, columns, and the rows of the quadric partials gather from a
+    column table of C(198, 99) x 5,050 entries, which no machine holds, so
+    is_smooth refuses it with ResourceLimit and exit 2 within two seconds
+    instead of building it."""
     started = time.perf_counter()
     code, payload, err = run_json(capsys, "smooth", "--char", "0", "--f", "x0^3 + x1^3", "--nvars", "100")
     assert time.perf_counter() - started < 2.0
     assert code == 2 and payload["error"]["code"] == "ResourceLimit"
-    assert payload["error"]["message"].startswith("the degree-101 monomials in 100 variables need more than")
+    assert payload["error"]["message"].startswith(
+        f"building the {math.comb(198, 99)} x 5050 column table of degree 101 in 100 variables needs more than"
+    )
     assert err.startswith("error[ResourceLimit]")
 
 

@@ -2,7 +2,9 @@
 
 import os
 import random
+import resource
 import sys
+import time
 from collections import Counter
 from itertools import combinations_with_replacement
 from math import comb, gcd
@@ -28,13 +30,13 @@ from hypersect import (
     partial_derivative,
     substitute_linear,
 )
-from hypersect import jacobian, linalg, variation
+from hypersect import jacobian, linalg, poly, variation
 from hypersect.fields import _is_prime
 from hypersect.fixtures import cubic_threefold_example, cyclic_fermat, fermat
 from hypersect.jacobian import _macaulay_rows
 from hypersect.linalg import PROBE_PRIME, rank_mod_p_int
 from hypersect.poly import monomial_basis
-from hypersect.variation import Hyperplane, ScanStrategy, certify_max_variation
+from hypersect.variation import CriterionStatus, Hyperplane, ScanStrategy, certify_max_variation, criterion_kernel
 from gf_oracle import _MAX_GRID, find_singular_point
 from helpers import (
     FIELDS,
@@ -365,11 +367,11 @@ def test_pruned_rows_without_f_keep_every_jacobian_rank():
         used = full[1:] if p == 0 or d % p else full
         char_divides += len(used) == len(full)
         for t in range(d - 1, f.nvars * (d - 2) + 2):
-            basis, rows = _macaulay_rows([g.numerators for g in used], t)
+            rows = _macaulay_rows([g.numerators for g in used], t)
             ref_basis, ref_rows = unpruned_rows_reference(full, t)
-            assert basis == ref_basis
-            want = _exact_rank(sparse_rows(ref_rows), len(basis), field)
-            assert _exact_rank(rows, len(basis), field) == want, (f.to_text(), t)
+            assert rows.width == len(ref_basis)
+            want = _exact_rank(sparse_rows(ref_rows), rows.width, field)
+            assert _exact_rank(rows, rows.width, field) == want, (f.to_text(), t)
     assert char_divides > 0
 
 
@@ -389,9 +391,9 @@ def test_pruning_keeps_span_for_any_generator_list():
             if all(g.is_zero() for g in gens):
                 continue
             for t in range(1, 5):
-                basis, rows = _macaulay_rows([g.numerators for g in gens], t)
+                rows = _macaulay_rows([g.numerators for g in gens], t)
                 _, ref_rows = unpruned_rows_reference(gens, t)
-                ref_rows, ncols = sparse_rows(ref_rows), len(basis)
+                ref_rows, ncols = sparse_rows(ref_rows), rows.width
                 assert {tuple(r) for r in rows} <= {tuple(r) for r in ref_rows}
                 assert _exact_rank(rows, ncols, field) == _exact_rank(ref_rows, ncols, field)
                 pruned_some = pruned_some or len(rows) < len(ref_rows)
@@ -399,8 +401,9 @@ def test_pruning_keeps_span_for_any_generator_list():
 
 
 def test_numpy_rows_match_tuple_builder():
-    """_macaulay_rows gives the tuple builder's (basis, rows) exactly: the
-    same rows in the same order, over Q, F_2, F_3 and F_101.  The grid has
+    """_macaulay_rows gives the tuple builder's rows exactly, over a width
+    that counts its basis: the same rows in the same order, over Q, F_2,
+    F_3 and F_101.  The grid has
     f kept where char | d, zero generators, degrees below a generator's
     degree, mixed-degree lists, and a quadric in 40 variables, where a
     base-3 key of the exponents would pass 2^63."""
@@ -421,14 +424,16 @@ def test_numpy_rows_match_tuple_builder():
                     seen["zero"] += any(g.is_zero() for g in gens)
                     for t in range(-1, nvars * (d - 2) + 3):
                         seen["below"] += any(t < g.degree() for g in gens if not g.is_zero())
-                        basis, rows = _macaulay_rows([g.numerators for g in gens], t)
-                        assert (basis, list(rows)) == macaulay_rows_reference(gens, t), (field, gens, t)
+                        rows = _macaulay_rows([g.numerators for g in gens], t)
+                        basis, want = macaulay_rows_reference(gens, t)
+                        assert (rows.width, list(rows)) == (len(basis), want), (field, gens, t)
     assert min(seen["f kept"], seen["zero"], seen["below"]) > 0, seen
     f = rand_nonzero_homogeneous(rng, Q, 40, 2, max_terms=30) + fermat(39, 2, Q)
     assert 3**40 > 2**63
     for t in (1, 2, 3):
-        basis, rows = _macaulay_rows([g.numerators for g in jacobian_generators(f)], t)
-        assert (basis, list(rows)) == macaulay_rows_reference(jacobian_generators(f), t)
+        rows = _macaulay_rows([g.numerators for g in jacobian_generators(f)], t)
+        basis, want = macaulay_rows_reference(jacobian_generators(f), t)
+        assert (rows.width, list(rows)) == (len(basis), want)
 
 
 def test_numpy_rows_match_tuple_builder_on_certify_trials():
@@ -455,9 +460,9 @@ def test_numpy_rows_match_tuple_builder_on_certify_trials():
             seen["kept"] += gens[0] is section
             cases = [(gens, d), (gens, default_degree_cap(n, d, p))] + [(gens + [across], d)] * bool(across)
             for forms, t in cases:
-                basis, rows = _macaulay_rows(forms, t)
-                want = macaulay_rows_reference([Polynomial.from_integers(field, n, g) for g in forms], t)
-                assert (basis, list(rows)) == want, (field, n, d, forms, t)
+                rows = _macaulay_rows(forms, t)
+                basis, want = macaulay_rows_reference([Polynomial.from_integers(field, n, g) for g in forms], t)
+                assert (rows.width, list(rows)) == (len(basis), want), (field, n, d, forms, t)
                 seen[n] += 1
     assert min(seen["kept"], seen[3], seen[4], seen[5]) > 0, seen
 
@@ -557,7 +562,7 @@ def test_interreduce_keeps_every_rank_and_separates_leads():
             for e in {e for e, _ in leads}:
                 group = [g for g in before if sum(next(iter(g))) == e]
                 width = len(monomial_basis(nvars, e))
-                assert sum(le == e for le, _ in leads) == _exact_rank(_macaulay_rows(group, e)[1], width, field)
+                assert sum(le == e for le, _ in leads) == _exact_rank(_macaulay_rows(group, e), width, field)
             new_leads = {lead for row, (_, lead) in zip(after, leads) if not any(row is g for g in before)}
             for row in after:
                 if any(row is g for g in before):
@@ -573,9 +578,8 @@ def test_interreduce_keeps_every_rank_and_separates_leads():
             seen["dropped"] += len(after) < len(before) - 2
             seen["char | d"] += f in gens
             for t in range(default_degree_cap(nvars, d, p) + 1):
-                basis, rows = _macaulay_rows(after, t)
-                _, raw_rows = _macaulay_rows(before, t)
-                assert _exact_rank(rows, len(basis), field) == _exact_rank(raw_rows, len(basis), field), (field, raw, t)
+                rows, raw_rows = _macaulay_rows(after, t), _macaulay_rows(before, t)
+                assert _exact_rank(rows, rows.width, field) == _exact_rank(raw_rows, rows.width, field), (field, raw, t)
     assert min(seen.values()) > 0 and len(seen) == 3, seen
 
 
@@ -612,8 +616,8 @@ def test_interreduce_passes_distinct_leads_through(monkeypatch):
         built.clear()
         is_smooth(f)
         [(used, rows)] = built
-        basis, want = real_rows(gens, default_degree_cap(f.nvars, f.degree(), p))
-        assert used == gens and (rows[0], list(rows[1])) == (basis, list(want)), f.to_text()
+        want = real_rows(gens, default_degree_cap(f.nvars, f.degree(), p))
+        assert used == gens and (rows.width, list(rows)) == (want.width, list(want)), f.to_text()
     for n, d in ((3, 4), (4, 3)):
         gens = _generators(cyclic_fermat(n, d, Q))
         leads = _leads(gens)
@@ -637,15 +641,15 @@ def test_interreduce_concatenates_groups_in_order_of_first_form():
         gens = [Polynomial.from_integers(field, 3, g) for g in (h1, g1, h2, g2)]
         raw = [g.numerators for g in gens]
         out = jacobian._interreduce(raw, p)
-        reduced = jacobian._reduced_echelon([raw[1], raw[3]], jacobian._positions(3, 2), p)
+        reduced = jacobian._reduced_echelon([raw[1], raw[3]], p)
         assert out[0] is raw[0] and out[1] is raw[2] and out[2:] == reduced, (field, out)
         if not p:
             assert reduced == [{(2, 0, 0): 2, (0, 0, 2): 1}, {(0, 1, 1): 2, (0, 0, 2): -1}]
         for t in range(2, 6):
             dim = ideal_graded_dim(gens, t)
             assert dim == ideal_graded_dim(sorted(gens, key=Polynomial.degree), t), (field, t)
-            basis, rows = _macaulay_rows(raw, t)
-            assert dim.dimension == _exact_rank(rows, len(basis), field), (field, t)
+            rows = _macaulay_rows(raw, t)
+            assert dim.dimension == _exact_rank(rows, rows.width, field), (field, t)
 
 
 # The benchmark's dense(3,5) smoothness requests at seed 0 over Q and F_101:
@@ -689,8 +693,8 @@ def test_ideal_graded_dim_ranks_the_interreduced_rows(monkeypatch):
             built.clear()
             dim = ideal_graded_dim(gens, t)
             assert built == [jacobian._interreduce(raw, field.characteristic)] and built[0] != raw
-            basis, rows = real_rows(raw, t)
-            assert dim.basis == basis and dim.dimension == _exact_rank(rows, len(basis), field), (field, t)
+            rows = real_rows(raw, t)
+            assert dim.basis == monomial_basis(4, t) and dim.dimension == _exact_rank(rows, rows.width, field), (field, t)
 
 
 def test_interreduced_dense_forms_leave_few_columns_without_a_pivot(monkeypatch):
@@ -943,9 +947,9 @@ def test_is_smooth_builds_one_piece_at_the_cap(monkeypatch):
     real_rows, real_rank, real_split = jacobian._macaulay_rows, linalg.rank_mod_p_int, linalg._split
 
     def rows_spy(gens, degree):
-        basis, rows = real_rows(gens, degree)
-        builds.append((degree, len(basis), len(rows)))
-        return basis, rows
+        rows = real_rows(gens, degree)
+        builds.append((degree, rows.width, len(rows)))
+        return rows
 
     def rank_spy(rows, p, stop_at=None):
         probes.append((p, stop_at))
@@ -1058,16 +1062,24 @@ def test_the_lift_over_q_walks_one_descending_prime_sequence(monkeypatch):
     assert primes == [PROBE_PRIME] + [q for q in range(PROBE_PRIME - 1, primes[-1] - 1, -1) if _is_prime(q)]
 
 
+def _no_address_space_limit(monkeypatch):
+    """Leave os.sysconf alone in setting the memory budget, whatever RLIMIT_AS the host sets."""
+    monkeypatch.setattr(resource, "getrlimit", lambda which: (resource.RLIM_INFINITY, resource.RLIM_INFINITY))
+
+
 def test_a_column_table_past_physical_memory_is_refused(monkeypatch):
     """_column_table refuses a table of C(nvars-1+t-e, t-e) * C(nvars-1+e, e)
-    int64 entries exactly when their 8 bytes each pass the physical memory
-    os.sysconf reports, before allocating it.  x0^40000 + x1^40000 mod 101
-    has cap t = 79,997 and one generator degree, 39,999: a 39,999 x 40,000
-    table, 12.8 GB, which is_smooth refuses on a 7 GiB machine."""
+    int64 entries exactly when its build peak, three tables of 8 bytes an
+    entry, passes the memory budget, here the physical memory os.sysconf
+    reports, before allocating it.  x0^40000 + x1^40000 mod 101 has cap
+    t = 79,997 and one generator degree, 39,999: a 39,999 x 40,000 table,
+    12.8 GB and a 38.4 GB peak, which is_smooth refuses on a 7 GiB
+    machine."""
+    _no_address_space_limit(monkeypatch)
     table = jacobian._column_table.__wrapped__  # past the cache, so the guard runs each time
-    need = 8 * comb(3 - 1 + 6 - 2, 6 - 2) * comb(3 - 1 + 2, 2)
+    need = 3 * 8 * comb(3 - 1 + 6 - 2, 6 - 2) * comb(3 - 1 + 2, 2)
     monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": need - 1}.__getitem__)
-    message = "the 15 x 6 column table of degree 6 in 3 variables needs more than the {} bytes"
+    message = "building the 15 x 6 column table of degree 6 in 3 variables needs more than the {} bytes"
     with pytest.raises(ResourceLimit, match=message.format(need - 1)):
         table(3, 6, 2)
     monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": need}.__getitem__)
@@ -1076,30 +1088,86 @@ def test_a_column_table_past_physical_memory_is_refused(monkeypatch):
     monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": seven_gib // 4096}.__getitem__)
     f = parse_poly("x0^40000 + x1^40000", 2, make_field(101))
     assert default_degree_cap(2, 40000, 101) == 79_997
-    message = "the 39999 x 40000 column table of degree 79997 in 2 variables needs more than the {} bytes"
+    message = "building the 39999 x 40000 column table of degree 79997 in 2 variables needs more than the {} bytes"
     with pytest.raises(ResourceLimit, match=message.format(seven_gib)):
         is_smooth(f)
 
 
 def test_a_basis_past_physical_memory_is_refused(monkeypatch):
-    """_require_memory refuses the degree-t monomials in nvars variables
+    """monomial_basis refuses the degree-t monomials in nvars variables
     exactly when C(nvars-1+t, t) tuples of nvars ints, with one list slot
-    each, pass the physical memory os.sysconf reports, and refuses nothing
-    where it reports none.  Under the figure of the host that runs it, the
-    (5,6) perturbation's cap piece, 142,506 columns in 6 variables, fits."""
+    each, pass the memory budget, here the physical memory os.sysconf
+    reports, and refuses nothing where no limit is known.  Under the
+    figure of the host that runs it, the (5,6) perturbation's cap piece,
+    142,506 monomials in 6 variables, fits."""
     count = comb(6 - 1 + 25, 25)
     assert count == 142_506 and default_degree_cap(6, 6) == 25
     need = count * (sys.getsizeof((0,) * 6) + sys.getsizeof([0]) - sys.getsizeof([]))
-    jacobian._require_memory(6, 25)
+    assert len(monomial_basis(6, 25)) == count
+    _no_address_space_limit(monkeypatch)
     monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": need}.__getitem__)
-    jacobian._require_memory(6, 25)
-    jacobian._require_memory(6, -1)  # an empty basis
+    assert len(monomial_basis(6, 25)) == count
+    assert monomial_basis(6, -1) == []  # an empty basis
     monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": need - 1}.__getitem__)
-    with pytest.raises(ResourceLimit, match=f"degree-25 monomials in 6 variables need more than the {need - 1} bytes"):
-        jacobian._require_memory(6, 25)
+    message = f"listing the degree-25 monomials in 6 variables needs more than the {need - 1} bytes"
+    with pytest.raises(ResourceLimit, match=message):
+        monomial_basis(6, 25)
 
     def unknown(name):
         raise ValueError(name)
 
     monkeypatch.setattr(os, "sysconf", unknown)
-    jacobian._require_memory(100, 101)
+    assert len(monomial_basis(6, 25)) == count
+
+
+def test_listing_a_piece_past_the_budget_is_refused_at_once():
+    """The public listings of a piece's monomials, monomial_basis and the
+    basis of ideal_graded_dim, refuse C(200, 101), about 9.0e58, monomials
+    in 100 variables with ResourceLimit within a second, before listing
+    any of them."""
+    for listing in (lambda: monomial_basis(100, 101), lambda: ideal_graded_dim([], 101, Q, nvars=100)):
+        started = time.perf_counter()
+        with pytest.raises(ResourceLimit, match="listing the degree-101 monomials in 100 variables needs more than"):
+            listing()
+        assert time.perf_counter() - started < 1.0
+
+
+def test_no_piece_lists_its_own_monomials(monkeypatch):
+    """is_smooth and criterion_kernel count the columns of the pieces they
+    rank (SparseRows.width, one binomial) and never list them: inside each
+    _macaulay_rows call, neither monomial_basis nor _positions is asked for
+    the monomials of the piece's own degree, with every cache cleared so
+    that each table is built.  No generator has the piece's degree here
+    (char does not divide d), so none of its own terms lists it either."""
+    pieces, listed, seen = [], [], []
+    real_rows, real_basis, real_positions = jacobian._macaulay_rows, poly.monomial_basis, jacobian._positions
+
+    def rows_spy(gens, degree):
+        pieces.append((len(next(m for g in gens for m in g)), degree))
+        listed.clear()
+        rows = real_rows(gens, degree)
+        seen.append((pieces[-1], pieces[-1] in listed))
+        return rows
+
+    def basis_spy(nvars, degree):
+        listed.append((nvars, degree))
+        return real_basis(nvars, degree)
+
+    def positions_spy(nvars, degree):
+        listed.append((nvars, degree))
+        return real_positions(nvars, degree)
+
+    monkeypatch.setattr(jacobian, "_macaulay_rows", rows_spy)
+    monkeypatch.setattr(variation, "_macaulay_rows", rows_spy)
+    monkeypatch.setattr(poly, "monomial_basis", basis_spy)
+    monkeypatch.setattr(jacobian, "monomial_basis", basis_spy)
+    monkeypatch.setattr(jacobian, "_positions", positions_spy)
+    for cache in (jacobian._column_table, real_positions):
+        cache.cache_clear()
+    f101 = make_field(101)
+    assert is_smooth(fermat(4, 3, Q)) and is_smooth(fermat(3, 4, f101))
+    for field in (Q, f101):
+        f = cubic_threefold_example(field)
+        assert criterion_kernel(f, Hyperplane.coordinate(field, 5, 0)).status is CriterionStatus.COMPUTED
+    assert [piece for piece, _ in seen] == [(5, 6), (4, 9)] + [(4, 5), (4, 3)] * 2, seen
+    assert not any(own for _, own in seen), seen
