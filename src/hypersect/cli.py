@@ -359,7 +359,10 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         options = _build_parser().parse_args(argv)
-        request, result, code = _run(options)
+        try:
+            request, result, code = _run(options)
+        except MemoryError as exc:  # an allocation no require_memory estimate covers
+            raise ResourceLimit(f"the request ran out of memory: {exc}") from None
     except HypersectError as exc:
         error = {"code": exc.code, "message": str(exc)}
         position = getattr(exc, "position", None)

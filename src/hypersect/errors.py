@@ -30,7 +30,7 @@ class FieldMismatch(HypersectError):
 
 
 class DivisionByZero(HypersectError, ZeroDivisionError):
-    """Inversion or division of a zero field element."""
+    """A denominator that vanishes in the field."""
 
 
 class ArityMismatch(HypersectError):

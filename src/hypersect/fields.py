@@ -1,9 +1,11 @@
-"""Exact coefficient arithmetic over Q and over prime fields F_p.
+"""Exact coefficients over Q and over prime fields F_p.
 
 A FieldSpec names the field (characteristic 0 means Q, a prime p means
-F_p) and builds Scalar values in canonical form: reduced fractions with
-positive denominator over Q, residues in [0, p) over F_p.  All arithmetic
-is exact; nothing here ever rounds.
+F_p) and is the one reducer of coefficients: FieldSpec.scalar builds
+Scalar values in canonical form, reduced fractions with positive
+denominator over Q and residues in [0, p) over F_p.  A Scalar is a value
+with no arithmetic; computations run on Python ints and Fractions and
+reduce through FieldSpec.scalar.  Nothing here ever rounds.
 """
 
 from __future__ import annotations
@@ -102,81 +104,21 @@ def make_field(characteristic: int) -> FieldSpec:
     return FieldSpec(characteristic)
 
 
+@dataclass(frozen=True, slots=True)
 class Scalar:
-    """One exact field element.
+    """One exact field element: a value, with no arithmetic of its own.
 
     `value` is an int residue in [0, p) over F_p and a Fraction over Q.
     Equality is representational: equal values over the same field.
-    Construct through FieldSpec.scalar so the representation stays canonical.
+    Compute on `.value` and build results through FieldSpec.scalar, the
+    one reducer, so the representation stays canonical.
     """
 
-    __slots__ = ("field", "value")
-
-    def __init__(self, field: FieldSpec, value):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "value", value)
-
-    def __setattr__(self, name, val):
-        raise AttributeError("Scalar is immutable")
-
-    def _check(self, other: "Scalar") -> None:
-        if not isinstance(other, Scalar):
-            raise TypeError(f"expected Scalar, got {type(other).__name__}")
-        if other.field != self.field:
-            raise FieldMismatch(f"cannot combine {self.field} with {other.field}")
-
-    def _reduced(self, v) -> "Scalar":
-        """v in this field's canonical form: mod p over F_p, as is over Q."""
-        p = self.field.characteristic
-        return Scalar(self.field, v % p if p else v)
-
-    def __add__(self, other: "Scalar") -> "Scalar":
-        self._check(other)
-        return self._reduced(self.value + other.value)
-
-    def __sub__(self, other: "Scalar") -> "Scalar":
-        self._check(other)
-        return self._reduced(self.value - other.value)
-
-    def __mul__(self, other: "Scalar") -> "Scalar":
-        self._check(other)
-        return self._reduced(self.value * other.value)
-
-    def __neg__(self) -> "Scalar":
-        return self._reduced(-self.value)
-
-    def inv(self) -> "Scalar":
-        if not self:
-            raise DivisionByZero(f"0 has no inverse in {self.field}")
-        if self.field.is_prime_field:
-            # extended Euclid, via the builtin modular inverse
-            return Scalar(self.field, pow(self.value, -1, self.field.characteristic))
-        return Scalar(self.field, 1 / self.value)
-
-    def __truediv__(self, other: "Scalar") -> "Scalar":
-        self._check(other)
-        return self * other.inv()
-
-    def __pow__(self, exponent: int) -> "Scalar":
-        if exponent < 0:
-            return self.inv() ** (-exponent)
-        base = self.value
-        if self.field.is_prime_field:
-            return Scalar(self.field, pow(base, exponent, self.field.characteristic))
-        return Scalar(self.field, base**exponent)
+    field: FieldSpec
+    value: int | Fraction
 
     def __bool__(self) -> bool:
         return self.value != 0
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Scalar)
-            and self.field == other.field
-            and self.value == other.value
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.field.characteristic, self.value))
 
     def __str__(self) -> str:
         return str(self.value)

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, combinations_with_replacement
 from math import comb, gcd
 
 import numpy as np
@@ -135,9 +136,14 @@ def _positions(nvars: int, degree: int) -> dict[Monomial, int]:
 
 def _tails(nvars: int, degree: int) -> np.ndarray:
     """tails[j, i] = e_(i+1) + ... + e_(n-1) for the j-th monomial e of
-    monomial_basis(nvars, degree), for i < n-1."""
-    exponents = np.array(monomial_basis(nvars, degree), dtype=np.int64).reshape(-1, nvars)
-    return degree - np.cumsum(exponents[:, :-1], axis=-1)
+    monomial_basis(nvars, degree), for i < n-1: the degree less the partial
+    sums e_0 + ... + e_i that monomial_basis is built on, read in its order
+    with no tuple per monomial.  Refused with ResourceLimit before anything
+    is allocated when its 8-byte entries pass the memory budget."""
+    shape = comb(nvars - 1 + degree, degree), nvars - 1
+    require_memory(8 * shape[0] * shape[1], f"the {shape[0]} x {shape[1]} tails of degree {degree}")
+    sums = chain.from_iterable(combinations_with_replacement(range(degree + 1), nvars - 1))
+    return degree - np.fromiter(sums, np.int64, shape[0] * shape[1]).reshape(shape)[::-1]
 
 
 @lru_cache(maxsize=64)

@@ -21,7 +21,7 @@ import sys
 from fractions import Fraction
 
 from .errors import DivisionByZero, ParseError, UnknownVariable, require_memory
-from .fields import FieldSpec, Scalar
+from .fields import FieldSpec
 from .poly import Monomial, Polynomial
 
 _TOKEN = re.compile(r"\s*(?:(x[0-9]+)|([0-9]+)|([+\-*/^])|(\S))")
@@ -89,13 +89,13 @@ class _Parser:
                 continue
             raise ParseError(f"expected '+' or '-', found {text!r}", pos)
 
-    def term(self) -> tuple[Monomial, Scalar]:
+    def term(self) -> tuple[Monomial, int | Fraction]:
         kind, text, pos = self.peek()
         exponents = [0] * self.nvars
         if kind == "int":
             coeff = self.coefficient()
         elif kind == "var":
-            coeff = self.field.one()
+            coeff = 1
             self.factor(exponents)
         else:
             raise ParseError(f"expected a term, found {text or 'end of input'!r}", pos)
@@ -107,7 +107,8 @@ class _Parser:
             else:
                 return tuple(exponents), coeff
 
-    def coefficient(self):
+    def coefficient(self) -> int | Fraction:
+        """The coefficient's value; Polynomial.from_terms reduces it."""
         num, pos = self.expect_int()
         kind, text, _ = self.peek()
         if kind == "op" and text == "/":
@@ -116,12 +117,12 @@ class _Parser:
             if den == 0:
                 raise ParseError("zero denominator", dpos)
             try:
-                return self.field.scalar(Fraction(num, den))
+                return self.field.scalar(Fraction(num, den)).value
             except DivisionByZero:
                 raise ParseError(
                     f"denominator {den} is not invertible in {self.field}", dpos
                 ) from None
-        return self.field.scalar(num)
+        return num
 
     def factor(self, exponents: list[int]) -> None:
         kind, text, pos = self.advance()

@@ -9,8 +9,9 @@ coprime to the numerators taken together; over F_p the numerators are
 residues in [0, p) and the denominator is 1.  Polynomial.from_integers
 makes that form, which is unique, so equality and hashing compare it as
 it is, and jacobian's Macaulay rows read the numerators directly.
-Scalars are made only at the edges: from_terms (and so parsing) takes
-them in, and terms, coefficient and to_text give them out.
+Scalars are made only at the edges: from_terms reduces every coefficient
+it takes in (parsing's plain values too) through FieldSpec.scalar, and
+terms, coefficient and to_text give them out.
 
 Monomials are ordered graded-lexicographically, degree first and then
 lexicographic on exponents, largest first.  That single order drives

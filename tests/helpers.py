@@ -127,8 +127,9 @@ def _integer_rows(m: Matrix) -> list[linalg.Row]:
     return out
 
 
-def _leading_one(field: FieldSpec, entries: list[int]) -> list[Scalar]:
-    """The integer entries as Scalars, scaled so the first nonzero one is 1."""
+def _leading_one(field: FieldSpec, entries: list) -> list[Scalar]:
+    """The entries (ints or Fractions) as Scalars, scaled so the first
+    nonzero one is 1."""
     lead = next(x for x in entries if x)
     return [field.scalar(Fraction(x, lead)) for x in entries]
 
@@ -504,17 +505,10 @@ def split_pivots(split) -> list[int]:
 
 
 def mat_vec(m: Matrix, v: list[Scalar]) -> list[Scalar]:
-    """m v over the matrix field."""
+    """m v over the matrix field, summed on values and reduced once."""
     if len(v) != m.cols:
         raise ValueError("length mismatch")
-    out = []
-    for i in range(m.rows):
-        acc = m.field.zero()
-        for x, y in zip(m.row(i), v):
-            if x and y:
-                acc = acc + x * y
-        out.append(acc)
-    return out
+    return [m.field.scalar(sum(x.value * y.value for x, y in zip(m.row(i), v))) for i in range(m.rows)]
 
 
 def rank_int_exact(rows: list[list[int]]) -> int:
@@ -557,13 +551,15 @@ def rank_int_exact(rows: list[list[int]]) -> int:
 
 
 def rref_reference(m: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and pivot columns by Gauss-Jordan on Scalars.
+    """Reduced row echelon form and pivot columns by Gauss-Jordan on the
+    entries' values, each result reduced by FieldSpec.scalar.
 
     The oracle for linalg.rref and the mod-p column loop.  Scans columns
     left to right and picks the first nonzero entry at or below the
     working row as pivot.
     """
-    a = [list(m.row(i)) for i in range(m.rows)]
+    field = m.field
+    a = [[x.value for x in m.row(i)] for i in range(m.rows)]
     nrows, ncols = m.rows, m.cols
     pivots: list[int] = []
     r = 0
@@ -574,16 +570,16 @@ def rref_reference(m: Matrix) -> tuple[Matrix, list[int]]:
         if pr is None:
             continue
         a[r], a[pr] = a[pr], a[r]
-        inv = a[r][c].inv()
-        a[r] = [x * inv for x in a[r]]
+        lead = a[r][c]
+        a[r] = [field.scalar(Fraction(x, lead)).value for x in a[r]]
         for i in range(nrows):
             if i != r and a[i][c]:
                 f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+                a[i] = [field.scalar(x - f * y).value for x, y in zip(a[i], a[r])]
         pivots.append(c)
         r += 1
-    flat = [x for row in a for x in row]
-    return Matrix(m.field, nrows, ncols, flat), pivots
+    flat = [field.scalar(x) for row in a for x in row]
+    return Matrix(field, nrows, ncols, flat), pivots
 
 
 def kernel_reference(m: Matrix) -> list[list[Scalar]]:
@@ -591,15 +587,13 @@ def kernel_reference(m: Matrix) -> list[list[Scalar]]:
     column, ascending, scaled to leading entry 1.  The oracle for
     linalg.kernel_basis."""
     red, pivots = rref_reference(m)
-    zero, one = m.field.zero(), m.field.one()
     basis = []
     for fc in (c for c in range(m.cols) if c not in pivots):
-        v = [zero] * m.cols
-        v[fc] = one
+        v = [0] * m.cols
+        v[fc] = 1
         for r, pc in enumerate(pivots):
-            v[pc] = -red.at(r, fc)
-        inv = next(x for x in v if x).inv()
-        basis.append([x * inv for x in v])
+            v[pc] = -red.at(r, fc).value
+        basis.append(_leading_one(m.field, v))
     return basis
 
 
@@ -639,13 +633,13 @@ class GradedPiece:
         if p and not p.is_homogeneous(self.degree):
             raise NotHomogeneous(f"expected a form of degree {self.degree}")
         index = {m: i for i, m in enumerate(self.basis)}
-        v = [field.zero()] * len(self.basis)
+        v = [0] * len(self.basis)
         for m, c in p.terms.items():
-            v[index[m]] = c
+            v[index[m]] = c.value
         for r, pc in enumerate(self._pivots):
             if f := v[pc]:
-                v = [x - f * y for x, y in zip(v, self._reduced.row(r))]
-        return v
+                v = [field.scalar(x - f * y.value).value for x, y in zip(v, self._reduced.row(r))]
+        return [field.scalar(x) for x in v]
 
     def contains(self, p: Polynomial) -> bool:
         return not any(self.reduce(p))
@@ -711,15 +705,14 @@ def normalize_hyperplane(f: Polynomial, hyperplane) -> Polynomial:
     nv = f.nvars
     coeffs = hyperplane.coefficients()
     j = hyperplane.pivot
-    zero, one = field.zero(), field.one()
-    rows = [[zero] * nv for _ in range(nv)]
+    rows = [[0] * nv for _ in range(nv)]
     for i in range(nv):
         if i == j:
             continue
         slot = j if i == 0 else i
-        rows[i][slot] = one
-        rows[j][slot] = -coeffs[i]
-    rows[j][0] = one
+        rows[i][slot] = 1
+        rows[j][slot] = -coeffs[i].value
+    rows[j][0] = 1
     return substitute_linear(f, [linear_form(field, row) for row in rows])
 
 

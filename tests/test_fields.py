@@ -1,6 +1,5 @@
-"""Exact scalar arithmetic over Q and prime fields."""
+"""Fields and their canonical Scalar values over Q and prime fields."""
 
-import random
 from decimal import Decimal
 from fractions import Fraction
 
@@ -13,7 +12,7 @@ from hypersect import (
     FieldMismatch,
     make_field,
 )
-from helpers import FIELDS, PRIME_FIELDS, rand_nonzero_scalar, rand_scalar
+from helpers import FIELDS, PRIME_FIELDS
 
 
 def test_make_field_characteristics():
@@ -30,31 +29,33 @@ def test_make_field_rejects_nonprime(bad):
 
 
 def test_mod_p_addition_wraps():
+    """A sum taken on the values wraps when FieldSpec.scalar reduces it."""
     f = make_field(7)
-    assert f.scalar(3) + f.scalar(5) == f.scalar(1)
+    assert f.scalar(f.scalar(3).value + f.scalar(5).value) == f.scalar(1)
 
 
 def test_rational_multiplication_reduces():
     q = make_field(0)
     a = q.scalar(Fraction(2, 3))
     b = q.scalar(Fraction(3, 4))
-    assert a * b == q.scalar(Fraction(1, 2))
-    assert str(a * b) == "1/2"
+    assert q.scalar(a.value * b.value) == q.scalar(Fraction(1, 2))
+    assert str(q.scalar(Fraction(6, 12))) == "1/2"
 
 
 def test_inverse_examples():
-    f5 = make_field(5)
-    assert f5.scalar(2).inv() == f5.scalar(3)
-    q = make_field(0)
-    assert q.scalar(2).inv() == q.scalar(Fraction(1, 2))
+    """FieldSpec.scalar inverts a denominator: 1/2 is 3 over F_5."""
+    assert make_field(5).scalar(Fraction(1, 2)) == make_field(5).scalar(3)
+    assert make_field(0).scalar(Fraction(1, 2)).value == Fraction(1, 2)
 
 
 def test_inverse_of_zero_raises():
-    for field in FIELDS:
+    """A denominator that vanishes mod p has no inverse there."""
+    for field in PRIME_FIELDS:
+        p = field.characteristic
         with pytest.raises(DivisionByZero):
-            field.zero().inv()
+            field.scalar(Fraction(1, p))
         with pytest.raises(DivisionByZero):
-            field.one() / field.zero()
+            field.scalar(Fraction(-1, 3 * p))
 
 
 def test_canonical_residues():
@@ -91,56 +92,17 @@ def test_scalar_accepts_every_exact_rational():
 
 
 def test_cross_field_operations_rejected():
+    """A Scalar enters another field only through FieldSpec.scalar, which
+    refuses it."""
     a = make_field(5).scalar(1)
-    b = make_field(7).scalar(1)
     with pytest.raises(FieldMismatch):
-        a + b
+        make_field(7).scalar(a)
     with pytest.raises(FieldMismatch):
-        a * b
+        make_field(0).scalar(a)
+    assert make_field(5).scalar(a) is a
 
 
 def test_zero_is_falsy():
     for field in FIELDS:
         assert not field.zero()
         assert field.one()
-
-
-def test_field_axioms_bulk():
-    """Associativity, commutativity, distributivity, identities and
-    inverses across ten thousand random triples per field."""
-    for field in FIELDS:
-        rng = random.Random(101)
-        zero, one = field.zero(), field.one()
-        for _ in range(10_000):
-            a = rand_scalar(rng, field)
-            b = rand_scalar(rng, field)
-            c = rand_scalar(rng, field)
-            assert (a + b) + c == a + (b + c)
-            assert (a * b) * c == a * (b * c)
-            assert a + b == b + a
-            assert a * b == b * a
-            assert a * (b + c) == a * b + a * c
-            assert a + zero == a
-            assert a * one == a
-            assert a + (-a) == zero
-            if a:
-                assert a * a.inv() == one
-
-
-def test_fermat_little_theorem():
-    for field in PRIME_FIELDS:
-        p = field.characteristic
-        rng = random.Random(p)
-        for _ in range(200):
-            a = rand_scalar(rng, field)
-            assert a**p == a
-
-
-def test_subtraction_and_division_consistency():
-    for field in FIELDS:
-        rng = random.Random(5)
-        for _ in range(500):
-            a = rand_scalar(rng, field)
-            b = rand_nonzero_scalar(rng, field)
-            assert (a - b) + b == a
-            assert (a / b) * b == a

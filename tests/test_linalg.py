@@ -101,10 +101,7 @@ def test_rank_of_planted_factorization():
                 for i in range(r)
             ]
             product = [
-                [
-                    sum((left[i][k] * right[k][j] for k in range(r)), field.zero())
-                    for j in range(n)
-                ]
+                [sum(left[i][k].value * right[k][j].value for k in range(r)) for j in range(n)]
                 for i in range(m)
             ]
             assert rank(Matrix.from_rows(field, product)) == r
@@ -126,7 +123,7 @@ def test_rank_invariant_under_permutation_and_scaling():
             s = rand_scalar(rng, field)
             while not s:
                 s = rand_scalar(rng, field)
-            scaled = [[s * x for x in permuted[0]]] + permuted[1:]
+            scaled = [[s.value * x.value for x in permuted[0]]] + permuted[1:]
             assert rank(Matrix.from_rows(field, scaled)) == base
 
 
@@ -169,10 +166,7 @@ def test_invert_round_trip():
         m = Matrix.from_rows(field, rows)
         assert_identity = invert(m)
         product = [
-            [
-                sum((m.at(i, k) * assert_identity.at(k, j) for k in range(3)), field.zero())
-                for j in range(3)
-            ]
+            [sum(m.at(i, k).value * assert_identity.at(k, j).value for k in range(3)) for j in range(3)]
             for i in range(3)
         ]
         assert Matrix.from_rows(field, product) == Matrix.identity(field, 3)
@@ -984,8 +978,9 @@ def test_lift_raises_instead_of_looping_when_checks_keep_failing(monkeypatch):
 
 
 def test_public_surface_has_no_scalar_matrix_layer():
-    """Every exported name resolves, and the Scalar matrix layer lives in
-    the test helpers only."""
+    """Every exported name resolves, the Scalar matrix layer lives in the
+    test helpers only, and a Scalar is a value with no arithmetic: code
+    computes on .value and reduces with FieldSpec.scalar."""
     import hypersect
     from hypersect import jacobian
 
@@ -994,6 +989,8 @@ def test_public_surface_has_no_scalar_matrix_layer():
     gone = ("Matrix", "rref", "rank", "kernel_basis", "invert", "euler_check", "GradedPiece")
     for module in (hypersect, linalg, jacobian):
         assert [name for name in gone if hasattr(module, name)] == [], module.__name__
+    arithmetic = ("__add__", "__sub__", "__mul__", "__neg__", "__truediv__", "__pow__", "inv")
+    assert [name for name in arithmetic if hasattr(hypersect.Scalar, name)] == []
 
 
 def test_rank_q_certified_eliminates_only_the_schur_block(monkeypatch):

@@ -3,6 +3,7 @@
 import ast
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -40,19 +41,10 @@ def test_the_budget_is_the_smaller_of_the_two_limits(monkeypatch):
     require_memory(10**30, "anything")
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["parse", "--char", "0", "--f", "x0", "--nvars", "400000000"],
-        ["smooth", "--char", "101", "--f", "x0^12000 + x1^12000"],
-        ["smooth", "--char", "0", "--f", "x0^3 + x1^3", "--nvars", "14"],
-    ],
-)
-def test_refusals_hold_under_an_address_space_limit(argv):
-    """In a child whose address space is limited to 1.5 GB, far below
-    physical memory, a 6.4 GB term, a 1.15 GB column table whose build
-    peaks at 3.5 GB, and a 8.7 GB column table are refused as ResourceLimit
-    with exit 2, and no MemoryError traceback is printed."""
+def _refused_under_limit(argv: list[str]) -> str:
+    """The stderr of the CLI request run in a child whose address space is
+    limited to 1.5 GB, far below physical memory, after checking that it
+    exits 2 with ResourceLimit and prints no traceback."""
     # one BLAS thread: per-thread buffers would take address space from the limit on a many-core host
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
     proc = subprocess.run(
@@ -62,7 +54,46 @@ def test_refusals_hold_under_an_address_space_limit(argv):
     )
     assert proc.returncode == 2, proc.stderr
     assert json.loads(proc.stdout)["error"]["code"] == "ResourceLimit"
-    assert "1500000000 bytes" in proc.stderr and "Traceback" not in proc.stderr
+    assert "Traceback" not in proc.stderr
+    return proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["parse", "--char", "0", "--f", "x0", "--nvars", "400000000"],
+        ["smooth", "--char", "101", "--f", "x0^12000 + x1^12000"],
+        ["smooth", "--char", "0", "--f", "x0^3 + x1^3", "--nvars", "14"],
+    ],
+)
+def test_refusals_hold_under_an_address_space_limit(argv):
+    """Under a 1.5 GB address space, a 6.4 GB term, a 1.15 GB column table
+    whose build peaks at 3.5 GB, and a 8.7 GB column table are refused by
+    require_memory as ResourceLimit with exit 2, and no MemoryError
+    traceback is printed."""
+    assert "1500000000 bytes" in _refused_under_limit(argv)
+
+
+def _dense_binary_form(degree: int) -> str:
+    rng = random.Random(0)
+    return " + ".join(f"{rng.randint(1, 100)}*x0^{degree - i}*x1^{i}" for i in range(degree + 1))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["smooth", "--char", "101", "--f", "x0^7800 + x1^7800"],
+        ["smooth", "--char", "101", "--f", _dense_binary_form(5000)],
+    ],
+    ids=["table-build", "dense-rows"],
+)
+def test_allocations_past_the_estimates_exit_as_resource_limit(argv):
+    """Under a 1.5 GB address space, allocations that pass every
+    require_memory estimate and then fail also exit 2 with ResourceLimit
+    and no traceback: the 464 MiB gather of a column table whose 3x
+    estimate lies just under the budget, and the 377 MiB concatenated
+    rows of a dense binary form of degree 5,000."""
+    assert "ran out of memory" in _refused_under_limit(argv)
 
 
 def test_one_function_reads_the_memory_limits():
