@@ -89,12 +89,6 @@ class FieldSpec:
             return Scalar(self, num * den % self.characteristic)
         return Scalar(self, value % self.characteristic)
 
-    def zero(self) -> "Scalar":
-        return self.scalar(0)
-
-    def one(self) -> "Scalar":
-        return self.scalar(1)
-
     def __str__(self) -> str:
         return "Q" if self.characteristic == 0 else f"F_{self.characteristic}"
 

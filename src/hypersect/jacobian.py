@@ -18,13 +18,13 @@ Every matrix holds the monomial multiples of the generators in one degree,
 less those the leading-term (Koszul/F5) criterion shows redundant: fewer
 rows, same span.  Unless char | d, the rows drop f, which Euler's identity
 puts in the ideal of its partials (_integer_generators).  Before the
-smoothness piece and ideal_graded_dim, each group of generators of one
-degree whose leading terms collide is replaced by its reduced row echelon
-form (_interreduce, as in Faugere's F4): the same span in that degree, so
-the same ideal and the same piece J_t for every t.  All partials of a
-dense form lead at x0^(d-1); interreduced, they lead at distinct
-monomials, so the pivot split finds sparse pivots for the multiples of
-each, and the dense block it leaves is far smaller.  The generators
+smoothness piece, the criterion matrix and ideal_graded_dim, each group
+of generators of one degree whose leading terms collide is replaced by
+its reduced row echelon form (_interreduce, as in Faugere's F4): the same
+span in that degree, so the same ideal and the same piece J_t for every
+t.  All partials of a dense form lead at x0^(d-1); interreduced, they
+lead at distinct monomials, so the pivot split finds sparse pivots for
+the multiples of each, and the dense block it leaves is far smaller.  The generators
 enter as integer forms, {monomial: int}: the numerators of a Polynomial,
 or the integer partials of a form's numerators (_integer_generators),
 each a nonzero constant times the generator it stands for, which changes
@@ -365,22 +365,21 @@ def is_smooth(f: Polynomial, t_max: int | None = None) -> bool:
     field decides (linalg.rank_mod_p_int, capped at the full width).
     """
     d, p = require_homogeneous(f, 1, "hypersurface form"), f.field.characteristic
-    return _is_smooth(_integer_generators(f.numerators, d, p), f.nvars, d, p, t_max)
+    return _is_smooth(_interreduce(_integer_generators(f.numerators, d, p), p), f.nvars, d, p, t_max)
 
 
 def _is_smooth(
     generators: list[dict[Monomial, int]], nvars: int, degree: int, p: int, t_max: int | None = None
 ) -> bool:
     """is_smooth of a nonzero degree-d form in nvars variables over the
-    field of characteristic p, given _integer_generators of its
-    numerators, or of any nonzero multiple of them: each a nonzero
+    field of characteristic p, given _interreduce of the _integer_generators
+    of its numerators, or of any nonzero multiple of them: each a nonzero
     constant times a Jacobian generator, whose rows span the same piece.
-    The piece is built from _interreduce of the generators: each degree
-    group's span is kept, so the ideal and its piece at every degree are
-    too, and the Koszul/F5 mask keeps the span for any generator list.
-    Over Q the interreduced rows are integer rows, so the probe mod
-    linalg.PROBE_PRIME and the kernel lift still share one set of rows and
-    one forward pass."""
+    Interreduction keeps each degree group's span, so the ideal and its
+    piece at every degree are kept too, and the Koszul/F5 mask keeps the
+    span for any generator list.  Over Q the interreduced rows are integer
+    rows, so the probe mod linalg.PROBE_PRIME and the kernel lift still
+    share one set of rows and one forward pass."""
     if nvars < 2:
         raise NotHomogeneous("need at least two variables for a projective hypersurface")
     cap = default_degree_cap(nvars, degree, p)
@@ -389,7 +388,7 @@ def _is_smooth(
             return False
         cap = min(cap, t_max)
     # never empty: all partials vanish only when char | d, and then f is kept
-    rows = _macaulay_rows(_interreduce(generators, p), cap)
+    rows = _macaulay_rows(generators, cap)
     if len(rows) < rows.width:
         return False
     return linalg.rank_mod_p_int(rows, p, stop_at=rows.width) == rows.width

@@ -214,8 +214,10 @@ def _eliminate(a: np.ndarray, p: int) -> list[int]:
             if pr != r:
                 a[[r, pr]] = a[[pr, r]]
             inv = pow(int(a[r, c]), -1, p)
-            start = c0 if panels else c  # a panel scales its multipliers too
-            a[r, start:] = a[r, start:] % p * inv % p
+            row = a[r, c0 if panels else c :]  # a panel scales its multipliers too
+            row %= p
+            row *= inv
+            row %= p
             idx = r + nz[1:]  # the rows below with an entry at c: the swap moved a zero
             if idx.size:
                 lo = c + 1 if panels else c  # a panel keeps each factor in place of the entry it clears
@@ -289,14 +291,17 @@ def _split(rows: SparseRows, ncols: int, p: int):
     columns in each block, level by level (pivots.levels): a pivot's level is
     one more than the highest level of a pivot row with an entry at its
     column, 0 if there is none.  The pivots of one level clear the block
-    together, in pieces whose columns hold at most _CHUNK entries of it:
-    one gather of a piece's columns, reduced, gives its factors, and each
-    factor times its pivot row's tail is subtracted by one scatter per
-    chunk of about _CHUNK entries.  Products are reduced only when the
-    block does not delay (_delays).  Each block's non-pivot columns go
-    into the m-row Schur complement, reduced once all are in, and the
-    column loop brings it to echelon form.  With no non-pivot column or
-    no other row there is no block.
+    together, in pieces whose columns hold at most _CHUNK entries of it.
+    A block lays its columns out in that clearing order, each piece's
+    pivot columns one slice, then the non-pivot columns: the nonzero
+    entries of a piece's slice, each reduced, give its factors (a
+    multiple of p that a delayed update left gives 0 and changes
+    nothing), and each factor times its pivot row's tail is subtracted by
+    one scatter per chunk of about _CHUNK entries.  Products are reduced
+    only when the block does not delay (_delays).  Each block's trailing
+    slice, its non-pivot columns, goes into the m-row Schur complement,
+    reduced once all are in, and the column loop brings it to echelon
+    form.  With no non-pivot column or no other row there is no block.
 
     Returns (pivots, others, schur, leads): pivots holds the pivot rows of
     residues, leads ascending, as SparseRows; others lists the non-pivot columns, schur is
@@ -360,22 +365,24 @@ def _split(rows: SparseRows, ncols: int, p: int):
     step = max(_CHUNK // int(lengths.max()), 1)  # (row, pivot) pairs per scatter
     height = min(max(_BLOCK // ncols, 1), len(rest))  # rows per dense block
     levels = pivots.levels(max(_CHUNK // height, 1))
+    # the block's columns in clearing order, each piece's pivot columns one slice, then others
+    slot = np.concatenate((lead[np.concatenate(levels)], others)).argsort()  # each column's place
+    cols, ends = slot[cols], list(itertools.accumulate(map(len, levels)))
     schur = np.empty((len(rest), len(others)), dtype=dtype)
     for top in range(0, len(rest), height):
-        # column-major for the levels, which gather columns; the column
+        # column-major for the levels, which read columns; the column
         # loop gathers rows, so the Schur complement is kept row-major
         m = min(height, len(rest) - top)
         block = np.zeros((m, ncols), dtype=dtype, order="F")
         part = rows.take(rest[top : top + m])
-        block[np.arange(m).repeat(part.lengths), part.cols] = part.values
+        block[np.arange(m).repeat(part.lengths), slot[part.cols]] = part.values
         delay = _delays(block, p)
         flat = block.T.reshape(-1)  # entry (i, c) at c*m + i
-        for at in levels:
-            column = block[:, lead[at]]
-            column %= p
+        for at, end in zip(levels, ends):
+            column = block[:, end - len(at) : end]
             hit, j = column.nonzero()
             source = at[j]
-            factors = column[hit, j] * inverses[source] % p
+            factors = column[hit, j] % p * inverses[source] % p
             for lo in range(0, hit.size, step):
                 piv = source[lo : lo + step]
                 count = lengths[piv] - 1  # each pivot row's tail, past its lead
@@ -385,7 +392,7 @@ def _split(rows: SparseRows, ncols: int, p: int):
                 if not delay:
                     update %= p
                 np.subtract.at(flat, cols[entry] * m + hit[lo : lo + step][pair], update)
-        schur[top : top + m] = block[:, others]
+        schur[top : top + m] = block[:, len(pivots) :]
     del block, flat  # not kept while the complement is eliminated
     schur %= p
     return pivots, others, schur, _eliminate(schur, p)
@@ -537,29 +544,16 @@ def integer_kernel(rows: SparseRows | list, ncols: int, p: int) -> tuple[list[in
     end, so this point is always reached; a check failing past it proves
     a defect here, and raises RuntimeError rather than trying primes
     forever.  H^2 is computed only once a check has failed.
-
-    It runs in _kernel_steps, which yields the pivots of its first split
-    (the ranks mod p, or PROBE_PRIME over Q) and pauses; resumed, it goes
-    on from that split, the lift's first prime, to this result.
     """
-    _, result = _kernel_steps(rows, ncols, p)
-    return result
-
-
-def _kernel_steps(rows: SparseRows | list, ncols: int, p: int):
-    """integer_kernel in two steps: yields the pivots of its first split, then its result."""
     rows = SparseRows.of(rows, ncols)
     kept = residues = modulus = hadamard2 = None
     for prime in (p,) if p else itertools.chain((PROBE_PRIME,), _primes_below(PROBE_PRIME)):
         pivot_rows, others, schur, leads = _split(rows, ncols, prime)
         lead = pivot_rows.cols[pivot_rows.starts]
         pivots = sorted([*lead.tolist(), *others[leads].tolist()])
-        if kept is None:  # the first split: its back substitution sets kept
-            yield pivots
         free_at = sorted(set(range(len(others))) - set(leads))
         if not free_at:
-            yield pivots, [], []
-            return
+            return pivots, [], []
         key = (-len(pivots), pivots)  # smaller is better: higher rank, then earlier pivots
         if kept is not None and key > kept:
             continue
@@ -590,11 +584,10 @@ def _kernel_steps(rows: SparseRows | list, ncols: int, p: int):
                 v[lead[at]] = -total * inverses[:, None] % prime
         block = v[pivots]
         if p:
-            yield pivots, free, [
+            return pivots, free, [
                 {fc: 1} | {pivots[i]: int(block[i, k]) for i in np.flatnonzero(block[:, k]).tolist()}
                 for k, fc in enumerate(free)
             ]
-            return
         if kept is None or key < kept:
             kept, residues, modulus = key, block, prime
         else:
@@ -603,8 +596,7 @@ def _kernel_steps(rows: SparseRows | list, ncols: int, p: int):
             modulus *= prime
         vectors = _lift_kernel(residues, modulus, pivots, free)
         if vectors is not None and _annihilates(rows, vectors):
-            yield pivots, free, vectors
-            return
+            return pivots, free, vectors
         if hadamard2 is None:
             norms = np.add.reduceat(rows.values.astype(object) ** 2, rows.starts[rows.lengths > 0])
             norms = sorted(norms.tolist(), reverse=True)

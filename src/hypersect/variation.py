@@ -20,11 +20,11 @@ Each trial runs on integer forms, {monomial: int}: the numerators of the
 section g and of q, which Hyperplane.restrict computes in ints, residues
 over F_p.  The section's generators are the integer partials of its
 numerators, after the numerators themselves when char | d: each is a
-nonzero constant times the matching Jacobian generator of g, so the span
-of every graded piece, the smoothness rank and the pivot columns of the
-transposed criterion matrix are those of g's.  The kernel basis is read
-off the kernel vectors divided by their lead entries, so no constant
-survives into the report.
+nonzero constant times the matching Jacobian generator of g, and
+interreducing them keeps each degree's span, so the span of every
+graded piece, the smoothness rank and the criterion's ranks and kernel
+are g's.  The kernel basis is read off the kernel vectors divided by
+their lead entries, so no constant survives into the report.
 """
 
 from __future__ import annotations
@@ -38,6 +38,8 @@ from enum import Enum
 from itertools import chain, count
 from math import comb
 
+import numpy as np
+
 from . import linalg
 from .errors import (
     DegreeTooSmall,
@@ -47,7 +49,7 @@ from .errors import (
     ZeroHyperplane,
 )
 from .fields import FieldSpec, Scalar
-from .jacobian import _integer_generators, _is_smooth, _macaulay_rows, is_smooth
+from .jacobian import _integer_generators, _interreduce, _is_smooth, _macaulay_rows, is_smooth
 from .poly import (
     Monomial,
     Polynomial,
@@ -230,42 +232,52 @@ def criterion_kernel(
     kernel is the directions along which the section's moduli do not
     move to first order.
 
-    One integer Macaulay matrix serves it: the m rows spanning the degree-d
-    piece J_d of the section's Jacobian ideal, then x_0*q, ..., x_{n-1}*q
-    (never pruned: no generator of degree >= 2 has a leading term dividing
-    a linear monomial), over the N = dim R_d monomials of degree d.  Its
-    transpose, one stable argsort of the entries by column
-    (linalg.SparseRows.transpose), is split once, mod p over F_p and mod
-    linalg.PROBE_PRIME over Q (linalg._kernel_steps).  The g pivots below
-    m count dim J_d, and the kernel has one vector per free column fc >= m:
-    fc is free exactly when x_{fc-m}*q lies in J_d plus the span of the
-    earlier q columns, so with r pivots in all, kernel_dim = n - (r - g).
+    One integer Macaulay matrix serves it, built from the section's
+    generators interreduced once (jacobian._interreduce), the list its
+    smoothness test ranks too: the m rows spanning the degree-d piece J_d
+    of the section's Jacobian ideal, then x_0*q, ..., x_{n-1}*q (never
+    pruned: no generator of degree >= 2 has a leading term dividing a
+    linear monomial), over the N = dim R_d monomials of degree d.  With
+    r the rank of all rows, x_i*q raises the rank exactly when it is not
+    in J_d plus the span of the earlier x_k*q, so kernel_dim = n - (r -
+    dim J_d).
 
-    Why one prime fixes both over Q.  A minor that is nonzero mod p is
-    nonzero over Z, so every rank mod p is at most the rank over Q, and
-    g <= g_Q, r <= r_Q for the ranks over Q of the first m columns and of
-    all.  Counting bounds them from above: g_Q <= min(m, N), and
-    r_Q <= min(N, g_Q + n), as the n q columns add at most n.  When
-    g = min(m, N), then g_Q = g; when also r = min(N, g + n), then r_Q = r,
-    and kernel_dim and graded_ideal_dim over Q are those mod the prime,
-    with no lift.  The proof does not use smoothness, but smoothness is
-    why the rule holds so often: the partials of a smooth section, of
-    degree d-1 >= 2, form a regular sequence, whose syzygies are Koszul
-    and so not linear, so its m = n^2 rows are independent over Q and mod
-    all but finitely many primes, and then the rule asks only that the q
-    columns reach the rank the count allows, kernel_dim = max(n - (N -
-    n^2), 0): maximal variation, as N - n^2 is the moduli count.
-    Otherwise, over Q, the steps resume from that split: the verified
-    multi-prime lift computes the ranks and the basis at once.
+    Why dim J_d = m when char does not divide d.  A True from _is_smooth
+    is a full piece at some degree, under a t_max too, so the section g
+    has no singular point over the algebraic closure; by Euler, d*g =
+    sum_i x_i*dg/dx_i, so its n partials have no common zero there.  Then
+    none is zero, and, n forms in n variables, they are a regular
+    sequence.  Their syzygies are Koszul, generated by dg/dx_j*e_i -
+    dg/dx_i*e_j, of degree d-1 >= 2, so none is linear, and the n^2
+    products x_k*dg/dx_i are independent over the base field.
+    Interreduction keeps n forms of the same span, and no Koszul mask
+    applies to linear multipliers, so the J_d rows are n^2 independent
+    products in another basis of the partials: m = n^2 <= N = C(n+d-1,
+    d).  When char p divides d, g is a generator itself, and Euler's
+    identity is a linear syzygy of the partials, so dim J_d is the rank
+    mod p of the first m rows.
 
-    The basis.  Column fc's kernel vector, restricted to the last n
-    coordinates, is a form l with q*l in J_d, nonzero at x_{fc-m} and 0 at
-    the other free q columns.  These forms span the criterion kernel.  A
-    kernel member is fixed by its coefficients at the free columns, so,
-    scaled to leading coefficient 1, they are the basis kernel_basis reads
-    off the residues of x_i*q modulo J_d, whatever rows span J_d.  When the
-    ranks came off one split, the steps resume only when kernel_basis is
-    first read, which certify never does.
+    Why one rank fixes the kernel.  r is the rank of all rows mod p over
+    F_p, exact, and over Q mod linalg.PROBE_PRIME (linalg.rank_mod_p_int).
+    A minor that is nonzero mod a prime is nonzero over Z, so r <= r_Q,
+    and counting bounds r_Q <= min(N, m + n).  When r reaches that bound,
+    r_Q = r and kernel_dim over Q is n - (r - m), with no lift: the
+    maximal rank, kernel_dim = max(n - (N - n^2), 0), as N - n^2 is the
+    moduli count.  Otherwise, over Q, the basis is lifted at once and
+    kernel_dim is its length.
+
+    The basis.  The criterion rows transposed, one stable argsort of the
+    entries by column (linalg.SparseRows.transpose), have one vector in
+    linalg.integer_kernel per free column fc >= m: fc is free exactly when
+    x_{fc-m}*q lies in J_d plus the span of the earlier q columns.
+    Restricted to the last n coordinates it is a form l with q*l in J_d,
+    nonzero at x_{fc-m} and 0 at the other free q columns, and these forms
+    span the criterion kernel.  A kernel member is fixed by its
+    coefficients at the free columns, so, scaled to leading coefficient 1,
+    they are the basis kernel_basis reads off the residues of x_i*q modulo
+    J_d, whatever rows span J_d.  When the rank fixed kernel_dim, the
+    transpose is built and its integer_kernel run only when kernel_basis
+    is first read, which certify never does.
 
     Over Q and over its algebraic closure the answer is the same: a rank
     is the size of the largest nonzero minor, and a minor of a rational
@@ -277,46 +289,38 @@ def criterion_kernel(
     if not section:
         return CriterionReport(hyperplane, CriterionStatus.SINGULAR_SECTION)
     p = f.field.characteristic
-    generators = _integer_generators(section.numerators, d, p)  # built once, for the smoothness test and the matrix
+    generators = _interreduce(_integer_generators(section.numerators, d, p), p)
     if not _is_smooth(generators, n, d, p, t_max):
         return CriterionReport(hyperplane, CriterionStatus.SINGULAR_SECTION)
     q = hyperplane.restrict(partial_derivative(f, hyperplane.pivot))
     if not q:
         return CriterionReport(hyperplane, CriterionStatus.VACUOUS, criterion_form=q)
     rows = _macaulay_rows(generators + [q.numerators], d)
-    m, matrix = len(rows) - n, rows.transpose()
-    steps = linalg._kernel_steps(matrix, matrix.width, p)
-    pivots = next(steps)
-    g, r = sum(pc < m for pc in pivots), len(pivots)
-    if p or (g == min(m, rows.width) and r == min(rows.width, g + n)):
-        report = CriterionReport(
-            hyperplane, CriterionStatus.COMPUTED, criterion_form=q, kernel_dim=n - (r - g), graded_ideal_dim=g
-        )
-        report._lift = lambda: _kernel_forms(next(steps), m, n, f.field)[1]
-        return report
-    g, kernel = _kernel_forms(next(steps), m, n, f.field)
-    return CriterionReport(
-        hyperplane,
-        CriterionStatus.COMPUTED,
-        criterion_form=q,
-        kernel_basis=kernel,
-        kernel_dim=len(kernel),
-        graded_ideal_dim=g,
+    m = len(rows) - n
+    g = linalg.rank_mod_p_int(rows.take(np.arange(m)), p) if p and d % p == 0 else m
+    r = linalg.rank_mod_p_int(rows, p or linalg.PROBE_PRIME)
+    report = CriterionReport(
+        hyperplane, CriterionStatus.COMPUTED, criterion_form=q, kernel_dim=n - (r - g), graded_ideal_dim=g
     )
+    report._lift = lambda: _kernel_forms(rows, m, n, f.field)
+    if not p and r < min(rows.width, m + n):
+        report.kernel_dim = len(report.kernel_basis)
+    return report
 
 
-def _kernel_forms(lifted, m: int, n: int, field: FieldSpec) -> tuple[int, list[Polynomial]]:
-    """dim J_d and the criterion kernel basis, off the integer_kernel result
-    (pivots, free columns, vectors) of the transposed criterion matrix: m
-    columns spanning J_d, then the n columns x_i*q (criterion_kernel)."""
-    pivots, free, vectors = lifted
+def _kernel_forms(rows: linalg.SparseRows, m: int, n: int, field: FieldSpec) -> list[Polynomial]:
+    """The criterion kernel basis, off integer_kernel of the criterion rows
+    transposed: m columns spanning J_d, then the n columns x_i*q
+    (criterion_kernel)."""
+    matrix = rows.transpose()
+    _, free, vectors = linalg.integer_kernel(matrix, matrix.width, field.characteristic)
     units = [tuple(int(k == i) for k in range(n)) for i in range(n)]
     kernel = []
     for fc, v in zip(free, vectors):
         if fc >= m:
             entries = {u: x for i, u in enumerate(units) if (x := v.get(m + i))}
             kernel.append(Polynomial.from_integers(field, n, entries, next(iter(entries.values()))))
-    return sum(pc < m for pc in pivots), kernel
+    return kernel
 
 
 class CertifyVerdict(str, Enum):

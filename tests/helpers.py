@@ -76,7 +76,7 @@ class Matrix:
     @classmethod
     def from_sparse(cls, field: FieldSpec, cols: int, rows: list[linalg.Row]) -> "Matrix":
         """The matrix with the given column count of sparse integer rows."""
-        entries = [field.zero()] * (len(rows) * cols)
+        entries = [field.scalar(0)] * (len(rows) * cols)
         for i, row in enumerate(rows):
             for c, x in row:
                 entries[i * cols + c] = field.scalar(x)
@@ -84,14 +84,14 @@ class Matrix:
 
     @classmethod
     def zero(cls, field: FieldSpec, rows: int, cols: int) -> "Matrix":
-        z = field.zero()
+        z = field.scalar(0)
         return cls(field, rows, cols, [z] * (rows * cols))
 
     @classmethod
     def identity(cls, field: FieldSpec, n: int) -> "Matrix":
         m = cls.zero(field, n, n)
         for i in range(n):
-            m.entries[i * n + i] = field.one()
+            m.entries[i * n + i] = field.scalar(1)
         return m
 
     def at(self, i: int, j: int) -> Scalar:
@@ -149,7 +149,7 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     if not (nrows and ncols):
         return Matrix(field, nrows, ncols, []), []
     pivots, free, vectors = linalg.integer_kernel(_integer_rows(m), ncols, field.characteristic)
-    zero, one = field.zero(), field.one()
+    zero, one = field.scalar(0), field.scalar(1)
     entries = [zero] * (nrows * ncols)
     for i, pc in enumerate(pivots):
         entries[i * ncols + pc] = one

@@ -312,7 +312,7 @@ def _suite_criterion_invariance() -> tuple[int, list]:
     for _ in range(260):
         # invertible change fixing the hyperplane x0 = 0 as a set
         block = rand_invertible(rng, f101, 4)
-        rows = [[f101.one()] + [f101.zero()] * 4]
+        rows = [[f101.scalar(1)] + [f101.scalar(0)] * 4]
         for i in range(4):
             rows.append([rand_scalar(rng, f101)] + block[i])
         moved = substitute_linear(base_f, LinearChange(f101, rows))

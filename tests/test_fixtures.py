@@ -87,7 +87,7 @@ def test_cyclic_fermat_shift_invariance():
         f = cyclic_fermat(n, d, Q)
         nv = n + 1
         rows = [
-            [Q.one() if j == (i + 1) % nv else Q.zero() for j in range(nv)]
+            [Q.scalar(1) if j == (i + 1) % nv else Q.scalar(0) for j in range(nv)]
             for i in range(nv)
         ]
         assert substitute_linear(f, LinearChange(Q, rows)) == f

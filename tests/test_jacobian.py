@@ -451,7 +451,7 @@ def test_numpy_rows_match_tuple_builder_on_certify_trials():
         p = field.characteristic
         for _ in range(2):
             f = rand_nonzero_homogeneous(rng, field, n + 1, d, max_terms=8) + fermat(n, d, field)
-            hyperplane = Hyperplane.from_coefficients(field, [rand_scalar(rng, field) for _ in range(n)] + [field.one()])
+            hyperplane = Hyperplane.from_coefficients(field, [rand_scalar(rng, field) for _ in range(n)] + [field.scalar(1)])
             section = hyperplane.restrict(f).numerators
             across = hyperplane.restrict(partial_derivative(f, hyperplane.pivot)).numerators
             if not section:

@@ -86,7 +86,7 @@ def test_rank_of_planted_factorization():
             m, n = rng.randint(r, r + 3), rng.randint(r, r + 3)
             left = [
                 [
-                    (field.one() if i == j else field.zero()) if i < r
+                    (field.scalar(1) if i == j else field.scalar(0)) if i < r
                     else rand_scalar(rng, field)
                     for j in range(r)
                 ]
@@ -94,7 +94,7 @@ def test_rank_of_planted_factorization():
             ]
             right = [
                 [
-                    (field.one() if i == j else field.zero()) if j < r
+                    (field.scalar(1) if i == j else field.scalar(0)) if j < r
                     else rand_scalar(rng, field)
                     for j in range(n)
                 ]
@@ -134,7 +134,7 @@ def test_kernel_of_identity_is_empty():
 def test_kernel_of_zero_map_is_everything():
     vecs = kernel_basis(Matrix.zero(Q, 2, 3))
     assert len(vecs) == 3
-    assert in_span(vecs, [Q.one(), Q.zero(), Q.zero()], Q)
+    assert in_span(vecs, [Q.scalar(1), Q.scalar(0), Q.scalar(0)], Q)
 
 
 def test_kernel_vectors_annihilate():

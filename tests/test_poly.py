@@ -59,7 +59,7 @@ def test_parse_zero():
 
 def test_parse_fraction_coefficient():
     p = parse_poly("x0^2 - 1/2*x1*x2", 3, Q)
-    assert p.coefficient((2, 0, 0)) == Q.one()
+    assert p.coefficient((2, 0, 0)) == Q.scalar(1)
     assert p.coefficient((0, 1, 1)) == Q.scalar(Fraction(-1, 2))
     assert p.to_text() == "x0^2 - 1/2*x1*x2"
 
@@ -216,7 +216,7 @@ def test_substitute_identity_is_noop():
 
 
 def test_substitute_swap_twice_is_identity():
-    one, zero = Q.one(), Q.zero()
+    one, zero = Q.scalar(1), Q.scalar(0)
     swap = LinearChange(Q, [[zero, one], [one, zero]])
     p = parse_poly("x0^2 + 3*x1", 2, Q)
     assert substitute_linear(substitute_linear(p, swap), swap) == p
@@ -226,7 +226,7 @@ def test_substitute_swap_twice_is_identity():
 def test_substitute_shift_permutes_fermat():
     """The cyclic coordinate shift fixes the Fermat polynomial."""
     f = fermat(3, 3, Q)
-    rows = [[Q.one() if j == (i + 1) % 4 else Q.zero() for j in range(4)] for i in range(4)]
+    rows = [[Q.scalar(1) if j == (i + 1) % 4 else Q.scalar(0) for j in range(4)] for i in range(4)]
     assert substitute_linear(f, LinearChange(Q, rows)) == f
 
 
@@ -292,7 +292,7 @@ def test_normal_form_embeds_g_as_before():
 
 
 def test_singular_change_rejected():
-    one = Q.one()
+    one = Q.scalar(1)
     with pytest.raises(SingularMatrix):
         LinearChange(Q, [[one, one], [one, one]])
 

@@ -1,8 +1,10 @@
 """Hyperplane sections, the first-order criterion map, and certification."""
 
+import gc
 import itertools
 import random
 import sys
+import types
 from collections import Counter
 from fractions import Fraction
 from math import lcm
@@ -113,7 +115,7 @@ def test_restrict_matches_the_normalize_path():
         for pivot in range(n + 1):
             for _ in range(2):
                 f = rand_nonzero_homogeneous(rng, field, n + 1, d, max_terms=8)
-                coeffs = [field.zero()] * pivot + [rand_nonzero_scalar(rng, field)]
+                coeffs = [field.scalar(0)] * pivot + [rand_nonzero_scalar(rng, field)]
                 coeffs += [rand_scalar(rng, field) for _ in range(n - pivot)]
                 hp = Hyperplane.from_coefficients(field, coeffs)
                 moved = normalize_hyperplane(f, hp)
@@ -146,16 +148,16 @@ def test_normalized_form_round_trips_through_inverse_change():
         for _ in range(8):
             f = rand_nonzero_homogeneous(rng, field, 4, 3)
             lead = rng.randint(0, 3)  # pivots at every variable
-            coeffs = [field.zero()] * lead + [rand_scalar(rng, field) for _ in range(4 - lead)]
+            coeffs = [field.scalar(0)] * lead + [rand_scalar(rng, field) for _ in range(4 - lead)]
             if not any(coeffs):
                 continue
             hp = Hyperplane.from_coefficients(field, coeffs)
             j = hp.pivot
-            rows = [[field.zero()] * 4 for _ in range(4)]
+            rows = [[field.scalar(0)] * 4 for _ in range(4)]
             rows[0] = hp.coefficients()
             for i in range(4):
                 if i != j:
-                    rows[j if i == 0 else i][i] = field.one()
+                    rows[j if i == 0 else i][i] = field.scalar(1)
             moved = normalize_hyperplane(f, hp)
             assert substitute_linear(moved, LinearChange(field, rows)) == f
 
@@ -273,7 +275,7 @@ def _criterion_grid(seed):
                 if k < f.nvars:
                     yield f, Hyperplane.coordinate(field, f.nvars, k)
                     continue
-                coeffs = [field.zero()]
+                coeffs = [field.scalar(0)]
                 while not any(coeffs):
                     coeffs = [field.scalar(rng.randint(-3, 3)) for _ in range(f.nvars)]
                 yield f, Hyperplane.from_coefficients(field, coeffs)
@@ -319,15 +321,19 @@ def test_criterion_kernel_oracle_runs_no_integer_kernel(monkeypatch):
     assert computed >= 100
 
 
-class _SplitSpy:
-    """Counts linalg._split calls by (rows object, prime), and records the
-    criterion matrices: the results of SparseRows.transpose, which only
-    criterion_kernel calls.  The counter holds every rows object it saw,
-    so no two of them share an identity."""
+class _LinalgSpy:
+    """Records what criterion_kernel asks of linalg: the criterion matrices
+    (the results of SparseRows.transpose, which only criterion_kernel
+    calls), the rows of every integer_kernel call and the (rows, p) of
+    every rank_mod_p_int call without stop_at (the sections' smoothness
+    probes pass one), and counts linalg._split calls by (rows object,
+    prime).  The counter holds every rows object it saw, so no two of them
+    share an identity."""
 
     def __init__(self, monkeypatch):
-        self.counts, self.matrices = Counter(), []
+        self.counts, self.matrices, self.kernels, self.ranks = Counter(), [], [], []
         real_transpose, real_split = linalg.SparseRows.transpose, linalg._split
+        real_kernel, real_rank = linalg.integer_kernel, linalg.rank_mod_p_int
 
         def transpose_spy(rows):
             self.matrices.append(real_transpose(rows))
@@ -337,98 +343,126 @@ class _SplitSpy:
             self.counts[rows, p] += 1
             return real_split(rows, ncols, p)
 
+        def kernel_spy(rows, ncols, p):
+            self.kernels.append(rows)
+            return real_kernel(rows, ncols, p)
+
+        def rank_spy(rows, p, stop_at=None):
+            if stop_at is None:
+                self.ranks.append((rows, p))
+            return real_rank(rows, p, stop_at)
+
         monkeypatch.setattr(linalg.SparseRows, "transpose", transpose_spy)
         monkeypatch.setattr(linalg, "_split", split_spy)
+        monkeypatch.setattr(linalg, "integer_kernel", kernel_spy)
+        monkeypatch.setattr(linalg, "rank_mod_p_int", rank_spy)
 
-    def of(self, matrix) -> int:
-        """How often matrix was split, at any prime."""
-        return sum(n for (rows, _), n in self.counts.items() if rows is matrix)
+    def clear(self):
+        self.matrices.clear()
+        self.kernels.clear()
+        self.ranks.clear()
 
-    def alone(self, matrix, p: int) -> int:
-        """How often integer_kernel, over the field of characteristic p,
-        splits a copy of matrix on its own."""
-        copy = linalg.SparseRows(matrix.lengths, matrix.cols, matrix.values, matrix.width)
-        linalg.integer_kernel(copy, copy.width, p)
-        return self.of(copy)
+    def lifted(self) -> list:
+        """The criterion matrices integer_kernel ran on, in call order."""
+        return [rows for rows in self.kernels if any(rows is m for m in self.matrices)]
+
+
+def _reaches_a_generator(function) -> bool:
+    """Whether gc.get_referents, applied three times from a function (its
+    closure cells, then their contents), reaches a generator, not counting
+    the function's module namespace."""
+    frontier = [function]
+    for _ in range(3):
+        frontier = [x for x in gc.get_referents(*frontier) if x is not function.__globals__]
+        if any(isinstance(x, types.GeneratorType) for x in frontier):
+            return True
+    return False
 
 
 def test_criterion_kernel_is_one_integer_kernel(monkeypatch):
-    """One criterion makes one Macaulay matrix at degree d and one kernel
-    computation on it (linalg._kernel_steps, which integer_kernel runs to
-    the end), and no Scalar elimination: the package has no rref,
-    kernel_basis or GradedPiece.  Its first split gives the ranks; in all
-    the criterion matrix is split exactly as often as integer_kernel
-    splits it on its own.  Inside criterion_kernel that is once when the
-    split fixes the ranks (always over F_p) and every split otherwise;
-    the first read of kernel_basis makes the rest, and a second read
-    none.  Only the criterion's own matrix counts: over Q the section's
-    is_smooth runs integer_kernel too, as its exact rank."""
-    builds, steps = [], []
-    real_rows, real_steps = variation._macaulay_rows, linalg._kernel_steps
+    """One criterion makes one Macaulay matrix at degree d, ranks those
+    untransposed rows once (twice when char | d: its first m rows, then
+    all) and runs no Scalar elimination: the package has no rref,
+    kernel_basis or GradedPiece.  A report whose kernel_dim the rank fixes
+    (always over F_p) builds no transpose and runs no integer_kernel, and
+    references no generator; the first read of its kernel_basis transposes
+    the rows and runs exactly one integer_kernel on them, and a second
+    read runs none.  An unpinned report over Q has run that one
+    integer_kernel already."""
+    builds = []
+    real_rows = variation._macaulay_rows
 
     def rows_spy(gens, degree):
-        builds.append(degree)
-        return real_rows(gens, degree)
-
-    def steps_spy(rows, ncols, p):
-        steps.append(rows)
-        return real_steps(rows, ncols, p)
+        builds.append(real_rows(gens, degree))
+        return builds[-1]
 
     monkeypatch.setattr(variation, "_macaulay_rows", rows_spy)
-    monkeypatch.setattr(linalg, "_kernel_steps", steps_spy)
-    splits = _SplitSpy(monkeypatch)
+    spy = _LinalgSpy(monkeypatch)
     assert not hasattr(linalg, "rref") and not hasattr(linalg, "kernel_basis")
-    assert not hasattr(jacobian, "GradedPiece") and not hasattr(linalg, "pivot_columns")
+    assert not hasattr(jacobian, "GradedPiece") and not hasattr(linalg, "_kernel_steps")
     seen = Counter()
     for f, h in itertools.islice(_criterion_grid(94), 0, None, 4):
         builds.clear()
-        splits.matrices.clear()
+        spy.clear()
         rep = criterion_kernel(f, h)
         if rep.status is not CriterionStatus.COMPUTED:
-            assert builds == [] and splits.matrices == []
+            assert builds == [] and spy.matrices == [] and spy.ranks == [], (f, h)
             continue
-        (matrix,) = splits.matrices
-        assert builds == [f.degree()], (f, h)
-        assert [rows for rows in steps if rows is matrix] == [matrix], (f, h)
-        pinned, before = rep._lift is not None, splits.of(matrix)
-        want = splits.alone(matrix, f.field.characteristic)
-        assert before == (1 if pinned else want), (f, h, before, want)
+        p, d = f.field.characteristic, f.degree()
+        (rows,) = builds
+        assert len(rows) == f.nvars - 1 + rep.graded_ideal_dim or p and d % p == 0, (f, h)
+        assert [q for rows_, q in spy.ranks if rows_ is rows] == [p or linalg.PROBE_PRIME], (f, h)
+        assert len(spy.ranks) == 1 + bool(p and d % p == 0), (f, h)
+        pinned = rep._lift is not None
+        if pinned:
+            assert spy.matrices == [] and not any(k is rows for k in spy.kernels), (f, h)
+            assert not _reaches_a_generator(rep._lift), (f, h)
+        else:
+            assert p == 0 and len(spy.matrices) == 1 and spy.lifted() == spy.matrices, (f, h)
         for _ in range(2):
             assert len(rep.kernel_basis) == rep.kernel_dim
-            assert splits.of(matrix) == want, (f, h)
+            assert len(spy.matrices) == 1 and spy.lifted() == spy.matrices, (f, h)
         seen["pinned" if pinned else "unpinned"] += 1
-        seen["over Q, lifted at more primes"] += not f.field.characteristic and want > 1
-    assert seen["pinned"] >= 40 and seen["unpinned"] >= 1 and seen["over Q, lifted at more primes"] >= 3, seen
+        seen["char | d"] += bool(p and d % p == 0)
+    assert seen["pinned"] >= 40 and seen["unpinned"] >= 1 and seen["char | d"] >= 1, seen
 
 
 def test_no_criterion_matrix_is_split_twice_at_one_prime(monkeypatch):
     """Over Q on _pinned_grid and over F_3, F_5, F_101 and a prime past
     2^31 on the criterion grid, with kernel_basis read never or twice, and
     through certify on the cubic threefold over Q at seed 0: no rows are
-    split twice at one prime, criterion matrices and the sections' cap
-    pieces alike.  The threefold's certify splits each of its 5 criterion
-    matrices once, at the probe prime, though the count pins only the
-    last (kernel 0): the other 4 (kernel 2) lift at that one prime.  So
-    the request splits 15 times in all."""
+    split twice at one prime, criterion rows, their transposes and the
+    sections' cap pieces alike.  Where char | d (cyclic Fermat (4,3) over
+    F_3) the report matches the oracle through two ranks mod p, of the
+    first m rows, which Euler's identity makes dependent, and of all.
+    The threefold's certify lifts the 4 kernels the rank leaves unpinned
+    (kernel 2, at one prime each) and pins the last (kernel 0)."""
     cases = list(_pinned_grid(3)) + [(f, h) for f, h in _criterion_grid(95) if f.field.characteristic]
-    splits = _SplitSpy(monkeypatch)
+    spy = _LinalgSpy(monkeypatch)
     computed = Counter()
     for i, (f, h) in enumerate(cases):
+        spy.ranks.clear()
         rep = criterion_kernel(f, h)
         if rep.status is CriterionStatus.COMPUTED:
             computed[f.field.characteristic] += 1
             for _ in range(2 * (i % 2)):
                 assert len(rep.kernel_basis) == rep.kernel_dim
-    assert set(splits.counts.values()) == {1}
-    assert len(splits.matrices) == sum(computed.values()) and computed[0] >= 60 and len(computed) == 5, computed
-    splits.counts.clear()
-    splits.matrices.clear()
+            if f == cyclic_fermat(4, 3, make_field(3)):
+                assert _report_fields(rep) == _report_fields(criterion_kernel_reference(f, h)), h
+                (jd, _), (rows, _) = spy.ranks
+                assert len(rows) == len(jd) + 4 and rep.graded_ideal_dim < len(jd), h
+                computed["char | d"] += 1
+    assert set(spy.counts.values()) == {1}
+    assert computed[0] >= 60 and computed["char | d"] >= 2 and len(computed) == 6, computed
+    spy.counts.clear()
+    spy.clear()
     report = certify_max_variation(cubic_threefold_example(Q), ScanStrategy(seed=0))
-    assert report.verdict is CertifyVerdict.CERTIFIED and len(splits.matrices) == 5
-    assert set(splits.counts.values()) == {1}
+    assert report.verdict is CertifyVerdict.CERTIFIED
+    assert set(spy.counts.values()) == {1}
     assert [t._lift is None for t in report.trials if t.kernel_dim is not None] == [True] * 4 + [False]
-    assert [splits.of(matrix) for matrix in splits.matrices] == [1] * 5
-    assert sum(splits.counts.values()) == 15
+    assert len(spy.matrices) == 4 and spy.lifted() == spy.matrices
+    assert [spy.counts[m, linalg.PROBE_PRIME] for m in spy.matrices] == [1] * 4
+    assert sum(spy.counts.values()) == 19
 
 
 def _pinned_grid(seed):
@@ -475,29 +509,23 @@ def test_ranks_from_one_prime_match_the_lifted_kernel():
 
 
 def test_certify_lifts_only_unpinned_kernels(monkeypatch):
-    """certify on Fermat (3,3) over Q, seed 0, budget 64: each of the 53
-    trials the count pins splits its criterion matrix once, the first step
-    of its kernel computation, and lifts nothing; only the kernel-3 trial
-    lifts its kernel, from that same split, at one prime, as integer_kernel
-    does on its own.  Reading kernel_basis afterwards resumes each pinned
-    computation once, so every matrix ends split as often as integer_kernel
-    splits it, each prime once, and the bases equal the Scalar oracle's.
-    Only the criterion's splits count, not those of the section's
-    smoothness test."""
+    """certify on Fermat (3,3) over Q, seed 0, budget 64: the 53 trials the
+    rank pins (kernel 2) build no transpose, run no integer_kernel and
+    reference no generator; only the kernel-3 trial x1 - x3 transposes its
+    rows and lifts its kernel.  Reading kernel_basis afterwards lifts each
+    pinned trial once, and every basis equals the Scalar oracle's."""
     f = fermat(3, 3, Q)
-    splits = _SplitSpy(monkeypatch)
+    spy = _LinalgSpy(monkeypatch)
     report = certify_max_variation(f, ScanStrategy(seed=0, trial_budget=64))
     computed = [t for t in report.trials if t.status is CriterionStatus.COMPUTED]
-    assert len(report.trials) == 64 and len(splits.matrices) == len(computed)
-    trials = list(zip(computed, splits.matrices))
-    pinned = [(t, matrix) for t, matrix in trials if t.kernel_dim == 2]
-    assert len(pinned) == 53 and all(t._lift is not None and splits.of(matrix) == 1 for t, matrix in pinned)
-    unpinned = [(str(t.hyperplane), t.kernel_dim, t._lift, splits.of(m)) for t, m in trials if t.kernel_dim != 2]
-    assert unpinned == [("x1 - x3", 3, None, 1)]
-    for t, matrix in trials:
+    pinned = [t for t in computed if t._lift is not None]
+    assert len(report.trials) == 64 and len(pinned) == 53 and all(t.kernel_dim == 2 for t in pinned)
+    assert not any(_reaches_a_generator(t._lift) for t in pinned)
+    lifted = [(str(t.hyperplane), t.kernel_dim) for t in computed if t._lift is None]
+    assert lifted == [("x1 - x3", 3)] and len(spy.matrices) == 1 and spy.lifted() == spy.matrices
+    for t in computed:
         assert t.kernel_basis == criterion_kernel_reference(f, t.hyperplane).kernel_basis
-        assert splits.of(matrix) == splits.alone(matrix, 0)
-    assert set(splits.counts.values()) == {1}
+    assert len(spy.matrices) == len(computed) and spy.lifted() == spy.matrices
 
 
 # --- the integer trial: scaled forms against the Scalar path ----------------
@@ -607,7 +635,7 @@ def test_certify_trial_runs_no_scalar_ring_map(monkeypatch):
         assert hyperplanes == [t.hyperplane for t in got.trials]
     assert {t.status for rep in expected for t in rep.trials} == set(CriterionStatus)
     with pytest.raises(AssertionError, match="Scalar polynomial"):
-        Hyperplane.coordinate(Q, 4, 0).restrict(fermat(3, 3, Q)) * Q.one()
+        Hyperplane.coordinate(Q, 4, 0).restrict(fermat(3, 3, Q)) * Q.scalar(1)
 
 
 def test_first_order_term_factors_through_criterion_form():
@@ -628,7 +656,7 @@ def test_kernel_dim_invariant_under_section_coordinate_change():
     for _ in range(4):
         # change that fixes the hyperplane x0 = 0 as a set
         block = rand_invertible(rng, Q, 4)
-        rows = [[Q.one()] + [Q.zero()] * 4]
+        rows = [[Q.scalar(1)] + [Q.scalar(0)] * 4]
         for i in range(4):
             rows.append([rand_scalar(rng, Q)] + block[i])
         moved = substitute_linear(f, LinearChange(Q, rows))
